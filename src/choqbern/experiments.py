@@ -411,20 +411,22 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                                 (1.0 / math.sqrt(min_n1), 1.0 / math.sqrt(min_n2)),
                                 powers=cfg.p_values)
 
-    def one_p(p: float) -> list[BoundRow]:
+    def one_entry(n_vec) -> list[BoundRow]:
+        n1, n2 = n_vec
+        # one approximation error per schedule entry, shared by every p
+        err = np.abs(tensor - multivariate_grid(f, (n1, n2), grid)).reshape(-1, m)
         out = []
-        for n1, n2 in cfg.schedule:
+        for p in cfg.p_values:
             gamma = table.gamma(1.0 / math.sqrt(n1), 1.0 / math.sqrt(n2), p=p)
-            approx = multivariate_grid(f, (n1, n2), grid)
-            diff = np.abs(tensor - approx).reshape(-1, m) ** p
-            lhs = integral_batch(diff, mu) ** (1.0 / p)
+            lhs = integral_batch(err ** p, mu) ** (1.0 / p)
             bound = _cp_sup(n1, n2, p, grid) ** (1.0 / p) * gamma
             out.append(BoundRow("mean_convergence", n1, n2, p, None, None, None,
                                 float(lhs.max()), bound))
         return out
 
-    rows = [row for batch in _parallel_map(one_p, list(cfg.p_values), cfg.workers)
-            for row in batch]
+    # rows are p-major: every schedule entry for one p, then the next p
+    per_entry = _parallel_map(one_entry, cfg.schedule, cfg.workers)
+    rows = [row for rows_of_p in zip(*per_entry) for row in rows_of_p]
     meta = {"experiment": cfg.experiment, "seed": cfg.seed,
             "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
             "wall_time": time.perf_counter() - t0, "vacuous": []}

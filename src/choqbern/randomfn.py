@@ -199,19 +199,22 @@ def _window(delta: float, grid: Grid) -> int:
     return min(max(steps, 0), grid.points_per_axis - 1)
 
 
-def _powers_of_sorted(v_sorted: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
-    """Telescoped integrals from presorted nonnegative rows; mu holds the
-    upper-set capacities aligned with the sort order."""
-    if p == 1.0:
-        vp = v_sorted
-    elif p == 2.0:
-        vp = np.square(v_sorted)
-    else:
-        vp = np.power(v_sorted, p)
-    out = vp[:, 0] * mu[:, 0]
-    if vp.shape[1] > 1:
-        out = out + ((vp[:, 1:] - vp[:, :-1]) * mu[:, 1:]).sum(axis=1)
-    return out
+def _translate_pair(tensor: np.ndarray, offset: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Views (a, b) of a grid tensor with a[i] = tensor[i + offset] and
+    b[i] = tensor[i], over the grid indices i where both points exist.
+
+    ``offset`` holds one nonnegative step per axis, except that the second
+    step of a 2-D offset may be negative.
+    """
+    g = tensor.shape[0]
+    if len(offset) == 1:
+        d = offset[0]
+        return tensor[d:], tensor[:g - d]
+    dx, dy = offset
+    if dy >= 0:
+        return tensor[dx:, dy:], tensor[:g - dx, :g - dy]
+    return tensor[dx:, :g + dy], tensor[:g - dx, -dy:]
 
 
 class ChoquetModulusTable:
@@ -222,6 +225,17 @@ class ChoquetModulusTable:
     reduce to a maximum over the offsets inside a delta box.  Several p
     exponents share one sorting pass (|D| and |D|^p sort identically).
     Supported for dim <= 2.
+
+    Kernel layout: per offset, the (K, M) rows of differences (K grid
+    positions, M atoms) get one stable argsort along the atoms; one flat
+    gather then puts the sorted values in atom-major (M, K) layout, where
+    row k holds every position's k-th smallest difference.  The upper-set
+    bitmasks are accumulated over those rows from the top rank down, and
+    each integral sum_k (v_k^p - v_{k-1}^p) mu_k is added up rank by rank
+    in ascending k.  For M <= 8 that is the order numpy's row sum uses, so
+    the table is bit-identical to a row-wise kernel; above, the two differ
+    in the last bits.  The working set is a few (M, K) arrays of one
+    offset, whatever the window.
     """
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
@@ -260,25 +274,33 @@ class ChoquetModulusTable:
             self._w2 = w2
 
         atom_bits = np.int64(1) << np.arange(m, dtype=np.int64)
+        # flat index of each grid position's first entry in a (K, M) block
+        row_start = np.arange(g ** f.dim, dtype=np.int64)[:, None] * m
         for key in keys:
-            if f.dim == 1:
-                d = key[0]
-                diff = np.abs(tensor[d:] - tensor[:g - d])
-            else:
-                dx, dy = key
-                if dy >= 0:
-                    a = tensor[dx:, dy:]
-                    b = tensor[:g - dx, :g - dy]
-                else:
-                    a = tensor[dx:, :g + dy]
-                    b = tensor[:g - dx, -dy:]
-                diff = np.abs(a - b).reshape(-1, m)
+            a, b = _translate_pair(tensor, key)
+            diff = np.abs(a - b).reshape(-1, m)
             order = np.argsort(diff, axis=1, kind="stable")
-            v_sorted = np.take_along_axis(diff, order, axis=1)
-            upper = np.cumsum(atom_bits[order][:, ::-1], axis=1)[:, ::-1]
+            # atom-major (M, K): v[k] is each position's k-th smallest difference
+            v = diff.ravel()[(order + row_start[:len(diff)]).T]
+            upper = atom_bits[order.T]
+            for k in range(m - 2, -1, -1):
+                upper[k] += upper[k + 1]
             mu = mu_table[upper]
             for p in self.powers:
-                val = float(_powers_of_sorted(v_sorted, mu, p).max())
+                if p == 1.0:
+                    vp = v
+                elif p == 2.0:
+                    vp = np.square(v)
+                else:
+                    vp = np.power(v, p)
+                integral = vp[0] * mu[0]
+                if m > 1:
+                    # ascending ranks, the summation order of a row-wise sum
+                    terms = (vp[1] - vp[0]) * mu[1]
+                    for k in range(2, m):
+                        terms += (vp[k] - vp[k - 1]) * mu[k]
+                    integral = integral + terms
+                val = float(integral.max())
                 if f.dim == 1:
                     self._off[p][key[0]] = val
                 else:
@@ -342,8 +364,8 @@ def sample_modulus_profile(f: RandomFunction, grid: Grid,
         dists = np.arange(w + 1) * grid.spacing
         prof = np.zeros((w + 1, m))
         for d in range(1, w + 1):
-            diff = np.abs(tensor[d:] - tensor[:g - d])
-            prof[d] = diff.max(axis=0)
+            a, b = _translate_pair(tensor, (d,))
+            prof[d] = np.abs(a - b).max(axis=0)
         return dists, np.maximum.accumulate(prof, axis=0)
     if f.dim != 2:
         raise InputError("modulus computation supports dim <= 2 only")
@@ -356,12 +378,7 @@ def sample_modulus_profile(f: RandomFunction, grid: Grid,
             dist = math.hypot(dx, dy) * grid.spacing
             if dist > limit:
                 continue
-            if dy >= 0:
-                a = tensor[dx:, dy:]
-                b = tensor[:g - dx, :g - dy]
-            else:
-                a = tensor[dx:, :g + dy]
-                b = tensor[:g - dx, -dy:]
+            a, b = _translate_pair(tensor, (dx, dy))
             diff = np.abs(a - b).reshape(-1, m).max(axis=0)
             entries.append((dist, diff))
     entries.sort(key=lambda e: e[0])

@@ -4,9 +4,10 @@ import pytest
 from choqbern import (DiscreteProbability, GroundSpace, InputError,
                       PossibilityDistribution, choquet_modulus, eval_random_function,
                       make_distorted, make_distortion, make_possibility,
-                      stochastic_modulus)
+                      stochastic_modulus, subset_table)
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
-                               build_family, list_families, sample_modulus_profile)
+                               _window, build_family, list_families,
+                               sample_modulus_profile)
 from conftest import brute_gamma, brute_sample_modulus, random_capacity
 
 
@@ -130,6 +131,107 @@ def test_choquet_modulus_agrees_with_brute_force(rng):
             got = choquet_modulus(f, cap, deltas, p, grid)
             want = brute_gamma(f, cap, deltas, p, grid)
             assert got == pytest.approx(want, abs=1e-13)
+
+
+POWERS = (1.0, 1.5, 2.0, 3.0)
+
+
+def _modulus_instances(rng, m):
+    """A function and capacity on m atoms for every family, capacity kind and
+    dimension; step_noise gives ties and exact zeros in the differences."""
+    space = GroundSpace.of_size(m)
+    for name in ("affine_noise", "step_noise"):
+        for kind in ("distorted", "possibility"):
+            for dim in (1, 2):
+                f = build_family(name, space, dim, {"z": list(rng.uniform(-1, 1, m))})
+                yield f, random_capacity(rng, m, kind=kind)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_modulus_table_agrees_with_brute_force_over_powers(rng, m):
+    for f, cap in _modulus_instances(rng, m):
+        grid = Grid(f.dim, 17 if f.dim == 1 else 6)
+        deltas = (0.3,) if f.dim == 1 else (0.2, 0.4)
+        table = ChoquetModulusTable(f, cap, grid, deltas, powers=POWERS)
+        for p in POWERS:
+            want = brute_gamma(f, cap, deltas, p, grid)
+            assert table.gamma(*deltas, p=p) == pytest.approx(want, abs=1e-13)
+
+
+def _powers_of_sorted(v_sorted, mu, p):
+    """Telescoped integrals from presorted nonnegative rows; mu holds the
+    upper-set capacities aligned with the sort order."""
+    if p == 1.0:
+        vp = v_sorted
+    elif p == 2.0:
+        vp = np.square(v_sorted)
+    else:
+        vp = np.power(v_sorted, p)
+    out = vp[:, 0] * mu[:, 0]
+    if vp.shape[1] > 1:
+        out = out + ((vp[:, 1:] - vp[:, :-1]) * mu[:, 1:]).sum(axis=1)
+    return out
+
+
+def _row_wise_off(f, cap, grid, max_deltas, powers):
+    """The per-offset table of the row-wise (K, M) kernel, as a reference."""
+    g = grid.points_per_axis
+    tensor = f.grid_tensor(grid)
+    mu_table = subset_table(cap)
+    m = f.atom_count
+    if f.dim == 1:
+        w = _window(max(max_deltas), grid)
+        keys = [(d,) for d in range(1, w + 1)]
+        off = {p: np.zeros(w + 1) for p in powers}
+    else:
+        w1 = _window(max_deltas[0], grid)
+        w2 = _window(max_deltas[1], grid)
+        keys = [(dx, dy) for dx in range(w1 + 1)
+                for dy in range((0 if dx == 0 else -w2), w2 + 1)
+                if (dx, dy) != (0, 0)]
+        off = {p: np.zeros((w1 + 1, 2 * w2 + 1)) for p in powers}
+
+    atom_bits = np.int64(1) << np.arange(m, dtype=np.int64)
+    for key in keys:
+        if f.dim == 1:
+            d = key[0]
+            diff = np.abs(tensor[d:] - tensor[:g - d])
+        else:
+            dx, dy = key
+            if dy >= 0:
+                a = tensor[dx:, dy:]
+                b = tensor[:g - dx, :g - dy]
+            else:
+                a = tensor[dx:, :g + dy]
+                b = tensor[:g - dx, -dy:]
+            diff = np.abs(a - b).reshape(-1, m)
+        order = np.argsort(diff, axis=1, kind="stable")
+        v_sorted = np.take_along_axis(diff, order, axis=1)
+        upper = np.cumsum(atom_bits[order][:, ::-1], axis=1)[:, ::-1]
+        mu = mu_table[upper]
+        for p in powers:
+            val = float(_powers_of_sorted(v_sorted, mu, p).max())
+            if f.dim == 1:
+                off[p][key[0]] = val
+            else:
+                off[p][key[0], key[1] + w2] = val
+    return off
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 12])
+def test_modulus_table_matches_row_wise_kernel(rng, m):
+    # up to 8 atoms the rank-by-rank sum adds in numpy's row-sum order, so
+    # the tables agree bit for bit; beyond that numpy's row sum is pairwise
+    for f, cap in _modulus_instances(rng, m):
+        grid = Grid(f.dim, 33 if f.dim == 1 else 13)
+        deltas = (0.5,) * f.dim
+        table = ChoquetModulusTable(f, cap, grid, deltas, powers=POWERS)
+        want = _row_wise_off(f, cap, grid, deltas, POWERS)
+        for p in POWERS:
+            if m <= 8:
+                assert np.array_equal(table._off[p], want[p])
+            else:
+                np.testing.assert_allclose(table._off[p], want[p], rtol=1e-12, atol=0)
 
 
 def test_modulus_table_multi_power_and_query_errors(cap1):
