@@ -20,17 +20,13 @@ import numpy as np
 from .bernstein import multivariate_grid, sikkema_constant
 from .capacity import GroundSpace, capacity_from_spec, check_properties
 from .choquet import (choquet_integral, choquet_integral_oracle, choquet_lp_norm)
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, _fmt, run_experiment
 from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
 from .stochastic import (SeededStream, k_modulus, lemma51_bound, max_deviation,
                          sample_order_statistics)
 
 THREADS_ENV = "CHOQBERN_THREADS"
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _dump(obj) -> str:
@@ -41,15 +37,18 @@ def _dump(obj) -> str:
     return json.dumps({k: enc(v) for k, v in obj.items()})
 
 
-def _load_capacity(path: str):
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read capacity file '{path}': {exc}") from exc
+        raise ValueError(f"cannot read {what} file '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"capacity file '{path}' is not valid JSON: {exc}") from exc
-    return capacity_from_spec(spec)
+        raise ValueError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
+
+
+def _load_capacity(path: str):
+    return capacity_from_spec(_read_json(path, "capacity"))
 
 
 def _parse_subset(text: str):
@@ -160,13 +159,7 @@ def _cmd_stochastic(args) -> int:
 def parse_config(path: str, seed: int | None = None,
                  workers: int | None = None) -> ExperimentConfig:
     """Read and validate an experiment config file, applying defaults."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read config file '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file '{path}' is not valid JSON: {exc}") from exc
+    obj = _read_json(path, "config")
     if not isinstance(obj, dict):
         raise ValueError(f"config file '{path}' must hold a JSON object")
     if seed is not None:

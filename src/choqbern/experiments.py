@@ -25,7 +25,7 @@ from .bernstein import basis_matrix, multivariate_grid, sikkema_constant
 from .capacity import (Capacity, Distortion, GroundSpace, InputError,
                        PossibilityRepr, capacity_from_spec, check_properties,
                        distortion_from_spec, known_submodular, subset_table)
-from .choquet import integral_batch
+from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, sample_modulus_profile, PAIR_TOL)
 from .stochastic import (KTable, StochasticProcessSpec, lemma51_bound,
@@ -133,24 +133,135 @@ def tau_value(tau: Mapping, n: int) -> float:
     raise ConfigError(f"unknown tau kind '{kind}' (known: {TAU_KINDS})")
 
 
-def _validate_tau(tau: Mapping) -> dict:
-    if "kind" not in tau:
-        raise ConfigError("tau object missing key 'kind'")
-    kind = tau["kind"]
-    if kind not in TAU_KINDS:
-        raise ConfigError(f"unknown tau kind '{kind}' (known: {TAU_KINDS})")
-    scale = float(tau.get("scale", 1.0))
-    # every catalog entry is nondecreasing in n, so tau(n) >= 1 reduces to n = 1
-    if tau_value({"kind": kind, "scale": scale}, 1) < 1.0:
-        raise ConfigError(f"tau '{kind}' with scale {scale} violates tau(n) >= 1")
-    return {"kind": kind, "scale": scale}
-
-
 _DEFAULT_SCHEDULES = {
     "mean_convergence": [[4, 4], [16, 16], [64, 64]],
     "capacity_convergence": [4, 16, 64, 256],
     "possibility_convergence": [4, 16, 64, 256],
     "stochastic": [25, 100, 400],
+}
+
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               dict: "an object", list: "a list"}
+
+
+def _as(kind: type, v):
+    """``v`` as JSON type ``kind``; 4.0 is an int and 4 a float, a bool neither."""
+    if kind is int and isinstance(v, float) and v.is_integer():
+        v = int(v)
+    elif kind is float and isinstance(v, int) and not isinstance(v, bool):
+        v = float(v)
+    if not isinstance(v, kind) or isinstance(v, bool) is not (kind is bool):
+        raise TypeError(f"expected {_JSON_TYPES[kind]}, got {json.dumps(v)}")
+    return v
+
+
+def _floats(v, f) -> tuple[float, ...]:
+    """A number or a list of numbers."""
+    return tuple(_as(float, x) for x in (v if isinstance(v, list) else [v]))
+
+
+def _within(x, interval: str) -> bool:
+    """Whether ``x`` lies in ``interval``, written like "(0, 1]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < x) if interval[0] == "(" else (lo <= x)) and \
+        ((x < hi) if interval[-1] == ")" else (x <= hi))
+
+
+def _dim(v, f) -> int:
+    if f["experiment"] == "stochastic" and v != 1:
+        raise ValueError("must be 1 for stochastic runs")
+    return _as(int, v)
+
+
+def _family(v, f) -> tuple[str, dict]:
+    """A name, with 'family_params', or an object {"name": ..., "params": {...}}."""
+    name, params = v, f["family_params"]
+    if isinstance(v, dict):
+        if params:
+            raise ValueError("give the parameters under 'params', not 'family_params'")
+        name, params = v.get("name"), _as(dict, v.get("params", {}))
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
+    return name, dict(params)
+
+
+def _capacity(spec, f) -> tuple[Capacity | None, Distortion | None]:
+    """The capacity; a stochastic run keeps only the distortion of a distorted one."""
+    if f["experiment"] != "stochastic":
+        return capacity_from_spec(_as(dict, spec)), None
+    rep = _as(dict, _as(dict, spec).get("repr", {}))
+    if rep.get("type") != "distorted" or "distortion" not in rep:
+        raise ValueError("stochastic runs need a distorted capacity "
+                         "(repr type 'distorted' with a 'distortion')")
+    u = distortion_from_spec(rep["distortion"])
+    if not 0.0 < u.derivative_at_zero < math.inf:
+        raise ValueError("the distortion slope at zero must be finite and positive "
+                         "for deviation bounds (power with exponent < 1 is rejected)")
+    return None, u
+
+
+def _default_capacity(f) -> dict:
+    if f["experiment"] == "possibility_convergence":
+        rep = {"type": "possibility", "lambda": list(np.linspace(0.5, 1.0, f["atoms"]))}
+    else:
+        u = ({"kind": "rational_2t"} if f["experiment"] == "stochastic"
+             else {"kind": "power", "alpha": 0.5})
+        rep = {"type": "distorted", "distortion": u}
+    return {"atoms": f["atoms"], "repr": rep}
+
+
+def _schedule(v, f) -> list:
+    """Degrees n in 1-D and pairs (n1, n2) in 2-D, where a bare n means (n, n)."""
+    if not _as(list, v):
+        raise ValueError("must be a nonempty list")
+    dim, out = f["dim"], []
+    for entry in v:
+        nv = (tuple(_as(int, n) for n in entry) if isinstance(entry, list)
+              else (_as(int, entry),) * dim)
+        if len(nv) != dim or min(nv) < 1:
+            raise ValueError(f"bad entry {entry!r}: needs {dim} degrees >= 1")
+        out.append(nv if dim > 1 else nv[0])
+    return out
+
+
+def _tau(v, f) -> dict:
+    """tau(n) >= 1 for every n, and tau(n) < n along a stochastic schedule."""
+    v = _as(dict, v)
+    if v.get("kind") not in TAU_KINDS:
+        raise ValueError(f"unknown tau kind {v.get('kind')!r} (known: {TAU_KINDS})")
+    tau = {"kind": v["kind"], "scale": _as(float, v.get("scale", 1.0))}
+    # every catalog entry is nondecreasing in n, so tau(n) >= 1 reduces to n = 1
+    if not tau_value(tau, 1) >= 1.0:
+        raise ValueError(f"{tau} violates tau(n) >= 1")
+    for n in f["schedule"] if f["experiment"] == "stochastic" else ():
+        if tau_value(tau, n) >= n:
+            raise ValueError(f"tau(n) = {tau_value(tau, n):g} >= n at n = {n}; "
+                             "the deviation estimate needs tau(n) < n")
+    return tau
+
+
+# Every key but 'experiment': key -> (type, range, default), parsed in this
+# order.  A type is a JSON type or a parser that also gets the keys parsed
+# before it; a callable default is computed from those keys too.
+_SCHEMA = {
+    "seed": (int, f"[0, {2 ** 64})", 0),
+    "samples": (int, "[1, inf)", 10000),
+    "workers": (int, "[1, inf)", 1),
+    "degenerate_nodes": (bool, None, False),
+    "dim": (_dim, "[1, 2]", lambda f: 1 if f["experiment"] == "stochastic" else 2),
+    "atoms": (int, "[1, inf)", 5),
+    "grid_points": (int, "[2, inf)",
+                    lambda f: Grid.default_for(f["dim"]).points_per_axis),
+    "p": (_floats, f"[1, {P_MAX:g}]", [1.0]),
+    "deltas": (_floats, "(0, 1)", [0.1, 0.2]),
+    "epsilons": (_floats, "(0, inf)", [0.1]),
+    "etas": (_floats, "(0, 1)", [0.05]),
+    "rs": (_floats, "(0, 1)", [0.9]),
+    "family_params": (dict, None, {}),
+    "family": (_family, None, "affine_noise"),
+    "capacity": (_capacity, None, _default_capacity),
+    "schedule": (_schedule, None, lambda f: _DEFAULT_SCHEDULES[f["experiment"]]),
+    "tau": (_tau, None, {"kind": "log", "scale": 4.0}),
 }
 
 
@@ -183,136 +294,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, obj: Mapping) -> "ExperimentConfig":
-        if "experiment" not in obj:
+        """Check a JSON config against ``_SCHEMA`` and fill in the defaults."""
+        raw = json.loads(json.dumps(obj))  # canonical deep copy, parsed and hashed
+        if "experiment" not in raw:
             raise ConfigError("config missing key 'experiment'")
-        experiment = obj["experiment"]
-        if experiment not in EXPERIMENT_IDS:
-            raise ConfigError(f"unknown experiment '{experiment}' "
-                              f"(known: {EXPERIMENT_IDS})")
-
-        fam = obj.get("family", "affine_noise")
-        if isinstance(fam, str):
-            family, family_params = fam, dict(obj.get("family_params", {}))
-        elif isinstance(fam, Mapping):
-            if "name" not in fam:
-                raise ConfigError("family object missing key 'name'")
-            family, family_params = fam["name"], dict(fam.get("params", {}))
-        else:
-            raise ConfigError("key 'family' must be a name or an object")
-        if family not in FAMILIES:
-            raise ConfigError(f"key 'family': unknown family '{family}' "
-                              f"(known: {sorted(FAMILIES)})")
-
-        dim = int(obj.get("dim", 1 if experiment == "stochastic" else 2))
-        if experiment == "stochastic" and dim != 1:
-            raise ConfigError("key 'dim' must be 1 for stochastic runs")
-        if dim not in (1, 2):
-            raise ConfigError(f"key 'dim' must be 1 or 2, got {dim}")
-
-        atoms = int(obj.get("atoms", 5))
-        if atoms < 1:
-            raise ConfigError("key 'atoms' must be a positive atom count")
-
-        capacity = None
-        distortion = None
-        try:
-            if experiment == "stochastic":
-                if "capacity" in obj:
-                    rep = obj["capacity"].get("repr", {})
-                    if rep.get("type") != "distorted":
-                        raise ConfigError("stochastic runs need a capacity of "
-                                          "repr type 'distorted'")
-                    if "distortion" not in rep:
-                        raise ConfigError("capacity repr missing key 'distortion'")
-                    distortion = distortion_from_spec(rep["distortion"])
-                else:
-                    distortion = distortion_from_spec({"kind": "rational_2t"})
-                if not (0.0 < distortion.derivative_at_zero < math.inf):
-                    raise ConfigError("key 'capacity': the distortion slope at zero "
-                                      "must be finite and positive for deviation "
-                                      "bounds (power with exponent < 1 is rejected)")
-            elif "capacity" in obj:
-                capacity = capacity_from_spec(obj["capacity"])
-            elif experiment == "possibility_convergence":
-                levels = tuple(np.linspace(0.5, 1.0, atoms))
-                capacity = capacity_from_spec(
-                    {"atoms": atoms, "repr": {"type": "possibility",
-                                              "lambda": list(levels)}})
-            else:
-                capacity = capacity_from_spec(
-                    {"atoms": atoms,
-                     "repr": {"type": "distorted",
-                              "distortion": {"kind": "power", "alpha": 0.5}}})
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"key 'capacity': {exc}") from exc
-        if capacity is not None:
-            atoms = capacity.atom_count
-
-        schedule_raw = obj.get("schedule", _DEFAULT_SCHEDULES[experiment])
-        if not isinstance(schedule_raw, Sequence) or len(schedule_raw) == 0:
-            raise ConfigError("key 'schedule' must be a nonempty list")
-        schedule = []
-        for entry in schedule_raw:
-            if isinstance(entry, (int, float)):
-                n = int(entry)
-                if n < 1:
-                    raise ConfigError(f"key 'schedule': degree {entry} must be >= 1")
-                schedule.append(n if (dim == 1 or experiment == "stochastic")
-                                else (n, n))
-            else:
-                pair = tuple(int(v) for v in entry)
-                if len(pair) != dim or any(v < 1 for v in pair):
-                    raise ConfigError(f"key 'schedule': bad entry {entry}")
-                schedule.append(pair if dim > 1 else pair[0])
-
-        p_raw = obj.get("p", [1.0])
-        p_values = tuple(float(v) for v in (p_raw if isinstance(p_raw, Sequence)
-                                            else [p_raw]))
-        for p in p_values:
-            if not (1.0 <= p <= 16.0):
-                raise ConfigError(f"key 'p' must lie in [1, 16], got {p}")
-
-        grid_points = int(obj.get("grid_points", 257 if dim == 1 else 65))
-        if grid_points < 2:
-            raise ConfigError("key 'grid_points' must be >= 2")
-
-        def _floats(key, default, lo=0.0, hi=math.inf, open_ends=False):
-            vals = obj.get(key, default)
-            if not isinstance(vals, Sequence):
-                vals = [vals]
-            out = tuple(float(v) for v in vals)
-            for v in out:
-                ok = lo < v < hi if open_ends else lo <= v <= hi
-                if not ok:
-                    raise ConfigError(f"key '{key}': value {v} out of range")
-            return out
-
-        deltas = _floats("deltas", [0.1, 0.2], 0.0, 1.0, open_ends=True)
-        epsilons = _floats("epsilons", [0.1], 0.0, math.inf, open_ends=True)
-        etas = _floats("etas", [0.05], 0.0, 1.0, open_ends=True)
-        rs = _floats("rs", [0.9], 0.0, 1.0, open_ends=True)
-
-        tau = _validate_tau(obj.get("tau", {"kind": "log", "scale": 4.0}))
-        if experiment == "stochastic":
-            for n in schedule:
-                if tau_value(tau, n) >= n:
-                    raise ConfigError(f"key 'tau': tau(n) = {tau_value(tau, n):g} "
-                                      f">= n at n = {n}; the deviation estimate "
-                                      "needs tau(n) < n")
-
-        seed = int(obj.get("seed", 0))
-        samples = int(obj.get("samples", 10000))
-        if samples < 1:
-            raise ConfigError("key 'samples' must be >= 1")
-        degenerate = bool(obj.get("degenerate_nodes", False))
-        workers = int(obj.get("workers", 1))
-
-        raw = json.loads(json.dumps(obj))  # canonical deep copy for hashing
-        return cls(experiment, capacity, distortion, family, family_params, dim,
-                   atoms, schedule, p_values, grid_points, deltas, epsilons, etas,
-                   rs, tau, seed, samples, degenerate, workers, raw)
+        if raw["experiment"] not in EXPERIMENT_IDS:
+            raise ConfigError(f"key 'experiment': unknown experiment "
+                              f"{raw['experiment']!r} (known: {EXPERIMENT_IDS})")
+        unknown = sorted(raw.keys() - _SCHEMA.keys() - {"experiment"})
+        if unknown:
+            raise ConfigError(f"key '{unknown[0]}': unknown key "
+                              f"(known: experiment, {', '.join(_SCHEMA)})")
+        f = {"experiment": raw["experiment"]}
+        for key, (kind, interval, default) in _SCHEMA.items():
+            value = raw[key] if key in raw else (
+                default(f) if callable(default) else default)
+            try:
+                f[key] = _as(kind, value) if kind in _JSON_TYPES else kind(value, f)
+                for x in f[key] if isinstance(f[key], tuple) else [f[key]]:
+                    if interval and not _within(x, interval):
+                        raise ValueError(f"{x!r} is not in {interval}")
+            except (TypeError, ValueError, ArithmeticError, LookupError,
+                    AttributeError) as exc:  # whatever a malformed value raises
+                raise ConfigError(f"key '{key}': {exc}") from exc
+        family, family_params = f["family"]
+        capacity, distortion = f["capacity"]
+        atoms = f["atoms"] if capacity is None else capacity.atom_count
+        return cls(f["experiment"], capacity, distortion, family, family_params,
+                   f["dim"], atoms, f["schedule"], f["p"], f["grid_points"],
+                   f["deltas"], f["epsilons"], f["etas"], f["rs"], f["tau"],
+                   f["seed"], f["samples"], f["degenerate_nodes"], f["workers"], raw)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +350,15 @@ def require_submodular(cap: Capacity) -> None:
                      "(explicit table with more than 12 atoms)")
 
 
+def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float,
+            vacuous: list[int]) -> ExperimentResult:
+    """The rows with the run metadata; ``t0`` is when the timed part began."""
+    return ExperimentResult(rows, {
+        "experiment": cfg.experiment, "seed": cfg.seed,
+        "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
+        "wall_time": time.perf_counter() - t0, "vacuous": vacuous})
+
+
 def _build(cfg: ExperimentConfig) -> tuple[RandomFunction, Capacity, Grid]:
     cap = cfg.capacity
     f = build_family(cfg.family, cap.space, cfg.dim, cfg.family_params)
@@ -353,9 +373,13 @@ def semi_metric(f: RandomFunction, g: RandomFunction, cap: Capacity,
     if grid is None:
         grid = Grid.default_for(f.dim)
     diff = np.abs(f.grid_tensor(grid) - g.grid_tensor(grid))
+    return _semi_metric_of(diff, subset_table(cap))
+
+
+def _semi_metric_of(diff: np.ndarray, mu_table: np.ndarray) -> float:
+    """sup over grid x of the Choquet integral of diff / (1 + diff); shape (..., M)."""
     phi = diff / (1.0 + diff)
-    vals = integral_batch(phi.reshape(-1, f.atom_count), subset_table(cap))
-    return float(vals.max())
+    return float(integral_batch(phi.reshape(-1, diff.shape[-1]), mu_table).max())
 
 
 def _capacity_of_exceedance(diff: np.ndarray, eps: float,
@@ -365,14 +389,6 @@ def _capacity_of_exceedance(diff: np.ndarray, eps: float,
     flags = diff.reshape(-1, m) >= eps
     masks = flags @ (np.int64(1) << np.arange(m, dtype=np.int64))
     return float(mu_table[masks].max())
-
-
-def _semi_metric_from_tensors(t: np.ndarray, b: np.ndarray,
-                              mu_table: np.ndarray) -> float:
-    diff = np.abs(t - b)
-    phi = diff / (1.0 + diff)
-    m = diff.shape[-1]
-    return float(integral_batch(phi.reshape(-1, m), mu_table).max())
 
 
 def _cp_sup(n1: int, n2: int, p: float, grid: Grid) -> float:
@@ -427,10 +443,7 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     # rows are p-major: every schedule entry for one p, then the next p
     per_entry = _parallel_map(one_entry, cfg.schedule, cfg.workers)
     rows = [row for rows_of_p in zip(*per_entry) for row in rows_of_p]
-    meta = {"experiment": cfg.experiment, "seed": cfg.seed,
-            "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
-            "wall_time": time.perf_counter() - t0, "vacuous": []}
-    return ExperimentResult(rows, meta)
+    return _result(cfg, rows, t0, [])
 
 
 def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -443,24 +456,23 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
-    schedule = list(cfg.schedule)
 
     def one_entry(n_vec) -> tuple[float, list[float]]:
         nv = (n_vec,) if isinstance(n_vec, int) else n_vec
         approx = multivariate_grid(f, nv, grid)
         diff = np.abs(tensor - approx)
-        d_n = _semi_metric_from_tensors(tensor, approx, mu)
+        d_n = _semi_metric_of(diff, mu)
         caps = [_capacity_of_exceedance(diff, eps, mu) for eps in cfg.epsilons]
         return d_n, caps
 
-    computed = _parallel_map(one_entry, schedule, cfg.workers)
+    computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
 
     def span(entry) -> tuple[int, int | None]:
         return (entry, None) if isinstance(entry, int) else entry
 
     rows: list[BoundRow] = []
     prev_d = None
-    for entry, (d_n, caps) in zip(schedule, computed):
+    for entry, (d_n, caps) in zip(cfg.schedule, computed):
         n1, n2 = span(entry)
         trend_bound = 1.0 if prev_d is None else prev_d + TREND_SLACK
         rows.append(BoundRow("capacity_convergence", n1, n2, None, None, None, None,
@@ -477,14 +489,11 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                           if d_n < threshold), None)
             if start is None:
                 continue
-            for entry, (_, caps) in zip(schedule[start:], computed[start:]):
+            for entry, (_, caps) in zip(cfg.schedule[start:], computed[start:]):
                 n1, n2 = span(entry)
                 rows.append(BoundRow("capacity_convergence", n1, n2, None, eps, eta,
                                      None, caps[eps_idx], eta))
-    meta = {"experiment": cfg.experiment, "seed": cfg.seed,
-            "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
-            "wall_time": time.perf_counter() - t0, "vacuous": []}
-    return ExperimentResult(rows, meta)
+    return _result(cfg, rows, t0, [])
 
 
 def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -501,7 +510,6 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     dists, profile = sample_modulus_profile(f, grid,
                                             max_dist=1.0 / math.sqrt(n_floor))
     axes = tuple(range(tensor.ndim - 1))
-    schedule = list(cfg.schedule)
 
     def one_entry(n_vec) -> tuple[np.ndarray, np.ndarray]:
         nv = (n_vec,) if isinstance(n_vec, int) else n_vec
@@ -511,11 +519,11 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         j = int(np.searchsorted(dists, 1.0 / math.sqrt(n_min) + PAIR_TOL, "right")) - 1
         return sup_err, profile[j]
 
-    computed = _parallel_map(one_entry, schedule, cfg.workers)
+    computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
 
     rows: list[BoundRow] = []
     prev = {eps: None for eps in cfg.epsilons}
-    for n_vec, (sup_err, o_vals) in zip(schedule, computed):
+    for n_vec, (sup_err, o_vals) in zip(cfg.schedule, computed):
         n1, n2 = (n_vec, None) if isinstance(n_vec, int) else n_vec
         excess = float((sup_err - const * o_vals).max())
         rows.append(BoundRow("possibility_convergence", n1, n2, None, None, None,
@@ -527,10 +535,7 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append(BoundRow("possibility_convergence", n1, n2, None, eps, None,
                                  None, level, trend_bound))
             prev[eps] = level
-    meta = {"experiment": cfg.experiment, "seed": cfg.seed,
-            "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
-            "wall_time": time.perf_counter() - t0, "vacuous": []}
-    return ExperimentResult(rows, meta)
+    return _result(cfg, rows, t0, [])
 
 
 def _sup_errors(f: RandomFunction, rows: np.ndarray, atoms: np.ndarray,
@@ -640,10 +645,7 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         base = len(rows)
         rows.extend(out)
         vacuous_all.extend(base + i for i in vac)
-    meta = {"experiment": cfg.experiment, "seed": cfg.seed,
-            "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
-            "wall_time": time.perf_counter() - t0, "vacuous": vacuous_all}
-    return ExperimentResult(rows, meta)
+    return _result(cfg, rows, t0, vacuous_all)
 
 
 _RUNNERS = {

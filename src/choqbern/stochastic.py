@@ -18,8 +18,6 @@ from .bernstein import bernstein_basis
 from .capacity import InputError
 from .randomfn import Grid, PAIR_TOL, RandomFunction, sample_modulus_profile
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -28,9 +26,14 @@ class SeededStream:
     master_seed: int
     stream_index: int
 
+    def __post_init__(self):
+        # both are halves of the 128-bit Philox key; wrapping would alias streams
+        if not (0 <= self.master_seed < 1 << 64 and 0 <= self.stream_index < 1 << 64):
+            raise InputError(f"seed {self.master_seed} and stream index "
+                             f"{self.stream_index} must lie in [0, 2**64)")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed & _MASK64, self.stream_index & _MASK64],
-                       dtype=np.uint64)
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

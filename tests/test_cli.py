@@ -242,3 +242,38 @@ def test_threads_flag(tmp_path, capsys):
     assert run_cli(["experiment", "--config", cfg, "--out", str(b),
                     "--threads", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"experiment": "stochastic", "deltas": None}, "deltas"),
+    ({"experiment": "mean_convergence", "atoms": None}, "atoms"),
+    ({"experiment": "mean_convergence", "schedule": [None]}, "schedule"),
+    ({"experiment": "stochastic", "tau": {"kind": "log", "scale": None}}, "tau"),
+    ({"experiment": "stochastic", "capacity": []}, "capacity"),
+    ({"experiment": "mean_convergence", "schedule": "abc"}, "schedule"),
+    ({"experiment": "mean_convergence", "family_params": "abc"}, "family_params"),
+    ({"experiment": "stochastic", "degenerate_nodes": "no"}, "degenerate_nodes"),
+    ({"experiment": "mean_convergence", "p": "12"}, "p"),
+    ({"experiment": "stochastic", "schedule": [4.9]}, "schedule"),
+    ({"experiment": "mean_convergence", "grid_points": 5.7}, "grid_points"),
+    ({"experiment": "stochastic", "samples": True}, "samples"),
+    ({"experiment": "mean_convergence", "dim": "2"}, "dim"),
+    ({"experiment": "mean_convergence", "workers": -3}, "workers"),
+    ({"experiment": "mean_convergence", "shedule": [4]}, "shedule"),
+    ({"experiment": "stochastic", "seed": -1}, "seed"),
+    ({"experiment": "stochastic", "seed": 2 ** 64}, "seed"),
+])
+def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
+    cfg = _write_config(tmp_path, payload)
+    assert run_cli(["experiment", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", -1), ("--index", 2 ** 64)])
+def test_stochastic_seed_outside_64_bits_is_input_error(capsys, flag, value):
+    assert run_cli(["stochastic", "--n", "5", flag, str(value)]) == 2
+    err = capsys.readouterr().err
+    assert str(value) in err and "2**64" in err
+    assert "Traceback" not in err

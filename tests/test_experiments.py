@@ -1,12 +1,16 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from choqbern import (ConfigError, DiscreteProbability, ExperimentConfig,
                       GroundSpace, InputError, make_distorted, make_distortion,
                       make_table, run_experiment, semi_metric)
-from choqbern.experiments import (ROW_TOLERANCE, run_capacity_convergence,
+from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
+                                  run_capacity_convergence,
                                   run_mean_convergence,
                                   run_possibility_convergence,
                                   run_stochastic_experiment, tau_value)
@@ -85,6 +89,88 @@ def test_config_hash_tracks_seed():
     b = _cfg({"seed": 2}).config_hash()
     assert a != b
     assert _cfg({"seed": 1}).config_hash() == a
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_config_hash_pinned():
+    # summaries carry config_hash, so these values pin the summary bytes
+    defaults = {"mean_convergence": "2671b1d43cb6f16c",
+                "capacity_convergence": "ce1087f7aa4141fb",
+                "possibility_convergence": "4e0eb10d6ecef9eb",
+                "stochastic": "a2d12b270728f116"}
+    for experiment, expected in defaults.items():
+        cfg = ExperimentConfig.from_mapping({"experiment": experiment})
+        assert cfg.config_hash() == expected
+    workloads = _perfbench_workloads()
+    for name, expected in (("mean2d", "abf2c93c36236a76"),
+                           ("capconv_wide", "9b80bc7128186d30"),
+                           ("stoch_wide", "7129d52f3a4f8e32")):
+        cfg = ExperimentConfig.from_mapping(workloads.config_for(name, 0))
+        assert cfg.config_hash() == expected
+
+
+_WORDS = ("kind", "scale", "name", "params", "repr", "type", "atoms", "distortion",
+          "alpha", "lambda", "weights", "values", "z", "", "0", "0,1")
+# integers and floats stay small: an integral float counts as an integer, and
+# parsing builds the capacity, so a large atom count would build a large one
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-20.0, 20.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3)
+    | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=4),
+    max_leaves=8)
+
+
+def _object(required: dict, **optional):
+    return st.fixed_dictionaries(required, optional=optional) | _JSON
+
+
+_DISTORTION = _object(
+    {"kind": st.sampled_from(["power", "rational_2t", "custom_table"])},
+    alpha=_JSON, xs=_JSON, ys=_JSON)
+# mostly valid values, so that parsing often gets past the early keys to the
+# capacity, family, schedule and tau checks
+_NEAR = {
+    "seed": st.just(0), "samples": st.just(50), "workers": st.just(1),
+    "degenerate_nodes": st.booleans(), "dim": st.sampled_from([1, 2]),
+    "atoms": st.sampled_from([2, 3]), "grid_points": st.just(9),
+    "p": st.just([1, 2]), "deltas": st.just(0.1), "epsilons": st.just([0.1]),
+    "etas": st.just(0.05), "rs": st.just([0.9]), "family_params": st.just({}),
+    "capacity": _object({"repr": _object(
+        {"type": st.sampled_from(["distorted", "possibility", "table"])},
+        distortion=_DISTORTION, weights=_JSON, values=_JSON,
+        **{"lambda": _JSON})}, atoms=st.integers(1, 4) | _JSON),
+    "family": st.sampled_from(["affine_noise", "step_noise"])
+    | _object({"name": st.sampled_from(["affine_noise", "nope"])}, params=_JSON),
+    "schedule": st.lists(st.integers(1, 8) | st.lists(_JSON, max_size=3), max_size=4),
+    "tau": _object({"kind": st.sampled_from(["log", "sqrt", "const"])}, scale=_JSON),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example({"experiment": "mean_convergence"},  # AttributeError: values is a list
+         {"capacity": {"atoms": 2, "repr": {"type": "table", "values": []}}})
+@example({"experiment": "stochastic"},  # KeyError: custom_table needs xs and ys
+         {"capacity": {"repr": {"type": "distorted",
+                                "distortion": {"kind": "custom_table"}}}})
+@example({"experiment": "stochastic"}, {"p": 10 ** 400})  # OverflowError
+@given(st.fixed_dictionaries({"experiment": st.sampled_from(EXPERIMENT_IDS)},
+                             optional=_NEAR),
+       st.dictionaries(st.sampled_from(list(_SCHEMA)), _JSON, max_size=2))
+def test_from_mapping_returns_a_config_or_config_error(near, arbitrary):
+    try:
+        cfg = ExperimentConfig.from_mapping({**near, **arbitrary})
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_semi_metric_properties(rng):
