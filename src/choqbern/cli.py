@@ -20,7 +20,7 @@ import numpy as np
 from .bernstein import multivariate_grid, sikkema_constant
 from .capacity import GroundSpace, capacity_from_spec, check_properties
 from .choquet import (choquet_integral, choquet_integral_oracle, choquet_lp_norm)
-from .experiments import ExperimentConfig, _fmt, run_experiment
+from .experiments import ExperimentConfig, _fmt, named_errors, run_experiment
 from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
 from .stochastic import (SeededStream, k_modulus, lemma51_bound, max_deviation,
@@ -48,7 +48,9 @@ def _read_json(path: str, what: str):
 
 
 def _load_capacity(path: str):
-    return capacity_from_spec(_read_json(path, "capacity"))
+    spec = _read_json(path, "capacity")
+    with named_errors(f"capacity file '{path}'"):
+        return capacity_from_spec(spec)
 
 
 def _parse_subset(text: str):

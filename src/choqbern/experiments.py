@@ -16,6 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -45,6 +46,20 @@ CSV_HEADER = "experiment,n1,n2,p,epsilon,eta,r,measured,bound,pass"
 
 class ConfigError(ValueError):
     """An experiment configuration is invalid; the message names the key."""
+
+
+@contextmanager
+def named_errors(where: str):
+    """Turn whatever a malformed JSON value raises into ``ConfigError``.
+
+    The message starts with ``where`` (a key, a file), so every bad input
+    gets one error that says where it is rather than a traceback.
+    """
+    try:
+        yield
+    except (TypeError, ValueError, ArithmeticError, LookupError,
+            AttributeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -186,10 +201,25 @@ def _family(v, f) -> tuple[str, dict]:
 
 
 def _capacity(spec, f) -> tuple[Capacity | None, Distortion | None]:
-    """The capacity; a stochastic run keeps only the distortion of a distorted one."""
+    """The capacity; a stochastic run keeps only the distortion of a distorted one.
+
+    A stochastic run reads nothing else, so it refuses every other key (it
+    would be ignored) and an atom count that is not the run's.
+    """
     if f["experiment"] != "stochastic":
         return capacity_from_spec(_as(dict, spec)), None
-    rep = _as(dict, _as(dict, spec).get("repr", {}))
+    spec = _as(dict, spec)
+    rep = _as(dict, spec.get("repr", {}))
+    for where, obj, known in (("capacity", spec, ("atoms", "repr")),
+                              ("capacity.repr", rep, ("type", "distortion"))):
+        unknown = sorted(obj.keys() - set(known))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {where}; a stochastic "
+                             f"run reads only {', '.join(known)}")
+    atoms = spec.get("atoms", f["atoms"])
+    if (len(atoms) if isinstance(atoms, list) else _as(int, atoms)) != f["atoms"]:
+        raise ValueError(f"capacity atoms {json.dumps(atoms)} differ from the "
+                         f"run's atoms {f['atoms']}")
     if rep.get("type") != "distorted" or "distortion" not in rep:
         raise ValueError("stochastic runs need a distorted capacity "
                          "(repr type 'distorted' with a 'distortion')")
@@ -309,14 +339,11 @@ class ExperimentConfig:
         for key, (kind, interval, default) in _SCHEMA.items():
             value = raw[key] if key in raw else (
                 default(f) if callable(default) else default)
-            try:
+            with named_errors(f"key '{key}'"):
                 f[key] = _as(kind, value) if kind in _JSON_TYPES else kind(value, f)
                 for x in f[key] if isinstance(f[key], tuple) else [f[key]]:
                     if interval and not _within(x, interval):
                         raise ValueError(f"{x!r} is not in {interval}")
-            except (TypeError, ValueError, ArithmeticError, LookupError,
-                    AttributeError) as exc:  # whatever a malformed value raises
-                raise ConfigError(f"key '{key}': {exc}") from exc
         family, family_params = f["family"]
         capacity, distortion = f["capacity"]
         atoms = f["atoms"] if capacity is None else capacity.atom_count
@@ -538,23 +565,45 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     return _result(cfg, rows, t0, [])
 
 
+# node values per streamed block of samples: bounds the stochastic sweep's
+# working set (about 16 MB per block-sized array) whatever 'samples' is
+_BLOCK_CELLS = 2_000_000
+
+
 def _sup_errors(f: RandomFunction, rows: np.ndarray, atoms: np.ndarray,
                 basis_t: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
     """Per-sample sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|."""
-    count, width = rows.shape
-    out = np.empty(count)
-    chunk = max(1, 2_000_000 // width)
-    for s in range(0, count, chunk):
-        block = rows[s:s + chunk]
-        who = atoms[s:s + chunk]
-        node_vals = np.empty_like(block)
-        for w in np.unique(who):
-            sel = who == w
-            node_vals[sel] = f.evaluator(block[sel][..., None], int(w))
-        approx = node_vals @ basis_t
-        target = grid_values[:, who].T
-        out[s:s + chunk] = np.abs(approx - target).max(axis=1)
-    return out
+    node_vals = np.empty_like(rows)
+    for w in np.unique(atoms):
+        sel = atoms == w
+        node_vals[sel] = f.evaluator(rows[sel][..., None], int(w))
+    approx = node_vals @ basis_t
+    return np.abs(approx - grid_values[:, atoms].T).max(axis=1)
+
+
+def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
+                   start_index: int, grid: Grid,
+                   grid_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample node deviation M_n and sup error of one degree.
+
+    The samples are streamed in blocks of ``_BLOCK_CELLS // (n + 1)`` rows,
+    so memory does not grow with ``cfg.samples``.  Sample i uses substream
+    ``start_index + i`` and atom i mod M.
+    """
+    s_count, m = cfg.samples, f.atom_count
+    basis_t = basis_matrix(n, grid.coords).T
+    dev, sup_err = np.empty(s_count), np.empty(s_count)
+    block = max(1, _BLOCK_CELLS // (n + 1))
+    for s in range(0, s_count, block):
+        count = min(block, s_count - s)
+        if cfg.degenerate_nodes:
+            rows = np.tile(np.arange(n + 1) / n, (count, 1))
+        else:
+            rows = sample_rows(n, cfg.seed, count, start_index=start_index + s)
+        dev[s:s + count] = max_deviation_rows(rows)
+        atoms = np.arange(s, s + count) % m
+        sup_err[s:s + count] = _sup_errors(f, rows, atoms, basis_t, grid_values)
+    return dev, sup_err
 
 
 def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -576,9 +625,7 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     grid = spec.k_grid
     ktab = KTable(f, grid)
     c = sikkema_constant()
-    coords = grid.coords
     grid_values = f.grid_tensor(grid)  # (g, M)
-    m = f.atom_count
     s_count = cfg.samples
     u_slope = u.derivative_at_zero
 
@@ -586,14 +633,7 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def one_degree(item) -> tuple[int, list[BoundRow], list[int]]:
         d_idx, n = item
-        if cfg.degenerate_nodes:
-            rows_n = np.tile(np.arange(n + 1) / n, (s_count, 1))
-        else:
-            rows_n = sample_rows(n, cfg.seed, s_count, start_index=d_idx * s_count)
-        dev = max_deviation_rows(rows_n)
-        atoms = np.arange(s_count) % m
-        basis_t = basis_matrix(n, coords).T
-        sup_err = _sup_errors(f, rows_n, atoms, basis_t, grid_values)
+        dev, sup_err = _sample_errors(f, n, cfg, d_idx * s_count, grid, grid_values)
         k_sqrt = float(ktab(1.0 / math.sqrt(n)))
         k_dev = ktab(dev)
 

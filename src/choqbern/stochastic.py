@@ -68,11 +68,22 @@ def sample_rows(n: int, master_seed: int, count: int,
 
     Row i is bit-identical to
     ``sample_order_statistics(n, SeededStream(master_seed, start_index + i))``.
+    One Philox generator serves every row: before each row its state is reset
+    to that of a fresh generator keyed (master_seed, start_index + i), which is
+    all a substream is, instead of building a generator per row.
     """
+    # SeededStream rejects a seed or index outside [0, 2**64) before any draw
+    SeededStream(master_seed, start_index + max(count - 1, 0))
+    gen = SeededStream(master_seed, start_index).generator()
+    bits = gen.bit_generator
+    fresh = bits.state  # counter 0, empty buffer; only the key varies by row
+    key = fresh["state"]["key"]
     out = np.empty((count, n + 1))
     for i in range(count):
-        stream = SeededStream(master_seed, start_index + i)
-        out[i] = np.sort(stream.generator().random(n + 1))
+        key[1] = start_index + i
+        bits.state = fresh
+        gen.random(out=out[i])
+    out.sort(axis=1)
     return out
 
 

@@ -37,6 +37,17 @@ def test_basis_partition_of_unity_large():
     assert abs(vals.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [400, 1600, 10 ** 5])
+@pytest.mark.parametrize("x", [1e-9, 1e-3, 0.25, 0.5, 0.5 + 1e-9, 0.999, 1.0 - 1e-9])
+def test_basis_has_no_subnormals(n, x):
+    vals = bernstein_basis(n, x).values
+    tiny = np.finfo(float).tiny
+    assert not np.any((vals > 0.0) & (vals < tiny))
+    assert np.all(vals >= 0.0)
+    # the module docstring's accuracy: ~1e-12 to a few thousand, ~1e-10 at 1e5
+    assert abs(vals.sum() - 1.0) <= (1e-12 if n <= 1600 else 3e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 512), st.floats(0.0, 1.0))
 def test_basis_partition_property(n, x):

@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from choqbern.cli import run_cli
+from choqbern import Capacity, ConfigError
+from choqbern.cli import _load_capacity, run_cli
 
 SQRT_CAP = {
     "atoms": ["a", "b"],
@@ -85,6 +89,54 @@ def test_bad_capacity_file_is_input_error(tmp_path, capsys):
     bad2.write_text(json.dumps({"atoms": 2, "repr": {"type": "wat"}}))
     assert run_cli(["capacity-check", "--capacity", str(bad2)]) == 2
     assert "wat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    5, [], "abc", None, {"repr": 5}, {"atoms": "x", "repr": {"type": "possibility"}},
+    {"atoms": 2, "repr": {"type": "table", "values": []}},
+    {"atoms": 2, "repr": {"type": "possibility", "lambda": [None, 1]}},
+    {"atoms": 2, "repr": {"type": "distorted", "distortion": {"kind": "custom_table"}}},
+])
+@pytest.mark.parametrize("command", [
+    ["capacity-check"], ["integrate", "--values", "0,1"],
+    ["modulus", "--family", "affine_noise", "--atoms", "2", "--kind", "gamma",
+     "--delta", "0.1"]])
+def test_malformed_capacity_file_is_input_error(tmp_path, capsys, command, spec):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli([*command, "--capacity", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"capacity file '{path}'" in err
+    assert "Traceback" not in err
+
+
+_LEAF = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2.0, 2.0)
+         | st.text(max_size=2) | st.sampled_from(["power", "rational_2t", "0", "0,1"]))
+# small atom counts only: a valid capacity is built, and its table has 2^M entries
+_VALUE = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+                      max_leaves=6)
+_CAPACITY = st.fixed_dictionaries(
+    {"repr": st.fixed_dictionaries(
+        {"type": st.sampled_from(["distorted", "possibility", "table"])},
+        optional={"distortion": st.fixed_dictionaries(
+                      {"kind": st.sampled_from(["power", "rational_2t", "custom_table"])},
+                      optional={"alpha": _VALUE}) | _VALUE,
+                  "weights": _VALUE, "lambda": _VALUE, "values": _VALUE})},
+    optional={"atoms": st.integers(1, 4) | _VALUE}) | _VALUE
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_CAPACITY)
+def test_load_capacity_returns_a_capacity_or_config_error(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cap.json"
+        path.write_text(json.dumps(spec))
+        try:
+            cap = _load_capacity(str(path))
+        except ConfigError:
+            return
+    assert isinstance(cap, Capacity)
 
 
 def test_modulus_subcommand(capsys):

@@ -1,5 +1,9 @@
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from choqbern import (ConfigError, DiscreteProbability, ExperimentConfig,
                       GroundSpace, InputError, make_distorted, make_distortion,
                       make_table, run_experiment, semi_metric)
+from choqbern import experiments
 from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
-                                  run_capacity_convergence,
+                                  _sample_errors, run_capacity_convergence,
                                   run_mean_convergence,
                                   run_possibility_convergence,
                                   run_stochastic_experiment, tau_value)
@@ -316,6 +321,83 @@ def test_stochastic_degenerate_nodes():
             assert r.measured == 0.0
         if r.epsilon is not None and r.r is not None:
             assert r.measured == 0.0
+
+
+_DISTORTED = {"type": "distorted", "distortion": {"kind": "rational_2t"}}
+
+
+@pytest.mark.parametrize("capacity, message", [
+    ({"atoms": 5, "repr": _DISTORTED, "junk": 1}, "unknown key 'junk' in capacity;"),
+    ({"atoms": 5, "repr": {**_DISTORTED, "weights": "garbage"}},
+     "unknown key 'weights' in capacity.repr"),
+    ({"atoms": 3, "repr": _DISTORTED}, "capacity atoms 3 differ"),
+    ({"atoms": ["a", "b"], "repr": _DISTORTED}, "differ from the run's atoms 5"),
+    ({"atoms": 3, "repr": {**_DISTORTED, "weights": "garbage"}, "junk": 1}, "junk"),
+])
+def test_stochastic_capacity_refuses_keys_it_would_ignore(capacity, message):
+    with pytest.raises(ConfigError, match="key 'capacity'") as err:
+        ExperimentConfig.from_mapping({"experiment": "stochastic",
+                                       "capacity": capacity})
+    assert message in str(err.value)
+
+
+def test_stochastic_capacity_keys_it_reads_still_parse():
+    for capacity in ({"repr": _DISTORTED}, {"atoms": 4, "repr": _DISTORTED},
+                     {"atoms": ["a", "b", "c", "d"], "repr": _DISTORTED}):
+        cfg = ExperimentConfig.from_mapping({"experiment": "stochastic", "atoms": 4,
+                                             "capacity": capacity})
+        assert cfg.atoms == 4 and cfg.distortion.kind == "rational_2t"
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_stochastic_blocks_match_one_block(monkeypatch, degenerate):
+    n, samples = 1600, 3000  # three blocks of 1249 rows, the last one partial
+    cfg = ExperimentConfig.from_mapping({
+        "experiment": "stochastic", "family": "affine_noise", "schedule": [n],
+        "samples": samples, "degenerate_nodes": degenerate, "seed": 8})
+    f = build_family(cfg.family, GroundSpace.of_size(cfg.atoms), 1, cfg.family_params)
+    grid = Grid(1, cfg.grid_points)
+    grid_values = f.grid_tensor(grid)
+    streamed = _sample_errors(f, n, cfg, samples, grid, grid_values)
+    assert experiments._BLOCK_CELLS // (n + 1) < samples
+    for cells in (samples * (n + 1), 7 * (n + 1)):  # one block; blocks of 7 rows
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
+        other = _sample_errors(f, n, cfg, samples, grid, grid_values)
+        for a, b in zip(streamed, other):
+            assert np.array_equal(a, b)
+
+
+_RUN_STOCHASTIC = """
+import sys
+from choqbern import ExperimentConfig, run_experiment
+cfg = ExperimentConfig.from_mapping({
+    "experiment": "stochastic", "family": "affine_noise", "schedule": [1600],
+    "grid_points": 65, "samples": int(sys.argv[1]), "seed": 3})
+assert run_experiment(cfg).all_passed
+"""
+
+# runs each sample count in a child of its own and prints the peak RSS of
+# the largest child so far after each; the small count goes first
+_PEAKS = """
+import json, resource, subprocess, sys
+peaks = []
+for samples in sys.argv[2:]:
+    subprocess.run([sys.executable, "-c", sys.argv[1], samples], check=True)
+    peaks.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(json.dumps(peaks))
+"""
+
+
+def test_stochastic_peak_memory_does_not_grow_with_samples():
+    # 1300 samples already fill a whole block at n = 1600; 13000 rows of 1601
+    # nodes would take 166 MB if they were held at once
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _PEAKS, _RUN_STOCHASTIC,
+                           "1300", "13000"], env=env, capture_output=True,
+                          text=True, check=True)
+    small_kb, large_kb = json.loads(proc.stdout)
+    assert large_kb - small_kb < 32 * 1024
 
 
 def test_stochastic_small_run_passes_and_orders_rows():

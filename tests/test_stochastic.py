@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,51 @@ def test_sample_rows_bit_identical_to_scalar_path():
     for i in (0, 13, 49):
         row = sample_order_statistics(20, SeededStream(99, 17 + i))
         assert np.array_equal(rows[i], row.nodes)
+    top = 2 ** 64 - 1
+    for n, seed, start, count in ((1, 0, 0, 3), (20, 99, 17, 50), (33, top, 5, 6),
+                                  (9, 7, top - 3, 4)):  # ends at stream 2^64 - 1
+        rows = sample_rows(n, seed, count, start_index=start)
+        assert rows.shape == (count, n + 1)
+        for i in range(count):  # every row, so a stale generator state would show
+            row = sample_order_statistics(n, SeededStream(seed, start + i))
+            assert np.array_equal(rows[i], row.nodes)
+
+
+@pytest.mark.parametrize("seed, start, count", [
+    (0, 2 ** 64 - 1, 2), (0, 2 ** 64 - 3, 4), (0, -1, 3), (-1, 0, 1), (2 ** 64, 0, 1)])
+def test_sample_rows_outside_64_bits_is_input_error(seed, start, count):
+    with pytest.raises(InputError, match="2\\*\\*64"):
+        sample_rows(3, seed, count, start_index=start)
+
+
+def test_sample_rows_concurrent_calls_give_serial_result():
+    # more threads than cores, switching often: a generator shared between
+    # calls would hand rows of one call the state of another
+    jobs = [(40, 5, 2000, 0), (40, 6, 2000, 2 ** 63), (7, 5, 3000, 10),
+            (7, 5, 3000, 11)]
+    serial = [sample_rows(n, seed, count, start_index=start)
+              for n, seed, count, start in jobs]
+    barrier = threading.Barrier(len(jobs))
+    got = [None] * len(jobs)
+
+    def work(k):
+        n, seed, count, start = jobs[k]
+        barrier.wait(timeout=60)
+        got[k] = sample_rows(n, seed, count, start_index=start)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, serial):
+        assert np.array_equal(a, b)
 
 
 def test_order_statistic_means():
