@@ -112,11 +112,7 @@ def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
 
 def _node_tensor(f: RandomFunction, n_vec, atom: int) -> np.ndarray:
     axes = [np.arange(n + 1) / n for n in n_vec]
-    if len(n_vec) == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return np.asarray(f.evaluator(pts, atom), dtype=float)
 
 

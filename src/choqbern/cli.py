@@ -65,11 +65,20 @@ def _parse_values(text: str):
     return [float(s) for s in text.split(",")]
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+def _threads(args) -> int | None:
+    """Worker threads from --threads, else $CHOQBERN_THREADS; None keeps the config's."""
+    for name, value in (("--threads", args.threads),
+                        (THREADS_ENV, os.environ.get(THREADS_ENV))):
+        if value is None:
+            continue
+        try:
+            count = int(value)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        return count
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +110,15 @@ def _cmd_capacity_check(args) -> int:
 
 
 def _build_from_args(args):
+    """The family named by --family, with the JSON object --params."""
     space = GroundSpace.of_size(args.atoms)
-    params = json.loads(args.params) if args.params else {}
-    return build_family(args.family, space, args.dim, params)
+    if args.family not in list_families():
+        raise ValueError(f"unknown --family '{args.family}' (known: {list_families()})")
+    with named_errors("--params"):
+        params = json.loads(args.params or "{}")
+        if not isinstance(params, dict):
+            raise TypeError(f"expected a JSON object, got {args.params}")
+        return build_family(args.family, space, args.dim, params)
 
 
 def _cmd_modulus(args) -> int:
@@ -168,13 +183,12 @@ def parse_config(path: str, seed: int | None = None,
         obj = {**obj, "seed": seed}
     cfg = ExperimentConfig.from_mapping(obj)
     if workers is not None:
-        cfg.workers = max(1, workers)
+        cfg.workers = workers
     return cfg
 
 
 def _cmd_experiment(args) -> int:
-    cfg = parse_config(args.config, seed=args.seed,
-                       workers=args.threads if args.threads else _default_threads())
+    cfg = parse_config(args.config, seed=args.seed, workers=_threads(args))
     result = run_experiment(cfg)
     if args.out:
         result.write_csv(args.out)
@@ -254,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="write rows CSV here")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV} or 1)")
+                   help=f"worker threads (default ${THREADS_ENV}, else the "
+                        "config's 'workers')")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("list-families", help="names of built-in random functions")

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .capacity import Capacity, GroundSpace, InputError, known_submodular, subset_table
-from .choquet import P_MAX
+from .choquet import P_MAX, sorted_levels, telescoped_sum
 
 PAIR_TOL = 1e-12  # slack when matching grid pair distances against deltas
 
@@ -93,12 +93,8 @@ class RandomFunction:
             raise InputError("grid dimension mismatch")
         key = (grid.dim, grid.points_per_axis)
         if key not in self._grids:
-            c = grid.coords
-            if self.dim == 1:
-                pts = c[:, None]
-            else:
-                mesh = np.meshgrid(*([c] * self.dim), indexing="ij")
-                pts = np.stack(mesh, axis=-1)
+            pts = np.stack(np.meshgrid(*[grid.coords] * self.dim, indexing="ij"),
+                           axis=-1)
             out = np.stack([self.evaluator(pts, w) for w in range(self.atom_count)],
                            axis=-1)
             out = np.ascontiguousarray(out, dtype=float)
@@ -199,22 +195,35 @@ def _window(delta: float, grid: Grid) -> int:
     return min(max(steps, 0), grid.points_per_axis - 1)
 
 
+def _box_windows(deltas, grid: Grid) -> tuple[int, int]:
+    """Per-axis windows (w1, w2) of a delta box; a 1-D box has w2 = 0."""
+    if len(deltas) != grid.dim:
+        raise InputError(f"expected {grid.dim} deltas")
+    w1, w2 = (*(_window(d, grid) for d in deltas), 0)[:2]
+    return w1, w2
+
+
+def _offsets(w1: int, w2: int) -> list[tuple[int, int]]:
+    """Grid offsets (dx, dy) != (0, 0) with dx <= w1 and |dy| <= w2, one of
+    each pair +-(dx, dy): dx >= 0, and dy > 0 where dx = 0.
+
+    With w2 = 0 these are the 1-D offsets (1, 0) ... (w1, 0).
+    """
+    return [(dx, dy) for dx in range(w1 + 1)
+            for dy in range(0 if dx == 0 else -w2, w2 + 1) if (dx, dy) != (0, 0)]
+
+
 def _translate_pair(tensor: np.ndarray, offset: tuple[int, ...]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Views (a, b) of a grid tensor with a[i] = tensor[i + offset] and
     b[i] = tensor[i], over the grid indices i where both points exist.
 
-    ``offset`` holds one nonnegative step per axis, except that the second
-    step of a 2-D offset may be negative.
+    ``offset`` holds one step per axis.
     """
     g = tensor.shape[0]
-    if len(offset) == 1:
-        d = offset[0]
-        return tensor[d:], tensor[:g - d]
-    dx, dy = offset
-    if dy >= 0:
-        return tensor[dx:, dy:], tensor[:g - dx, :g - dy]
-    return tensor[dx:, :g + dy], tensor[:g - dx, -dy:]
+    a = tuple([slice(d, None) if d >= 0 else slice(None, g + d) for d in offset])
+    b = tuple([slice(None, g - d) if d >= 0 else slice(-d, None) for d in offset])
+    return tensor[a], tensor[b]
 
 
 class ChoquetModulusTable:
@@ -224,18 +233,10 @@ class ChoquetModulusTable:
     grid positions of the integral of |F(t) - F(s)|^p; modulus queries then
     reduce to a maximum over the offsets inside a delta box.  Several p
     exponents share one sorting pass (|D| and |D|^p sort identically).
-    Supported for dim <= 2.
-
-    Kernel layout: per offset, the (K, M) rows of differences (K grid
-    positions, M atoms) get one stable argsort along the atoms; one flat
-    gather then puts the sorted values in atom-major (M, K) layout, where
-    row k holds every position's k-th smallest difference.  The upper-set
-    bitmasks are accumulated over those rows from the top rank down, and
-    each integral sum_k (v_k^p - v_{k-1}^p) mu_k is added up rank by rank
-    in ascending k.  For M <= 8 that is the order numpy's row sum uses, so
-    the table is bit-identical to a row-wise kernel; above, the two differ
-    in the last bits.  The working set is a few (M, K) arrays of one
-    offset, whatever the window.
+    Supported for dim <= 2; a 1-D table is a 2-D one with no second axis.
+    Each offset runs the sorted-sum kernel of ``choquet.sorted_levels`` on
+    its (K, M) rows of differences, so the working set is one offset's,
+    whatever the window.
     """
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
@@ -252,59 +253,22 @@ class ChoquetModulusTable:
         self.f = f
         self.cap = cap
         self.grid = grid
-        g = grid.points_per_axis
         if max_deltas is None:
             max_deltas = (1.0,) * f.dim
         elif np.isscalar(max_deltas):
             max_deltas = (float(max_deltas),) * f.dim
         tensor = f.grid_tensor(grid)
         mu_table = subset_table(cap)
-        m = f.atom_count
-        if f.dim == 1:
-            w = _window(max(max_deltas), grid)
-            keys = [(d,) for d in range(1, w + 1)]
-            self._off = {p: np.zeros(w + 1) for p in self.powers}
-        else:
-            w1 = _window(max_deltas[0], grid)
-            w2 = _window(max_deltas[1], grid)
-            keys = [(dx, dy) for dx in range(w1 + 1)
-                    for dy in range((0 if dx == 0 else -w2), w2 + 1)
-                    if (dx, dy) != (0, 0)]
-            self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)) for p in self.powers}
-            self._w2 = w2
-
-        atom_bits = np.int64(1) << np.arange(m, dtype=np.int64)
-        # flat index of each grid position's first entry in a (K, M) block
-        row_start = np.arange(g ** f.dim, dtype=np.int64)[:, None] * m
-        for key in keys:
-            a, b = _translate_pair(tensor, key)
-            diff = np.abs(a - b).reshape(-1, m)
-            order = np.argsort(diff, axis=1, kind="stable")
-            # atom-major (M, K): v[k] is each position's k-th smallest difference
-            v = diff.ravel()[(order + row_start[:len(diff)]).T]
-            upper = atom_bits[order.T]
-            for k in range(m - 2, -1, -1):
-                upper[k] += upper[k + 1]
-            mu = mu_table[upper]
+        w1, w2 = _box_windows(max_deltas, grid)
+        # (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D; written through (w1 + 1, -1) views
+        self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in self.powers}
+        cells = {p: off.reshape(w1 + 1, -1) for p, off in self._off.items()}
+        for dx, dy in _offsets(w1, w2):
+            a, b = _translate_pair(tensor, (dx, dy)[:f.dim])
+            v, mu = sorted_levels(np.abs(a - b).reshape(-1, f.atom_count), mu_table)
             for p in self.powers:
-                if p == 1.0:
-                    vp = v
-                elif p == 2.0:
-                    vp = np.square(v)
-                else:
-                    vp = np.power(v, p)
-                integral = vp[0] * mu[0]
-                if m > 1:
-                    # ascending ranks, the summation order of a row-wise sum
-                    terms = (vp[1] - vp[0]) * mu[1]
-                    for k in range(2, m):
-                        terms += (vp[k] - vp[k - 1]) * mu[k]
-                    integral = integral + terms
-                val = float(integral.max())
-                if f.dim == 1:
-                    self._off[p][key[0]] = val
-                else:
-                    self._off[p][key[0], key[1] + self._w2] = val
+                vp = v if p == 1.0 else v ** p
+                cells[p][dx, dy + w2] = float(telescoped_sum(vp, mu).max())
 
     def gamma(self, *deltas: float, p: float | None = None) -> float:
         """Choquet L^p modulus for a per-axis delta box."""
@@ -314,21 +278,13 @@ class ChoquetModulusTable:
             p = self.powers[0]
         if p not in self._off:
             raise InputError(f"p={p} was not precomputed (have {self.powers})")
-        if len(deltas) != self.f.dim:
-            raise InputError(f"expected {self.f.dim} deltas")
+        d1, d2 = _box_windows(deltas, self.grid)
         off = self._off[p]
-        if self.f.dim == 1:
-            d = _window(deltas[0], self.grid)
-            if d + 1 > off.shape[0]:
-                raise InputError("delta exceeds the precomputed window")
-            best = float(off[:d + 1].max())
-        else:
-            d1 = _window(deltas[0], self.grid)
-            d2 = _window(deltas[1], self.grid)
-            if d1 + 1 > off.shape[0] or d2 > self._w2:
-                raise InputError("delta exceeds the precomputed window")
-            w2 = self._w2
-            best = float(off[:d1 + 1, w2 - d2:w2 + d2 + 1].max())
+        off = off.reshape(len(off), -1)  # (w1 + 1, 2 w2 + 1), w2 = 0 in 1-D
+        w2 = off.shape[1] // 2
+        if d1 + 1 > off.shape[0] or d2 > w2:
+            raise InputError("delta exceeds the precomputed window")
+        best = float(off[:d1 + 1, w2 - d2:w2 + d2 + 1].max())
         return best ** (1.0 / p)
 
 
@@ -355,35 +311,24 @@ def sample_modulus_profile(f: RandomFunction, grid: Grid,
     distances are sorted ascending starting at 0.  ``max_dist`` prunes the
     offset enumeration to distances that will actually be queried.
     """
-    g = grid.points_per_axis
-    tensor = f.grid_tensor(grid)
-    m = f.atom_count
-    limit = math.sqrt(f.dim) + 1.0 if max_dist is None else max_dist + PAIR_TOL
-    if f.dim == 1:
-        w = min(g - 1, int(math.floor(limit / grid.spacing + 1e-9)))
-        dists = np.arange(w + 1) * grid.spacing
-        prof = np.zeros((w + 1, m))
-        for d in range(1, w + 1):
-            a, b = _translate_pair(tensor, (d,))
-            prof[d] = np.abs(a - b).max(axis=0)
-        return dists, np.maximum.accumulate(prof, axis=0)
-    if f.dim != 2:
+    if f.dim > 2:
         raise InputError("modulus computation supports dim <= 2 only")
-    w = min(g - 1, int(math.floor(limit / grid.spacing + 1e-9)))
+    tensor = f.grid_tensor(grid)
+    if max_dist is None:
+        max_dist = math.sqrt(f.dim) + 1.0  # beyond every grid pair
+    limit = max_dist + PAIR_TOL
+    w1, w2 = _box_windows((max_dist,) * f.dim, grid)
     entries = []
-    for dx in range(w + 1):
-        for dy in (range(0, w + 1) if dx == 0 else range(-w, w + 1)):
-            if dx == 0 and dy == 0:
-                continue
-            dist = math.hypot(dx, dy) * grid.spacing
-            if dist > limit:
-                continue
-            a, b = _translate_pair(tensor, (dx, dy))
-            diff = np.abs(a - b).reshape(-1, m).max(axis=0)
-            entries.append((dist, diff))
+    for dx, dy in _offsets(w1, w2):
+        dist = math.hypot(dx, dy) * grid.spacing
+        # the window bounds a 1-D walk (w2 = 0); in 2-D the disc trims its corners
+        if w2 and dist > limit:
+            continue
+        a, b = _translate_pair(tensor, (dx, dy)[:f.dim])
+        entries.append((dist, np.abs(a - b).reshape(-1, f.atom_count).max(axis=0)))
     entries.sort(key=lambda e: e[0])
-    dists = np.concatenate([[0.0], [e[0] for e in entries]])
-    prof = np.vstack([np.zeros(m)] + [e[1] for e in entries])
+    dists = np.array([0.0] + [e[0] for e in entries])
+    prof = np.vstack([np.zeros(f.atom_count)] + [e[1] for e in entries])
     return dists, np.maximum.accumulate(prof, axis=0)
 
 

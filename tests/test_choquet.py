@@ -270,3 +270,46 @@ def test_atom_function_wrapper(sqrt_cap2):
         AtomFunction((0.0, math.inf))
     with pytest.raises(InputError):
         AtomFunction(())
+
+
+def _row_wise_integral_batch(values, mu_table):
+    """The row-wise (K, M) sorted-sum kernel, as a reference."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[None, :]
+    k, m = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    v_sorted = np.take_along_axis(values, order, axis=1)
+    bits = (np.int64(1) << order.astype(np.int64))
+    upper = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]
+    mu = mu_table[upper]
+    out = v_sorted[:, 0] * mu[:, 0]
+    if m > 1:
+        out = out + np.sum(np.diff(v_sorted, axis=1) * mu[:, 1:], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 12, 16])
+def test_integral_batch_matches_row_wise_kernel(rng, m):
+    # below 8 difference terms numpy's row sum adds in ascending rank, as the
+    # kernel does, so the two agree bit for bit; from 8 terms on it is pairwise
+    for cap in (random_capacity(rng, m), make_distorted(
+            make_distortion("sine"), DiscreteProbability.uniform(m))):
+        tbl = subset_table(cap)
+        block = rng.uniform(-3, 3, (257, m))
+        block[::7] = np.round(block[::7])  # ties across atoms
+        block[1::5, : m // 2 + 1] = 0.0  # exact zeros
+        block[2::11] = block[2::11, :1]  # all atoms equal
+        block[3::13] = np.abs(block[3::13])
+        inputs = [block, np.abs(block), block[0], block[:1], np.zeros(m)]
+        for values in inputs:
+            got = integral_batch(values, tbl)
+            want = _row_wise_integral_batch(values, tbl)
+            assert got.shape == want.shape
+            if m <= 8:
+                assert np.array_equal(got, want)
+            else:
+                # a signed row's integral can cancel to near 0, so its error is
+                # relative to the size of the values rather than of the result
+                scale = 0.0 if values.min() >= 0 else np.abs(values).max()
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)

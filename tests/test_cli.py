@@ -329,3 +329,68 @@ def test_stochastic_seed_outside_64_bits_is_input_error(capsys, flag, value):
     err = capsys.readouterr().err
     assert str(value) in err and "2**64" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", ["5", "[1]", '{"scale": null}'])
+@pytest.mark.parametrize("command", [
+    ["modulus", "--kind", "sample", "--delta", "0.1"], ["approx", "--n", "4"]])
+def test_params_must_be_a_family_object(capsys, command, params):
+    assert run_cli(command + ["--family", "affine_noise", "--atoms", "3",
+                              "--grid", "9", "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert "--params" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def worker_counts(monkeypatch):
+    """The worker count of every _parallel_map call a sweep makes."""
+    from choqbern import experiments
+    seen = []
+    real = experiments._parallel_map
+
+    def spy(fn, items, workers):
+        seen.append(workers)
+        return real(fn, items, workers)
+    monkeypatch.setattr(experiments, "_parallel_map", spy)
+    monkeypatch.delenv("CHOQBERN_THREADS", raising=False)
+    return seen
+
+
+@pytest.mark.parametrize("flag, env, expected", [
+    (None, None, 3),     # the config's workers
+    (None, "2", 2),      # the environment overrides the config
+    ("1", "2", 1),       # the flag overrides both
+    ("4", None, 4),
+])
+def test_worker_threads_precedence(tmp_path, capsys, monkeypatch, worker_counts,
+                                   flag, env, expected):
+    cfg = _write_config(tmp_path, {
+        "experiment": "capacity_convergence", "family": "affine_noise",
+        "schedule": [4, 16], "grid_points": 9, "workers": 3})
+    if env is not None:
+        monkeypatch.setenv("CHOQBERN_THREADS", env)
+    argv = ["experiment", "--config", cfg, "--out", str(tmp_path / "rows.csv")]
+    assert run_cli(argv + (["--threads", flag] if flag else [])) == 0
+    assert worker_counts == [expected]
+
+
+@pytest.mark.parametrize("flag, env, name", [
+    ("0", None, "--threads"),
+    ("-2", None, "--threads"),
+    (None, "abc", "CHOQBERN_THREADS"),
+    (None, "0", "CHOQBERN_THREADS"),
+    (None, "1.5", "CHOQBERN_THREADS"),
+])
+def test_bad_worker_threads_is_input_error(tmp_path, capsys, monkeypatch, worker_counts,
+                                           flag, env, name):
+    cfg = _write_config(tmp_path, {"experiment": "capacity_convergence",
+                                   "schedule": [4], "grid_points": 9})
+    if env is not None:
+        monkeypatch.setenv("CHOQBERN_THREADS", env)
+    argv = ["experiment", "--config", cfg] + (["--threads", flag] if flag else [])
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+    assert worker_counts == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,52 @@ def test_sample_modulus_profile_max_dist_consistent(rng):
         j_full = int(np.searchsorted(full_d, delta + 1e-12, "right")) - 1
         j_part = int(np.searchsorted(part_d, delta + 1e-12, "right")) - 1
         assert np.allclose(full_p[j_full], part_p[j_part], atol=0)
+
+
+def _profile_reference(f, grid, max_dist=None):
+    """The sample modulus profile with a 1-D walk and a 2-D walk, as a reference."""
+    g = grid.points_per_axis
+    tensor = f.grid_tensor(grid)
+    m = f.atom_count
+    limit = math.sqrt(f.dim) + 1.0 if max_dist is None else max_dist + 1e-12
+    w = min(g - 1, int(math.floor(limit / grid.spacing + 1e-9)))
+    if f.dim == 1:
+        dists = np.arange(w + 1) * grid.spacing
+        prof = np.zeros((w + 1, m))
+        for d in range(1, w + 1):
+            prof[d] = np.abs(tensor[d:] - tensor[:g - d]).max(axis=0)
+        return dists, np.maximum.accumulate(prof, axis=0)
+    entries = []
+    for dx in range(w + 1):
+        for dy in (range(0, w + 1) if dx == 0 else range(-w, w + 1)):
+            if dx == 0 and dy == 0:
+                continue
+            dist = math.hypot(dx, dy) * grid.spacing
+            if dist > limit:
+                continue
+            if dy >= 0:
+                a, b = tensor[dx:, dy:], tensor[:g - dx, :g - dy]
+            else:
+                a, b = tensor[dx:, :g + dy], tensor[:g - dx, -dy:]
+            entries.append((dist, np.abs(a - b).reshape(-1, m).max(axis=0)))
+    entries.sort(key=lambda e: e[0])
+    dists = np.concatenate([[0.0], [e[0] for e in entries]])
+    prof = np.vstack([np.zeros(m)] + [e[1] for e in entries])
+    return dists, np.maximum.accumulate(prof, axis=0)
+
+
+@pytest.mark.parametrize("dim, points", [(1, g) for g in (2, 3, 16, 17, 65, 257)]
+                         + [(2, g) for g in (2, 3, 9, 16, 33, 65)])
+# 0.25 - 3e-11 sits inside the window's 1e-9 slack below a grid distance: the
+# 1-D walk keeps that offset, the 2-D disc drops it
+@pytest.mark.parametrize("max_dist", [None, 0.0, 0.1, 0.25, 0.5, 3 ** -0.5, 1.0,
+                                      0.25 - 3e-11])
+def test_sample_modulus_profile_matches_per_dimension_walks(dim, points, max_dist):
+    rng = np.random.default_rng(points)
+    f = build_family("step_noise" if points % 2 else "affine_noise",
+                     GroundSpace.of_size(3), dim, {"z": list(rng.uniform(-1, 1, 3))})
+    grid = Grid(dim, points)
+    got = sample_modulus_profile(f, grid, max_dist=max_dist)
+    want = _profile_reference(f, grid, max_dist=max_dist)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
