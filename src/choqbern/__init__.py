@@ -16,10 +16,9 @@ from .randomfn import (Grid, RandomFunction, SampleFunction, build_family,
                        stochastic_modulus)
 from .bernstein import (BernsteinBasisEval, bernstein_basis, bernstein_multivariate,
                         bernstein_univariate, moment_sum, sikkema_constant, tail_sum)
-from .stochastic import (SeededStream, StochasticProcessSpec, TriangularArrayRow,
-                         k_inverse, k_modulus, lemma51_bound, max_deviation,
-                         sample_order_statistics, stochastic_bernstein,
-                         theorem6_bound)
+from .stochastic import (SeededStream, TriangularArrayRow, k_inverse, k_modulus,
+                         lemma51_bound, max_deviation, sample_order_statistics,
+                         stochastic_bernstein, theorem6_bound)
 from .experiments import (BoundRow, ConfigError, ExperimentConfig, ExperimentResult,
                           run_capacity_convergence, run_experiment,
                           run_mean_convergence, run_possibility_convergence,

@@ -149,15 +149,3 @@ def tail_sum(n: int, x: float, delta: float) -> float:
     basis = bernstein_basis(n, x).values
     mask = np.abs(np.arange(n + 1) / n - x) >= delta
     return float(basis[mask].sum())
-
-
-def grid_modulus(values: np.ndarray, spacing: float, delta: float) -> float:
-    """Ordinary modulus of continuity of tabulated values on an equispaced grid."""
-    if delta < 0:
-        raise InputError("delta must be nonnegative")
-    g = values.size
-    w = min(int(math.floor((delta + 1e-12) / spacing + 1e-9)), g - 1)
-    best = 0.0
-    for d in range(1, w + 1):
-        best = max(best, float(np.abs(values[d:] - values[:g - d]).max()))
-    return best

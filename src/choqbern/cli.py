@@ -110,20 +110,26 @@ def _cmd_capacity_check(args) -> int:
 
 
 def _build_from_args(args):
-    """The family named by --family, with the JSON object --params."""
+    """The family named by --family, with the JSON object --params, and the grid.
+
+    --atom and --grid are checked before anything is computed.
+    """
     space = GroundSpace.of_size(args.atoms)
     if args.family not in list_families():
         raise ValueError(f"unknown --family '{args.family}' (known: {list_families()})")
+    if not 0 <= args.atom < args.atoms:
+        raise ValueError(f"--atom must lie in [0, {args.atoms}), got {args.atom}")
+    with named_errors("--grid"):
+        grid = Grid.default_for(args.dim, args.grid)
     with named_errors("--params"):
         params = json.loads(args.params or "{}")
         if not isinstance(params, dict):
             raise TypeError(f"expected a JSON object, got {args.params}")
-        return build_family(args.family, space, args.dim, params)
+        return build_family(args.family, space, args.dim, params), grid
 
 
 def _cmd_modulus(args) -> int:
-    f = _build_from_args(args)
-    grid = Grid(args.dim, args.grid) if args.grid else Grid.default_for(args.dim)
+    f, grid = _build_from_args(args)
     if args.kind == "gamma":
         if not args.capacity:
             raise ValueError("gamma modulus needs --capacity")
@@ -143,8 +149,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    f = _build_from_args(args)
-    grid = Grid(args.dim, args.grid) if args.grid else Grid.default_for(args.dim)
+    f, grid = _build_from_args(args)
     n_vec = tuple([args.n] * args.dim if args.n2 is None else [args.n, args.n2])
     approx = multivariate_grid(f, n_vec, grid)
     tensor = f.grid_tensor(grid)
@@ -233,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None, help="family parameters as JSON")
     p.add_argument("--atoms", type=int, default=5)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
     p.add_argument("--kind", choices=["gamma", "k", "sample"], default="k")
     p.add_argument("--capacity", default=None, help="needed for --kind gamma")
     p.add_argument("--delta", type=float, required=True)
@@ -247,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--atoms", type=int, default=5)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n2", type=int, default=None)
     p.add_argument("--atom", type=int, default=0)

@@ -28,9 +28,9 @@ from .capacity import (Capacity, Distortion, GroundSpace, InputError,
                        distortion_from_spec, known_submodular, subset_table)
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
-                       build_family, sample_modulus_profile, PAIR_TOL)
-from .stochastic import (KTable, StochasticProcessSpec, lemma51_bound,
-                         max_deviation_rows, sample_rows, theorem6_bound)
+                       build_family, profile_at, sample_modulus_profile)
+from .stochastic import (KTable, lemma51_bound, max_deviation_rows, sample_rows,
+                         theorem6_bound)
 
 ROW_TOLERANCE = 1e-9
 TREND_SLACK = 1e-12
@@ -53,10 +53,13 @@ def named_errors(where: str):
     """Turn whatever a malformed JSON value raises into ``ConfigError``.
 
     The message starts with ``where`` (a key, a file), so every bad input
-    gets one error that says where it is rather than a traceback.
+    gets one error that says where it is rather than a traceback.  A
+    ``ConfigError`` from a nested ``named_errors`` already says where.
     """
     try:
         yield
+    except ConfigError:
+        raise
     except (TypeError, ValueError, ArithmeticError, LookupError,
             AttributeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -188,16 +191,28 @@ def _dim(v, f) -> int:
     return _as(int, v)
 
 
-def _family(v, f) -> tuple[str, dict]:
-    """A name, with 'family_params', or an object {"name": ..., "params": {...}}."""
-    name, params = v, f["family_params"]
+def _family(v, f) -> RandomFunction:
+    """A name, with 'family_params', or an object {"name": ..., "params": {...}}.
+
+    The family is built on the capacity's atoms; a stochastic run needs a
+    continuous one.  An error in building it names where the parameters are.
+    """
+    name, params, where = v, f["family_params"], "key 'family_params'"
     if isinstance(v, dict):
         if params:
             raise ValueError("give the parameters under 'params', not 'family_params'")
         name, params = v.get("name"), _as(dict, v.get("params", {}))
+        where = "key 'family'"
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
-    return name, dict(params)
+    cap = f["capacity"][0]
+    space = GroundSpace.of_size(f["atoms"]) if cap is None else cap.space
+    with named_errors(where):
+        fn = build_family(name, space, f["dim"], params)
+    if f["experiment"] == "stochastic" and not fn.continuous:
+        raise ValueError(f"family '{name}' is not continuous in x; "
+                         "stochastic runs require continuity")
+    return fn
 
 
 def _capacity(spec, f) -> tuple[Capacity | None, Distortion | None]:
@@ -241,7 +256,7 @@ def _default_capacity(f) -> dict:
 
 
 def _schedule(v, f) -> list:
-    """Degrees n in 1-D and pairs (n1, n2) in 2-D, where a bare n means (n, n)."""
+    """Tuples of ``dim`` degrees, (n,) in 1-D; a bare n means (n,) * dim."""
     if not _as(list, v):
         raise ValueError("must be a nonempty list")
     dim, out = f["dim"], []
@@ -250,7 +265,7 @@ def _schedule(v, f) -> list:
               else (_as(int, entry),) * dim)
         if len(nv) != dim or min(nv) < 1:
             raise ValueError(f"bad entry {entry!r}: needs {dim} degrees >= 1")
-        out.append(nv if dim > 1 else nv[0])
+        out.append(nv)
     return out
 
 
@@ -263,7 +278,7 @@ def _tau(v, f) -> dict:
     # every catalog entry is nondecreasing in n, so tau(n) >= 1 reduces to n = 1
     if not tau_value(tau, 1) >= 1.0:
         raise ValueError(f"{tau} violates tau(n) >= 1")
-    for n in f["schedule"] if f["experiment"] == "stochastic" else ():
+    for (n,) in f["schedule"] if f["experiment"] == "stochastic" else ():
         if tau_value(tau, n) >= n:
             raise ValueError(f"tau(n) = {tau_value(tau, n):g} >= n at n = {n}; "
                              "the deviation estimate needs tau(n) < n")
@@ -288,8 +303,8 @@ _SCHEMA = {
     "etas": (_floats, "(0, 1)", [0.05]),
     "rs": (_floats, "(0, 1)", [0.9]),
     "family_params": (dict, None, {}),
-    "family": (_family, None, "affine_noise"),
     "capacity": (_capacity, None, _default_capacity),
+    "family": (_family, None, "affine_noise"),
     "schedule": (_schedule, None, lambda f: _DEFAULT_SCHEDULES[f["experiment"]]),
     "tau": (_tau, None, {"kind": "log", "scale": 4.0}),
 }
@@ -300,8 +315,7 @@ class ExperimentConfig:
     experiment: str
     capacity: Capacity | None
     distortion: Distortion | None
-    family: str
-    family_params: dict
+    family: RandomFunction
     dim: int
     atoms: int
     schedule: list
@@ -344,13 +358,12 @@ class ExperimentConfig:
                 for x in f[key] if isinstance(f[key], tuple) else [f[key]]:
                     if interval and not _within(x, interval):
                         raise ValueError(f"{x!r} is not in {interval}")
-        family, family_params = f["family"]
         capacity, distortion = f["capacity"]
         atoms = f["atoms"] if capacity is None else capacity.atom_count
-        return cls(f["experiment"], capacity, distortion, family, family_params,
-                   f["dim"], atoms, f["schedule"], f["p"], f["grid_points"],
-                   f["deltas"], f["epsilons"], f["etas"], f["rs"], f["tau"],
-                   f["seed"], f["samples"], f["degenerate_nodes"], f["workers"], raw)
+        return cls(f["experiment"], capacity, distortion, f["family"], f["dim"],
+                   atoms, f["schedule"], f["p"], f["grid_points"], f["deltas"],
+                   f["epsilons"], f["etas"], f["rs"], f["tau"], f["seed"],
+                   f["samples"], f["degenerate_nodes"], f["workers"], raw)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +397,6 @@ def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float,
         "experiment": cfg.experiment, "seed": cfg.seed,
         "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
         "wall_time": time.perf_counter() - t0, "vacuous": vacuous})
-
-
-def _build(cfg: ExperimentConfig) -> tuple[RandomFunction, Capacity, Grid]:
-    cap = cfg.capacity
-    f = build_family(cfg.family, cap.space, cfg.dim, cfg.family_params)
-    return f, cap, Grid(cfg.dim, cfg.grid_points)
 
 
 def semi_metric(f: RandomFunction, g: RandomFunction, cap: Capacity,
@@ -441,7 +448,7 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Choquet-mean error against the modulus bound along the degree schedule."""
     if cfg.dim != 2:
         raise InputError("mean-convergence runs are defined for dim 2")
-    f, cap, grid = _build(cfg)
+    f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
     require_submodular(cap)
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
@@ -475,7 +482,7 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Semi-metric trend, Markov transfer, and threshold rows along the schedule."""
-    f, cap, grid = _build(cfg)
+    f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
     require_submodular(cap)
     if f.m_sup is None:
         raise InputError(f"family '{f.name}' has no uniform bound; "
@@ -485,8 +492,7 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     mu = subset_table(cap)
 
     def one_entry(n_vec) -> tuple[float, list[float]]:
-        nv = (n_vec,) if isinstance(n_vec, int) else n_vec
-        approx = multivariate_grid(f, nv, grid)
+        approx = multivariate_grid(f, n_vec, grid)
         diff = np.abs(tensor - approx)
         d_n = _semi_metric_of(diff, mu)
         caps = [_capacity_of_exceedance(diff, eps, mu) for eps in cfg.epsilons]
@@ -494,13 +500,10 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
     computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
 
-    def span(entry) -> tuple[int, int | None]:
-        return (entry, None) if isinstance(entry, int) else entry
-
     rows: list[BoundRow] = []
     prev_d = None
     for entry, (d_n, caps) in zip(cfg.schedule, computed):
-        n1, n2 = span(entry)
+        n1, n2 = (*entry, None)[:2]  # n2 stays empty in 1-D
         trend_bound = 1.0 if prev_d is None else prev_d + TREND_SLACK
         rows.append(BoundRow("capacity_convergence", n1, n2, None, None, None, None,
                              d_n, trend_bound))
@@ -517,7 +520,7 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             if start is None:
                 continue
             for entry, (_, caps) in zip(cfg.schedule[start:], computed[start:]):
-                n1, n2 = span(entry)
+                n1, n2 = (*entry, None)[:2]
                 rows.append(BoundRow("capacity_convergence", n1, n2, None, eps, eta,
                                      None, caps[eps_idx], eta))
     return _result(cfg, rows, t0, [])
@@ -525,7 +528,7 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-sample quantitative estimate and exceedance trend under possibility."""
-    f, cap, grid = _build(cfg)
+    f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
     if not isinstance(cap.form, PossibilityRepr):
         raise InputError("possibility-convergence runs need a possibility capacity")
     t0 = time.perf_counter()
@@ -533,25 +536,22 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     mu = subset_table(cap)
     m = f.atom_count
     const = sikkema_constant() if cfg.dim == 1 else 3.0
-    n_floor = min(min(nv) if not isinstance(nv, int) else nv for nv in cfg.schedule)
+    n_floor = min(min(n_vec) for n_vec in cfg.schedule)
     dists, profile = sample_modulus_profile(f, grid,
                                             max_dist=1.0 / math.sqrt(n_floor))
     axes = tuple(range(tensor.ndim - 1))
 
     def one_entry(n_vec) -> tuple[np.ndarray, np.ndarray]:
-        nv = (n_vec,) if isinstance(n_vec, int) else n_vec
-        approx = multivariate_grid(f, nv, grid)
+        approx = multivariate_grid(f, n_vec, grid)
         sup_err = np.abs(tensor - approx).max(axis=axes)
-        n_min = min(nv)
-        j = int(np.searchsorted(dists, 1.0 / math.sqrt(n_min) + PAIR_TOL, "right")) - 1
-        return sup_err, profile[j]
+        return sup_err, profile_at(dists, profile, 1.0 / math.sqrt(min(n_vec)))
 
     computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
 
     rows: list[BoundRow] = []
     prev = {eps: None for eps in cfg.epsilons}
     for n_vec, (sup_err, o_vals) in zip(cfg.schedule, computed):
-        n1, n2 = (n_vec, None) if isinstance(n_vec, int) else n_vec
+        n1, n2 = (*n_vec, None)[:2]
         excess = float((sup_err - const * o_vals).max())
         rows.append(BoundRow("possibility_convergence", n1, n2, None, None, None,
                              None, excess, 0.0))
@@ -618,18 +618,15 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     of batching.
     """
     u = cfg.distortion
-    space = GroundSpace.of_size(cfg.atoms)
-    f = build_family(cfg.family, space, 1, cfg.family_params)
-    spec = StochasticProcessSpec(f, Grid(1, cfg.grid_points))
+    f, grid = cfg.family, Grid(1, cfg.grid_points)
     t0 = time.perf_counter()
-    grid = spec.k_grid
     ktab = KTable(f, grid)
     c = sikkema_constant()
     grid_values = f.grid_tensor(grid)  # (g, M)
     s_count = cfg.samples
     u_slope = u.derivative_at_zero
 
-    degrees = sorted(set(cfg.schedule))
+    degrees = sorted({n for (n,) in cfg.schedule})
 
     def one_degree(item) -> tuple[int, list[BoundRow], list[int]]:
         d_idx, n = item

@@ -122,20 +122,20 @@ def eval_random_function(f: RandomFunction, x, atom: int) -> float:
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _absdev(space: GroundSpace, dim: int, params: Mapping) -> RandomFunction:
+def _absdev(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
     def ev(pts, atom):
         return np.abs(np.mean(pts, axis=-1) - 0.5)
     return RandomFunction(space, dim, ev, name="deterministic:absdev", m_sup=0.5)
 
 
-def _affine_noise(space: GroundSpace, dim: int, params: Mapping) -> RandomFunction:
+def _affine_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
     m = space.atom_count
-    z = np.asarray(params.get("z", np.linspace(-1.0, 1.0, m) if m > 1 else [1.0]),
+    z = np.asarray(params.pop("z", np.linspace(-1.0, 1.0, m) if m > 1 else [1.0]),
                    dtype=float)
     if z.shape != (m,):
         raise InputError(f"'z' needs {m} entries")
-    scale = float(params.get("scale", 1.0))
-    amp = float(params.get("amp", 0.25))
+    scale = float(params.pop("scale", 1.0))
+    amp = float(params.pop("amp", 0.25))
 
     def ev(pts, atom, z=z, scale=scale, amp=amp):
         mean = np.mean(pts, axis=-1)
@@ -148,11 +148,11 @@ def _affine_noise(space: GroundSpace, dim: int, params: Mapping) -> RandomFuncti
     return RandomFunction(space, dim, ev, name="affine_noise", m_sup=sup)
 
 
-def _step_noise(space: GroundSpace, dim: int, params: Mapping) -> RandomFunction:
+def _step_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
     m = space.atom_count
-    z = np.asarray(params.get("z", np.linspace(-1.0, 1.0, m) if m > 1 else [1.0]),
+    z = np.asarray(params.pop("z", np.linspace(-1.0, 1.0, m) if m > 1 else [1.0]),
                    dtype=float)
-    thresholds = np.asarray(params.get("thresholds",
+    thresholds = np.asarray(params.pop("thresholds",
                                        (np.arange(m) + 1.0) / (m + 1.0)), dtype=float)
     if z.shape != (m,) or thresholds.shape != (m,):
         raise InputError(f"'z' and 'thresholds' need {m} entries")
@@ -166,7 +166,8 @@ def _step_noise(space: GroundSpace, dim: int, params: Mapping) -> RandomFunction
                           continuous=False)
 
 
-FAMILIES: dict[str, Callable[[GroundSpace, int, Mapping], RandomFunction]] = {
+# name -> builder(space, dim, params); a builder pops each parameter it reads
+FAMILIES: dict[str, Callable[[GroundSpace, int, dict], RandomFunction]] = {
     "deterministic:absdev": _absdev,
     "affine_noise": _affine_noise,
     "step_noise": _step_noise,
@@ -175,9 +176,14 @@ FAMILIES: dict[str, Callable[[GroundSpace, int, Mapping], RandomFunction]] = {
 
 def build_family(name: str, space: GroundSpace, dim: int,
                  params: Mapping | None = None) -> RandomFunction:
+    """The family ``name``; a parameter its builder does not read is refused."""
     if name not in FAMILIES:
         raise InputError(f"unknown family '{name}' (known: {sorted(FAMILIES)})")
-    return FAMILIES[name](space, dim, params or {})
+    unread = dict(params or {})
+    f = FAMILIES[name](space, dim, unread)
+    if unread:
+        raise InputError(f"family '{name}' has no parameter {list(unread)[0]!r}")
+    return f
 
 
 def list_families() -> list[str]:
@@ -332,15 +338,24 @@ def sample_modulus_profile(f: RandomFunction, grid: Grid,
     return dists, np.maximum.accumulate(prof, axis=0)
 
 
+def profile_at(dists: np.ndarray, profile: np.ndarray, delta):
+    """Rows of a ``sample_modulus_profile`` at ``delta``, a number or an array.
+
+    The row of the largest distance <= delta + PAIR_TOL: right-continuous in
+    delta, and a delta that misses a grid distance by rounding still gets it.
+    """
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta < 0):
+        raise InputError("delta must be nonnegative")
+    return profile[np.searchsorted(dists, delta + PAIR_TOL, side="right") - 1]
+
+
 def stochastic_modulus(f: RandomFunction, delta: float, atom: int,
                        grid: Grid | None = None) -> float:
     """Max of |f(x, atom) - f(y, atom)| over grid pairs with ||x-y|| <= delta."""
-    if delta < 0:
-        raise InputError("delta must be nonnegative")
     if not (0 <= atom < f.atom_count):
         raise InputError(f"atom index {atom} out of range")
     if grid is None:
         grid = Grid.default_for(f.dim)
     dists, prof = sample_modulus_profile(f, grid, max_dist=delta)
-    j = int(np.searchsorted(dists, delta + PAIR_TOL, side="right")) - 1
-    return float(prof[j, atom])
+    return float(profile_at(dists, prof, delta)[atom])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bernstein import bernstein_basis
 from .capacity import InputError
-from .randomfn import Grid, PAIR_TOL, RandomFunction, sample_modulus_profile
+from .randomfn import Grid, RandomFunction, profile_at, sample_modulus_profile
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,16 @@ class KTable:
         self._max = prof.max(axis=1)
 
     def __call__(self, delta) -> np.ndarray | float:
-        delta = np.asarray(delta, dtype=float)
-        if np.any(delta < 0):
-            raise InputError("delta must be nonnegative")
-        j = np.searchsorted(self._dists, delta + PAIR_TOL, side="right") - 1
-        out = self._max[j]
+        out = profile_at(self._dists, self._max, delta)
         return float(out) if out.ndim == 0 else out
 
 
 def k_modulus(f: RandomFunction, delta: float, grid: Grid | None = None) -> float:
-    """K(f, delta): max over atoms and grid pairs |x-y| <= delta of |f(x)-f(y)|."""
+    """K(f, delta): max over atoms and grid pairs |x-y| <= delta of |f(x)-f(y)|.
+
+    Each call builds a ``KTable``, one walk over every grid offset; for
+    repeated queries on one function, build the table once and call it.
+    """
     return float(KTable(f, grid)(delta))
 
 
@@ -161,7 +161,8 @@ def k_inverse(f: RandomFunction, eps: float, grid: Grid | None = None,
 
     Emulates the right-continuous inverse of K on a finite grid; by
     construction delta <= k_inverse(f, k_modulus(f, delta)) for every grid
-    delta.
+    delta.  Like ``k_modulus``, each call builds a ``KTable``; for repeated
+    queries, build the table once and compare ``table(delta_grid)`` with eps.
     """
     if eps < 0:
         raise InputError("eps must be nonnegative")
@@ -214,18 +215,3 @@ def theorem6_bound(n: int, tau_n: float, r: float, u_prime_0: float) -> float:
         raise InputError(f"tau(n) >= 1 is required, got {tau_n}")
     _check_bound_args(r, u_prime_0)
     return u_prime_0 * (n + 1) / math.sqrt(1.0 - r) * math.exp(-1.5 * r * tau_n)
-
-
-@dataclass(frozen=True)
-class StochasticProcessSpec:
-    """A 1-d random function paired with the grid used for its K modulus."""
-
-    f: RandomFunction
-    k_grid: Grid
-
-    def __post_init__(self):
-        if self.f.dim != 1:
-            raise InputError("stochastic runs need a 1-d function")
-        if not self.f.continuous:
-            raise InputError(f"family '{self.f.name}' is not continuous in x; "
-                             "stochastic convergence runs require continuity")

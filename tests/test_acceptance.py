@@ -13,9 +13,10 @@ from choqbern import (GroundSpace, PossibilityDistribution,
                       lemma51_bound, make_distorted, make_distortion,
                       make_possibility, make_table, run_experiment,
                       sikkema_constant, subset_table)
-from choqbern.bernstein import basis_matrix, grid_modulus, moment_sum, tail_sum
+from choqbern.bernstein import basis_matrix, moment_sum, tail_sum
 from choqbern.experiments import ExperimentConfig
-from choqbern.randomfn import ChoquetModulusTable, Grid, build_family
+from choqbern.randomfn import (ChoquetModulusTable, Grid, RandomFunction, build_family,
+                              stochastic_modulus)
 from conftest import random_capacity, random_distortion, random_probability
 
 RNG_SEED = 20260809
@@ -193,13 +194,15 @@ def test_c07_sikkema_estimate():
     c = sikkema_constant()
     assert abs(c - 1.089) < 1e-3  # matches the reported leading digits
     grid = np.arange(257) / 256
-    spacing = 1.0 / 256
     for name, fn in (("absdev", lambda x: np.abs(x - 0.5)), ("sqrt", np.sqrt)):
         samples_on_grid = fn(grid)
+        # the ordinary modulus of fn on the grid: a one-atom function's sample modulus
+        one_atom = RandomFunction(GroundSpace.of_size(1), 1,
+                                  lambda pts, w, fn=fn: fn(pts[..., 0]))
         for n in (4, 16, 64, 256):
             approx = basis_matrix(n, grid) @ fn(np.arange(n + 1) / n)
             sup_err = float(np.abs(approx - samples_on_grid).max())
-            omega = grid_modulus(samples_on_grid, spacing, 1.0 / math.sqrt(n))
+            omega = stochastic_modulus(one_atom, 1.0 / math.sqrt(n), 0, Grid(1, 257))
             assert sup_err <= c * omega
     _report(7, f"uniform error below {c:.6f} * modulus for both test functions, "
                "n in {4,16,64,256}")
@@ -242,8 +245,7 @@ def test_c08_mean_convergence_bound():
 def _check_elp(cfg):
     """Pointwise integrated step: error integral below the basis-weighted
     sum of node-difference integrals, spot-checked on a 3x3 point set."""
-    cap = cfg.capacity
-    f = build_family(cfg.family, cap.space, 2, cfg.family_params)
+    cap, f = cfg.capacity, cfg.family
     mu = subset_table(cap)
     m = cap.atom_count
     probes = [0.1, 0.5, 0.9]

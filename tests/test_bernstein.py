@@ -9,8 +9,8 @@ from choqbern import (DiscreteProbability, GroundSpace, InputError,
                       bernstein_basis, bernstein_multivariate, bernstein_univariate,
                       integral_batch, make_distorted, make_distortion, moment_sum,
                       sikkema_constant, subset_table, tail_sum)
-from choqbern.bernstein import basis_matrix, grid_modulus, multivariate_grid
-from choqbern.randomfn import Grid, RandomFunction, build_family
+from choqbern.bernstein import basis_matrix, multivariate_grid
+from choqbern.randomfn import Grid, RandomFunction, build_family, stochastic_modulus
 from conftest import exact_basis
 
 SPACE1 = GroundSpace.of_size(1)
@@ -158,9 +158,12 @@ def test_sikkema_constant_value():
 
 
 def test_grid_modulus_identity():
-    vals = np.arange(257) / 256
-    assert grid_modulus(vals, 1.0 / 256, 0.25) == pytest.approx(0.25, abs=1e-15)
-    assert grid_modulus(vals, 1.0 / 256, 0.0) == 0.0
+    # the ordinary modulus of tabulated values is the sample modulus of a
+    # one-atom function on their grid
+    identity = RandomFunction(GroundSpace.of_size(1), 1, lambda pts, w: pts[..., 0])
+    grid = Grid(1, 257)
+    assert stochastic_modulus(identity, 0.25, 0, grid) == pytest.approx(0.25, abs=1e-15)
+    assert stochastic_modulus(identity, 0.0, 0, grid) == 0.0
 
 
 def test_jensen_step_inequality_2d(rng):

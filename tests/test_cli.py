@@ -314,12 +314,21 @@ def test_threads_flag(tmp_path, capsys):
     ({"experiment": "mean_convergence", "shedule": [4]}, "shedule"),
     ({"experiment": "stochastic", "seed": -1}, "seed"),
     ({"experiment": "stochastic", "seed": 2 ** 64}, "seed"),
+    ({"experiment": "capacity_convergence",
+      "family": {"name": "affine_noise", "params": {"scale": None}}}, "family"),
+    ({"experiment": "capacity_convergence", "family_params": {"z": [1, 2]}},
+     "family_params"),
+    ({"experiment": "stochastic", "family": "step_noise"}, "family"),
+    ({"experiment": "mean_convergence",
+      "family": {"name": "affine_noise", "params": {"bogus": 1}}}, "family"),
+    ({"experiment": "mean_convergence", "family_params": {"bogus": 1}},
+     "family_params"),
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)
     assert run_cli(["experiment", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert f"key '{key}'" in err
+    assert err.startswith(f"error: key '{key}': ")
     assert "Traceback" not in err
 
 
@@ -331,7 +340,7 @@ def test_stochastic_seed_outside_64_bits_is_input_error(capsys, flag, value):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("params", ["5", "[1]", '{"scale": null}'])
+@pytest.mark.parametrize("params", ["5", "[1]", '{"scale": null}', '{"bogus": 1}'])
 @pytest.mark.parametrize("command", [
     ["modulus", "--kind", "sample", "--delta", "0.1"], ["approx", "--n", "4"]])
 def test_params_must_be_a_family_object(capsys, command, params):
@@ -340,6 +349,29 @@ def test_params_must_be_a_family_object(capsys, command, params):
     err = capsys.readouterr().err
     assert "--params" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--grid", "0"], "--grid"), (["--grid", "1"], "--grid"),
+    (["--atom", "5"], "--atom"), (["--atom", "-1"], "--atom")])
+@pytest.mark.parametrize("command", [
+    ["modulus", "--kind", "sample", "--delta", "0.1"], ["approx", "--n", "4"]])
+def test_modulus_and_approx_check_grid_and_atom(capsys, command, flags, flag):
+    assert run_cli(command + ["--family", "affine_noise", "--atoms", "5"] + flags) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", ["0", "3"])
+@pytest.mark.parametrize("command", [
+    ["modulus", "--kind", "sample", "--delta", "0.1"], ["approx", "--n", "4"]])
+def test_modulus_and_approx_dim_is_1_or_2(capsys, command, dim):
+    # argparse refuses the value: exit 2, naming the flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command + ["--family", "affine_noise", "--dim", dim])
+    assert exc.value.code == 2
+    assert "--dim" in capsys.readouterr().err
 
 
 @pytest.fixture

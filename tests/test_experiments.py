@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -38,6 +39,8 @@ def test_minimal_config_defaults():
     cfg_s = ExperimentConfig.from_mapping({"experiment": "stochastic"})
     assert cfg_s.distortion.kind == "rational_2t"
     assert cfg_s.dim == 1
+    assert cfg_s.schedule == [(25,), (100,), (400,)]  # 1-D entries are tuples too
+    assert cfg_s.family.name == "affine_noise" and cfg_s.family.dim == 1
 
 
 def test_config_rejections():
@@ -119,6 +122,33 @@ def test_config_hash_pinned():
                            ("stoch_wide", "7129d52f3a4f8e32")):
         cfg = ExperimentConfig.from_mapping(workloads.config_for(name, 0))
         assert cfg.config_hash() == expected
+
+
+# Small sweeps of the runners no perfbench reference covers; the digests are
+# sha256 of their CSV, so a change to any row's bytes fails here.
+_PINNED_SWEEPS = [
+    ({"experiment": "possibility_convergence", "dim": 1, "schedule": [4, [16], 64],
+      "epsilons": [0.05, 0.1, 0.3]},
+     "f65bb79015d21f902105f128b9226dda97e99fc6784fa6090e24d624451c3019"),
+    ({"experiment": "possibility_convergence", "dim": 2, "schedule": [4, [16, 4], 64],
+      "epsilons": [0.05, 0.1, 0.3]},
+     "050ca25817f757534aa1ff58a3e2747aced01f98db23ebb36f9f0a178a2844d6"),
+    ({"experiment": "capacity_convergence", "dim": 1, "schedule": [4, [16], 64],
+      "epsilons": [0.02, 0.1], "etas": [0.05, 0.5]},
+     "d0e236fd01c2f3b9f39cc3197196ae71125a2424e93eba3e5398d7e7c3265a8c"),
+    ({"experiment": "stochastic", "schedule": [25, 100], "samples": 300,
+      "deltas": [0.1, 0.2], "epsilons": [0.1, 0.3]},
+     "3ed8e6ee471d40bf9e26994e2825eb408d216132acea0bc44ecf4b2693f497a2"),
+    ({"experiment": "stochastic", "schedule": [25, 100], "samples": 300,
+      "deltas": [0.1, 0.2], "epsilons": [0.1, 0.3], "degenerate_nodes": True},
+     "0c1f5a8ec0e82cb1ff2ff2e21d5797744b9829575fb8c4e96dde1cb3aded25f4"),
+]
+
+
+@pytest.mark.parametrize("config, digest", _PINNED_SWEEPS)
+def test_sweep_csv_pinned(config, digest):
+    csv = run_experiment(ExperimentConfig.from_mapping(config)).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 _WORDS = ("kind", "scale", "name", "params", "repr", "type", "atoms", "distortion",
@@ -355,8 +385,7 @@ def test_stochastic_blocks_match_one_block(monkeypatch, degenerate):
     cfg = ExperimentConfig.from_mapping({
         "experiment": "stochastic", "family": "affine_noise", "schedule": [n],
         "samples": samples, "degenerate_nodes": degenerate, "seed": 8})
-    f = build_family(cfg.family, GroundSpace.of_size(cfg.atoms), 1, cfg.family_params)
-    grid = Grid(1, cfg.grid_points)
+    f, grid = cfg.family, Grid(1, cfg.grid_points)
     grid_values = f.grid_tensor(grid)
     streamed = _sample_errors(f, n, cfg, samples, grid, grid_values)
     assert experiments._BLOCK_CELLS // (n + 1) < samples

@@ -5,11 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from choqbern import (GroundSpace, InputError, SeededStream, StochasticProcessSpec,
-                      TriangularArrayRow, bernstein_univariate, k_inverse, k_modulus,
-                      lemma51_bound, max_deviation, sample_order_statistics,
-                      sikkema_constant, stochastic_bernstein, theorem6_bound)
-from choqbern.randomfn import Grid, RandomFunction, build_family
+from choqbern import (ConfigError, ExperimentConfig, GroundSpace, InputError,
+                      SeededStream, TriangularArrayRow, bernstein_univariate,
+                      k_inverse, k_modulus, lemma51_bound, max_deviation,
+                      sample_order_statistics, sikkema_constant,
+                      stochastic_bernstein, theorem6_bound)
+from choqbern.randomfn import PAIR_TOL, Grid, RandomFunction, build_family
 from choqbern.stochastic import KTable, default_delta_grid, max_deviation_rows, sample_rows
 
 SPACE1 = GroundSpace.of_size(1)
@@ -159,6 +160,17 @@ def test_k_modulus_is_sup_over_atoms(rng):
     for delta in (0.1, 0.33):
         per_atom = [stochastic_modulus(f, delta, w, g) for w in range(4)]
         assert k_modulus(f, delta, g) == max(per_atom)
+    # at an exact grid distance and PAIR_TOL / 2 either side of it, the
+    # lookup's slack gives every query that distance's row
+    table = KTable(f, g)
+    for d in np.array([0, 1, 13, 64, 128]) * g.spacing:
+        for delta in (d - PAIR_TOL / 2, d, d + PAIR_TOL / 2):
+            if delta < 0:
+                continue
+            per_atom = [stochastic_modulus(f, delta, w, g) for w in range(4)]
+            assert k_modulus(f, delta, g) == max(per_atom) == table(d)
+        if d > 0:  # the row changes at d, so the slack is what the checks see
+            assert table(d - 2 * PAIR_TOL) < table(d)
 
 
 def test_k_inverse_examples():
@@ -220,11 +232,12 @@ def test_theorem6_bound_values():
 
 
 def test_process_spec_requires_continuity():
-    f = build_family("step_noise", GroundSpace.of_size(3), 1)
-    with pytest.raises(InputError, match="continuous"):
-        StochasticProcessSpec(f, Grid(1, 65))
-    ok = build_family("affine_noise", GroundSpace.of_size(3), 1)
-    StochasticProcessSpec(ok, Grid(1, 65))
+    with pytest.raises(ConfigError, match="key 'family'.*continuous"):
+        ExperimentConfig.from_mapping({"experiment": "stochastic", "atoms": 3,
+                                       "family": "step_noise"})
+    cfg = ExperimentConfig.from_mapping({"experiment": "stochastic", "atoms": 3,
+                                         "family": "affine_noise"})
+    assert cfg.family.continuous and cfg.family.dim == 1
 
 
 def test_deviation_capacity_trend():
