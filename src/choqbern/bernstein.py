@@ -131,15 +131,22 @@ def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
     return np.einsum("jl,ilm->ijm", mats[1], partial)
 
 
+def moment_sums(n: int, xs: Sequence[float], j_max: int) -> np.ndarray:
+    """Sums over k of p_{k,n}(x) * (sqrt(n) |x - k/n|) ** j, shape (j_max + 1, len(xs)).
+
+    Row j holds the order-j sum at every x; all orders share one basis matrix.
+    """
+    if not (0 <= j_max <= J_MAX):
+        raise InputError(f"moment order must lie in [0, {J_MAX}], got {j_max}")
+    xs = np.asarray(xs, dtype=float)
+    basis = basis_matrix(n, xs)
+    dev = math.sqrt(n) * np.abs(xs[:, None] - np.arange(n + 1) / n)
+    return np.stack([np.einsum("xk,xk->x", basis, dev ** j) for j in range(j_max + 1)])
+
+
 def moment_sum(n: int, x: float, j: int) -> float:
     """Sum over k of p_{k,n}(x) * (sqrt(n) |x - k/n|) ** j."""
-    if not (0 <= j <= J_MAX):
-        raise InputError(f"moment order must lie in [0, {J_MAX}], got {j}")
-    basis = bernstein_basis(n, x).values
-    if j == 0:
-        return float(basis.sum())
-    dev = math.sqrt(n) * np.abs(x - np.arange(n + 1) / n)
-    return float(np.dot(basis, dev ** j))
+    return float(moment_sums(n, [x], j)[j, 0])
 
 
 def tail_sum(n: int, x: float, delta: float) -> float:

@@ -18,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .bernstein import multivariate_grid, sikkema_constant
-from .capacity import GroundSpace, capacity_from_spec, check_properties
-from .choquet import (choquet_integral, choquet_integral_oracle, choquet_lp_norm)
+from .capacity import GroundSpace, as_mask, capacity_from_spec, check_properties
+from .choquet import (_atom_values, choquet_integral, choquet_integral_oracle,
+                      choquet_lp_norm)
 from .experiments import ExperimentConfig, _fmt, named_errors, run_experiment
 from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
@@ -87,13 +88,18 @@ def _threads(args) -> int | None:
 
 def _cmd_integrate(args) -> int:
     cap = _load_capacity(args.capacity)
-    values = _parse_values(args.values)
-    subset = _parse_subset(args.subset)
+    with named_errors("--values"):
+        values = _atom_values(_parse_values(args.values), cap.atom_count)
+    with named_errors("--subset"):
+        subset = as_mask(_parse_subset(args.subset), cap.atom_count)
     if args.p is not None:
-        print(_fmt(choquet_lp_norm(values, cap, args.p)))
+        with named_errors("--p"):
+            norm = choquet_lp_norm(values, cap, args.p)
+        print(_fmt(norm))
         return 0
     if args.method == "oracle":
-        res = choquet_integral_oracle(values, cap, subset, steps=args.steps)
+        with named_errors("--steps"):
+            res = choquet_integral_oracle(values, cap, subset, steps=args.steps)
     else:
         res = choquet_integral(values, cap, subset)
     print(_fmt(res.value))
@@ -130,6 +136,13 @@ def _build_from_args(args):
 
 def _cmd_modulus(args) -> int:
     f, grid = _build_from_args(args)
+    for flag, delta in (("--delta", args.delta), ("--delta2", args.delta2)):
+        with named_errors(flag):
+            if delta is not None and not 0.0 <= delta < math.inf:
+                raise ValueError(f"must be a finite number >= 0, got {delta}")
+    with named_errors("--delta2"):
+        if args.delta2 is not None and (args.kind, args.dim) != ("gamma", 2):
+            raise ValueError("a second delta needs --kind gamma and --dim 2")
     if args.kind == "gamma":
         if not args.capacity:
             raise ValueError("gamma modulus needs --capacity")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Mapping
 
 import numpy as np
@@ -224,12 +225,22 @@ def _translate_pair(tensor: np.ndarray, offset: tuple[int, ...]
     """Views (a, b) of a grid tensor with a[i] = tensor[i + offset] and
     b[i] = tensor[i], over the grid indices i where both points exist.
 
-    ``offset`` holds one step per axis.
+    ``offset`` holds one step per leading axis; a zero step keeps its axis
+    whole, so (0, dx, dy) translates an atom-major (M, g, g) tensor.
     """
-    g = tensor.shape[0]
-    a = tuple([slice(d, None) if d >= 0 else slice(None, g + d) for d in offset])
-    b = tuple([slice(None, g - d) if d >= 0 else slice(-d, None) for d in offset])
+    a = tuple([slice(d, None) if d >= 0 else slice(None, n + d)
+               for d, n in zip(offset, tensor.shape)])
+    b = tuple([slice(None, n - d) if d >= 0 else slice(-d, None)
+               for d, n in zip(offset, tensor.shape)])
     return tensor[a], tensor[b]
+
+
+def _powered_integrals(v: np.ndarray, mu: np.ndarray, powers) -> list[np.ndarray]:
+    """Integrals of |D|^p per column of ``sorted_levels`` output, one array per p.
+
+    |D| and |D|^p sort identically, so every p shares one sorting pass.
+    """
+    return [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
 
 
 class ChoquetModulusTable:
@@ -237,12 +248,37 @@ class ChoquetModulusTable:
 
     Precomputes, for every axis offset within a window, the maximum over
     grid positions of the integral of |F(t) - F(s)|^p; modulus queries then
-    reduce to a maximum over the offsets inside a delta box.  Several p
-    exponents share one sorting pass (|D| and |D|^p sort identically).
-    Supported for dim <= 2; a 1-D table is a 2-D one with no second axis.
-    Each offset runs the sorted-sum kernel of ``choquet.sorted_levels`` on
-    its (K, M) rows of differences, so the working set is one offset's,
-    whatever the window.
+    reduce to a maximum over the offsets inside a delta box.  Supported for
+    dim <= 2; a 1-D table is a 2-D one with no second axis.
+
+    Exact pruning.  For h >= 0 and any nonnegative monotone table, the
+    Choquet integral of h is at most max(h) * max(mu_table): the telescoped
+    terms (h_k - h_(k-1)) mu_k sum to at most max(h) * mu_0 (Abel summation,
+    mu_k nonincreasing in k).  No submodularity is needed, and mu of the
+    full set may exceed 1.  So per offset, with UB the max over atoms of a
+    cell's |D| and LB_p the integral of the cell of largest UB, a cell with
+    UB^p * max(mu_table) < LB_p cannot hold the offset's maximum; only the
+    other cells go through ``sorted_levels``/``telescoped_sum``.
+
+    Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
+    one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
+    bound above (Abel summation needs no order among them) caps their exact
+    telescoped sum at (1 + 2u) UB^p max(mu_table).  The kernel adds M terms,
+    each formed by one difference and one product, so its result exceeds that
+    sum by at most (M + 1)u relative, up to O(M u^2) terms.  The keep test
+    forms UB^p * factor with a power and two products, losing at most 4u.
+    So a cell's computed integral stays below its computed bound once the
+    factor exceeds 1 + (M + 7)u + O(M u^2); the factor
+    max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
+    leaves (M + 1)u for the second-order terms.  So a pruned cell's
+    computed integral is below LB_p, and the cell of largest UB is kept.
+
+    The kept cells of every dy of one dx run through the kernel together,
+    and ``np.maximum.reduceat`` takes each offset's maximum; each cell's
+    integral does not depend on the batch (``telescoped_sum``
+    is elementwise per column), so every table entry has the bits an
+    unpruned kernel gives it.  The working set is one offset's |D| plus one
+    dx's kept cells.
     """
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
@@ -263,18 +299,31 @@ class ChoquetModulusTable:
             max_deltas = (1.0,) * f.dim
         elif np.isscalar(max_deltas):
             max_deltas = (float(max_deltas),) * f.dim
-        tensor = f.grid_tensor(grid)
+        m = f.atom_count
+        # atom-major, so an offset's |D| is (M, cells) and UB a leading-axis max
+        atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
         mu_table = subset_table(cap)
+        keep_factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
         w1, w2 = _box_windows(max_deltas, grid)
         # (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D; written through (w1 + 1, -1) views
         self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in self.powers}
         cells = {p: off.reshape(w1 + 1, -1) for p, off in self._off.items()}
-        for dx, dy in _offsets(w1, w2):
-            a, b = _translate_pair(tensor, (dx, dy)[:f.dim])
-            v, mu = sorted_levels(np.abs(a - b).reshape(-1, f.atom_count), mu_table)
-            for p in self.powers:
-                vp = v if p == 1.0 else v ** p
-                cells[p][dx, dy + w2] = float(telescoped_sum(vp, mu).max())
+        for dx, group in groupby(_offsets(w1, w2), key=lambda o: o[0]):
+            dys = [dy for _, dy in group]
+            kept = []
+            for dy in dys:
+                a, b = _translate_pair(atoms, (0, dx, dy)[:1 + f.dim])
+                d = np.abs(a - b).reshape(m, -1)
+                ub = d.max(axis=0)
+                top = d[:, ub.argmax()].reshape(1, m)
+                lbs = _powered_integrals(*sorted_levels(top, mu_table), self.powers)
+                keep = np.any([(ub if p == 1.0 else ub ** p) * keep_factor >= lb
+                               for p, lb in zip(self.powers, lbs)], axis=0)
+                kept.append(d.compress(keep, axis=1))
+            starts = np.cumsum([0] + [k.shape[1] for k in kept[:-1]])
+            v, mu = sorted_levels(np.concatenate(kept, axis=1).T, mu_table)
+            for p, vals in zip(self.powers, _powered_integrals(v, mu, self.powers)):
+                cells[p][dx, dys[0] + w2:dys[-1] + w2 + 1] = np.maximum.reduceat(vals, starts)
 
     def gamma(self, *deltas: float, p: float | None = None) -> float:
         """Choquet L^p modulus for a per-axis delta box."""

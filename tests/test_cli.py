@@ -374,6 +374,28 @@ def test_modulus_and_approx_dim_is_1_or_2(capsys, command, dim):
     assert "--dim" in capsys.readouterr().err
 
 
+_MODULUS = ["modulus", "--family", "affine_noise", "--atoms", "2", "--grid", "9"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["integrate", "--values", "a,b"], "--values"),
+    (["integrate", "--values", "1,2,3"], "--values"),
+    (["integrate", "--values", "1,2", "--subset", "7"], "--subset"),
+    (["integrate", "--values", "1,2", "--method", "oracle", "--steps", "0"], "--steps"),
+    (["integrate", "--values", "1,2", "--p", "20"], "--p"),
+    (_MODULUS + ["--kind", "sample", "--delta", "inf"], "--delta"),
+    (_MODULUS + ["--kind", "k", "--delta", "-0.1"], "--delta"),
+    (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--delta2", "0.2"], "--delta2"),
+    (_MODULUS + ["--kind", "gamma", "--dim", "2", "--delta", "0.1", "--delta2", "nan"],
+     "--delta2"),
+])
+def test_integrate_and_modulus_name_the_bad_flag(cap_file, capsys, command, flag):
+    assert run_cli(command + ["--capacity", cap_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def worker_counts(monkeypatch):
     """The worker count of every _parallel_map call a sweep makes."""

@@ -16,8 +16,8 @@ from choqbern import (ConfigError, DiscreteProbability, ExperimentConfig,
                       make_table, run_experiment, semi_metric)
 from choqbern import experiments
 from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
-                                  _sample_errors, run_capacity_convergence,
-                                  run_mean_convergence,
+                                  _cp_sup, _cp_sup_direct, _sample_errors,
+                                  run_capacity_convergence, run_mean_convergence,
                                   run_possibility_convergence,
                                   run_stochastic_experiment, tau_value)
 from choqbern.randomfn import FAMILIES, Grid, RandomFunction, build_family
@@ -127,6 +127,10 @@ def test_config_hash_pinned():
 # Small sweeps of the runners no perfbench reference covers; the digests are
 # sha256 of their CSV, so a change to any row's bytes fails here.
 _PINNED_SWEEPS = [
+    # p = 1.5 takes the direct C_p sum, p = 1 and 3 the moment expansion
+    ({"experiment": "mean_convergence", "family": "step_noise", "grid_points": 17,
+      "schedule": [[4, 4], [16, 8]], "p": [1, 1.5, 3]},
+     "1931e7d67824b5a3a067612e124299cd42690a7ba4bb7d6d7494751e2d6dbfca"),
     ({"experiment": "possibility_convergence", "dim": 1, "schedule": [4, [16], 64],
       "epsilons": [0.05, 0.1, 0.3]},
      "f65bb79015d21f902105f128b9226dda97e99fc6784fa6090e24d624451c3019"),
@@ -235,6 +239,16 @@ def test_mean_convergence_constant_family():
     res = run_mean_convergence(cfg)
     assert all(r.measured == 0.0 for r in res.rows)
     assert res.all_passed
+
+
+@pytest.mark.parametrize("g", [2, 17, 65])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (4, 4), (64, 16), (64, 64)])
+def test_cp_sup_closed_form_matches_direct_sum(n1, n2, g):
+    grid = Grid(2, g)
+    powers = (1.0, 2.0, 3.0, 16.0)
+    for p, got in zip(powers, _cp_sup(n1, n2, powers, grid)):
+        want = _cp_sup_direct(n1, n2, p, grid)
+        assert abs(got - want) <= 1e-14 * want
 
 
 def test_mean_convergence_refuses_non_submodular():

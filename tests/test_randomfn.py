@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from choqbern import (DiscreteProbability, GroundSpace, InputError,
-                      PossibilityDistribution, choquet_modulus, eval_random_function,
-                      make_distorted, make_distortion, make_possibility,
-                      stochastic_modulus, subset_table)
+                      PossibilityDistribution, check_properties, choquet_modulus,
+                      eval_random_function, make_distorted, make_distortion,
+                      make_possibility, make_table, stochastic_modulus, subset_table)
+from choqbern.capacity import TOL
+from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
-                               _window, build_family, list_families,
-                               sample_modulus_profile)
-from conftest import brute_gamma, brute_sample_modulus, random_capacity
+                               _box_windows, _offsets, _translate_pair, _window,
+                               build_family, list_families, sample_modulus_profile)
+from conftest import (brute_gamma, brute_sample_modulus, random_capacity,
+                      random_monotone_table)
 
 
 SPACE1 = GroundSpace.of_size(1)
@@ -234,6 +237,46 @@ def test_modulus_table_matches_row_wise_kernel(rng, m):
                 assert np.array_equal(table._off[p], want[p])
             else:
                 np.testing.assert_allclose(table._off[p], want[p], rtol=1e-12, atol=0)
+
+
+def _unpruned_off(f, cap, grid, max_deltas, powers):
+    """The per-offset table with every cell of every offset through
+    ``sorted_levels``/``telescoped_sum``, as a reference for the pruning."""
+    tensor = f.grid_tensor(grid)
+    mu_table = subset_table(cap)
+    w1, w2 = _box_windows(max_deltas, grid)
+    off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in powers}
+    for dx, dy in _offsets(w1, w2):
+        a, b = _translate_pair(tensor, (dx, dy)[:f.dim])
+        v, mu = sorted_levels(np.abs(a - b).reshape(-1, f.atom_count), mu_table)
+        for p in powers:
+            vals = telescoped_sum(v if p == 1.0 else v ** p, mu)
+            off[p][(dx, dy + w2)[:f.dim]] = vals.max()
+    return off
+
+
+@pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
+@pytest.mark.parametrize("kind", ["possibility", "distorted", "table", "table above 1"])
+def test_pruned_modulus_table_equals_unpruned_kernel(rng, kind):
+    m = 4
+    space = GroundSpace.of_size(m)
+    if kind == "table above 1":
+        # the bound uses max(mu_table), here the full-set value 1 + TOL/2
+        cap = make_table(space, random_monotone_table(rng, m) * (1.0 + TOL / 2))
+    else:
+        cap = random_capacity(rng, m, kind=kind)
+    if kind.startswith("table"):
+        assert not check_properties(cap, mode="exhaustive").submodular
+    powers = (1.0, 1.5, 3.0)
+    for name in ("affine_noise", "step_noise"):
+        for dim in (1, 2):
+            f = build_family(name, space, dim, {"z": list(rng.uniform(-1, 1, m))})
+            grid = Grid(dim, 33 if dim == 1 else 13)
+            deltas = (0.5,) * dim
+            table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
+            want = _unpruned_off(f, cap, grid, deltas, powers)
+            for p in powers:
+                assert np.array_equal(table._off[p], want[p])
 
 
 def test_modulus_table_multi_power_and_query_errors(cap1):
