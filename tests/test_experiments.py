@@ -127,10 +127,6 @@ def test_config_hash_pinned():
 # Small sweeps of the runners no perfbench reference covers; the digests are
 # sha256 of their CSV, so a change to any row's bytes fails here.
 _PINNED_SWEEPS = [
-    # p = 1.5 takes the direct C_p sum, p = 1 and 3 the moment expansion
-    ({"experiment": "mean_convergence", "family": "step_noise", "grid_points": 17,
-      "schedule": [[4, 4], [16, 8]], "p": [1, 1.5, 3]},
-     "1931e7d67824b5a3a067612e124299cd42690a7ba4bb7d6d7494751e2d6dbfca"),
     ({"experiment": "possibility_convergence", "dim": 1, "schedule": [4, [16], 64],
       "epsilons": [0.05, 0.1, 0.3]},
      "f65bb79015d21f902105f128b9226dda97e99fc6784fa6090e24d624451c3019"),
@@ -146,6 +142,10 @@ _PINNED_SWEEPS = [
     ({"experiment": "stochastic", "schedule": [25, 100], "samples": 300,
       "deltas": [0.1, 0.2], "epsilons": [0.1, 0.3], "degenerate_nodes": True},
      "0c1f5a8ec0e82cb1ff2ff2e21d5797744b9829575fb8c4e96dde1cb3aded25f4"),
+    # p = 1.5 takes the direct C_p sum, p = 1 and 3 the moment expansion
+    ({"experiment": "mean_convergence", "family": "step_noise", "grid_points": 17,
+      "schedule": [[4, 4], [16, 8]], "p": [1, 1.5, 3]},
+     "1931e7d67824b5a3a067612e124299cd42690a7ba4bb7d6d7494751e2d6dbfca"),
 ]
 
 
