@@ -11,14 +11,13 @@ from .capacity import (Capacity, CapacityTooLargeError, ConstructionError,
 from .choquet import (AtomFunction, IntegralResult, capacity_distribution_function,
                       choquet_integral, choquet_integral_oracle, choquet_lp_norm,
                       comonotone, integral_batch)
-from .randomfn import (Grid, RandomFunction, SampleFunction, build_family,
-                       choquet_modulus, eval_random_function, list_families,
-                       stochastic_modulus)
-from .bernstein import (BernsteinBasisEval, bernstein_basis, bernstein_multivariate,
+from .randomfn import (Grid, RandomFunction, build_family, choquet_modulus,
+                       list_families, stochastic_modulus)
+from .bernstein import (basis_matrix, bernstein_basis, bernstein_multivariate,
                         bernstein_univariate, moment_sum, sikkema_constant, tail_sum)
-from .stochastic import (SeededStream, TriangularArrayRow, k_inverse, k_modulus,
-                         lemma51_bound, max_deviation, sample_order_statistics,
-                         stochastic_bernstein, theorem6_bound)
+from .stochastic import (SeededStream, k_inverse, k_modulus, lemma51_bound,
+                         max_deviation_rows, sample_rows, stochastic_bernstein,
+                         theorem6_bound)
 from .experiments import (BoundRow, ConfigError, ExperimentConfig, ExperimentResult,
                           run_capacity_convergence, run_experiment,
                           run_mean_convergence, run_possibility_convergence,

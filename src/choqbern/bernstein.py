@@ -18,7 +18,6 @@ largest value, so operator values stay as they were.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,12 +38,12 @@ def sikkema_constant() -> float:
     return (4306.0 + 837.0 * math.sqrt(6.0)) / 5832.0
 
 
-@dataclass(frozen=True, eq=False)
-class BernsteinBasisEval:
-    """Basis values p_{k,n}(x) for k = 0..n at one point."""
+def uniform_constant(dim: int) -> float:
+    """c in sup |B_n f - f| <= c * w(f, 1/sqrt(min n)) on [0, 1]^dim.
 
-    n: int
-    values: np.ndarray
+    Sikkema's constant in 1-D, 3 for the tensor-product operator in 2-D.
+    """
+    return sikkema_constant() if dim == 1 else 3.0
 
 
 @lru_cache(maxsize=128)
@@ -59,28 +58,39 @@ def _check_degree(n: int) -> None:
         raise InputError(f"degree must lie in [1, {N_MAX}], got {n}")
 
 
-def bernstein_basis(n: int, x: float) -> BernsteinBasisEval:
-    """All n+1 basis values at x, computed via log-space binomials."""
-    _check_degree(n)
-    if not (0.0 <= x <= 1.0):
-        raise InputError(f"x must lie in [0, 1], got {x}")
-    vals = np.zeros(n + 1)
-    if x == 0.0:
-        vals[0] = 1.0
-    elif x == 1.0:
-        vals[n] = 1.0
-    else:
-        k = np.arange(n + 1)
-        lg = _lgamma_table(n)
-        logs = lg[n] - lg[k] - lg[n - k] + k * math.log(x) + (n - k) * math.log1p(-x)
-        vals = np.exp(logs)
-        vals[vals < _TINY] = 0.0  # no subnormals (see the module docstring)
-    return BernsteinBasisEval(n, vals)
-
-
 def basis_matrix(n: int, xs: Sequence[float]) -> np.ndarray:
-    """Stacked basis rows, shape (len(xs), n+1)."""
-    return np.vstack([bernstein_basis(n, float(x)).values for x in xs])
+    """Basis values p_{k,n}(x) for k = 0..n at every x, shape (len(xs), n+1).
+
+    One log-space pass over all points; rows at x = 0 and x = 1 are exact
+    unit vectors.  log x and log(1 - x) are taken per point with ``math``,
+    so a row has the same bits whatever other points share the call.
+    """
+    _check_degree(n)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise InputError(f"points must form a 1-d sequence, got shape {xs.shape}")
+    inside = (xs >= 0.0) & (xs <= 1.0)
+    if not inside.all():
+        raise InputError(f"x must lie in [0, 1], got {xs[~inside][0]}")
+    interior = (xs > 0.0) & (xs < 1.0)
+    safe = np.where(interior, xs, 0.5)  # endpoint rows are set exactly below
+    k = np.arange(n + 1)
+    lg = _lgamma_table(n)
+    # log C(n, k) + k log x + (n - k) log(1 - x), built in place
+    out = np.multiply.outer([math.log(x) for x in safe], k)
+    out += lg[n] - lg[k] - lg[n - k]
+    out += np.multiply.outer([math.log1p(-x) for x in safe], n - k)
+    np.exp(out, out=out)
+    out[out < _TINY] = 0.0  # no subnormals (see the module docstring)
+    out[~interior] = 0.0
+    out[xs == 0.0, 0] = 1.0
+    out[xs == 1.0, n] = 1.0
+    return out
+
+
+def bernstein_basis(n: int, x: float) -> np.ndarray:
+    """All n+1 basis values at x: the one-point row of ``basis_matrix``."""
+    return basis_matrix(n, [x])[0]
 
 
 def bernstein_univariate(samples, x: float) -> float:
@@ -88,7 +98,7 @@ def bernstein_univariate(samples, x: float) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
         raise InputError("need at least two sample values")
-    basis = bernstein_basis(samples.size - 1, x).values
+    basis = bernstein_basis(samples.size - 1, x)
     return float(np.dot(samples, basis))
 
 
@@ -105,7 +115,7 @@ def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
     nodes = _node_tensor(f, n_vec, atom)
     out = nodes
     for axis, n in enumerate(n_vec):
-        basis = bernstein_basis(n, float(x[axis])).values
+        basis = bernstein_basis(n, float(x[axis]))
         out = np.tensordot(basis, out, axes=(0, 0))
     return float(out)
 
@@ -153,6 +163,6 @@ def tail_sum(n: int, x: float, delta: float) -> float:
     """Sum of p_{k,n}(x) over k with |k/n - x| >= delta."""
     if delta <= 0:
         raise InputError(f"delta must be positive, got {delta}")
-    basis = bernstein_basis(n, x).values
+    basis = bernstein_basis(n, x)
     mask = np.abs(np.arange(n + 1) / n - x) >= delta
     return float(basis[mask].sum())

@@ -17,15 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .bernstein import multivariate_grid, sikkema_constant
-from .capacity import GroundSpace, as_mask, capacity_from_spec, check_properties
+from .bernstein import _check_degree, multivariate_grid, uniform_constant
+from .capacity import (GroundSpace, as_mask, capacity_from_spec, check_properties,
+                       make_distortion)
 from .choquet import (_atom_values, choquet_integral, choquet_integral_oracle,
                       choquet_lp_norm)
-from .experiments import ExperimentConfig, _fmt, named_errors, run_experiment
+from .experiments import (ROW_TOLERANCE, ExperimentConfig, _fmt, named_errors,
+                          run_experiment)
 from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
-from .stochastic import (SeededStream, k_modulus, lemma51_bound, max_deviation,
-                         sample_order_statistics)
+from .stochastic import (SeededStream, _check_r, _check_slope, k_modulus,
+                         lemma51_bound, max_deviation_rows, sample_rows)
 
 THREADS_ENV = "CHOQBERN_THREADS"
 
@@ -120,7 +122,8 @@ def _build_from_args(args):
 
     --atom and --grid are checked before anything is computed.
     """
-    space = GroundSpace.of_size(args.atoms)
+    with named_errors("--atoms"):
+        space = GroundSpace.of_size(args.atoms)
     if args.family not in list_families():
         raise ValueError(f"unknown --family '{args.family}' (known: {list_families()})")
     if not 0 <= args.atom < args.atoms:
@@ -152,7 +155,8 @@ def _cmd_modulus(args) -> int:
         deltas = [args.delta] * args.dim
         if args.delta2 is not None:
             deltas = [args.delta, args.delta2]
-        value = choquet_modulus(f, cap, deltas, args.p, grid)
+        with named_errors("--p"):
+            value = choquet_modulus(f, cap, deltas, args.p, grid)
     elif args.kind == "k":
         value = k_modulus(f, args.delta, grid)
     else:
@@ -163,6 +167,13 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_approx(args) -> int:
     f, grid = _build_from_args(args)
+    with named_errors("--n2"):
+        if args.n2 is not None and args.dim != 2:
+            raise ValueError("a second degree needs --dim 2")
+    for flag, n in (("--n", args.n), ("--n2", args.n2)):
+        with named_errors(flag):
+            if n is not None:
+                _check_degree(n)
     n_vec = tuple([args.n] * args.dim if args.n2 is None else [args.n, args.n2])
     approx = multivariate_grid(f, n_vec, grid)
     tensor = f.grid_tensor(grid)
@@ -170,22 +181,30 @@ def _cmd_approx(args) -> int:
     sup_err = float(np.abs(tensor[..., w] - approx[..., w]).max())
     delta = 1.0 / math.sqrt(min(n_vec))
     omega = stochastic_modulus(f, delta, w, grid)
-    const = sikkema_constant() if args.dim == 1 else 3.0
-    bound = const * omega
+    bound = uniform_constant(args.dim) * omega
+    passed = sup_err <= bound + ROW_TOLERANCE
     print(_dump({"n": min(n_vec), "sup_error": sup_err, "modulus": omega,
-                 "bound": bound, "pass": bool(sup_err <= bound + 1e-9)}))
-    return 0 if sup_err <= bound + 1e-9 else 1
+                 "bound": bound, "pass": bool(passed)}))
+    return 0 if passed else 1
 
 
 def _cmd_stochastic(args) -> int:
-    row = sample_order_statistics(args.n, SeededStream(args.seed, args.index))
-    m_n = max_deviation(row)
+    with named_errors("--seed"):
+        SeededStream(args.seed, 0)
+    with named_errors("--index"):
+        SeededStream(args.seed, args.index)
+    with named_errors("--n"):
+        rows = sample_rows(args.n, args.seed, 1, start_index=args.index)
+    m_n = float(max_deviation_rows(rows)[0])
     out = {"n": args.n, "seed": args.seed, "index": args.index, "m_n": m_n}
     if args.epsilon is not None:
-        from .capacity import make_distortion
-        u = make_distortion(args.distortion)
-        out["lemma_bound"] = lemma51_bound(args.n, args.epsilon, args.r,
-                                           u.derivative_at_zero)
+        with named_errors("--distortion"):
+            slope = make_distortion(args.distortion).derivative_at_zero
+            _check_slope(slope)
+        with named_errors("--r"):
+            _check_r(args.r)
+        with named_errors("--epsilon"):
+            out["lemma_bound"] = lemma51_bound(args.n, args.epsilon, args.r, slope)
         out["exceeds"] = bool(m_n > args.epsilon)
     print(_dump(out))
     return 0

@@ -22,7 +22,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bernstein import basis_matrix, moment_sums, multivariate_grid, sikkema_constant
+from .bernstein import (basis_matrix, moment_sums, multivariate_grid, sikkema_constant,
+                        uniform_constant)
 from .capacity import (Capacity, Distortion, GroundSpace, InputError,
                        PossibilityRepr, capacity_from_spec, check_properties,
                        distortion_from_spec, known_submodular, subset_table)
@@ -416,12 +417,9 @@ def _semi_metric_of(diff: np.ndarray, mu_table: np.ndarray) -> float:
     return float(integral_batch(phi.reshape(-1, diff.shape[-1]), mu_table).max())
 
 
-def _capacity_of_exceedance(diff: np.ndarray, eps: float,
-                            mu_table: np.ndarray) -> float:
-    """sup over grid x of mu({atoms with |diff| >= eps}); diff shape (..., M)."""
-    m = diff.shape[-1]
-    flags = diff.reshape(-1, m) >= eps
-    masks = flags @ (np.int64(1) << np.arange(m, dtype=np.int64))
+def _flagged_capacity(flags: np.ndarray, mu_table: np.ndarray) -> float:
+    """Largest mu(set of atoms flagged in a row) over the rows of a (K, M) flag array."""
+    masks = flags @ (np.int64(1) << np.arange(flags.shape[1], dtype=np.int64))
     return float(mu_table[masks].max())
 
 
@@ -526,7 +524,8 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         approx = multivariate_grid(f, n_vec, grid)
         diff = np.abs(tensor - approx)
         d_n = _semi_metric_of(diff, mu)
-        caps = [_capacity_of_exceedance(diff, eps, mu) for eps in cfg.epsilons]
+        flat = diff.reshape(-1, diff.shape[-1])
+        caps = [_flagged_capacity(flat >= eps, mu) for eps in cfg.epsilons]
         return d_n, caps
 
     computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
@@ -565,8 +564,7 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
-    m = f.atom_count
-    const = sikkema_constant() if cfg.dim == 1 else 3.0
+    const = uniform_constant(cfg.dim)
     n_floor = min(min(n_vec) for n_vec in cfg.schedule)
     dists, profile = sample_modulus_profile(f, grid,
                                             max_dist=1.0 / math.sqrt(n_floor))
@@ -587,8 +585,7 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(BoundRow("possibility_convergence", n1, n2, None, None, None,
                              None, excess, 0.0))
         for eps in cfg.epsilons:
-            mask = int(np.dot(o_vals > eps, 1 << np.arange(m)))
-            level = float(subset_table(cap)[mask]) if mask else 0.0
+            level = _flagged_capacity((o_vals > eps)[None, :], mu)
             trend_bound = 1.0 if prev[eps] is None else prev[eps] + TREND_SLACK
             rows.append(BoundRow("possibility_convergence", n1, n2, None, eps, None,
                                  None, level, trend_bound))

@@ -85,9 +85,6 @@ class RandomFunction:
             raise InputError(f"atom index {atom} out of range")
         return float(self.evaluator(pts, atom))
 
-    def sample(self, atom: int) -> "SampleFunction":
-        return SampleFunction(self, atom)
-
     def grid_tensor(self, grid: Grid) -> np.ndarray:
         """Values on the grid, shape (g,)*dim + (M,); memoized."""
         if grid.dim != self.dim:
@@ -102,21 +99,6 @@ class RandomFunction:
             out.setflags(write=False)
             self._grids[key] = out
         return self._grids[key]
-
-
-@dataclass(frozen=True)
-class SampleFunction:
-    """One deterministic sample path of a random function."""
-
-    parent: RandomFunction
-    atom: int
-
-    def __call__(self, x) -> float:
-        return self.parent.eval(x, self.atom)
-
-
-def eval_random_function(f: RandomFunction, x, atom: int) -> float:
-    return f.eval(x, atom)
 
 
 # ---------------------------------------------------------------------------

@@ -37,41 +37,18 @@ class SeededStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True, eq=False)
-class TriangularArrayRow:
-    """One sorted row Y_{n,0} <= ... <= Y_{n,n} of stochastic nodes in [0, 1]."""
-
-    n: int
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.shape != (self.n + 1,):
-            raise InputError(f"row of degree {self.n} needs {self.n + 1} nodes")
-        if np.any(nodes < 0.0) or np.any(nodes > 1.0):
-            raise InputError("nodes must lie in [0, 1]")
-        if np.any(np.diff(nodes) < 0.0):
-            raise InputError("nodes must be sorted nondecreasing")
-
-
-def sample_order_statistics(n: int, stream: SeededStream) -> TriangularArrayRow:
-    """Draw n+1 i.i.d. uniforms from the stream and sort them ascending."""
-    if n < 1:
-        raise InputError(f"degree must be >= 1, got {n}")
-    draws = stream.generator().random(n + 1)
-    return TriangularArrayRow(n, np.sort(draws))
-
-
 def sample_rows(n: int, master_seed: int, count: int,
                 start_index: int = 0) -> np.ndarray:
-    """Stack ``count`` rows drawn from consecutive substreams, shape (count, n+1).
+    """Stack ``count`` node rows from consecutive substreams, shape (count, n+1).
 
-    Row i is bit-identical to
-    ``sample_order_statistics(n, SeededStream(master_seed, start_index + i))``.
-    One Philox generator serves every row: before each row its state is reset
-    to that of a fresh generator keyed (master_seed, start_index + i), which is
+    Row i holds the n+1 uniforms of substream (master_seed, start_index + i)
+    sorted ascending: the order statistics Y_{n,0} <= ... <= Y_{n,n}.  One
+    Philox generator serves every row: before each row its state is reset to
+    that of a fresh generator keyed (master_seed, start_index + i), which is
     all a substream is, instead of building a generator per row.
     """
+    if n < 1:
+        raise InputError(f"degree must be >= 1, got {n}")
     # SeededStream rejects a seed or index outside [0, 2**64) before any draw
     SeededStream(master_seed, start_index + max(count - 1, 0))
     gen = SeededStream(master_seed, start_index).generator()
@@ -87,33 +64,29 @@ def sample_rows(n: int, master_seed: int, count: int,
     return out
 
 
-def max_deviation(row) -> float:
-    """M_n: largest |Y_{n,k} - k/n| over the row."""
-    if isinstance(row, TriangularArrayRow):
-        nodes, n = row.nodes, row.n
-    else:
-        nodes = np.asarray(row, dtype=float)
-        n = nodes.size - 1
-    return float(np.abs(nodes - np.arange(n + 1) / n).max())
-
-
 def max_deviation_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized M_n over a (count, n+1) stack of rows."""
+    """M_n = max over k of |Y_{n,k} - k/n| for each row of a (count, n+1) stack."""
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1] - 1
     return np.abs(rows - np.arange(n + 1) / n).max(axis=1)
 
 
-def stochastic_bernstein(f: RandomFunction, row: TriangularArrayRow, x: float,
-                         atom: int) -> float:
-    """B_n(f, Y)(x, atom): basis dot product with node-evaluated samples."""
+def stochastic_bernstein(f: RandomFunction, nodes, x: float, atom: int) -> float:
+    """B_n(f, Y)(x, atom) on one sorted node row Y of n+1 points in [0, 1]."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise InputError(f"a node row needs shape (n + 1,) with n >= 1, "
+                         f"got {nodes.shape}")
+    if not np.all((nodes >= 0.0) & (nodes <= 1.0)):
+        raise InputError("nodes must lie in [0, 1]")
+    if np.any(np.diff(nodes) < 0.0):
+        raise InputError("nodes must be sorted nondecreasing")
     if f.dim != 1:
         raise InputError("stochastic Bernstein polynomials need a 1-d function")
     if not (0 <= atom < f.atom_count):
         raise InputError(f"atom index {atom} out of range")
-    samples = np.asarray(f.evaluator(row.nodes[:, None], atom), dtype=float)
-    basis = bernstein_basis(row.n, x).values
-    return float(np.dot(samples, basis))
+    samples = np.asarray(f.evaluator(nodes[:, None], atom), dtype=float)
+    return float(np.dot(samples, bernstein_basis(nodes.size - 1, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +155,12 @@ def k_inverse(f: RandomFunction, eps: float, grid: Grid | None = None,
 # Closed-form deviation bounds
 # ---------------------------------------------------------------------------
 
-def _check_bound_args(r: float, u_prime_0: float) -> None:
+def _check_r(r: float) -> None:
     if not (0.0 < r < 1.0):
         raise InputError(f"r must lie in (0, 1), got {r}")
+
+
+def _check_slope(u_prime_0: float) -> None:
     if not (0.0 < u_prime_0 < math.inf):
         raise InputError("the distortion slope at zero must be finite and positive "
                          "(power distortions with exponent < 1 are rejected)")
@@ -199,7 +175,8 @@ def lemma51_bound(n: int, eps: float, r: float, u_prime_0: float) -> float:
         raise InputError(f"degree must be >= 1, got {n}")
     if eps < 0:
         raise InputError("eps must be nonnegative")
-    _check_bound_args(r, u_prime_0)
+    _check_r(r)
+    _check_slope(u_prime_0)
     return u_prime_0 * (n + 1) / math.sqrt(1.0 - r) * math.exp(-1.5 * r * n * eps * eps)
 
 
@@ -213,5 +190,6 @@ def theorem6_bound(n: int, tau_n: float, r: float, u_prime_0: float) -> float:
         raise InputError(f"degree must be >= 1, got {n}")
     if tau_n < 1.0:
         raise InputError(f"tau(n) >= 1 is required, got {tau_n}")
-    _check_bound_args(r, u_prime_0)
+    _check_r(r)
+    _check_slope(u_prime_0)
     return u_prime_0 * (n + 1) / math.sqrt(1.0 - r) * math.exp(-1.5 * r * tau_n)

@@ -257,8 +257,8 @@ def _check_elp(cfg):
             for x1 in probes:
                 for x2 in probes:
                     fx = np.array([f.eval((x1, x2), w) for w in range(m)])
-                    b1 = bernstein_basis(n1, x1).values
-                    b2 = bernstein_basis(n2, x2).values
+                    b1 = bernstein_basis(n1, x1)
+                    b2 = bernstein_basis(n2, x2)
                     approx = np.einsum("k,l,klm->m", b1, b2, node_vals)
                     lhs = float(integral_batch(
                         np.abs(fx - approx)[None, :] ** p, mu)[0])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,21 +19,21 @@ SPACE1 = GroundSpace.of_size(1)
 
 def test_basis_small_cases():
     b = bernstein_basis(2, 0.5)
-    assert b.n == 2
-    assert np.allclose(b.values, [0.25, 0.5, 0.25], atol=1e-15)
-    assert np.array_equal(bernstein_basis(5, 0.0).values, [1, 0, 0, 0, 0, 0])
-    assert np.array_equal(bernstein_basis(5, 1.0).values, [0, 0, 0, 0, 0, 1])
+    assert b.shape == (3,)
+    assert np.allclose(b, [0.25, 0.5, 0.25], atol=1e-15)
+    assert np.array_equal(bernstein_basis(5, 0.0), [1, 0, 0, 0, 0, 0])
+    assert np.array_equal(bernstein_basis(5, 1.0), [0, 0, 0, 0, 0, 1])
 
 
 def test_basis_against_exact_binomials():
     for n in (1, 3, 10, 30, 50):
         for x in (0.017, 0.3, 0.5, 0.9):
-            got = bernstein_basis(n, x).values
+            got = bernstein_basis(n, x)
             assert np.allclose(got, exact_basis(n, x), rtol=1e-12, atol=1e-300)
 
 
 def test_basis_partition_of_unity_large():
-    vals = bernstein_basis(1000, 0.3).values
+    vals = bernstein_basis(1000, 0.3)
     assert np.all(vals >= 0.0)
     assert abs(vals.sum() - 1.0) <= 1e-12
 
@@ -40,7 +41,7 @@ def test_basis_partition_of_unity_large():
 @pytest.mark.parametrize("n", [400, 1600, 10 ** 5])
 @pytest.mark.parametrize("x", [1e-9, 1e-3, 0.25, 0.5, 0.5 + 1e-9, 0.999, 1.0 - 1e-9])
 def test_basis_has_no_subnormals(n, x):
-    vals = bernstein_basis(n, x).values
+    vals = bernstein_basis(n, x)
     tiny = np.finfo(float).tiny
     assert not np.any((vals > 0.0) & (vals < tiny))
     assert np.all(vals >= 0.0)
@@ -51,7 +52,7 @@ def test_basis_has_no_subnormals(n, x):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 512), st.floats(0.0, 1.0))
 def test_basis_partition_property(n, x):
-    vals = bernstein_basis(n, x).values
+    vals = bernstein_basis(n, x)
     assert np.all(vals >= 0.0)
     assert abs(vals.sum() - 1.0) <= 1e-12
 
@@ -189,8 +190,8 @@ def test_jensen_step_inequality_2d(rng):
                     bernstein_multivariate(f, (n1, n2), (x1, x2), w)
                     for w in range(m)])
                 lhs = float(integral_batch(np.abs(fx - approx)[None, :] ** p, mu)[0])
-                weights = np.outer(bernstein_basis(n1, x1).values,
-                                   bernstein_basis(n2, x2).values)
+                weights = np.outer(bernstein_basis(n1, x1),
+                                   bernstein_basis(n2, x2))
                 diffs = np.abs(fx[None, None, :] - node_vals) ** p
                 inner = integral_batch(diffs.reshape(-1, m), mu)
                 rhs = float(np.dot(weights.reshape(-1), inner))
@@ -201,3 +202,47 @@ def test_basis_matrix_shape():
     mat = basis_matrix(6, np.linspace(0, 1, 5))
     assert mat.shape == (5, 7)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-13)
+
+
+# sha256 of the C-order bytes of basis_matrix(n, Grid(dim, g).coords), recorded
+# with the per-point basis: a change in any bit of any entry shows here
+_BASIS_DIGESTS = {
+    (1, 1): "fdf0b8681e6cfe521285575d22afa116962d6fe796d1143c62a5ca3f66f81c60",
+    (1, 4): "06b13aaa4f28cc146fcadce0cf47f054bb97c49faa8420f953e8d571c54a6cbf",
+    (1, 25): "ca467cd27c20e6f2b7efd806ef625d3478c488931ba203d48fff3d5891b32d97",
+    (1, 64): "94e4a202502184cca97aec3104f2c44c02db6292419b1e678a9f2fb96ad6e3d9",
+    (1, 400): "bd3c2bcbd23fdabee771cc045061a7014872c3d6944f3aafdb40e90c9d0ea30f",
+    (1, 1600): "ff01d46e32180f4993ecb6c12b45234fbd8562f452c463ecbd4ec2bfeeca4c14",
+    (1, 10 ** 5): "b8e3956264cdd3bd362de612c13c47b0afdb06383b9a7d33aa8c6258bac8ea78",
+    (2, 1): "8970450da62cfe0944f10ec918b5b38decdf30e4eed386b8f12f9869de22e5b1",
+    (2, 4): "fbccfe1c761dac0070840c9411b896ece25ce3abc92ee910e33f27b0415706ec",
+    (2, 25): "798c8a41a850fa6043404e95400ef0ecd80e1ee4c16cf0035671836d87d1b9e7",
+    (2, 64): "9bb3b272e2c808945dac229509cb05f785a251d3505aea0509123efd206fc374",
+    (2, 400): "2ff54a88298156844e9a47ee753b5b5f3e06b199ccc841223ec37d7f50e26e9b",
+    (2, 1600): "b189fed2a5189436cf10bfc14ef76bfb827fe159182d19d356a1f922d6ced00f",
+    (2, 10 ** 5): "d8071cd603efef053ae75ecec3262165b382462bfc623aa551697cd716ad3255",
+}
+
+
+@pytest.mark.parametrize("dim, n", sorted(_BASIS_DIGESTS))
+def test_basis_matrix_bits_pinned(dim, n):
+    xs = Grid(dim, {1: 257, 2: 65}[dim]).coords
+    digest = hashlib.sha256()
+    # hashed a block of rows at a time so n = 1e5 stays near 16 MB; rows are
+    # contiguous, so the digest is that of the whole matrix
+    block = max(1, 2_000_000 // (n + 1))
+    for i in range(0, xs.size, block):
+        digest.update(basis_matrix(n, xs[i:i + block]).tobytes())
+    assert digest.hexdigest() == _BASIS_DIGESTS[dim, n]
+
+
+def test_basis_matrix_rows_match_one_point_calls():
+    xs = np.concatenate([np.random.default_rng(8).random(40), [0.0, 1.0, 1e-300]])
+    for n in (1, 9, 400):
+        mat = basis_matrix(n, xs)
+        for i, x in enumerate(xs):
+            assert mat[i].tobytes() == bernstein_basis(n, x).tobytes()
+    with pytest.raises(InputError):
+        basis_matrix(4, [0.5, -0.1])
+    with pytest.raises(InputError):
+        basis_matrix(4, [0.5, math.nan])

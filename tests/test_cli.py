@@ -181,6 +181,28 @@ def test_stochastic_subcommand_deterministic(capsys):
     assert payload["lemma_bound"] > 0.0
 
 
+# exact stdout recorded with the scalar node-row path; m_n and the bound print
+# with 17 significant digits, so any change in a drawn node shows here
+_STOCHASTIC_STDOUT = [
+    (["--n", "100", "--seed", "42", "--index", "3", "--epsilon", "0.3"],
+     '{"n": 100, "seed": 42, "index": 3, "m_n": 0.06244645775160795, '
+     '"lemma_bound": 0.0033781070994810445, "exceeds": false}\n'),
+    (["--n", "1", "--seed", "0", "--index", "0"],
+     '{"n": 1, "seed": 0, "index": 0, "m_n": 0.7584508034372819}\n'),
+    (["--n", "1600", "--seed", str(2 ** 64 - 1), "--index", "12345",
+      "--epsilon", "0.05", "--r", "0.5", "--distortion", "exp_decay"],
+     '{"n": 1600, "seed": 18446744073709551615, "index": 12345, '
+     '"m_n": 0.022035701007286856, "lemma_bound": 178.3294083375911, '
+     '"exceeds": false}\n'),
+]
+
+
+@pytest.mark.parametrize("args, stdout", _STOCHASTIC_STDOUT)
+def test_stochastic_stdout_pinned(capsys, args, stdout):
+    assert run_cli(["stochastic"] + args) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_list_families(capsys):
     assert run_cli(["list-families"]) == 0
     fams = json.loads(capsys.readouterr().out)
@@ -336,6 +358,7 @@ def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
 def test_stochastic_seed_outside_64_bits_is_input_error(capsys, flag, value):
     assert run_cli(["stochastic", "--n", "5", flag, str(value)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
     assert str(value) in err and "2**64" in err
     assert "Traceback" not in err
 
@@ -388,9 +411,34 @@ _MODULUS = ["modulus", "--family", "affine_noise", "--atoms", "2", "--grid", "9"
     (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--delta2", "0.2"], "--delta2"),
     (_MODULUS + ["--kind", "gamma", "--dim", "2", "--delta", "0.1", "--delta2", "nan"],
      "--delta2"),
+    (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--p", "0.5"], "--p"),
+    (_MODULUS + ["--kind", "sample", "--delta", "0.1", "--atoms", "0"], "--atoms"),
 ])
 def test_integrate_and_modulus_name_the_bad_flag(cap_file, capsys, command, flag):
     assert run_cli(command + ["--capacity", cap_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert "Traceback" not in err
+
+
+_APPROX = ["approx", "--family", "affine_noise", "--grid", "9"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["stochastic", "--n", "0"], "--n"),
+    (["stochastic", "--n", "5", "--epsilon", "-1"], "--epsilon"),
+    (["stochastic", "--n", "5", "--epsilon", "0.1", "--r", "1.5"], "--r"),
+    (["stochastic", "--n", "5", "--epsilon", "0.1", "--distortion", "nope"],
+     "--distortion"),
+    (["stochastic", "--n", "5", "--epsilon", "0.1", "--distortion", "power"],
+     "--distortion"),
+    (_APPROX + ["--n", "0"], "--n"),
+    (_APPROX + ["--n", "4", "--n2", "4", "--dim", "1"], "--n2"),
+    (_APPROX + ["--n", "4", "--n2", "0", "--dim", "2"], "--n2"),
+    (_APPROX + ["--n", "4", "--atoms", "0"], "--atoms"),
+])
+def test_stochastic_and_approx_name_the_bad_flag(capsys, command, flag):
+    assert run_cli(command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
     assert "Traceback" not in err

@@ -5,8 +5,8 @@ import pytest
 
 from choqbern import (DiscreteProbability, GroundSpace, InputError,
                       PossibilityDistribution, check_properties, choquet_modulus,
-                      eval_random_function, make_distorted, make_distortion,
-                      make_possibility, make_table, stochastic_modulus, subset_table)
+                      make_distorted, make_distortion, make_possibility, make_table,
+                      stochastic_modulus, subset_table)
 from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
@@ -39,13 +39,15 @@ def cap1():
 def test_eval_random_function():
     f = RandomFunction(GroundSpace.of_size(3), 1,
                        lambda pts, w: pts[..., 0], name="coord")
-    assert eval_random_function(f, 0.25, 2) == 0.25
+    assert f.eval(0.25, 2) == 0.25
     g = constant_fn(7.0, GroundSpace.of_size(2))
-    assert eval_random_function(g, 0.9, 1) == 7.0
+    assert g.eval(0.9, 1) == 7.0
     with pytest.raises(InputError):
-        eval_random_function(f, 1.5, 0)
+        f.eval(1.5, 0)
     with pytest.raises(InputError):
-        eval_random_function(f, 0.5, 3)
+        f.eval(0.5, 3)
+    with pytest.raises(InputError):
+        f.eval((0.5, 0.5), 0)
 
 
 def test_affine_noise_matches_hand_formula():
@@ -80,14 +82,6 @@ def test_family_registry():
     assert list_families() == sorted(FAMILIES)
     with pytest.raises(InputError):
         build_family("nope", SPACE1, 1)
-
-
-def test_sample_function_fixes_atom():
-    space = GroundSpace.of_size(3)
-    f = build_family("affine_noise", space, 1, {"z": [-1.0, 0.0, 1.0]})
-    sample = f.sample(2)
-    assert sample(0.4) == f.eval(0.4, 2)
-    assert sample.atom == 2 and sample.parent is f
 
 
 def test_grid_tensor_matches_evaluator_bit_exact():

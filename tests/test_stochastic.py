@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from choqbern import (ConfigError, ExperimentConfig, GroundSpace, InputError,
-                      SeededStream, TriangularArrayRow, bernstein_univariate,
-                      k_inverse, k_modulus, lemma51_bound, max_deviation,
-                      sample_order_statistics, sikkema_constant,
+                      SeededStream, bernstein_univariate, k_inverse, k_modulus,
+                      lemma51_bound, max_deviation_rows, sample_rows, sikkema_constant,
                       stochastic_bernstein, theorem6_bound)
 from choqbern.randomfn import PAIR_TOL, Grid, RandomFunction, build_family
-from choqbern.stochastic import KTable, default_delta_grid, max_deviation_rows, sample_rows
+from choqbern.stochastic import KTable, default_delta_grid
 
 SPACE1 = GroundSpace.of_size(1)
 IDENTITY = RandomFunction(SPACE1, 1, lambda pts, w: np.mean(pts, axis=-1),
@@ -19,11 +18,11 @@ IDENTITY = RandomFunction(SPACE1, 1, lambda pts, w: np.mean(pts, axis=-1),
 
 
 def test_stream_determinism():
-    row1 = sample_order_statistics(50, SeededStream(42, 7))
-    row2 = sample_order_statistics(50, SeededStream(42, 7))
-    assert np.array_equal(row1.nodes, row2.nodes)
-    other = sample_order_statistics(50, SeededStream(42, 8))
-    assert not np.array_equal(row1.nodes, other.nodes)
+    row1 = sample_rows(50, 42, 1, start_index=7)
+    row2 = sample_rows(50, 42, 1, start_index=7)
+    assert np.array_equal(row1, row2)
+    other = sample_rows(50, 42, 1, start_index=8)
+    assert not np.array_equal(row1, other)
 
 
 def test_rows_sorted_and_in_unit_interval():
@@ -32,19 +31,22 @@ def test_rows_sorted_and_in_unit_interval():
     assert rows.min() >= 0.0 and rows.max() <= 1.0
 
 
+def _fresh_row(n, seed, index):
+    """Row ``index`` of ``sample_rows`` drawn from its own fresh generator."""
+    return np.sort(SeededStream(seed, index).generator().random(n + 1))
+
+
 def test_sample_rows_bit_identical_to_scalar_path():
     rows = sample_rows(20, 99, 50, start_index=17)
     for i in (0, 13, 49):
-        row = sample_order_statistics(20, SeededStream(99, 17 + i))
-        assert np.array_equal(rows[i], row.nodes)
+        assert np.array_equal(rows[i], _fresh_row(20, 99, 17 + i))
     top = 2 ** 64 - 1
     for n, seed, start, count in ((1, 0, 0, 3), (20, 99, 17, 50), (33, top, 5, 6),
                                   (9, 7, top - 3, 4)):  # ends at stream 2^64 - 1
         rows = sample_rows(n, seed, count, start_index=start)
         assert rows.shape == (count, n + 1)
         for i in range(count):  # every row, so a stale generator state would show
-            row = sample_order_statistics(n, SeededStream(seed, start + i))
-            assert np.array_equal(rows[i], row.nodes)
+            assert np.array_equal(rows[i], _fresh_row(n, seed, start + i))
 
 
 @pytest.mark.parametrize("seed, start, count", [
@@ -94,32 +96,35 @@ def test_order_statistic_means():
 
 
 def test_row_validation():
-    with pytest.raises(InputError):
-        TriangularArrayRow(2, np.array([0.5, 0.4, 0.9]))
-    with pytest.raises(InputError):
-        TriangularArrayRow(2, np.array([0.1, 0.4]))
-    with pytest.raises(InputError):
-        TriangularArrayRow(1, np.array([-0.1, 0.5]))
-    with pytest.raises(InputError):
-        sample_order_statistics(0, SeededStream(1, 1))
+    for nodes in ([0.5, 0.4, 0.9],       # unsorted
+                  [0.1, 0.4, math.nan],  # not in [0, 1]
+                  [-0.1, 0.5],
+                  [0.2, 1.5],
+                  [0.3],                 # degree 0
+                  [[0.1, 0.4]]):         # not one row
+        with pytest.raises(InputError):
+            stochastic_bernstein(IDENTITY, nodes, 0.5, 0)
+    with pytest.raises(InputError, match="degree"):
+        sample_rows(0, 1, 1, start_index=1)
 
 
 def test_max_deviation():
     n = 6
-    exact = TriangularArrayRow(n, np.arange(n + 1) / n)
-    assert max_deviation(exact) == 0.0
-    row = TriangularArrayRow(2, np.array([0.1, 0.4, 0.9]))
-    assert max_deviation(row) == pytest.approx(0.1, abs=1e-15)
+    exact = np.arange(n + 1) / n
+    assert max_deviation_rows(exact[None, :])[0] == 0.0
+    row = np.array([[0.1, 0.4, 0.9]])
+    assert max_deviation_rows(row)[0] == pytest.approx(0.1, abs=1e-15)
     rows = sample_rows(9, 5, 200)
     devs = max_deviation_rows(rows)
     assert np.all((devs >= 0.0) & (devs <= 1.0))
-    assert devs[3] == max_deviation(rows[3])
+    assert devs[3] == np.abs(rows[3] - np.arange(10) / 9).max()
+    assert devs[3] == max_deviation_rows(sample_rows(9, 5, 1, start_index=3))[0]
 
 
 def test_stochastic_bernstein_reduction_bit_exact():
     f = build_family("affine_noise", GroundSpace.of_size(3), 1)
     n = 12
-    row = TriangularArrayRow(n, np.arange(n + 1) / n)
+    row = np.arange(n + 1) / n
     for w in range(3):
         samples = f.evaluator((np.arange(n + 1) / n)[:, None], w)
         for x in (0.0, 0.31, 0.77, 1.0):
@@ -130,9 +135,9 @@ def test_stochastic_bernstein_reduction_bit_exact():
 def test_stochastic_bernstein_values():
     const = RandomFunction(SPACE1, 1,
                            lambda pts, w: np.full(np.shape(pts)[:-1], 2.5))
-    row = sample_order_statistics(8, SeededStream(3, 1))
+    row = sample_rows(8, 3, 1, start_index=1)[0]
     assert stochastic_bernstein(const, row, 0.4, 0) == pytest.approx(2.5, abs=1e-12)
-    r = TriangularArrayRow(2, np.array([0.1, 0.5, 0.8]))
+    r = np.array([0.1, 0.5, 0.8])
     got = stochastic_bernstein(IDENTITY, r, 0.5, 0)
     assert got == pytest.approx(0.25 * 0.1 + 0.5 * 0.5 + 0.25 * 0.8, abs=1e-15)
     two_d = RandomFunction(SPACE1, 2, lambda pts, w: np.mean(pts, axis=-1))
