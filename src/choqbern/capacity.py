@@ -361,8 +361,8 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
 
     ``analytic`` mode returns guaranteed verdicts for distorted and
     possibility capacities.  ``exhaustive`` mode compares every pair of
-    subsets against the table, so it costs O(4**M); it is gated at
-    M <= 20 and practical up to M around 13.
+    subsets against the table, so it costs O(4**M); ``subset_table`` gates
+    it at M <= 20, and it is practical up to M around 13.
     """
     if mode not in ("auto", "analytic", "exhaustive"):
         raise InputError(f"unknown mode '{mode}'")
@@ -370,11 +370,8 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
         return PropertyReport(True, True, True, "analytic")
     if mode == "analytic":
         raise InputError("analytic verdicts exist only for distorted/possibility forms")
-    m = cap.atom_count
-    if m > 20:
-        raise CapacityTooLargeError(f"exhaustive check for {m} atoms (limit 20)")
     tbl = subset_table(cap)
-    n = 1 << m
+    n = tbl.size
     masks = np.arange(n, dtype=np.int64)
     tb = tbl[masks]
     monotone = subadditive = submodular = True

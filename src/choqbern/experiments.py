@@ -24,14 +24,13 @@ import numpy as np
 
 from .bernstein import (basis_matrix, moment_sums, multivariate_grid, sikkema_constant,
                         uniform_constant)
-from .capacity import (Capacity, Distortion, GroundSpace, InputError,
-                       PossibilityRepr, capacity_from_spec, check_properties,
-                       distortion_from_spec, known_submodular, subset_table)
+from .capacity import (Capacity, InputError, PossibilityRepr, capacity_from_spec,
+                       check_properties, known_submodular, subset_table)
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
-from .stochastic import (KTable, lemma51_bound, max_deviation_rows, sample_rows,
-                         theorem6_bound)
+from .stochastic import (KTable, _check_slope, lemma51_bound, max_deviation_rows,
+                         sample_rows, theorem6_bound)
 
 ROW_TOLERANCE = 1e-9
 TREND_SLACK = 1e-12
@@ -68,7 +67,11 @@ def named_errors(where: str):
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One measured-versus-bound record; empty fields are None."""
+    """One measured-versus-bound record; empty fields are None.
+
+    ``vacuous`` marks a row whose closed-form bound is at least one, so it
+    passes whatever is measured; the CSV does not carry it.
+    """
 
     experiment: str
     n1: int | None
@@ -79,6 +82,7 @@ class BoundRow:
     r: float | None
     measured: float
     bound: float
+    vacuous: bool = False
 
     @property
     def passed(self) -> bool:
@@ -187,16 +191,19 @@ def _within(x, interval: str) -> bool:
 
 
 def _dim(v, f) -> int:
-    if f["experiment"] == "stochastic" and v != 1:
-        raise ValueError("must be 1 for stochastic runs")
-    return _as(int, v)
+    """Stochastic runs are 1-D and the Choquet-mean estimate is 2-D."""
+    v, need = _as(int, v), {"stochastic": 1, "mean_convergence": 2}.get(f["experiment"])
+    if need is not None and v != need:
+        raise ValueError(f"must be {need} for {f['experiment']} runs")
+    return v
 
 
 def _family(v, f) -> RandomFunction:
     """A name, with 'family_params', or an object {"name": ..., "params": {...}}.
 
     The family is built on the capacity's atoms; a stochastic run needs a
-    continuous one.  An error in building it names where the parameters are.
+    continuous one and a capacity run a bounded one.  An error in building
+    it names where the parameters are.
     """
     name, params, where = v, f["family_params"], "key 'family_params'"
     if isinstance(v, dict):
@@ -206,44 +213,56 @@ def _family(v, f) -> RandomFunction:
         where = "key 'family'"
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
-    cap = f["capacity"][0]
-    space = GroundSpace.of_size(f["atoms"]) if cap is None else cap.space
     with named_errors(where):
-        fn = build_family(name, space, f["dim"], params)
+        fn = build_family(name, f["capacity"].space, f["dim"], params)
     if f["experiment"] == "stochastic" and not fn.continuous:
         raise ValueError(f"family '{name}' is not continuous in x; "
                          "stochastic runs require continuity")
+    if f["experiment"] == "capacity_convergence" and fn.m_sup is None:
+        raise ValueError(f"family '{name}' has no uniform bound; "
+                         "capacity_convergence runs need a bounded family")
     return fn
 
 
-def _capacity(spec, f) -> tuple[Capacity | None, Distortion | None]:
-    """The capacity; a stochastic run keeps only the distortion of a distorted one.
+def _capacity(spec, f) -> Capacity:
+    """The capacity, which must meet the hypotheses of the run's estimate.
 
-    A stochastic run reads nothing else, so it refuses every other key (it
-    would be ignored) and an atom count that is not the run's.
+    Mean and capacity runs need one certified submodular: analytically, or
+    by the exhaustive check for a table of at most 12 atoms.  Possibility
+    runs need a possibility measure.  A stochastic run needs a distorted
+    capacity on the run's atoms whose distortion has a finite positive
+    slope at zero; it reads only that distortion, so it refuses every other
+    key (it would be ignored).
     """
-    if f["experiment"] != "stochastic":
-        return capacity_from_spec(_as(dict, spec)), None
-    spec = _as(dict, spec)
-    rep = _as(dict, spec.get("repr", {}))
-    for where, obj, known in (("capacity", spec, ("atoms", "repr")),
-                              ("capacity.repr", rep, ("type", "distortion"))):
-        unknown = sorted(obj.keys() - set(known))
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r} in {where}; a stochastic "
-                             f"run reads only {', '.join(known)}")
-    atoms = spec.get("atoms", f["atoms"])
-    if (len(atoms) if isinstance(atoms, list) else _as(int, atoms)) != f["atoms"]:
-        raise ValueError(f"capacity atoms {json.dumps(atoms)} differ from the "
-                         f"run's atoms {f['atoms']}")
-    if rep.get("type") != "distorted" or "distortion" not in rep:
-        raise ValueError("stochastic runs need a distorted capacity "
-                         "(repr type 'distorted' with a 'distortion')")
-    u = distortion_from_spec(rep["distortion"])
-    if not 0.0 < u.derivative_at_zero < math.inf:
-        raise ValueError("the distortion slope at zero must be finite and positive "
-                         "for deviation bounds (power with exponent < 1 is rejected)")
-    return None, u
+    spec, run = _as(dict, spec), f["experiment"]
+    if run == "stochastic":
+        rep = _as(dict, spec.get("repr", {}))
+        for where, obj, known in (("capacity", spec, ("atoms", "repr")),
+                                  ("capacity.repr", rep, ("type", "distortion"))):
+            unknown = sorted(obj.keys() - set(known))
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in {where}; a stochastic "
+                                 f"run reads only {', '.join(known)}")
+        atoms = spec.get("atoms", f["atoms"])
+        if (len(atoms) if isinstance(atoms, list) else _as(int, atoms)) != f["atoms"]:
+            raise ValueError(f"capacity atoms {json.dumps(atoms)} differ from the "
+                             f"run's atoms {f['atoms']}")
+        if rep.get("type") != "distorted" or "distortion" not in rep:
+            raise ValueError("stochastic runs need a distorted capacity "
+                             "(repr type 'distorted' with a 'distortion')")
+        spec = {"atoms": atoms, "repr": rep}
+    cap = capacity_from_spec(spec)
+    if run == "stochastic":
+        _check_slope(cap.form.distortion.derivative_at_zero)
+    elif run == "possibility_convergence" and not isinstance(cap.form, PossibilityRepr):
+        raise ValueError("possibility_convergence runs need a possibility capacity")
+    elif run in ("mean_convergence", "capacity_convergence") and not known_submodular(cap):
+        if cap.atom_count > 12:
+            raise ValueError("submodularity cannot be certified "
+                             "(explicit table with more than 12 atoms)")
+        if not check_properties(cap).submodular:
+            raise ValueError("capacity is not submodular")
+    return cap
 
 
 def _default_capacity(f) -> dict:
@@ -314,11 +333,9 @@ _SCHEMA = {
 @dataclass
 class ExperimentConfig:
     experiment: str
-    capacity: Capacity | None
-    distortion: Distortion | None
+    capacity: Capacity
     family: RandomFunction
     dim: int
-    atoms: int
     schedule: list
     p_values: tuple[float, ...]
     grid_points: int
@@ -332,6 +349,10 @@ class ExperimentConfig:
     degenerate_nodes: bool = False
     workers: int = 1
     raw: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def atoms(self) -> int:
+        return self.capacity.atom_count
 
     def config_hash(self) -> str:
         payload = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -359,12 +380,10 @@ class ExperimentConfig:
                 for x in f[key] if isinstance(f[key], tuple) else [f[key]]:
                     if interval and not _within(x, interval):
                         raise ValueError(f"{x!r} is not in {interval}")
-        capacity, distortion = f["capacity"]
-        atoms = f["atoms"] if capacity is None else capacity.atom_count
-        return cls(f["experiment"], capacity, distortion, f["family"], f["dim"],
-                   atoms, f["schedule"], f["p"], f["grid_points"], f["deltas"],
-                   f["epsilons"], f["etas"], f["rs"], f["tau"], f["seed"],
-                   f["samples"], f["degenerate_nodes"], f["workers"], raw)
+        return cls(f["experiment"], f["capacity"], f["family"], f["dim"], f["schedule"],
+                   f["p"], f["grid_points"], f["deltas"], f["epsilons"], f["etas"],
+                   f["rs"], f["tau"], f["seed"], f["samples"], f["degenerate_nodes"],
+                   f["workers"], raw)
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +397,13 @@ def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def require_submodular(cap: Capacity) -> None:
-    """Refuse capacities that cannot be certified submodular."""
-    if known_submodular(cap):
-        return
-    if cap.atom_count <= 12:
-        report = check_properties(cap, mode="exhaustive")
-        if report.submodular:
-            return
-        raise InputError("capacity is not submodular")
-    raise InputError("capacity submodularity cannot be certified "
-                     "(explicit table with more than 12 atoms)")
-
-
-def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float,
-            vacuous: list[int]) -> ExperimentResult:
+def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float) -> ExperimentResult:
     """The rows with the run metadata; ``t0`` is when the timed part began."""
     return ExperimentResult(rows, {
         "experiment": cfg.experiment, "seed": cfg.seed,
         "grid_points": cfg.grid_points, "config_hash": cfg.config_hash(),
-        "wall_time": time.perf_counter() - t0, "vacuous": vacuous})
+        "wall_time": time.perf_counter() - t0,
+        "vacuous": [i for i, r in enumerate(rows) if r.vacuous]})
 
 
 def semi_metric(f: RandomFunction, g: RandomFunction, cap: Capacity,
@@ -475,10 +481,7 @@ def _cp_sup_direct(n1: int, n2: int, p: float, grid: Grid) -> float:
 
 def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Choquet-mean error against the modulus bound along the degree schedule."""
-    if cfg.dim != 2:
-        raise InputError("mean-convergence runs are defined for dim 2")
     f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
-    require_submodular(cap)
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
@@ -506,16 +509,12 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     # rows are p-major: every schedule entry for one p, then the next p
     per_entry = _parallel_map(one_entry, cfg.schedule, cfg.workers)
     rows = [row for rows_of_p in zip(*per_entry) for row in rows_of_p]
-    return _result(cfg, rows, t0, [])
+    return _result(cfg, rows, t0)
 
 
 def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Semi-metric trend, Markov transfer, and threshold rows along the schedule."""
     f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
-    require_submodular(cap)
-    if f.m_sup is None:
-        raise InputError(f"family '{f.name}' has no uniform bound; "
-                         "capacity-convergence runs need a bounded family")
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
@@ -553,14 +552,12 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                 n1, n2 = (*entry, None)[:2]
                 rows.append(BoundRow("capacity_convergence", n1, n2, None, eps, eta,
                                      None, caps[eps_idx], eta))
-    return _result(cfg, rows, t0, [])
+    return _result(cfg, rows, t0)
 
 
 def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-sample quantitative estimate and exceedance trend under possibility."""
     f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
-    if not isinstance(cap.form, PossibilityRepr):
-        raise InputError("possibility-convergence runs need a possibility capacity")
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
@@ -590,7 +587,7 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append(BoundRow("possibility_convergence", n1, n2, None, eps, None,
                                  None, level, trend_bound))
             prev[eps] = level
-    return _result(cfg, rows, t0, [])
+    return _result(cfg, rows, t0)
 
 
 # node values per streamed block of samples: bounds the stochastic sweep's
@@ -645,7 +642,7 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     (seed, d * samples + i) with atom i mod M, so results are independent
     of batching.
     """
-    u = cfg.distortion
+    u = cfg.capacity.form.distortion
     f, grid = cfg.family, Grid(1, cfg.grid_points)
     t0 = time.perf_counter()
     ktab = KTable(f, grid)
@@ -656,14 +653,13 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     degrees = sorted({n for (n,) in cfg.schedule})
 
-    def one_degree(item) -> tuple[int, list[BoundRow], list[int]]:
+    def one_degree(item) -> list[BoundRow]:
         d_idx, n = item
         dev, sup_err = _sample_errors(f, n, cfg, d_idx * s_count, grid, grid_values)
         k_sqrt = float(ktab(1.0 / math.sqrt(n)))
         k_dev = ktab(dev)
 
         out: list[BoundRow] = []
-        vacuous: list[int] = []
         chain_excess = float((sup_err - (c * k_sqrt + k_dev)).max())
         out.append(BoundRow("stochastic", n, None, None, None, None, None,
                             chain_excess, 0.0))
@@ -687,9 +683,8 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             for r in cfg.rs:
                 closed = lemma51_bound(n, eps, r, u_slope)
                 out.append(BoundRow("stochastic", n, None, None, eps, None, r,
-                                    u(p_hat), closed + 3.0 * u_slope * sigma))
-                if closed >= 1.0:
-                    vacuous.append(len(out) - 1)
+                                    u(p_hat), closed + 3.0 * u_slope * sigma,
+                                    vacuous=closed >= 1.0))
         tau_n = tau_value(cfg.tau, n)
         delta6 = math.sqrt(tau_n / n)
         thresh = (1.0 + c) * float(ktab(delta6))
@@ -698,19 +693,12 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         for r in cfg.rs:
             closed = theorem6_bound(n, tau_n, r, u_slope)
             out.append(BoundRow("stochastic", n, None, None, None, None, r,
-                                u(p_hat6), closed + 3.0 * u_slope * sigma6))
-            if closed >= 1.0:
-                vacuous.append(len(out) - 1)
-        return d_idx, out, vacuous
+                                u(p_hat6), closed + 3.0 * u_slope * sigma6,
+                                vacuous=closed >= 1.0))
+        return out
 
-    computed = _parallel_map(one_degree, list(enumerate(degrees)), cfg.workers)
-    rows: list[BoundRow] = []
-    vacuous_all: list[int] = []
-    for _, out, vac in sorted(computed, key=lambda t: t[0]):
-        base = len(rows)
-        rows.extend(out)
-        vacuous_all.extend(base + i for i in vac)
-    return _result(cfg, rows, t0, vacuous_all)
+    per_degree = _parallel_map(one_degree, list(enumerate(degrees)), cfg.workers)
+    return _result(cfg, [row for out in per_degree for row in out], t0)
 
 
 _RUNNERS = {

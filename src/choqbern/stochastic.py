@@ -68,7 +68,8 @@ def max_deviation_rows(rows: np.ndarray) -> np.ndarray:
     """M_n = max over k of |Y_{n,k} - k/n| for each row of a (count, n+1) stack."""
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1] - 1
-    return np.abs(rows - np.arange(n + 1) / n).max(axis=1)
+    dev = rows - np.arange(n + 1) / n
+    return np.abs(dev, out=dev).max(axis=1)
 
 
 def stochastic_bernstein(f: RandomFunction, nodes, x: float, atom: int) -> float:

@@ -9,11 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from choqbern import Capacity, ConfigError
 from choqbern.cli import _load_capacity, run_cli
+from choqbern.randomfn import FAMILIES, RandomFunction
 
 SQRT_CAP = {
     "atoms": ["a", "b"],
     "repr": {"type": "distorted", "distortion": {"kind": "power", "alpha": 0.5},
              "weights": [0.5, 0.5]},
+}
+
+NON_SUBMODULAR_CAP = {
+    "atoms": 2,
+    "repr": {"type": "table", "values": {"": 0.0, "0": 0.1, "1": 0.1, "0,1": 1.0}},
 }
 
 POSSIBILITY_CAP = {
@@ -345,6 +351,12 @@ def test_threads_flag(tmp_path, capsys):
       "family": {"name": "affine_noise", "params": {"bogus": 1}}}, "family"),
     ({"experiment": "mean_convergence", "family_params": {"bogus": 1}},
      "family_params"),
+    # the hypotheses of each run's estimate
+    ({"experiment": "mean_convergence", "dim": 1, "schedule": [4, 8]}, "dim"),
+    ({"experiment": "mean_convergence", "capacity": NON_SUBMODULAR_CAP}, "capacity"),
+    ({"experiment": "possibility_convergence", "capacity": {"atoms": 3, "repr": {
+        "type": "distorted", "distortion": {"kind": "rational_2t"}}}}, "capacity"),
+    ({"experiment": "capacity_convergence", "capacity": NON_SUBMODULAR_CAP}, "capacity"),
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)
@@ -352,6 +364,31 @@ def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: key '{key}': ")
     assert "Traceback" not in err
+
+
+def test_experiment_unbounded_family_names_its_key(tmp_path, capsys, monkeypatch):
+    def build(space, dim, params):
+        return RandomFunction(space, dim, lambda pts, w: np.mean(pts, axis=-1),
+                              name="unbounded", m_sup=None)
+    monkeypatch.setitem(FAMILIES, "_unbounded", build)
+    cfg = _write_config(tmp_path, {"experiment": "capacity_convergence",
+                                   "family": "_unbounded", "schedule": [4]})
+    assert run_cli(["experiment", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: key 'family': ")
+
+
+def test_experiment_and_stochastic_print_one_slope_message(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"experiment": "stochastic", "capacity": {
+        "repr": {"type": "distorted", "distortion": {"kind": "power"}}}})
+    assert run_cli(["experiment", "--config", cfg]) == 2
+    from_config = capsys.readouterr().err
+    assert run_cli(["stochastic", "--n", "5", "--epsilon", "0.1",
+                    "--distortion", "power"]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_config.startswith("error: key 'capacity': ")
+    assert from_flag.startswith("error: --distortion: ")
+    assert (from_config.removeprefix("error: key 'capacity': ")
+            == from_flag.removeprefix("error: --distortion: "))
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--index", 2 ** 64)])

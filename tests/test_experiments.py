@@ -37,7 +37,7 @@ def test_minimal_config_defaults():
     assert cfg.grid_points == 65
     assert cfg.capacity is not None
     cfg_s = ExperimentConfig.from_mapping({"experiment": "stochastic"})
-    assert cfg_s.distortion.kind == "rational_2t"
+    assert cfg_s.capacity.form.distortion.kind == "rational_2t"
     assert cfg_s.dim == 1
     assert cfg_s.schedule == [(25,), (100,), (400,)]  # 1-D entries are tuples too
     assert cfg_s.family.name == "affine_noise" and cfg_s.family.dim == 1
@@ -212,6 +212,36 @@ def test_from_mapping_returns_a_config_or_config_error(near, arbitrary):
     assert isinstance(cfg, ExperimentConfig)
 
 
+_RUN_CAPACITIES = [
+    {"atoms": 5, "repr": {"type": "distorted",
+                          "distortion": {"kind": "power", "alpha": 0.5}}},
+    {"atoms": 5, "repr": {"type": "distorted", "distortion": {"kind": "rational_2t"}}},
+    {"atoms": 3, "repr": {"type": "possibility", "lambda": [0.5, 1.0, 0.3]}},
+    {"atoms": 2, "repr": {"type": "table",  # not submodular
+                          "values": {"": 0.0, "0": 0.1, "1": 0.1, "0,1": 1.0}}},
+    {"atoms": 2, "repr": {"type": "table",
+                          "values": {"": 0.0, "0": 0.6, "1": 0.6, "0,1": 1.0}}},
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.fixed_dictionaries(
+    {"experiment": st.sampled_from(EXPERIMENT_IDS), "grid_points": st.just(9),
+     "schedule": st.just([2, 4]), "samples": st.just(50),
+     "tau": st.just({"kind": "const", "scale": 1})},
+    optional={"dim": st.sampled_from([1, 2]),
+              "capacity": st.sampled_from(_RUN_CAPACITIES),
+              "family": st.sampled_from(["affine_noise", "step_noise",
+                                         "deterministic:absdev"])}))
+def test_a_config_that_parses_also_runs(config):
+    # every hypothesis of a run's estimate is checked when the config is parsed
+    try:
+        cfg = ExperimentConfig.from_mapping(config)
+    except ConfigError:
+        return
+    assert run_experiment(cfg).rows
+
+
 def test_semi_metric_properties(rng):
     space = GroundSpace.of_size(4)
     cap = random_capacity(rng, 4, kind="distorted")
@@ -252,20 +282,18 @@ def test_cp_sup_closed_form_matches_direct_sum(n1, n2, g):
 
 
 def test_mean_convergence_refuses_non_submodular():
-    cfg = _cfg({"capacity": {
-        "atoms": 2,
-        "repr": {"type": "table",
-                 "values": {"": 0.0, "0": 0.1, "1": 0.1, "0,1": 1.0}}}})
-    with pytest.raises(InputError, match="submodular"):
-        run_mean_convergence(cfg)
+    with pytest.raises(ConfigError, match="^key 'capacity': .*not submodular"):
+        _cfg({"capacity": {
+            "atoms": 2,
+            "repr": {"type": "table",
+                     "values": {"": 0.0, "0": 0.1, "1": 0.1, "0,1": 1.0}}}})
 
 
 def test_mean_convergence_requires_dim2():
-    cfg = ExperimentConfig.from_mapping({
-        "experiment": "mean_convergence", "family": "affine_noise", "dim": 1,
-        "schedule": [4, 8]})
-    with pytest.raises(InputError, match="dim 2"):
-        run_mean_convergence(cfg)
+    with pytest.raises(ConfigError, match="^key 'dim': must be 2"):
+        ExperimentConfig.from_mapping({
+            "experiment": "mean_convergence", "family": "affine_noise", "dim": 1,
+            "schedule": [4, 8]})
 
 
 def test_capacity_convergence_rows_recomputable(tmp_path):
@@ -290,23 +318,21 @@ def test_capacity_convergence_unbounded_family_rejected():
                               name="unbounded", m_sup=None)
     FAMILIES["_unbounded"] = build
     try:
-        cfg = ExperimentConfig.from_mapping({
-            "experiment": "capacity_convergence", "family": "_unbounded",
-            "schedule": [4]})
-        with pytest.raises(InputError, match="bound"):
-            run_capacity_convergence(cfg)
+        with pytest.raises(ConfigError, match="^key 'family': .*bounded family"):
+            ExperimentConfig.from_mapping({
+                "experiment": "capacity_convergence", "family": "_unbounded",
+                "schedule": [4]})
     finally:
         del FAMILIES["_unbounded"]
 
 
 def test_possibility_convergence_requires_possibility():
-    cfg = ExperimentConfig.from_mapping({
-        "experiment": "possibility_convergence", "family": "affine_noise",
-        "capacity": {"atoms": 3, "repr": {
-            "type": "distorted", "distortion": {"kind": "rational_2t"}}},
-        "schedule": [4]})
-    with pytest.raises(InputError, match="possibility"):
-        run_possibility_convergence(cfg)
+    with pytest.raises(ConfigError, match="^key 'capacity': .*possibility capacity"):
+        ExperimentConfig.from_mapping({
+            "experiment": "possibility_convergence", "family": "affine_noise",
+            "capacity": {"atoms": 3, "repr": {
+                "type": "distorted", "distortion": {"kind": "rational_2t"}}},
+            "schedule": [4]})
 
 
 def test_possibility_convergence_trend_and_estimate():
@@ -390,7 +416,7 @@ def test_stochastic_capacity_keys_it_reads_still_parse():
                      {"atoms": ["a", "b", "c", "d"], "repr": _DISTORTED}):
         cfg = ExperimentConfig.from_mapping({"experiment": "stochastic", "atoms": 4,
                                              "capacity": capacity})
-        assert cfg.atoms == 4 and cfg.distortion.kind == "rational_2t"
+        assert cfg.atoms == 4 and cfg.capacity.form.distortion.kind == "rational_2t"
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
