@@ -408,10 +408,10 @@ def distortion_from_spec(obj: Mapping) -> Distortion:
 def capacity_from_spec(obj: Mapping) -> Capacity:
     """Parse ``{"atoms": ..., "repr": {"type": ..., ...}}``.
 
-    ``atoms`` is a label list or an atom count.  Representation types are
-    "table" (key "values": subset -> value, subsets as comma-joined atom
-    indices, "" for the empty set), "distorted" (keys "distortion" and
-    "weights") and "possibility" (key "lambda").
+    ``atoms`` is a label list or an atom count (an int, not a bool).
+    Representation types are "table" (key "values": subset -> value, subsets
+    as comma-joined atom indices, "" for the empty set), "distorted" (keys
+    "distortion" and "weights") and "possibility" (key "lambda").
     """
     if "repr" not in obj:
         raise ConstructionError("capacity object missing key 'repr'")
@@ -420,12 +420,15 @@ def capacity_from_spec(obj: Mapping) -> Capacity:
         raise ConstructionError("capacity repr missing key 'type'")
     kind = rep["type"]
     atoms = obj.get("atoms")
-    if isinstance(atoms, int):
+    if isinstance(atoms, int) and not isinstance(atoms, bool):
         space = GroundSpace.of_size(atoms)
-    elif atoms is not None:
+    elif isinstance(atoms, list):
         space = GroundSpace(tuple(str(a) for a in atoms))
-    else:
+    elif atoms is None:
         space = None
+    else:
+        raise ConstructionError(f"capacity 'atoms' must be an atom count or a label "
+                                f"list, got {atoms!r}")
 
     if kind == "distorted":
         if "distortion" not in rep:

@@ -595,14 +595,19 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 _BLOCK_CELLS = 2_000_000
 
 
-def _sup_errors(f: RandomFunction, rows: np.ndarray, atoms: np.ndarray,
+def _sup_errors(f: RandomFunction, rows: np.ndarray, start: int,
                 basis_t: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
-    """Per-sample sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|."""
+    """Per-sample sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.
+
+    Row i is sample ``start + i``, on atom (start + i) mod M, so rows i,
+    i + M, ... share one atom and are evaluated through one strided view.
+    """
+    m = f.atom_count
     node_vals = np.empty_like(rows)
-    for w in np.unique(atoms):
-        sel = atoms == w
-        node_vals[sel] = f.evaluator(rows[sel][..., None], int(w))
+    for i in range(min(m, len(rows))):
+        node_vals[i::m] = f.evaluator(rows[i::m][..., None], (start + i) % m)
     approx = node_vals @ basis_t
+    atoms = np.arange(start, start + len(rows)) % m
     return np.abs(approx - grid_values[:, atoms].T).max(axis=1)
 
 
@@ -615,7 +620,7 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
     so memory does not grow with ``cfg.samples``.  Sample i uses substream
     ``start_index + i`` and atom i mod M.
     """
-    s_count, m = cfg.samples, f.atom_count
+    s_count = cfg.samples
     basis_t = basis_matrix(n, grid.coords).T
     dev, sup_err = np.empty(s_count), np.empty(s_count)
     block = max(1, _BLOCK_CELLS // (n + 1))
@@ -626,8 +631,7 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
         else:
             rows = sample_rows(n, cfg.seed, count, start_index=start_index + s)
         dev[s:s + count] = max_deviation_rows(rows)
-        atoms = np.arange(s, s + count) % m
-        sup_err[s:s + count] = _sup_errors(f, rows, atoms, basis_t, grid_values)
+        sup_err[s:s + count] = _sup_errors(f, rows, s, basis_t, grid_values)
     return dev, sup_err
 
 

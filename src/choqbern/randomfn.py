@@ -225,6 +225,28 @@ def _powered_integrals(v: np.ndarray, mu: np.ndarray, powers) -> list[np.ndarray
     return [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
 
 
+def _predecessor_lbs(atoms: np.ndarray, mu_table: np.ndarray, powers, dx: int,
+                     tops: dict) -> dict:
+    """Per-p lower bounds of the offsets (dx, dy) whose (dx - 1, dy) was walked.
+
+    ``atoms`` is the atom-major grid tensor and ``tops[dy]`` the grid position
+    of the top-UB cell of (dx - 1, dy); clipped into the one fewer first-axis
+    position of (dx, dy), it is a cell of (dx, dy), and the LB is that cell's
+    integral.  One gather and one ``sorted_levels`` call serve every dy.
+    """
+    if not tops:
+        return {}
+    dim = atoms.ndim - 1
+    dys = list(tops)
+    pos = np.array([tops[dy] for dy in dys]).T  # (dim, len(dys))
+    pos[0] = np.minimum(pos[0], atoms.shape[1] - 1 - dx)
+    steps = np.array([(dx, dy)[:dim] for dy in dys]).T
+    a = atoms[(slice(None), *(pos + np.maximum(steps, 0)))]
+    b = atoms[(slice(None), *(pos + np.maximum(-steps, 0)))]
+    lbs = _powered_integrals(*sorted_levels(np.abs(a - b).T, mu_table), powers)
+    return {dy: [lb[k] for lb in lbs] for k, dy in enumerate(dys)}
+
+
 class ChoquetModulusTable:
     """Per-offset maxima of the Choquet L^p distance between grid translates.
 
@@ -238,9 +260,16 @@ class ChoquetModulusTable:
     terms (h_k - h_(k-1)) mu_k sum to at most max(h) * mu_0 (Abel summation,
     mu_k nonincreasing in k).  No submodularity is needed, and mu of the
     full set may exceed 1.  So per offset, with UB the max over atoms of a
-    cell's |D| and LB_p the integral of the cell of largest UB, a cell with
-    UB^p * max(mu_table) < LB_p cannot hold the offset's maximum; only the
-    other cells go through ``sorted_levels``/``telescoped_sum``.
+    cell's |D| and LB_p the integral of any one cell of the offset, a cell
+    with UB^p * max(mu_table) < LB_p cannot hold the offset's maximum; only
+    the other cells go through ``sorted_levels``/``telescoped_sum``.
+
+    The LB cell of (dx, dy) is the top-UB grid position of (dx - 1, dy),
+    clipped into the cell range of (dx, dy): neighbouring offsets peak at
+    nearby positions, and one gather and one ``sorted_levels`` call give
+    the LBs of every dy of a dx before its dy loop.  Offsets with no
+    (dx - 1, dy), which are (0, dy > 0) and (1, dy <= 0), and (1,) in 1-D,
+    take their own top-UB cell.
 
     Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
     one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
@@ -252,15 +281,17 @@ class ChoquetModulusTable:
     So a cell's computed integral stays below its computed bound once the
     factor exceeds 1 + (M + 7)u + O(M u^2); the factor
     max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
-    leaves (M + 1)u for the second-order terms.  So a pruned cell's
-    computed integral is below LB_p, and the cell of largest UB is kept.
+    leaves (M + 1)u for the second-order terms.  LB_p is the computed
+    integral of a cell of the offset, so it is at most the offset's computed
+    maximum: a pruned cell's computed integral is below it, and the cell
+    holding the maximum is kept.
 
     The kept cells of every dy of one dx run through the kernel together,
     and ``np.maximum.reduceat`` takes each offset's maximum; each cell's
     integral does not depend on the batch (``telescoped_sum``
-    is elementwise per column), so every table entry has the bits an
-    unpruned kernel gives it.  The working set is one offset's |D| plus one
-    dx's kept cells.
+    is elementwise per column), so LB_p has the bits of its cell's kernel
+    result, and every table entry has the bits an unpruned kernel gives it.
+    The working set is one offset's |D| plus one dx's kept cells.
     """
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
@@ -290,17 +321,22 @@ class ChoquetModulusTable:
         # (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D; written through (w1 + 1, -1) views
         self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in self.powers}
         cells = {p: off.reshape(w1 + 1, -1) for p, off in self._off.items()}
+        tops = {}  # dy -> grid position of the previous dx's top-UB cell
         for dx, group in groupby(_offsets(w1, w2), key=lambda o: o[0]):
             dys = [dy for _, dy in group]
+            lbs = _predecessor_lbs(atoms, mu_table, self.powers, dx, tops)
+            tops = {}
             kept = []
             for dy in dys:
                 a, b = _translate_pair(atoms, (0, dx, dy)[:1 + f.dim])
                 d = np.abs(a - b).reshape(m, -1)
                 ub = d.max(axis=0)
-                top = d[:, ub.argmax()].reshape(1, m)
-                lbs = _powered_integrals(*sorted_levels(top, mu_table), self.powers)
-                keep = np.any([(ub if p == 1.0 else ub ** p) * keep_factor >= lb
-                               for p, lb in zip(self.powers, lbs)], axis=0)
+                top = ub.argmax()
+                tops[dy] = np.unravel_index(top, a.shape[1:])
+                lb = lbs[dy] if dy in lbs else _powered_integrals(
+                    *sorted_levels(d[:, top].reshape(1, m), mu_table), self.powers)
+                keep = np.any([(ub if p == 1.0 else ub ** p) * keep_factor >= lb_p
+                               for p, lb_p in zip(self.powers, lb)], axis=0)
                 kept.append(d.compress(keep, axis=1))
             starts = np.cumsum([0] + [k.shape[1] for k in kept[:-1]])
             v, mu = sorted_levels(np.concatenate(kept, axis=1).T, mu_table)

@@ -102,6 +102,9 @@ def test_bad_capacity_file_is_input_error(tmp_path, capsys):
     {"atoms": 2, "repr": {"type": "table", "values": []}},
     {"atoms": 2, "repr": {"type": "possibility", "lambda": [None, 1]}},
     {"atoms": 2, "repr": {"type": "distorted", "distortion": {"kind": "custom_table"}}},
+    # each would parse, to as many atoms as lambda has entries, if iterated
+    *[{"atoms": atoms, "repr": {"type": "possibility", "lambda": [1.0] * n}}
+      for atoms, n in (("ab", 2), ({"x": 1, "y": 2}, 2), (True, 1))],
 ])
 @pytest.mark.parametrize("command", [
     ["capacity-check"], ["integrate", "--values", "0,1"],
@@ -357,6 +360,11 @@ def test_threads_flag(tmp_path, capsys):
     ({"experiment": "possibility_convergence", "capacity": {"atoms": 3, "repr": {
         "type": "distorted", "distortion": {"kind": "rational_2t"}}}}, "capacity"),
     ({"experiment": "capacity_convergence", "capacity": NON_SUBMODULAR_CAP}, "capacity"),
+    # atoms is an atom count or a label list, nothing else that iterates
+    *[({"experiment": run, "capacity": {"atoms": atoms, "repr": {
+        "type": "distorted", "distortion": {"kind": "rational_2t"}}}}, "capacity")
+      for run in ("capacity_convergence", "stochastic")
+      for atoms in ("abc", {"x": 1, "y": 2}, True)],
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)

@@ -6,7 +6,7 @@ import pytest
 from choqbern import (DiscreteProbability, GroundSpace, InputError,
                       PossibilityDistribution, check_properties, choquet_modulus,
                       make_distorted, make_distortion, make_possibility, make_table,
-                      stochastic_modulus, subset_table)
+                      randomfn, stochastic_modulus, subset_table)
 from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
@@ -249,28 +249,78 @@ def _unpruned_off(f, cap, grid, max_deltas, powers):
     return off
 
 
+def _random_deltas(rng, grid):
+    """Random per-axis deltas; in 2-D their two windows differ."""
+    while True:
+        deltas = tuple(rng.uniform(0.05, 1.0, grid.dim))
+        w1, w2 = _box_windows(deltas, grid)
+        if grid.dim == 1 or w1 != w2:
+            return deltas
+
+
 @pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
 @pytest.mark.parametrize("kind", ["possibility", "distorted", "table", "table above 1"])
 def test_pruned_modulus_table_equals_unpruned_kernel(rng, kind):
-    m = 4
-    space = GroundSpace.of_size(m)
-    if kind == "table above 1":
-        # the bound uses max(mu_table), here the full-set value 1 + TOL/2
-        cap = make_table(space, random_monotone_table(rng, m) * (1.0 + TOL / 2))
-    else:
-        cap = random_capacity(rng, m, kind=kind)
-    if kind.startswith("table"):
-        assert not check_properties(cap, mode="exhaustive").submodular
-    powers = (1.0, 1.5, 3.0)
-    for name in ("affine_noise", "step_noise"):
-        for dim in (1, 2):
-            f = build_family(name, space, dim, {"z": list(rng.uniform(-1, 1, m))})
-            grid = Grid(dim, 33 if dim == 1 else 13)
-            deltas = (0.5,) * dim
-            table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
-            want = _unpruned_off(f, cap, grid, deltas, powers)
-            for p in powers:
-                assert np.array_equal(table._off[p], want[p])
+    for m in (4, 1, 9):
+        space = GroundSpace.of_size(m)
+        if kind == "table above 1":
+            # the bound uses max(mu_table), here the full-set value 1 + TOL/2
+            cap = make_table(space, random_monotone_table(rng, m) * (1.0 + TOL / 2))
+        else:
+            cap = random_capacity(rng, m, kind=kind)
+        if kind.startswith("table") and m > 1:
+            assert not check_properties(cap, mode="exhaustive").submodular
+        powers = (1.0, 1.5, 3.0)
+        for name in ("affine_noise", "step_noise"):
+            for dim in (1, 2):
+                f = build_family(name, space, dim, {"z": list(rng.uniform(-1, 1, m))})
+                grid = Grid(dim, 33 if dim == 1 else 13)
+                for deltas in ((0.5,) * dim, _random_deltas(rng, grid)):
+                    table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
+                    want = _unpruned_off(f, cap, grid, deltas, powers)
+                    for p in powers:
+                        assert np.array_equal(table._off[p], want[p])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
+    # every |D| is 0, so UB^p * factor equals every LB: the keep test must pass
+    # every cell, or offsets with no kept cell would corrupt the reduceat
+    calls = []
+    monkeypatch.setattr(randomfn, "sorted_levels",
+                        lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
+    space = GroundSpace.of_size(3)
+    cap = make_possibility(PossibilityDistribution((0.4, 1.0, 0.7)))
+    grid = Grid(dim, 33 if dim == 1 else 13)
+    table = ChoquetModulusTable(constant_fn(2.0, space, dim), cap, grid, 0.5,
+                                powers=(1.0, 2.0))
+    g = grid.points_per_axis
+    cells = sum(math.prod(g - abs(d) for d in o[:dim])
+                for o in _offsets(*_box_windows((0.5,) * dim, grid)))
+    assert sum(calls) >= cells
+    for p in (1.0, 2.0):
+        assert not table._off[p].any()
+
+
+def test_pruned_modulus_table_c08_shape(monkeypatch):
+    """The C08 table: M = 5, g = 65, window 0.5, p in {1, 2}."""
+    space = GroundSpace.of_size(5)
+    f = build_family("affine_noise", space, 2,
+                     {"z": list(np.random.default_rng(3).uniform(-1, 1, 5))})
+    cap = make_distorted(make_distortion("power", alpha=0.5),
+                         DiscreteProbability.uniform(5))
+    grid, deltas, powers = Grid(2, 65), (0.5, 0.5), (1.0, 2.0)
+    calls = []
+    monkeypatch.setattr(randomfn, "sorted_levels",
+                        lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
+    table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
+    # own LB call for the 65 offsets with no (dx - 1, dy): (0, dy > 0) and
+    # (1, dy <= 0); one LB batch per dx >= 1 and one kernel batch per dx
+    assert len(calls) == 65 + 32 + 33
+    monkeypatch.undo()
+    want = _unpruned_off(f, cap, grid, deltas, powers)
+    for p in powers:
+        assert np.array_equal(table._off[p], want[p])
 
 
 def test_modulus_table_multi_power_and_query_errors(cap1):
