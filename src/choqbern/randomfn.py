@@ -241,6 +241,7 @@ def _predecessor_lbs(atoms: np.ndarray, mu_table: np.ndarray, powers, dx: int,
     pos = np.array([tops[dy] for dy in dys]).T  # (dim, len(dys))
     pos[0] = np.minimum(pos[0], atoms.shape[1] - 1 - dx)
     steps = np.array([(dx, dy)[:dim] for dy in dys]).T
+    # the cells of ``_translate_pair``: a at pos + max(step, 0), b at pos + max(-step, 0)
     a = atoms[(slice(None), *(pos + np.maximum(steps, 0)))]
     b = atoms[(slice(None), *(pos + np.maximum(-steps, 0)))]
     lbs = _powered_integrals(*sorted_levels(np.abs(a - b).T, mu_table), powers)
