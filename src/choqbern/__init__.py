@@ -6,7 +6,7 @@ from .capacity import (Capacity, CapacityTooLargeError, ConstructionError,
                        DiscreteProbability, Distortion, GroundSpace, InputError,
                        PossibilityDistribution, PropertyReport, capacity_from_spec,
                        check_properties, distortion_from_spec, eval_capacity,
-                       make_distorted, make_distortion, make_possibility,
+                       eval_sets, make_distorted, make_distortion, make_possibility,
                        make_table, subset_table)
 from .choquet import (AtomFunction, IntegralResult, capacity_distribution_function,
                       choquet_integral, choquet_integral_oracle, choquet_lp_norm,

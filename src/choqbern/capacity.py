@@ -5,7 +5,9 @@ atoms, is zero on the empty set, one on the full set, and monotone under
 inclusion.  Three representations are supported: an explicit table over
 all subsets, a distorted probability u(P) for a nondecreasing concave
 distortion u, and a possibility measure induced by a pointwise
-distribution.  Subsets are bitmasks over atom indices throughout.
+distribution.  Subsets are bitmasks over atom indices, or rows of a
+boolean membership array for ``eval_sets``, the one place that holds each
+representation's set rule.
 
 All objects are immutable after construction (the only internal mutation
 is memoization of the full subset table), so they are safe to share
@@ -35,6 +37,9 @@ class InputError(ValueError):
     """An argument to a capacity operation is out of range."""
 
 
+TABLE_ATOM_LIMIT = 20  # most atoms whose 2**M subset table is built
+
+
 class CapacityTooLargeError(ValueError):
     """Exhaustive subset enumeration was requested for more than 20 atoms."""
 
@@ -59,10 +64,6 @@ class GroundSpace:
     def atom_count(self) -> int:
         return len(self.atom_labels)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.atom_count) - 1
-
 
 def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
     """Normalize a subset (bitmask int, index iterable, or None for all)."""
@@ -82,16 +83,11 @@ def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
     return mask
 
 
-def mask_indices(mask: int) -> list[int]:
-    """Atom indices contained in a bitmask, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def as_members(subset: Union[int, Iterable[int], None], m: int) -> np.ndarray:
+    """Boolean (m,) membership of a subset given as for ``as_mask``."""
+    mask = as_mask(subset, m)
+    packed = np.frombuffer(mask.to_bytes(-(-m // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=m, bitorder="little").astype(bool)
 
 
 @dataclass(frozen=True)
@@ -112,9 +108,6 @@ class DiscreteProbability:
     @classmethod
     def uniform(cls, m: int) -> "DiscreteProbability":
         return cls(tuple(1.0 / m for _ in range(m)))
-
-    def mass(self, mask: int) -> float:
-        return float(sum(self.weights[i] for i in mask_indices(mask)))
 
 
 @dataclass(frozen=True)
@@ -300,20 +293,49 @@ def make_possibility(lam: PossibilityDistribution,
     return Capacity(space, PossibilityRepr(lam))
 
 
+def _fold(cap: Capacity, acc: np.ndarray, grow: Callable, empty) -> np.ndarray:
+    """The set rule of the distorted and possibility forms, folded over the atoms.
+
+    A set's accumulator starts from 0 and takes its atoms in ascending order:
+    a mass adds each weight, a possibility level keeps the largest.
+    ``grow(acc, grown, i)`` puts atom i into the sets, given every accumulator
+    grown by it, so ``subset_table``'s doubling and ``eval_sets``' masked rows
+    give each set the same bits.  A distorted value is u(clip(mass, 0, 1)),
+    and 0 on the ``empty`` sets.
+    """
+    form = cap.form
+    distorted = isinstance(form, DistortedRepr)
+    for i in range(cap.atom_count):
+        acc = grow(acc, acc + form.probability.weights[i] if distorted
+                   else np.maximum(acc, form.distribution.levels[i]), i)
+    if not distorted:
+        return acc
+    # weights carry a 1e-12 construction tolerance; keep the mass inside
+    # the distortion's domain
+    out = np.asarray(form.distortion(np.clip(acc, 0.0, 1.0)), dtype=float)
+    out[empty] = 0.0
+    return out
+
+
+def eval_sets(cap: Capacity, member: np.ndarray) -> np.ndarray:
+    """Capacity of each set in a (K, M) boolean membership array.
+
+    A table is looked up by bitmask; the other forms need none, so any M
+    works, and they agree bit for bit with ``subset_table``.
+    """
+    member = np.asarray(member, dtype=bool)
+    if member.ndim != 2 or member.shape[1] != cap.atom_count:
+        raise InputError(f"expected (K, {cap.atom_count}) membership rows, got {member.shape}")
+    if isinstance(cap.form, TableRepr):
+        return cap.form.values[member @ (np.int64(1) << np.arange(cap.atom_count))]
+    return _fold(cap, np.zeros(len(member)),
+                 lambda acc, grown, i: np.where(member[:, i], grown, acc),
+                 ~member.any(axis=1))
+
+
 def eval_capacity(cap: Capacity, subset: Union[int, Iterable[int], None]) -> float:
     """Value of the capacity on a subset (bitmask, index iterable, or None=all)."""
-    mask = as_mask(subset, cap.atom_count)
-    form = cap.form
-    if isinstance(form, TableRepr):
-        return float(form.values[mask])
-    if mask == 0:
-        return 0.0
-    if isinstance(form, DistortedRepr):
-        # weights carry a 1e-12 construction tolerance; keep the mass inside
-        # the distortion's domain
-        mass = min(max(form.probability.mass(mask), 0.0), 1.0)
-        return float(form.distortion(mass))
-    return float(max(form.distribution.levels[i] for i in mask_indices(mask)))
+    return float(eval_sets(cap, as_members(subset, cap.atom_count)[None, :])[0])
 
 
 def subset_table(cap: Capacity) -> np.ndarray:
@@ -321,22 +343,12 @@ def subset_table(cap: Capacity) -> np.ndarray:
     if cap._table is not None:
         return cap._table
     m = cap.atom_count
-    if m > 20:
-        raise CapacityTooLargeError(f"subset table for {m} atoms (limit 20)")
-    form = cap.form
-    if isinstance(form, TableRepr):
-        tbl = form.values
-    elif isinstance(form, DistortedRepr):
-        mass = np.zeros(1)
-        for w in form.probability.weights:
-            mass = np.concatenate([mass, mass + w])
-        tbl = np.asarray(form.distortion(np.clip(mass, 0.0, 1.0)), dtype=float)
-        tbl[0] = 0.0
+    if m > TABLE_ATOM_LIMIT:
+        raise CapacityTooLargeError(f"subset table for {m} atoms (limit {TABLE_ATOM_LIMIT})")
+    if isinstance(cap.form, TableRepr):
+        tbl = cap.form.values
     else:
-        lam = np.zeros(1)
-        for v in form.distribution.levels:
-            lam = np.concatenate([lam, np.maximum(lam, v)])
-        tbl = lam
+        tbl = _fold(cap, np.zeros(1), lambda acc, grown, i: np.concatenate([acc, grown]), 0)
     tbl = np.ascontiguousarray(tbl, dtype=float)
     tbl.setflags(write=False)
     cap._table = tbl
@@ -373,7 +385,6 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
     tbl = subset_table(cap)
     n = tbl.size
     masks = np.arange(n, dtype=np.int64)
-    tb = tbl[masks]
     monotone = subadditive = submodular = True
     chunk = max(1, (1 << 22) // n)
     for start in range(0, n, chunk):
@@ -384,11 +395,11 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
         ti = tbl[a & b]
         if monotone:
             is_subset = (a & b) == a
-            monotone = bool(np.all(~is_subset | (ta <= tb + tol)))
+            monotone = bool(np.all(~is_subset | (ta <= tbl + tol)))
         if subadditive:
-            subadditive = bool(np.all(tu <= ta + tb + tol))
+            subadditive = bool(np.all(tu <= ta + tbl + tol))
         if submodular:
-            submodular = bool(np.all(tu + ti <= ta + tb + tol))
+            submodular = bool(np.all(tu + ti <= ta + tbl + tol))
         if not (monotone or subadditive or submodular):
             break
     return PropertyReport(monotone, subadditive, submodular, "exhaustive")

@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .capacity import Capacity, InputError, as_mask, eval_capacity, mask_indices
+from .capacity import Capacity, InputError, as_members, eval_sets
 
 P_MAX = 16.0  # largest supported L^p exponent
 
@@ -50,29 +50,26 @@ def _atom_values(f, m: int) -> np.ndarray:
 
 def choquet_integral(f, cap: Capacity,
                      subset: Union[int, Iterable[int], None] = None) -> IntegralResult:
-    """Sorted-sum Choquet integral of f over a subset (default: all atoms).
+    """Sorted-sum Choquet integral of f over a subset A (default: all atoms).
 
-    With the distinct values v1 < ... < vm of f on A, the integral equals
-    v1*mu(A) + sum_i (v_i - v_{i-1}) * mu(A intersect {f >= v_i}), which
-    telescopes the survival-function definition exactly.  Ties are
-    deduplicated first, so the result is invariant under permutations of
-    equal values.
+    A one-row ``telescoped_sum``: with A's atoms ranked by a stable sort of
+    their values v_0 <= ... <= v_{k-1}, the integral is
+    sum_r (v_r - v_{r-1}) * mu(atoms of A at ranks >= r) with v_{-1} = 0,
+    which telescopes the survival-function definition exactly; tied atoms
+    add exact-zero terms.  The upper-set capacities come from ``eval_sets``,
+    so on the full set the result is ``integral_batch`` of the row, bit for bit.
     """
     m = cap.atom_count
-    mask = as_mask(subset, m)
+    member = as_members(subset, m)
     vals = _atom_values(f, m)
-    if mask == 0:
+    order = np.flatnonzero(member)
+    if order.size == 0:
         return IntegralResult(0.0, "sorted_sum", 0)
-    idx = mask_indices(mask)
-    distinct = np.unique(vals[idx])
-    total = float(distinct[0]) * eval_capacity(cap, mask)
-    for j in range(1, distinct.size):
-        level = 0
-        for i in idx:
-            if vals[i] >= distinct[j]:
-                level |= 1 << i
-        total += (float(distinct[j]) - float(distinct[j - 1])) * eval_capacity(cap, level)
-    return IntegralResult(total, "sorted_sum", 0)
+    order = order[np.argsort(vals[order], kind="stable")]
+    upper = np.zeros((order.size, m), dtype=bool)
+    upper[:, order] = np.tri(order.size, dtype=bool).T  # row r: the ranks >= r
+    mu = eval_sets(cap, upper)
+    return IntegralResult(float(telescoped_sum(vals[order], mu)), "sorted_sum", 0)
 
 
 def choquet_integral_oracle(f, cap: Capacity,
@@ -90,42 +87,26 @@ def choquet_integral_oracle(f, cap: Capacity,
     if steps < 1000:
         raise InputError("oracle needs steps >= 1000")
     m = cap.atom_count
-    mask = as_mask(subset, m)
+    member = as_members(subset, m)
     vals = _atom_values(f, m)
-    if mask == 0:
+    if not member.any():
         return IntegralResult(0.0, "riemann_oracle", 0)
-    idx = mask_indices(mask)
-    on_set = vals[np.asarray(idx)]
-    distinct = np.unique(on_set)
-    mu_a = eval_capacity(cap, mask)
+    distinct = np.unique(vals[member])
     # survivors[j] = mu(A intersect {f > distinct[j-1]}); survivors[0] = mu(A)
-    survivors = np.empty(distinct.size + 1)
-    survivors[0] = mu_a
-    for j, t in enumerate(distinct):
-        level = 0
-        for i in idx:
-            if vals[i] > t:
-                level |= 1 << i
-        survivors[j + 1] = eval_capacity(cap, level)
+    cuts = np.concatenate([[-np.inf], distinct])
+    survivors = eval_sets(cap, member & (vals > cuts[:, None]))
 
-    total = 0.0
-    used = 0
-    hi = float(distinct[-1]) + 1.0
-    lo = float(distinct[0]) - 1.0
-    if hi > 0.0:
-        h = hi / steps
-        mids = (np.arange(steps) + 0.5) * h
-        buckets = np.searchsorted(mids, distinct, side="left")
-        counts = np.diff(np.concatenate([[0], buckets, [steps]]))
-        total += h * float(np.dot(counts, survivors))
-        used += steps
-    if lo < 0.0:
-        h = -lo / steps
-        mids = lo + (np.arange(steps) + 0.5) * h
-        buckets = np.searchsorted(mids, distinct, side="left")
-        counts = np.diff(np.concatenate([[0], buckets, [steps]]))
-        total += h * float(np.dot(counts, survivors - mu_a))
-        used += steps
+    total, used = 0.0, 0
+    # the positive part on [0, max f + 1], then the negative one on [min f - 1, 0]
+    for lo, hi, base in ((0.0, float(distinct[-1]) + 1.0, 0.0),
+                         (float(distinct[0]) - 1.0, 0.0, survivors[0])):
+        if lo < hi:
+            h = (hi - lo) / steps
+            mids = lo + (np.arange(steps) + 0.5) * h
+            buckets = np.searchsorted(mids, distinct, side="left")
+            counts = np.diff(np.concatenate([[0], buckets, [steps]]))
+            total += h * float(np.dot(counts, survivors - base))
+            used += steps
     return IntegralResult(total, "riemann_oracle", used)
 
 
@@ -141,11 +122,7 @@ def choquet_lp_norm(f, cap: Capacity, p: float) -> float:
 def capacity_distribution_function(f, cap: Capacity, x: float) -> float:
     """Capacity of the sublevel set {atoms: f <= x}."""
     vals = _atom_values(f, cap.atom_count)
-    mask = 0
-    for i, v in enumerate(vals):
-        if v <= x:
-            mask |= 1 << i
-    return eval_capacity(cap, mask)
+    return float(eval_sets(cap, (vals <= x)[None, :])[0])
 
 
 def comonotone(f, g, tol: float = 0.0) -> bool:
@@ -203,8 +180,8 @@ def integral_batch(values: np.ndarray, mu_table: np.ndarray) -> np.ndarray:
     """Sorted-sum Choquet integrals over the full space for a batch of rows.
 
     ``values`` has shape (K, M); ``mu_table`` holds the capacity over all
-    2**M bitmasks.  Ties contribute exact-zero increments, so the result
-    matches the deduplicating scalar path to within summation order.
+    2**M bitmasks.  Ties contribute exact-zero increments; a row's result
+    is ``choquet_integral`` of it over the full set, bit for bit.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success with every emitted row passing, 1 when at least
 one row fails its bound, 2 on input errors (bad flags, unreadable or
-invalid config).  All floating-point output is printed with 17
+invalid config, sizes beyond memory).  Floating-point output has 17
 significant digits so downstream comparisons can round-trip exactly.
 """
 
@@ -321,6 +321,10 @@ def run_cli(argv: Sequence[str]) -> int:
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower the size inputs ('grid_points', 'samples' "
+              "or the 'schedule' degrees of a config, or --grid)", file=sys.stderr)
         return 2
 
 

@@ -24,8 +24,9 @@ import numpy as np
 
 from .bernstein import (basis_matrix, moment_sums, multivariate_grid, sikkema_constant,
                         uniform_constant)
-from .capacity import (Capacity, InputError, PossibilityRepr, capacity_from_spec,
-                       check_properties, known_submodular, subset_table)
+from .capacity import (TABLE_ATOM_LIMIT, Capacity, InputError, PossibilityRepr,
+                       capacity_from_spec, check_properties, eval_sets,
+                       known_submodular, subset_table)
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
@@ -228,7 +229,8 @@ def _capacity(spec, f) -> Capacity:
     """The capacity, which must meet the hypotheses of the run's estimate.
 
     Mean and capacity runs need one certified submodular: analytically, or
-    by the exhaustive check for a table of at most 12 atoms.  Possibility
+    by the exhaustive check for a table of at most 12 atoms; they build its
+    2**M subset table, so at most ``TABLE_ATOM_LIMIT`` atoms.  Possibility
     runs need a possibility measure.  A stochastic run needs a distorted
     capacity on the run's atoms whose distortion has a finite positive
     slope at zero; it reads only that distortion, so it refuses every other
@@ -256,8 +258,11 @@ def _capacity(spec, f) -> Capacity:
         _check_slope(cap.form.distortion.derivative_at_zero)
     elif run == "possibility_convergence" and not isinstance(cap.form, PossibilityRepr):
         raise ValueError("possibility_convergence runs need a possibility capacity")
-    elif run in ("mean_convergence", "capacity_convergence") and not known_submodular(cap):
-        if cap.atom_count > 12:
+    elif run in ("mean_convergence", "capacity_convergence"):
+        if cap.atom_count > TABLE_ATOM_LIMIT:
+            raise ValueError(f"{run} runs build a table over all 2**M subsets, so they "
+                             f"allow at most {TABLE_ATOM_LIMIT} atoms, not {cap.atom_count}")
+        if not known_submodular(cap) and cap.atom_count > 12:
             raise ValueError("submodularity cannot be certified "
                              "(explicit table with more than 12 atoms)")
         if not check_properties(cap).submodular:
@@ -276,15 +281,24 @@ def _default_capacity(f) -> dict:
 
 
 def _schedule(v, f) -> list:
-    """Tuples of ``dim`` degrees, (n,) in 1-D; a bare n means (n,) * dim."""
+    """Tuples of ``dim`` degrees, (n,) in 1-D; a bare n means (n,) * dim.
+
+    A run that reads a grid modulus at 1/sqrt(n) needs n <= (grid_points - 1)**2
+    on every axis, or the modulus, and so the bound, is 0.
+    """
     if not _as(list, v):
         raise ValueError("must be a nonempty list")
     dim, out = f["dim"], []
+    finest = (f["grid_points"] - 1) ** 2
     for entry in v:
         nv = (tuple(_as(int, n) for n in entry) if isinstance(entry, list)
               else (_as(int, entry),) * dim)
         if len(nv) != dim or min(nv) < 1:
             raise ValueError(f"bad entry {entry!r}: needs {dim} degrees >= 1")
+        if f["experiment"] != "capacity_convergence" and max(nv) > finest:
+            raise ValueError(f"degree {max(nv)} is finer than the grid: "
+                             f"{f['experiment']} runs need n <= (grid_points - 1)**2 "
+                             f"= {finest}, or the modulus at 1/sqrt(n) is 0")
         out.append(nv)
     return out
 
@@ -423,12 +437,6 @@ def _semi_metric_of(diff: np.ndarray, mu_table: np.ndarray) -> float:
     return float(integral_batch(phi.reshape(-1, diff.shape[-1]), mu_table).max())
 
 
-def _flagged_capacity(flags: np.ndarray, mu_table: np.ndarray) -> float:
-    """Largest mu(set of atoms flagged in a row) over the rows of a (K, M) flag array."""
-    masks = flags @ (np.int64(1) << np.arange(flags.shape[1], dtype=np.int64))
-    return float(mu_table[masks].max())
-
-
 def _cp_sup(n1: int, n2: int, powers, grid: Grid) -> list[float]:
     """sup over grid x of C_p(x) = sum_k p_k1,n1(x1) p_k2,n2(x2) (1 + a + b)^p, per p.
 
@@ -524,7 +532,7 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         diff = np.abs(tensor - approx)
         d_n = _semi_metric_of(diff, mu)
         flat = diff.reshape(-1, diff.shape[-1])
-        caps = [_flagged_capacity(flat >= eps, mu) for eps in cfg.epsilons]
+        caps = [float(eval_sets(cap, flat >= eps).max()) for eps in cfg.epsilons]
         return d_n, caps
 
     computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
@@ -560,7 +568,6 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
     t0 = time.perf_counter()
     tensor = f.grid_tensor(grid)
-    mu = subset_table(cap)
     const = uniform_constant(cfg.dim)
     n_floor = min(min(n_vec) for n_vec in cfg.schedule)
     dists, profile = sample_modulus_profile(f, grid,
@@ -582,7 +589,7 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(BoundRow("possibility_convergence", n1, n2, None, None, None,
                              None, excess, 0.0))
         for eps in cfg.epsilons:
-            level = _flagged_capacity((o_vals > eps)[None, :], mu)
+            level = float(eval_sets(cap, (o_vals > eps)[None, :])[0])
             trend_bound = 1.0 if prev[eps] is None else prev[eps] + TREND_SLACK
             rows.append(BoundRow("possibility_convergence", n1, n2, None, eps, None,
                                  None, level, trend_bound))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from choqbern import (CapacityTooLargeError, ConstructionError, DiscreteProbability,
                       GroundSpace, InputError, PossibilityDistribution,
-                      capacity_from_spec, check_properties, eval_capacity,
+                      capacity_from_spec, check_properties, eval_capacity, eval_sets,
                       make_distorted, make_distortion, make_possibility, make_table,
                       subset_table)
 from conftest import random_capacity, random_probability
@@ -189,7 +189,45 @@ def test_subset_table_matches_pointwise(rng):
         cap = random_capacity(rng, m)
         tbl = subset_table(cap)
         for mask in range(1 << m):
-            assert tbl[mask] == pytest.approx(eval_capacity(cap, mask), abs=1e-14)
+            assert tbl[mask] == eval_capacity(cap, mask)
+
+
+def test_eval_sets_rows_equal_the_table(rng):
+    for m in range(1, 17):
+        for kind in ("distorted", "possibility", "table"):
+            cap = random_capacity(rng, m, kind=kind)
+            member = rng.random((40, m)) < rng.random((40, 1))
+            member[0], member[1] = False, True  # the empty and the full set
+            masks = member @ (1 << np.arange(m))
+            assert np.array_equal(eval_sets(cap, member), subset_table(cap)[masks])
+
+
+def test_eval_sets_needs_no_bitmask(rng):
+    m = 70
+    w = rng.dirichlet(np.ones(m))
+    lam = rng.random(m)
+    lam[3] = 1.0
+    u = make_distortion("power", alpha=0.5)
+    dist = make_distorted(u, DiscreteProbability(tuple(w)))
+    pos = make_possibility(PossibilityDistribution(tuple(lam)))
+    member = rng.random((5, m)) < 0.5
+    member[0] = False
+    assert np.allclose(eval_sets(dist, member),
+                       np.sqrt(np.clip(member @ w, 0.0, 1.0)), rtol=0, atol=1e-15)
+    assert np.array_equal(eval_sets(pos, member),
+                          np.where(member, lam, 0.0).max(axis=1))
+    assert eval_capacity(dist, range(m)) == pytest.approx(1.0, abs=1e-12)
+    assert eval_capacity(pos, [3]) == 1.0
+    for bad in (member[:, :-1], member[0]):
+        with pytest.raises(InputError, match="membership rows"):
+            eval_sets(pos, bad)
+
+
+def test_possibility_negative_level_reads_as_zero():
+    # levels may sit up to TOL below 0; every set's max starts from 0
+    cap = make_possibility(PossibilityDistribution((1.0, -5e-13, 0.4)))
+    assert eval_capacity(cap, [1]) == subset_table(cap)[2] == 0.0
+    assert eval_capacity(cap, []) == 0.0
 
 
 def test_capacity_json_round_trip():

@@ -241,16 +241,36 @@ def test_scaling_translation_property(values, a, c):
 
 
 def test_integral_batch_matches_scalar(rng):
-    for _ in range(30):
-        m = int(rng.integers(2, 9))
-        cap = random_capacity(rng, m)
-        tbl = subset_table(cap)
-        block = rng.uniform(-3, 3, (17, m))
-        block[3, 0] = block[3, m - 1]  # introduce ties
-        batch = integral_batch(block, tbl)
-        for k in range(block.shape[0]):
-            assert batch[k] == pytest.approx(
-                choquet_integral(block[k], cap).value, abs=1e-12)
+    # the scalar integral is one row of the batch kernel, bit for bit
+    for m in range(1, 17):
+        for kind in ("distorted", "possibility", "table"):
+            cap = random_capacity(rng, m, kind=kind)
+            tbl = subset_table(cap)
+            block = rng.uniform(-3, 3, (9, m))
+            block[3, 0] = block[3, m - 1]  # ties
+            block[5] = np.round(block[5])
+            block[6] = block[6, 0]  # all atoms equal
+            block[7] = 0.0
+            batch = integral_batch(block, tbl)
+            for k in range(block.shape[0]):
+                assert choquet_integral(block[k], cap).value == batch[k]
+                assert integral_batch(block[k], tbl)[0] == batch[k]
+
+
+def test_scalar_paths_need_no_bitmask():
+    # 70 atoms: beyond the 2**M table and an int64 bitmask
+    m = 70
+    w = np.full(m, 1.0 / m)
+    cap = make_distorted(make_distortion("sine"), DiscreteProbability(tuple(w)))
+    f = np.arange(m, dtype=float)
+    value = choquet_integral(f, cap).value
+    # mu({f >= k}) = sin(pi/2 * (m - k) / m), one step of height 1 per rank
+    want = sum(np.sin(0.5 * np.pi * (m - k) / m) for k in range(1, m))
+    assert value == pytest.approx(want, rel=1e-13)
+    assert capacity_distribution_function(f, cap, m / 2 - 1) == pytest.approx(
+        np.sin(0.25 * np.pi), abs=1e-15)
+    oracle = choquet_integral_oracle(f, cap, steps=10 ** 5).value
+    assert abs(oracle - value) <= (m + 1.0) / 10 ** 5
 
 
 def test_atom_function_validation(sqrt_cap2):

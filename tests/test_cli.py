@@ -365,12 +365,36 @@ def test_threads_flag(tmp_path, capsys):
         "type": "distorted", "distortion": {"kind": "rational_2t"}}}}, "capacity")
       for run in ("capacity_convergence", "stochastic")
       for atoms in ("abc", {"x": 1, "y": 2}, True)],
+    # degrees finer than the grid, and subset tables past 20 atoms
+    ({"experiment": "stochastic", "grid_points": 9, "schedule": [100]}, "schedule"),
+    ({"experiment": "possibility_convergence", "grid_points": 9, "schedule": [100]},
+     "schedule"),
+    ({"experiment": "mean_convergence", "grid_points": 9, "schedule": [[100, 100]]},
+     "schedule"),
+    ({"experiment": "mean_convergence", "atoms": 24}, "capacity"),
+    ({"experiment": "capacity_convergence", "atoms": 24}, "capacity"),
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)
     assert run_cli(["experiment", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: key '{key}': ")
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_two_naming_the_size_inputs(tmp_path, capsys,
+                                                      monkeypatch):
+    from choqbern import experiments
+
+    def runner(cfg):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+    monkeypatch.setitem(experiments._RUNNERS, "capacity_convergence", runner)
+    cfg = _write_config(tmp_path, {"experiment": "capacity_convergence"})
+    assert run_cli(["experiment", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    for name in ("grid_points", "samples", "schedule", "--grid"):
+        assert name in err
     assert "Traceback" not in err
 
 

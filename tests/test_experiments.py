@@ -215,6 +215,10 @@ def test_from_mapping_returns_a_config_or_config_error(near, arbitrary):
 _RUN_CAPACITIES = [
     {"atoms": 5, "repr": {"type": "distorted",
                           "distortion": {"kind": "power", "alpha": 0.5}}},
+    # more atoms than a subset table allows
+    {"atoms": 24, "repr": {"type": "possibility",
+                           "lambda": [0.5 + i / 46 for i in range(24)]}},
+    {"atoms": 24, "repr": {"type": "distorted", "distortion": {"kind": "rational_2t"}}},
     {"atoms": 5, "repr": {"type": "distorted", "distortion": {"kind": "rational_2t"}}},
     {"atoms": 3, "repr": {"type": "possibility", "lambda": [0.5, 1.0, 0.3]}},
     {"atoms": 2, "repr": {"type": "table",  # not submodular
@@ -227,7 +231,8 @@ _RUN_CAPACITIES = [
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.fixed_dictionaries(
     {"experiment": st.sampled_from(EXPERIMENT_IDS), "grid_points": st.just(9),
-     "schedule": st.just([2, 4]), "samples": st.just(50),
+     # [100] and [4, 100] are finer than the 9-point grid
+     "schedule": st.sampled_from([[2, 4], [100], [4, 100]]), "samples": st.just(50),
      "tau": st.just({"kind": "const", "scale": 1})},
     optional={"dim": st.sampled_from([1, 2]),
               "capacity": st.sampled_from(_RUN_CAPACITIES),
@@ -237,9 +242,54 @@ def test_a_config_that_parses_also_runs(config):
     # every hypothesis of a run's estimate is checked when the config is parsed
     try:
         cfg = ExperimentConfig.from_mapping(config)
-    except ConfigError:
+    except ConfigError as exc:
+        assert str(exc).startswith("key '")
         return
     assert run_experiment(cfg).rows
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "mean_convergence", "schedule": [[100, 100]]},
+    {"experiment": "mean_convergence", "schedule": [[4, 4], [4, 100]]},
+    {"experiment": "possibility_convergence", "dim": 1, "schedule": [100]},
+    {"experiment": "possibility_convergence", "dim": 2, "schedule": [4, 100]},
+    {"experiment": "stochastic", "schedule": [25, 100]},
+])
+def test_degree_finer_than_the_grid_names_schedule(config):
+    # the grid modulus at 1/sqrt(n) < 1/8 is 0 on 9 points, and so the bound
+    with pytest.raises(ConfigError, match=r"^key 'schedule': degree 100 is finer "
+                                          r"than the grid.*= 64"):
+        ExperimentConfig.from_mapping({**config, "grid_points": 9})
+    ExperimentConfig.from_mapping({**config, "grid_points": 11})  # 100 = 10**2
+
+
+def test_capacity_run_takes_any_degree():
+    # the semi-metric reads no modulus
+    cfg = ExperimentConfig.from_mapping({"experiment": "capacity_convergence", "dim": 1,
+                                         "grid_points": 9, "schedule": [4, 100]})
+    assert run_experiment(cfg).all_passed
+
+
+@pytest.mark.parametrize("run", ["mean_convergence", "capacity_convergence"])
+def test_table_runs_refuse_more_than_20_atoms(run):
+    for capacity in ({"atoms": 24, "repr": {"type": "distorted",
+                                            "distortion": {"kind": "rational_2t"}}},
+                     {"atoms": 21, "repr": {"type": "possibility",
+                                            "lambda": [1.0] * 21}}):
+        with pytest.raises(ConfigError, match=r"^key 'capacity': .*at most 20 atoms"):
+            ExperimentConfig.from_mapping({"experiment": run, "capacity": capacity})
+    cfg = ExperimentConfig.from_mapping({"experiment": run, "atoms": 20})
+    assert cfg.atoms == 20
+
+
+def test_possibility_run_with_24_atoms_completes():
+    # the possibility run reads its capacity through eval_sets, with no 2**M table
+    cfg = ExperimentConfig.from_mapping({"experiment": "possibility_convergence",
+                                         "atoms": 24, "grid_points": 17,
+                                         "schedule": [4, 16], "epsilons": [0.05, 0.3]})
+    result = run_experiment(cfg)
+    assert cfg.capacity._table is None
+    assert len(result.rows) == 6 and result.all_passed
 
 
 def test_semi_metric_properties(rng):
