@@ -38,6 +38,7 @@ class InputError(ValueError):
 
 
 TABLE_ATOM_LIMIT = 20  # most atoms whose 2**M subset table is built
+CERTIFY_ATOM_LIMIT = 12  # most atoms of a table checked for submodularity
 
 
 class CapacityTooLargeError(ValueError):
@@ -403,6 +404,14 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
         if not (monotone or subadditive or submodular):
             break
     return PropertyReport(monotone, subadditive, submodular, "exhaustive")
+
+
+def certified_submodular(cap: Capacity) -> bool:
+    """True when ``check_properties`` certifies ``cap`` submodular: analytically
+    for the distorted and possibility forms, exhaustively for a table of at
+    most ``CERTIFY_ATOM_LIMIT`` atoms (beyond which O(4**M) is too slow)."""
+    return known_submodular(cap) or (cap.atom_count <= CERTIFY_ATOM_LIMIT
+                                     and check_properties(cap).submodular)
 
 
 # ---------------------------------------------------------------------------

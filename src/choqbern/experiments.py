@@ -24,9 +24,9 @@ import numpy as np
 
 from .bernstein import (basis_matrix, moment_sums, multivariate_grid, sikkema_constant,
                         uniform_constant)
-from .capacity import (TABLE_ATOM_LIMIT, Capacity, InputError, PossibilityRepr,
-                       capacity_from_spec, check_properties, eval_sets,
-                       known_submodular, subset_table)
+from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, InputError,
+                       PossibilityRepr, capacity_from_spec, certified_submodular,
+                       eval_sets, subset_table)
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
@@ -228,13 +228,13 @@ def _family(v, f) -> RandomFunction:
 def _capacity(spec, f) -> Capacity:
     """The capacity, which must meet the hypotheses of the run's estimate.
 
-    Mean and capacity runs need one certified submodular: analytically, or
-    by the exhaustive check for a table of at most 12 atoms; they build its
-    2**M subset table, so at most ``TABLE_ATOM_LIMIT`` atoms.  Possibility
-    runs need a possibility measure.  A stochastic run needs a distorted
-    capacity on the run's atoms whose distortion has a finite positive
-    slope at zero; it reads only that distortion, so it refuses every other
-    key (it would be ignored).
+    Mean and capacity runs need one that ``certified_submodular`` certifies:
+    analytically, or by the exhaustive check for a table of at most
+    ``CERTIFY_ATOM_LIMIT`` atoms; they build its 2**M subset table, so at
+    most ``TABLE_ATOM_LIMIT`` atoms.  Possibility runs need a possibility
+    measure.  A stochastic run needs a distorted capacity on the run's atoms
+    whose distortion has a finite positive slope at zero; it reads only that
+    distortion, so it refuses every other key (it would be ignored).
     """
     spec, run = _as(dict, spec), f["experiment"]
     if run == "stochastic":
@@ -262,11 +262,11 @@ def _capacity(spec, f) -> Capacity:
         if cap.atom_count > TABLE_ATOM_LIMIT:
             raise ValueError(f"{run} runs build a table over all 2**M subsets, so they "
                              f"allow at most {TABLE_ATOM_LIMIT} atoms, not {cap.atom_count}")
-        if not known_submodular(cap) and cap.atom_count > 12:
-            raise ValueError("submodularity cannot be certified "
-                             "(explicit table with more than 12 atoms)")
-        if not check_properties(cap).submodular:
-            raise ValueError("capacity is not submodular")
+        if not certified_submodular(cap):
+            raise ValueError("capacity is not submodular"
+                             if cap.atom_count <= CERTIFY_ATOM_LIMIT else
+                             "submodularity cannot be certified (explicit table "
+                             f"with more than {CERTIFY_ATOM_LIMIT} atoms)")
     return cap
 
 

@@ -16,7 +16,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .capacity import Capacity, GroundSpace, InputError, known_submodular, subset_table
+from .capacity import (Capacity, GroundSpace, InputError, certified_submodular,
+                       subset_table)
 from .choquet import P_MAX, sorted_levels, telescoped_sum
 
 PAIR_TOL = 1e-12  # slack when matching grid pair distances against deltas
@@ -105,9 +106,14 @@ class RandomFunction:
 # Built-in families
 # ---------------------------------------------------------------------------
 
+def _coord_mean(pts: np.ndarray) -> np.ndarray:
+    """Mean of the last axis; in 1-D the one coordinate, which has its bits."""
+    return pts[..., 0] if pts.shape[-1] == 1 else np.mean(pts, axis=-1)
+
+
 def _absdev(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
     def ev(pts, atom):
-        return np.abs(np.mean(pts, axis=-1) - 0.5)
+        return np.abs(_coord_mean(pts) - 0.5)
     return RandomFunction(space, dim, ev, name="deterministic:absdev", m_sup=0.5)
 
 
@@ -121,10 +127,10 @@ def _affine_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
     amp = float(params.pop("amp", 0.25))
 
     def ev(pts, atom, z=z, scale=scale, amp=amp):
-        mean = np.mean(pts, axis=-1)
-        base = scale * mean ** 2
+        sq = _coord_mean(pts) ** 2
+        base = scale * sq
         # gain is nonlinear in x so the noise survives Bernstein smoothing
-        noise_gain = amp * 0.5 * (1.0 + mean ** 2)
+        noise_gain = amp * 0.5 * (1.0 + sq)
         return base + noise_gain * z[atom]
 
     sup = abs(scale) + abs(amp) * float(np.max(np.abs(z))) if z.size else abs(scale)
@@ -141,8 +147,7 @@ def _step_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
         raise InputError(f"'z' and 'thresholds' need {m} entries")
 
     def ev(pts, atom, z=z, thresholds=thresholds):
-        mean = np.mean(pts, axis=-1)
-        return np.where(mean >= thresholds[atom], z[atom], 0.0)
+        return np.where(_coord_mean(pts) >= thresholds[atom], z[atom], 0.0)
 
     sup = float(np.max(np.abs(z))) if z.size else 0.0
     return RandomFunction(space, dim, ev, name="step_noise", m_sup=sup,
@@ -225,14 +230,29 @@ def _powered_integrals(v: np.ndarray, mu: np.ndarray, powers) -> list[np.ndarray
     return [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
 
 
-def _predecessor_lbs(atoms: np.ndarray, mu_table: np.ndarray, powers, dx: int,
-                     tops: dict) -> dict:
-    """Per-p lower bounds of the offsets (dx, dy) whose (dx - 1, dy) was walked.
+def _keep_thresholds(rows: np.ndarray, mu_table: np.ndarray, powers,
+                     factor: float) -> np.ndarray:
+    """One UB threshold per (K, M) row of |D|: a lower bound of min over p of
+    (LB_p / factor)^(1/p), where LB_p is the row's integral of |D|^p.
+
+    Each p's root is taken of r = LB_p / factor, or of 0 where r is below
+    the normal range or not finite; see "Threshold slack" in
+    ``ChoquetModulusTable``.
+    """
+    r = np.array(_powered_integrals(*sorted_levels(rows, mu_table), powers)) / factor
+    r[~((r >= np.finfo(float).tiny) & (r <= np.finfo(float).max))] = 0.0
+    roots = r ** (1.0 / np.array(powers))[:, None] * (1.0 - 360 * np.finfo(float).eps)
+    return roots.min(axis=0)
+
+
+def _predecessor_thresholds(atoms: np.ndarray, mu_table: np.ndarray, powers,
+                            factor: float, dx: int, tops: dict) -> dict:
+    """Keep thresholds of the offsets (dx, dy) whose (dx - 1, dy) was walked.
 
     ``atoms`` is the atom-major grid tensor and ``tops[dy]`` the grid position
     of the top-UB cell of (dx - 1, dy); clipped into the one fewer first-axis
     position of (dx, dy), it is a cell of (dx, dy), and the LB is that cell's
-    integral.  One gather and one ``sorted_levels`` call serve every dy.
+    integral.  One gather and one ``_keep_thresholds`` call serve every dy.
     """
     if not tops:
         return {}
@@ -244,8 +264,7 @@ def _predecessor_lbs(atoms: np.ndarray, mu_table: np.ndarray, powers, dx: int,
     # the cells of ``_translate_pair``: a at pos + max(step, 0), b at pos + max(-step, 0)
     a = atoms[(slice(None), *(pos + np.maximum(steps, 0)))]
     b = atoms[(slice(None), *(pos + np.maximum(-steps, 0)))]
-    lbs = _powered_integrals(*sorted_levels(np.abs(a - b).T, mu_table), powers)
-    return {dy: [lb[k] for lb in lbs] for k, dy in enumerate(dys)}
+    return dict(zip(dys, _keep_thresholds(np.abs(a - b).T, mu_table, powers, factor)))
 
 
 class ChoquetModulusTable:
@@ -262,36 +281,62 @@ class ChoquetModulusTable:
     mu_k nonincreasing in k).  No submodularity is needed, and mu of the
     full set may exceed 1.  So per offset, with UB the max over atoms of a
     cell's |D| and LB_p the integral of any one cell of the offset, a cell
-    with UB^p * max(mu_table) < LB_p cannot hold the offset's maximum; only
-    the other cells go through ``sorted_levels``/``telescoped_sum``.
+    with UB^p * max(mu_table) < LB_p for every p cannot hold a maximum of
+    the offset.  One threshold per offset, a lower bound thr of min over p
+    of (LB_p / max(mu_table))^(1/p), decides: only the cells with UB >= thr
+    go through ``sorted_levels``/``telescoped_sum``.
 
     The LB cell of (dx, dy) is the top-UB grid position of (dx - 1, dy),
     clipped into the cell range of (dx, dy): neighbouring offsets peak at
     nearby positions, and one gather and one ``sorted_levels`` call give
-    the LBs of every dy of a dx before its dy loop.  Offsets with no
-    (dx - 1, dy), which are (0, dy > 0) and (1, dy <= 0), and (1,) in 1-D,
-    take their own top-UB cell.
+    the LBs, and one vectorised root the thresholds, of every dy of a dx
+    before its dy loop.  Offsets with no (dx - 1, dy), which are (0, dy > 0)
+    and (1, dy <= 0), and (1,) in 1-D, take their own top-UB cell through
+    the same ``_keep_thresholds``.
 
     Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
     one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
     bound above (Abel summation needs no order among them) caps their exact
     telescoped sum at (1 + 2u) UB^p max(mu_table).  The kernel adds M terms,
     each formed by one difference and one product, so its result exceeds that
-    sum by at most (M + 1)u relative, up to O(M u^2) terms.  The keep test
-    forms UB^p * factor with a power and two products, losing at most 4u.
+    sum by at most (M + 1)u relative, up to O(M u^2) terms.  The bound test
+    fl(fl(UB^p) * F) >= LB_p loses at most 4u to its power and two products.
     So a cell's computed integral stays below its computed bound once the
-    factor exceeds 1 + (M + 7)u + O(M u^2); the factor
-    max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
+    factor F exceeds 1 + (M + 7)u + O(M u^2); the factor
+    F = max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
     leaves (M + 1)u for the second-order terms.  LB_p is the computed
     integral of a cell of the offset, so it is at most the offset's computed
-    maximum: a pruned cell's computed integral is below it, and the cell
-    holding the maximum is kept.
+    maximum: a cell that fails the bound test for every p has a computed
+    integral below every such maximum, and each p's maximum cell passes.
+
+    Threshold slack.  ``_keep_thresholds`` takes thr = min over p of
+    thr_p = fl(fl(r^q) * s), with r = fl(LB_p / F), q = fl(1/p) and
+    s = 1 - 360 eps = 1 - 720u (exact), and every cell that passes the bound
+    test for some p has UB >= thr_p.  Such a cell has LB_p <= fl(fl(UB^p) F)
+    <= UB^p F (1 + 2u)(1 + u) (power and product of the test), so
+    UB >= (LB_p / F)^(1/p) (1 - 3u - O(u^2)); an overflowed fl(UB^p) means
+    UB^p > MAX >= r, which also puts UB above thr_p.  Against that, thr_p
+    exceeds (LB_p / F)^(1/p) s by at most u from the division (inside a
+    root with p >= 1), 2u from the root itself, a factor
+    exp(u |ln r| / p) <= 1 + 710u + O(u^2) from q, as |q - 1/p| <= u / p
+    and a finite normal r has |ln r| < 709.8, and u from the product with s
+    (also where it dips below the normal range: fl(r^q) >= min(r, 1) is
+    normal, so the subnormal spacing there is 2u * tiny <= 2u fl(r^q)).
+    That is 717u + O(u^2) in all; s leaves 3u for the second-order terms.
+    Where r is below the normal range (subnormal, 0, or negative through a
+    table entry in [-``capacity.TOL``, 0)) or not finite, its relative error
+    is unbounded, and the root is taken of 0: thr_p = 0 keeps every cell of
+    the offset, a superset of any kept set.  LB_p = 0, as for a constant
+    function, so keeps every cell, and no offset reaches
+    ``np.maximum.reduceat`` with no kept cell.
 
     The kept cells of every dy of one dx run through the kernel together,
     and ``np.maximum.reduceat`` takes each offset's maximum; each cell's
     integral does not depend on the batch (``telescoped_sum``
     is elementwise per column), so LB_p has the bits of its cell's kernel
     result, and every table entry has the bits an unpruned kernel gives it.
+    Keeping more cells than the bound test changes no entry, and the next
+    dx's LB cells come from the UB argmax, which the keep test does not move.
     The working set is one offset's |D| plus one dx's kept cells.
     """
 
@@ -303,7 +348,7 @@ class ChoquetModulusTable:
         for p in self.powers:
             if not (1.0 <= p <= P_MAX):
                 raise InputError(f"p must lie in [1, {P_MAX:g}], got {p}")
-        if not known_submodular(cap):
+        if not certified_submodular(cap):
             warnings.warn("capacity is not certified submodular; the modulus "
                           "triangle/scaling properties may fail", stacklevel=2)
         self.f = f
@@ -317,7 +362,7 @@ class ChoquetModulusTable:
         # atom-major, so an offset's |D| is (M, cells) and UB a leading-axis max
         atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
         mu_table = subset_table(cap)
-        keep_factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
+        factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
         w1, w2 = _box_windows(max_deltas, grid)
         # (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D; written through (w1 + 1, -1) views
         self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in self.powers}
@@ -325,7 +370,7 @@ class ChoquetModulusTable:
         tops = {}  # dy -> grid position of the previous dx's top-UB cell
         for dx, group in groupby(_offsets(w1, w2), key=lambda o: o[0]):
             dys = [dy for _, dy in group]
-            lbs = _predecessor_lbs(atoms, mu_table, self.powers, dx, tops)
+            thr = _predecessor_thresholds(atoms, mu_table, self.powers, factor, dx, tops)
             tops = {}
             kept = []
             for dy in dys:
@@ -334,11 +379,9 @@ class ChoquetModulusTable:
                 ub = d.max(axis=0)
                 top = ub.argmax()
                 tops[dy] = np.unravel_index(top, a.shape[1:])
-                lb = lbs[dy] if dy in lbs else _powered_integrals(
-                    *sorted_levels(d[:, top].reshape(1, m), mu_table), self.powers)
-                keep = np.any([(ub if p == 1.0 else ub ** p) * keep_factor >= lb_p
-                               for p, lb_p in zip(self.powers, lb)], axis=0)
-                kept.append(d.compress(keep, axis=1))
+                t = thr[dy] if dy in thr else _keep_thresholds(
+                    d[:, top].reshape(1, m), mu_table, self.powers, factor)[0]
+                kept.append(d.compress(ub >= t, axis=1))
             starts = np.cumsum([0] + [k.shape[1] for k in kept[:-1]])
             v, mu = sorted_levels(np.concatenate(kept, axis=1).T, mu_table)
             for p, vals in zip(self.powers, _powered_integrals(v, mu, self.powers)):

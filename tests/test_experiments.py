@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,17 @@ def test_a_config_that_parses_also_runs(config):
         assert str(exc).startswith("key '")
         return
     assert run_experiment(cfg).rows
+
+
+def test_mean_run_on_a_certified_table_does_not_warn():
+    # the exhaustive check certifies this table, so the modulus table must not
+    # call it uncertified
+    cfg = ExperimentConfig.from_mapping({
+        "experiment": "mean_convergence", "grid_points": 9, "schedule": [[2, 4]],
+        "capacity": _RUN_CAPACITIES[-1]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_experiment(cfg).rows
 
 
 @pytest.mark.parametrize("config", [

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from choqbern import (DiscreteProbability, GroundSpace, InputError,
 from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
-                               _box_windows, _offsets, _translate_pair, _window,
-                               build_family, list_families, sample_modulus_profile)
+                               _box_windows, _keep_thresholds, _offsets,
+                               _translate_pair, _window, build_family, list_families,
+                               sample_modulus_profile)
 from conftest import (brute_gamma, brute_sample_modulus, random_capacity,
                       random_monotone_table)
 
@@ -76,6 +78,34 @@ def test_absdev_family():
     f = build_family("deterministic:absdev", GroundSpace.of_size(2), 2)
     assert f.eval((0.25, 0.25), 0) == 0.25
     assert f.eval((1.0, 0.0), 1) == 0.0
+
+
+def test_families_in_1d_equal_the_mean_form(rng):
+    # in 1-D the families take the one coordinate, not a mean over a length-1
+    # axis, and affine_noise squares once; the bits are those of the mean form
+    m = 4
+    z = rng.uniform(-1, 1, m)
+    thresholds = (np.arange(m) + 1.0) / (m + 1.0)
+    scale, amp = 1.3, 0.4
+    mean_form = {
+        "deterministic:absdev": lambda x, w: np.abs(x - 0.5),
+        "affine_noise": lambda x, w: scale * x ** 2 + amp * 0.5 * (1.0 + x ** 2) * z[w],
+        "step_noise": lambda x, w: np.where(x >= thresholds[w], z[w], 0.0),
+    }
+    params = {"deterministic:absdev": {}, "affine_noise": {"z": list(z), "scale": scale,
+                                                           "amp": amp},
+              "step_noise": {"z": list(z), "thresholds": list(thresholds)}}
+    space = GroundSpace.of_size(m)
+    for name, want in mean_form.items():
+        for dim in (1, 2):
+            f = build_family(name, space, dim, params[name])
+            for shape in ((dim,), (37, dim), (9, 9, dim)):
+                pts = rng.random(shape)
+                pts[..., 0].flat[0] = thresholds[1]  # a step_noise tie in 1-D
+                for w in range(m):
+                    got = f.evaluator(pts, w)
+                    assert got.shape == shape[:-1]
+                    assert np.array_equal(got, want(np.mean(pts, axis=-1), w))
 
 
 def test_family_registry():
@@ -305,22 +335,65 @@ def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
 def test_pruned_modulus_table_c08_shape(monkeypatch):
     """The C08 table: M = 5, g = 65, window 0.5, p in {1, 2}."""
     space = GroundSpace.of_size(5)
-    f = build_family("affine_noise", space, 2,
-                     {"z": list(np.random.default_rng(3).uniform(-1, 1, 5))})
     cap = make_distorted(make_distortion("power", alpha=0.5),
                          DiscreteProbability.uniform(5))
     grid, deltas, powers = Grid(2, 65), (0.5, 0.5), (1.0, 2.0)
     calls = []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
-    table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
-    # own LB call for the 65 offsets with no (dx - 1, dy): (0, dy > 0) and
-    # (1, dy <= 0); one LB batch per dx >= 1 and one kernel batch per dx
-    assert len(calls) == 65 + 32 + 33
-    monkeypatch.undo()
-    want = _unpruned_off(f, cap, grid, deltas, powers)
-    for p in powers:
-        assert np.array_equal(table._off[p], want[p])
+    # z as numpy draws it, and as the ``mean2d`` benchmark workload draws it at
+    # seed 3, with the rows that the per-p keep test sent through ``sorted_levels``
+    bench = random.Random(3)
+    for z, rows in ((np.random.default_rng(3).uniform(-1, 1, 5), 226_134),
+                    ([bench.uniform(-1.0, 1.0) for _ in range(5)], 167_798)):
+        f = build_family("affine_noise", space, 2, {"z": list(z)})
+        calls.clear()
+        table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
+        # own LB call for the 65 offsets with no (dx - 1, dy): (0, dy > 0) and
+        # (1, dy <= 0); one LB batch per dx >= 1 and one kernel batch per dx
+        assert len(calls) == 65 + 32 + 33
+        # the threshold slack is ~1e-13 relative, so it must not undo the pruning
+        assert sum(calls) <= 1.001 * rows
+        want = _unpruned_off(f, cap, grid, deltas, powers)
+        for p in powers:
+            assert np.array_equal(table._off[p], want[p])
+
+
+def _bound_test(ub, lbs, powers, factor):
+    """The per-p bound test, fl(fl(UB^p) F) >= LB_p for some p, as the
+    reference that every threshold must keep."""
+    return np.any([(ub if p == 1.0 else ub ** p) * factor >= lb
+                   for p, lb in zip(powers, lbs)], axis=0)
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_keep_threshold_keeps_every_cell_the_bound_test_keeps(rng, m):
+    # cells just below the threshold probe its slack: with none, some of them
+    # pass the bound test; fl(1/p) moves the root by up to 710 u / p, ~115 eps
+    # at p = 1.5 and LB_p near 1e-300, so a slack of 16 or 100 eps fails too
+    all_powers = (1.0, 1.5, 2.0, 3.0, 16.0)
+    space = GroundSpace.of_size(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            mu_table = subset_table(make_table(space, random_monotone_table(rng, m)))
+            factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
+            # tiny, unit and large |D|; at 1e+19, UB^16 overflows near 2e19
+            for scale in (1e-200, 1e-100, 1.0, 1e+10, 1e+19):
+                rows = rng.random((64, m)) * scale  # one LB cell per offset
+                rows[0] = 0.0  # a cell of a constant: LB_p = 0, so thr = 0
+                for powers in [(p,) for p in all_powers] + [all_powers]:
+                    thr = _keep_thresholds(rows, mu_table, powers, factor)
+                    v, mu = sorted_levels(rows, mu_table)
+                    lbs = [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
+                    below = [thr]
+                    for _ in range(8):
+                        below.append(np.nextafter(below[-1], 0.0))
+                    ubs = np.vstack([rows.max(axis=1), *below[1:],
+                                     thr * rng.uniform(0.5, 2.0, (16, len(thr)))])
+                    kept = _bound_test(ubs, lbs, powers, factor)
+                    assert kept[0].all()  # each LB cell passes its own test
+                    assert np.all(ubs[kept] >= np.broadcast_to(thr, ubs.shape)[kept])
+                    assert thr[0] == 0.0
 
 
 def test_modulus_table_multi_power_and_query_errors(cap1):
@@ -382,13 +455,17 @@ def test_modulus_rejects_high_dimension(cap1):
         choquet_modulus(f, cap1, (0.1, 0.1, 0.1), 1.0, None)
 
 
-def test_modulus_warns_for_uncertified_capacity(rng):
-    from choqbern import GroundSpace, make_table
-    from conftest import random_monotone_table
-    cap = make_table(GroundSpace.of_size(3), random_monotone_table(rng, 3))
-    f = build_family("affine_noise", GroundSpace.of_size(3), 1)
-    with pytest.warns(UserWarning, match="submodular"):
-        choquet_modulus(f, cap, 0.1, 1.0, Grid(1, 17))
+def test_modulus_warns_for_uncertified_capacity():
+    # not submodular: mu({0, 1}) + mu({}) > mu({0}) + mu({1})
+    small = make_table(GroundSpace.of_size(2), [0.0, 0.1, 0.1, 1.0])
+    # submodular, but a table beyond the atoms the exhaustive check takes
+    big = make_table(GroundSpace.of_size(13), subset_table(make_possibility(
+        PossibilityDistribution(tuple(np.linspace(0.5, 1.0, 13))))))
+    assert not check_properties(small).submodular
+    for cap in (small, big):
+        f = build_family("affine_noise", cap.space, 1)
+        with pytest.warns(UserWarning, match="submodular"):
+            choquet_modulus(f, cap, 0.1, 1.0, Grid(1, 17))
 
 
 def _scaling_instances(rng, count):
