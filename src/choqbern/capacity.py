@@ -10,8 +10,8 @@ boolean membership array for ``eval_sets``, the one place that holds each
 representation's set rule.
 
 All objects are immutable after construction (the only internal mutation
-is memoization of the full subset table), so they are safe to share
-across threads.
+is memoization of the full subset table and of the submodularity
+verdict), so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -225,13 +225,15 @@ class PossibilityRepr:
 class Capacity:
     """A normalized monotone set function over a finite ground space.
 
-    Treat instances as immutable; the lone mutable field memoizes the
-    full subset table for vectorized consumers.
+    Treat instances as immutable; the mutable fields memoize the full
+    subset table for vectorized consumers and ``certified_submodular``'s
+    verdict.
     """
 
     space: GroundSpace
     form: Union[TableRepr, DistortedRepr, PossibilityRepr]
     _table: np.ndarray | None = field(default=None, repr=False)
+    _certified: bool | None = field(default=None, repr=False)
 
     @property
     def atom_count(self) -> int:
@@ -409,9 +411,12 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
 def certified_submodular(cap: Capacity) -> bool:
     """True when ``check_properties`` certifies ``cap`` submodular: analytically
     for the distorted and possibility forms, exhaustively for a table of at
-    most ``CERTIFY_ATOM_LIMIT`` atoms (beyond which O(4**M) is too slow)."""
-    return known_submodular(cap) or (cap.atom_count <= CERTIFY_ATOM_LIMIT
-                                     and check_properties(cap).submodular)
+    most ``CERTIFY_ATOM_LIMIT`` atoms (beyond which O(4**M) is too slow).
+    The verdict is memoized, so each capacity is checked once."""
+    if cap._certified is None:
+        cap._certified = known_submodular(cap) or (cap.atom_count <= CERTIFY_ATOM_LIMIT
+                                                   and check_properties(cap).submodular)
+    return cap._certified
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +430,42 @@ def distortion_from_spec(obj: Mapping) -> Distortion:
     return make_distortion(str(obj["kind"]), **params)
 
 
+# per repr type, its keys besides "type": the required one first
+_REPR_KEYS = {"distorted": ("distortion", "weights"), "possibility": ("lambda",),
+              "table": ("values",)}
+
+
+def refuse_unknown_keys(obj: Mapping, where: str, known: Sequence[str]) -> None:
+    """Refuse a key of the JSON object ``obj`` (named ``where``) not in ``known``."""
+    if not isinstance(obj, Mapping):
+        raise ConstructionError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(obj.keys() - set(known))
+    if unknown:
+        raise ConstructionError(f"unknown key {unknown[0]!r} in {where}; "
+                                f"known: {', '.join(known)}")
+
+
 def capacity_from_spec(obj: Mapping) -> Capacity:
-    """Parse ``{"atoms": ..., "repr": {"type": ..., ...}}``.
+    """Parse ``{"atoms": ..., "repr": {"type": ..., ...}}``; other keys are refused.
 
     ``atoms`` is a label list or an atom count (an int, not a bool).
     Representation types are "table" (key "values": subset -> value, subsets
     as comma-joined atom indices, "" for the empty set), "distorted" (keys
     "distortion" and "weights") and "possibility" (key "lambda").
     """
+    refuse_unknown_keys(obj, "capacity", ("atoms", "repr"))
     if "repr" not in obj:
         raise ConstructionError("capacity object missing key 'repr'")
     rep = obj["repr"]
     if "type" not in rep:
         raise ConstructionError("capacity repr missing key 'type'")
     kind = rep["type"]
+    if kind not in _REPR_KEYS:
+        raise ConstructionError(f"unknown capacity repr type '{kind}'")
+    keys = _REPR_KEYS[kind]
+    refuse_unknown_keys(rep, "capacity.repr", ("type", *keys))
+    if keys[0] not in rep:
+        raise ConstructionError(f"{kind} capacity missing key '{keys[0]}'")
     atoms = obj.get("atoms")
     if isinstance(atoms, int) and not isinstance(atoms, bool):
         space = GroundSpace.of_size(atoms)
@@ -451,8 +478,6 @@ def capacity_from_spec(obj: Mapping) -> Capacity:
                                 f"list, got {atoms!r}")
 
     if kind == "distorted":
-        if "distortion" not in rep:
-            raise ConstructionError("distorted capacity missing key 'distortion'")
         u = distortion_from_spec(rep["distortion"])
         if "weights" in rep:
             p = DiscreteProbability(tuple(float(w) for w in rep["weights"]))
@@ -462,19 +487,13 @@ def capacity_from_spec(obj: Mapping) -> Capacity:
             raise ConstructionError("distorted capacity missing key 'weights'")
         return make_distorted(u, p, space)
     if kind == "possibility":
-        if "lambda" not in rep:
-            raise ConstructionError("possibility capacity missing key 'lambda'")
         lam = PossibilityDistribution(tuple(float(v) for v in rep["lambda"]))
         return make_possibility(lam, space)
-    if kind == "table":
-        if "values" not in rep:
-            raise ConstructionError("table capacity missing key 'values'")
-        if space is None:
-            raise ConstructionError("table capacity missing key 'atoms'")
-        m = space.atom_count
-        table = {}
-        for key, v in rep["values"].items():
-            idx = [int(s) for s in str(key).split(",") if s.strip() != ""]
-            table[as_mask(idx, m)] = float(v)
-        return make_table(space, table)
-    raise ConstructionError(f"unknown capacity repr type '{kind}'")
+    if space is None:
+        raise ConstructionError("table capacity missing key 'atoms'")
+    m = space.atom_count
+    table = {}
+    for key, v in rep["values"].items():
+        idx = [int(s) for s in str(key).split(",") if s.strip() != ""]
+        table[as_mask(idx, m)] = float(v)
+    return make_table(space, table)

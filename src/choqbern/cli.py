@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success with every emitted row passing, 1 when at least
 one row fails its bound, 2 on input errors (bad flags, unreadable or
-invalid config, sizes beyond memory).  Floating-point output has 17
-significant digits so downstream comparisons can round-trip exactly.
+invalid config, sizes beyond memory).  Every float printed round-trips
+exactly: the experiment CSV and ``integrate`` print 17 significant digits,
+and the JSON lines of ``modulus``, ``approx`` and ``stochastic`` print each
+float's shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -28,16 +29,6 @@ from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
 from .stochastic import (SeededStream, _check_r, _check_slope, k_modulus,
                          lemma51_bound, max_deviation_rows, sample_rows)
-
-THREADS_ENV = "CHOQBERN_THREADS"
-
-
-def _dump(obj) -> str:
-    def enc(v):
-        if isinstance(v, float):
-            return float(_fmt(v))
-        return v
-    return json.dumps({k: enc(v) for k, v in obj.items()})
 
 
 def _read_json(path: str, what: str):
@@ -66,22 +57,6 @@ def _parse_subset(text: str):
 
 def _parse_values(text: str):
     return [float(s) for s in text.split(",")]
-
-
-def _threads(args) -> int | None:
-    """Worker threads from --threads, else $CHOQBERN_THREADS; None keeps the config's."""
-    for name, value in (("--threads", args.threads),
-                        (THREADS_ENV, os.environ.get(THREADS_ENV))):
-        if value is None:
-            continue
-        try:
-            count = int(value)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        return count
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +136,7 @@ def _cmd_modulus(args) -> int:
         value = k_modulus(f, args.delta, grid)
     else:
         value = stochastic_modulus(f, args.delta, args.atom, grid)
-    print(_dump({"kind": args.kind, "delta": args.delta, "value": value}))
+    print(json.dumps({"kind": args.kind, "delta": args.delta, "value": value}))
     return 0
 
 
@@ -183,7 +158,7 @@ def _cmd_approx(args) -> int:
     omega = stochastic_modulus(f, delta, w, grid)
     bound = uniform_constant(args.dim) * omega
     passed = sup_err <= bound + ROW_TOLERANCE
-    print(_dump({"n": min(n_vec), "sup_error": sup_err, "modulus": omega,
+    print(json.dumps({"n": min(n_vec), "sup_error": sup_err, "modulus": omega,
                  "bound": bound, "pass": bool(passed)}))
     return 0 if passed else 1
 
@@ -206,7 +181,7 @@ def _cmd_stochastic(args) -> int:
         with named_errors("--epsilon"):
             out["lemma_bound"] = lemma51_bound(args.n, args.epsilon, args.r, slope)
         out["exceeds"] = bool(m_n > args.epsilon)
-    print(_dump(out))
+    print(json.dumps(out))
     return 0
 
 
@@ -225,7 +200,9 @@ def parse_config(path: str, seed: int | None = None,
 
 
 def _cmd_experiment(args) -> int:
-    cfg = parse_config(args.config, seed=args.seed, workers=_threads(args))
+    if args.threads < 1:
+        raise ValueError(f"--threads: must be >= 1, got {args.threads}")
+    cfg = parse_config(args.config, seed=args.seed, workers=args.threads)
     result = run_experiment(cfg)
     if args.out:
         result.write_csv(args.out)
@@ -304,9 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="write rows CSV here")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV}, else the "
-                        "config's 'workers')")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for the schedule entries (default 1)")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("list-families", help="names of built-in random functions")

@@ -22,11 +22,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bernstein import (basis_matrix, moment_sums, multivariate_grid, sikkema_constant,
-                        uniform_constant)
-from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, InputError,
-                       PossibilityRepr, capacity_from_spec, certified_submodular,
-                       eval_sets, subset_table)
+from .bernstein import (N_MAX, basis_matrix, moment_sums, multivariate_grid,
+                        sikkema_constant, uniform_constant)
+from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, DistortedRepr,
+                       InputError, PossibilityRepr, capacity_from_spec,
+                       certified_submodular, eval_sets, refuse_unknown_keys, subset_table)
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
@@ -200,22 +200,18 @@ def _dim(v, f) -> int:
 
 
 def _family(v, f) -> RandomFunction:
-    """A name, with 'family_params', or an object {"name": ..., "params": {...}}.
+    """A name, or an object {"name": ..., "params": {...}}.
 
     The family is built on the capacity's atoms; a stochastic run needs a
-    continuous one and a capacity run a bounded one.  An error in building
-    it names where the parameters are.
+    continuous one and a capacity run a bounded one.
     """
-    name, params, where = v, f["family_params"], "key 'family_params'"
+    name, params = v, {}
     if isinstance(v, dict):
-        if params:
-            raise ValueError("give the parameters under 'params', not 'family_params'")
+        refuse_unknown_keys(v, "family", ("name", "params"))
         name, params = v.get("name"), _as(dict, v.get("params", {}))
-        where = "key 'family'"
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
-    with named_errors(where):
-        fn = build_family(name, f["capacity"].space, f["dim"], params)
+    fn = build_family(name, f["capacity"].space, f["dim"], params)
     if f["experiment"] == "stochastic" and not fn.continuous:
         raise ValueError(f"family '{name}' is not continuous in x; "
                          "stochastic runs require continuity")
@@ -232,30 +228,23 @@ def _capacity(spec, f) -> Capacity:
     analytically, or by the exhaustive check for a table of at most
     ``CERTIFY_ATOM_LIMIT`` atoms; they build its 2**M subset table, so at
     most ``TABLE_ATOM_LIMIT`` atoms.  Possibility runs need a possibility
-    measure.  A stochastic run needs a distorted capacity on the run's atoms
-    whose distortion has a finite positive slope at zero; it reads only that
-    distortion, so it refuses every other key (it would be ignored).
+    measure.  A stochastic run draws sample i on atom i mod M, so it needs a
+    distorted capacity with uniform weights on the run's atoms (the default)
+    whose distortion has a finite positive slope at zero.
     """
     spec, run = _as(dict, spec), f["experiment"]
     if run == "stochastic":
-        rep = _as(dict, spec.get("repr", {}))
-        for where, obj, known in (("capacity", spec, ("atoms", "repr")),
-                                  ("capacity.repr", rep, ("type", "distortion"))):
-            unknown = sorted(obj.keys() - set(known))
-            if unknown:
-                raise ValueError(f"unknown key {unknown[0]!r} in {where}; a stochastic "
-                                 f"run reads only {', '.join(known)}")
-        atoms = spec.get("atoms", f["atoms"])
-        if (len(atoms) if isinstance(atoms, list) else _as(int, atoms)) != f["atoms"]:
-            raise ValueError(f"capacity atoms {json.dumps(atoms)} differ from the "
-                             f"run's atoms {f['atoms']}")
-        if rep.get("type") != "distorted" or "distortion" not in rep:
-            raise ValueError("stochastic runs need a distorted capacity "
-                             "(repr type 'distorted' with a 'distortion')")
-        spec = {"atoms": atoms, "repr": rep}
+        spec = {"atoms": f["atoms"], **spec}
     cap = capacity_from_spec(spec)
     if run == "stochastic":
-        _check_slope(cap.form.distortion.derivative_at_zero)
+        if cap.atom_count != f["atoms"]:
+            raise ValueError(f"capacity atoms {json.dumps(spec['atoms'])} differ from the "
+                             f"run's atoms {f['atoms']}")
+        form = cap.form
+        if not isinstance(form, DistortedRepr) or len(set(form.probability.weights)) > 1:
+            raise ValueError("stochastic runs draw sample i on atom i mod M, so they need "
+                             "a distorted capacity with uniform weights")
+        _check_slope(form.distortion.derivative_at_zero)
     elif run == "possibility_convergence" and not isinstance(cap.form, PossibilityRepr):
         raise ValueError("possibility_convergence runs need a possibility capacity")
     elif run in ("mean_convergence", "capacity_convergence"):
@@ -293,8 +282,8 @@ def _schedule(v, f) -> list:
     for entry in v:
         nv = (tuple(_as(int, n) for n in entry) if isinstance(entry, list)
               else (_as(int, entry),) * dim)
-        if len(nv) != dim or min(nv) < 1:
-            raise ValueError(f"bad entry {entry!r}: needs {dim} degrees >= 1")
+        if len(nv) != dim or not 1 <= min(nv) <= max(nv) <= N_MAX:
+            raise ValueError(f"bad entry {entry!r}: needs {dim} degrees in [1, {N_MAX}]")
         if f["experiment"] != "capacity_convergence" and max(nv) > finest:
             raise ValueError(f"degree {max(nv)} is finer than the grid: "
                              f"{f['experiment']} runs need n <= (grid_points - 1)**2 "
@@ -306,6 +295,7 @@ def _schedule(v, f) -> list:
 def _tau(v, f) -> dict:
     """tau(n) >= 1 for every n, and tau(n) < n along a stochastic schedule."""
     v = _as(dict, v)
+    refuse_unknown_keys(v, "tau", ("kind", "scale"))
     if v.get("kind") not in TAU_KINDS:
         raise ValueError(f"unknown tau kind {v.get('kind')!r} (known: {TAU_KINDS})")
     tau = {"kind": v["kind"], "scale": _as(float, v.get("scale", 1.0))}
@@ -325,7 +315,6 @@ def _tau(v, f) -> dict:
 _SCHEMA = {
     "seed": (int, f"[0, {2 ** 64})", 0),
     "samples": (int, "[1, inf)", 10000),
-    "workers": (int, "[1, inf)", 1),
     "degenerate_nodes": (bool, None, False),
     "dim": (_dim, "[1, 2]", lambda f: 1 if f["experiment"] == "stochastic" else 2),
     "atoms": (int, "[1, inf)", 5),
@@ -336,7 +325,6 @@ _SCHEMA = {
     "epsilons": (_floats, "(0, inf)", [0.1]),
     "etas": (_floats, "(0, 1)", [0.05]),
     "rs": (_floats, "(0, 1)", [0.9]),
-    "family_params": (dict, None, {}),
     "capacity": (_capacity, None, _default_capacity),
     "family": (_family, None, "affine_noise"),
     "schedule": (_schedule, None, lambda f: _DEFAULT_SCHEDULES[f["experiment"]]),
@@ -397,7 +385,7 @@ class ExperimentConfig:
         return cls(f["experiment"], f["capacity"], f["family"], f["dim"], f["schedule"],
                    f["p"], f["grid_points"], f["deltas"], f["epsilons"], f["etas"],
                    f["rs"], f["tau"], f["seed"], f["samples"], f["degenerate_nodes"],
-                   f["workers"], raw)
+                   raw=raw)
 
 
 # ---------------------------------------------------------------------------

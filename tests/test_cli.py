@@ -105,6 +105,7 @@ def test_bad_capacity_file_is_input_error(tmp_path, capsys):
     # each would parse, to as many atoms as lambda has entries, if iterated
     *[{"atoms": atoms, "repr": {"type": "possibility", "lambda": [1.0] * n}}
       for atoms, n in (("ab", 2), ({"x": 1, "y": 2}, 2), (True, 1))],
+    {**SQRT_CAP, "extra": 1},
 ])
 @pytest.mark.parametrize("command", [
     ["capacity-check"], ["integrate", "--values", "0,1"],
@@ -302,6 +303,7 @@ def test_modulus_sample_kind(capsys):
 
 
 def test_threads_env_var(tmp_path, capsys, monkeypatch):
+    # CHOQBERN_THREADS is not read: setting it changes no byte of the rows
     cfg = _write_config(tmp_path, {
         "experiment": "capacity_convergence", "family": "affine_noise",
         "schedule": [4, 16]})
@@ -373,6 +375,15 @@ def test_threads_flag(tmp_path, capsys):
      "schedule"),
     ({"experiment": "mean_convergence", "atoms": 24}, "capacity"),
     ({"experiment": "capacity_convergence", "atoms": 24}, "capacity"),
+    # degrees beyond bernstein.N_MAX, which even the capacity run cannot take
+    ({"experiment": "capacity_convergence", "dim": 1, "grid_points": 9,
+      "schedule": [200000]}, "schedule"),
+    # a nested object refuses a key that nothing reads
+    ({"experiment": "capacity_convergence", "capacity": {"atoms": 2, "repr": {
+        **SQRT_CAP["repr"], "weight": [0.9, 0.1]}}}, "capacity"),
+    ({"experiment": "capacity_convergence",
+      "family": {"name": "affine_noise", "parms": {"scale": 5}}}, "family"),
+    ({"experiment": "stochastic", "tau": {"kind": "sqrt", "scal": 8}}, "tau"),
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)
@@ -529,16 +540,16 @@ def worker_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("flag, env, expected", [
-    (None, None, 3),     # the config's workers
-    (None, "2", 2),      # the environment overrides the config
-    ("1", "2", 1),       # the flag overrides both
+    (None, None, 1),     # the default
+    (None, "3", 1),      # CHOQBERN_THREADS is not read
+    ("1", "2", 1),
     ("4", None, 4),
 ])
 def test_worker_threads_precedence(tmp_path, capsys, monkeypatch, worker_counts,
                                    flag, env, expected):
     cfg = _write_config(tmp_path, {
         "experiment": "capacity_convergence", "family": "affine_noise",
-        "schedule": [4, 16], "grid_points": 9, "workers": 3})
+        "schedule": [4, 16], "grid_points": 9})
     if env is not None:
         monkeypatch.setenv("CHOQBERN_THREADS", env)
     argv = ["experiment", "--config", cfg, "--out", str(tmp_path / "rows.csv")]
@@ -549,9 +560,7 @@ def test_worker_threads_precedence(tmp_path, capsys, monkeypatch, worker_counts,
 @pytest.mark.parametrize("flag, env, name", [
     ("0", None, "--threads"),
     ("-2", None, "--threads"),
-    (None, "abc", "CHOQBERN_THREADS"),
-    (None, "0", "CHOQBERN_THREADS"),
-    (None, "1.5", "CHOQBERN_THREADS"),
+    ("0", "4", "--threads"),  # CHOQBERN_THREADS is not read
 ])
 def test_bad_worker_threads_is_input_error(tmp_path, capsys, monkeypatch, worker_counts,
                                            flag, env, name):

@@ -179,11 +179,11 @@ _DISTORTION = _object(
 # mostly valid values, so that parsing often gets past the early keys to the
 # capacity, family, schedule and tau checks
 _NEAR = {
-    "seed": st.just(0), "samples": st.just(50), "workers": st.just(1),
+    "seed": st.just(0), "samples": st.just(50),
     "degenerate_nodes": st.booleans(), "dim": st.sampled_from([1, 2]),
     "atoms": st.sampled_from([2, 3]), "grid_points": st.just(9),
     "p": st.just([1, 2]), "deltas": st.just(0.1), "epsilons": st.just([0.1]),
-    "etas": st.just(0.05), "rs": st.just([0.9]), "family_params": st.just({}),
+    "etas": st.just(0.05), "rs": st.just([0.9]),
     "capacity": _object({"repr": _object(
         {"type": st.sampled_from(["distorted", "possibility", "table"])},
         distortion=_DISTORTION, weights=_JSON, values=_JSON,
@@ -461,10 +461,13 @@ _DISTORTED = {"type": "distorted", "distortion": {"kind": "rational_2t"}}
 @pytest.mark.parametrize("capacity, message", [
     ({"atoms": 5, "repr": _DISTORTED, "junk": 1}, "unknown key 'junk' in capacity;"),
     ({"atoms": 5, "repr": {**_DISTORTED, "weights": "garbage"}},
-     "unknown key 'weights' in capacity.repr"),
+     "could not convert string to float"),
     ({"atoms": 3, "repr": _DISTORTED}, "capacity atoms 3 differ"),
     ({"atoms": ["a", "b"], "repr": _DISTORTED}, "differ from the run's atoms 5"),
     ({"atoms": 3, "repr": {**_DISTORTED, "weights": "garbage"}, "junk": 1}, "junk"),
+    # sample i is drawn on atom i mod M, so the run's measure is uniform
+    ({"atoms": 5, "repr": {**_DISTORTED, "weights": [0.5, 0.5, 0, 0, 0]}},
+     "uniform weights"),
 ])
 def test_stochastic_capacity_refuses_keys_it_would_ignore(capacity, message):
     with pytest.raises(ConfigError, match="key 'capacity'") as err:
@@ -475,10 +478,28 @@ def test_stochastic_capacity_refuses_keys_it_would_ignore(capacity, message):
 
 def test_stochastic_capacity_keys_it_reads_still_parse():
     for capacity in ({"repr": _DISTORTED}, {"atoms": 4, "repr": _DISTORTED},
-                     {"atoms": ["a", "b", "c", "d"], "repr": _DISTORTED}):
+                     {"atoms": ["a", "b", "c", "d"], "repr": _DISTORTED},
+                     {"atoms": 4, "repr": {**_DISTORTED, "weights": [0.25] * 4}}):
         cfg = ExperimentConfig.from_mapping({"experiment": "stochastic", "atoms": 4,
                                              "capacity": capacity})
         assert cfg.atoms == 4 and cfg.capacity.form.distortion.kind == "rational_2t"
+
+
+def test_mean_run_certifies_a_table_once(monkeypatch):
+    # the config parser and the modulus table both ask for the verdict
+    from choqbern import capacity
+    calls = []
+    real = capacity.check_properties
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(capacity, "check_properties", spy)
+    cfg = ExperimentConfig.from_mapping({
+        "experiment": "mean_convergence", "grid_points": 9, "schedule": [[2, 4]],
+        "capacity": _RUN_CAPACITIES[-1]})
+    assert run_experiment(cfg).rows
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -547,7 +568,9 @@ def test_workers_do_not_change_rows():
     base = {"experiment": "capacity_convergence", "family": "affine_noise",
             "schedule": [4, 16, 64], "seed": 9}
     res1 = run_experiment(ExperimentConfig.from_mapping(base))
-    res2 = run_experiment(ExperimentConfig.from_mapping({**base, "workers": 3}))
+    cfg = ExperimentConfig.from_mapping(base)
+    cfg.workers = 3
+    res2 = run_experiment(cfg)
     assert res1.to_csv() == res2.to_csv()
 
 

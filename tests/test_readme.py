@@ -25,3 +25,11 @@ def test_readme_library_example_runs_and_gives_its_commented_value():
     # the comment names the value in math notation, e.g. sqrt(0.5)
     expected = eval(comment.strip(), vars(math).copy())
     assert got == pytest.approx(expected, abs=1e-15)
+
+
+def test_readme_config_table_lists_the_schema_keys_in_order():
+    from choqbern.experiments import _SCHEMA
+    text = README.read_text()
+    table = text[text.index("| key | type | range | default |"):].split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert keys == list(_SCHEMA)
