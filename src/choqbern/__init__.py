@@ -8,7 +8,7 @@ from .capacity import (Capacity, CapacityTooLargeError, ConstructionError,
                        check_properties, distortion_from_spec, eval_capacity,
                        eval_sets, make_distorted, make_distortion, make_possibility,
                        make_table, subset_table)
-from .choquet import (AtomFunction, IntegralResult, capacity_distribution_function,
+from .choquet import (IntegralResult, capacity_distribution_function,
                       choquet_integral, choquet_integral_oracle, choquet_lp_norm,
                       comonotone, integral_batch)
 from .randomfn import (Grid, RandomFunction, build_family, choquet_modulus,

@@ -19,20 +19,6 @@ P_MAX = 16.0  # largest supported L^p exponent
 
 
 @dataclass(frozen=True)
-class AtomFunction:
-    """Real values attached to each atom of a ground space."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise InputError("atom function must be a nonempty vector")
-        if not np.all(np.isfinite(v)):
-            raise InputError("atom function values must be finite")
-
-
-@dataclass(frozen=True)
 class IntegralResult:
     value: float
     method: str
@@ -40,7 +26,7 @@ class IntegralResult:
 
 
 def _atom_values(f, m: int) -> np.ndarray:
-    vals = np.asarray(getattr(f, "values", f), dtype=float)
+    vals = np.asarray(f, dtype=float)
     if vals.shape != (m,):
         raise InputError(f"expected {m} atom values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
@@ -127,8 +113,8 @@ def capacity_distribution_function(f, cap: Capacity, x: float) -> float:
 
 def comonotone(f, g, tol: float = 0.0) -> bool:
     """Pairwise-product comonotonicity test for two atom functions."""
-    fv = np.asarray(getattr(f, "values", f), dtype=float)
-    gv = np.asarray(getattr(g, "values", g), dtype=float)
+    fv = np.asarray(f, dtype=float)
+    gv = np.asarray(g, dtype=float)
     df = fv[:, None] - fv[None, :]
     dg = gv[:, None] - gv[None, :]
     return bool(np.all(df * dg >= -tol))
@@ -152,6 +138,9 @@ def sorted_levels(values: np.ndarray, mu_table: np.ndarray
     last bits, because numpy's row sum is then pairwise.
     """
     k, m = values.shape
+    if np.shape(mu_table) != (1 << m,):
+        raise InputError(f"{m} atom values need a capacity table of {1 << m} "
+                         f"entries, got shape {np.shape(mu_table)}")
     order = np.argsort(values, axis=1, kind="stable")
     # flat index of each row's first entry
     row_start = np.arange(k, dtype=np.int64)[:, None] * m

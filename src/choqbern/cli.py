@@ -243,29 +243,28 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.set_defaults(fn=_cmd_capacity_check)
 
-    p = sub.add_parser("modulus", help="moduli of continuity on a grid")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default=None, help="family parameters as JSON")
-    p.add_argument("--atoms", type=int, default=5)
-    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    # the flags ``_build_from_args`` reads, shared by ``modulus`` and ``approx``
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True)
+    family.add_argument("--params", default=None, help="family parameters as JSON")
+    family.add_argument("--atoms", type=int, default=5)
+    family.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    family.add_argument("--atom", type=int, default=0)
+    family.add_argument("--grid", type=int, default=None)
+
+    p = sub.add_parser("modulus", parents=[family],
+                       help="moduli of continuity on a grid")
     p.add_argument("--kind", choices=["gamma", "k", "sample"], default="k")
     p.add_argument("--capacity", default=None, help="needed for --kind gamma")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--delta2", type=float, default=None)
     p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--atom", type=int, default=0)
-    p.add_argument("--grid", type=int, default=None)
     p.set_defaults(fn=_cmd_modulus)
 
-    p = sub.add_parser("approx", help="Bernstein approximation report for one sample")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default=None)
-    p.add_argument("--atoms", type=int, default=5)
-    p.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    p = sub.add_parser("approx", parents=[family],
+                       help="Bernstein approximation report for one sample")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--atom", type=int, default=0)
-    p.add_argument("--grid", type=int, default=None)
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("stochastic", help="draw one node row and report its deviation")

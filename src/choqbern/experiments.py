@@ -409,12 +409,10 @@ def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float) -> Experimen
 
 
 def semi_metric(f: RandomFunction, g: RandomFunction, cap: Capacity,
-                grid: Grid | None = None) -> float:
+                grid: Grid) -> float:
     """sup over grid x of the Choquet integral of |F-G| / (1 + |F-G|)."""
     if f.space != g.space or f.dim != g.dim:
         raise InputError("semi-metric needs functions on the same space and domain")
-    if grid is None:
-        grid = Grid.default_for(f.dim)
     diff = np.abs(f.grid_tensor(grid) - g.grid_tensor(grid))
     return _semi_metric_of(diff, subset_table(cap))
 

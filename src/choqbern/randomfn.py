@@ -190,11 +190,15 @@ def _window(delta: float, grid: Grid) -> int:
 
 
 def _box_windows(deltas, grid: Grid) -> tuple[int, int]:
-    """Per-axis windows (w1, w2) of a delta box; a 1-D box has w2 = 0."""
-    if len(deltas) != grid.dim:
-        raise InputError(f"expected {grid.dim} deltas")
-    w1, w2 = (*(_window(d, grid) for d in deltas), 0)[:2]
-    return w1, w2
+    """Per-axis windows (w1, w2) of a box of one delta for every axis, or one
+    per axis, on a grid of dim <= 2; a 1-D box has w2 = 0."""
+    if grid.dim > 2:
+        raise InputError("modulus computation supports dim <= 2 only")
+    deltas = np.ravel(deltas)
+    if deltas.size not in (1, grid.dim):
+        raise InputError(f"expected one delta or {grid.dim}, got {deltas.size}")
+    windows = [_window(float(d), grid) for d in np.broadcast_to(deltas, grid.dim)]
+    return (*windows, 0)[:2]
 
 
 def _offsets(w1: int, w2: int) -> list[tuple[int, int]]:
@@ -272,8 +276,8 @@ class ChoquetModulusTable:
 
     Precomputes, for every axis offset within a window, the maximum over
     grid positions of the integral of |F(t) - F(s)|^p; modulus queries then
-    reduce to a maximum over the offsets inside a delta box.  Supported for
-    dim <= 2; a 1-D table is a 2-D one with no second axis.
+    reduce to a maximum over the offsets inside a delta box (``_box_windows``);
+    a 1-D table is a 2-D one with no second axis.
 
     Exact pruning.  For h >= 0 and any nonnegative monotone table, the
     Choquet integral of h is at most max(h) * max(mu_table): the telescoped
@@ -341,9 +345,8 @@ class ChoquetModulusTable:
     """
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
-                 max_deltas=None, powers=(1.0,)):
-        if f.dim > 2:
-            raise InputError("modulus computation supports dim <= 2 only")
+                 max_deltas, powers):
+        w1, w2 = _box_windows(max_deltas, grid)
         self.powers = tuple(float(p) for p in powers)
         for p in self.powers:
             if not (1.0 <= p <= P_MAX):
@@ -351,19 +354,12 @@ class ChoquetModulusTable:
         if not certified_submodular(cap):
             warnings.warn("capacity is not certified submodular; the modulus "
                           "triangle/scaling properties may fail", stacklevel=2)
-        self.f = f
-        self.cap = cap
         self.grid = grid
-        if max_deltas is None:
-            max_deltas = (1.0,) * f.dim
-        elif np.isscalar(max_deltas):
-            max_deltas = (float(max_deltas),) * f.dim
         m = f.atom_count
         # atom-major, so an offset's |D| is (M, cells) and UB a leading-axis max
         atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
         mu_table = subset_table(cap)
         factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
-        w1, w2 = _box_windows(max_deltas, grid)
         # (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D; written through (w1 + 1, -1) views
         self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in self.powers}
         cells = {p: off.reshape(w1 + 1, -1) for p, off in self._off.items()}
@@ -387,12 +383,8 @@ class ChoquetModulusTable:
             for p, vals in zip(self.powers, _powered_integrals(v, mu, self.powers)):
                 cells[p][dx, dys[0] + w2:dys[-1] + w2 + 1] = np.maximum.reduceat(vals, starts)
 
-    def gamma(self, *deltas: float, p: float | None = None) -> float:
-        """Choquet L^p modulus for a per-axis delta box."""
-        if p is None:
-            if len(self.powers) != 1:
-                raise InputError("several powers precomputed; pass p explicitly")
-            p = self.powers[0]
+    def gamma(self, *deltas: float, p: float) -> float:
+        """Choquet L^p modulus for a delta box: one delta, or one per axis."""
         if p not in self._off:
             raise InputError(f"p={p} was not precomputed (have {self.powers})")
         d1, d2 = _box_windows(deltas, self.grid)
@@ -406,17 +398,10 @@ class ChoquetModulusTable:
 
 
 def choquet_modulus(f: RandomFunction, cap: Capacity, deltas, p: float,
-                    grid: Grid | None = None) -> float:
-    """Choquet L^p modulus of continuity over grid pairs within a delta box."""
-    if np.isscalar(deltas):
-        deltas = (float(deltas),) * f.dim
-    deltas = tuple(float(d) for d in deltas)
-    if len(deltas) != f.dim:
-        raise InputError(f"expected {f.dim} deltas")
-    if grid is None:
-        grid = Grid.default_for(f.dim)
-    table = ChoquetModulusTable(f, cap, grid, max_deltas=deltas, powers=(p,))
-    return table.gamma(*deltas)
+                    grid: Grid) -> float:
+    """Choquet L^p modulus over grid pairs in a box of one delta or one per axis."""
+    table = ChoquetModulusTable(f, cap, grid, deltas, powers=(p,))
+    return table.gamma(*np.ravel(deltas), p=table.powers[0])
 
 
 def sample_modulus_profile(f: RandomFunction, grid: Grid,
@@ -428,13 +413,11 @@ def sample_modulus_profile(f: RandomFunction, grid: Grid,
     distances are sorted ascending starting at 0.  ``max_dist`` prunes the
     offset enumeration to distances that will actually be queried.
     """
-    if f.dim > 2:
-        raise InputError("modulus computation supports dim <= 2 only")
-    tensor = f.grid_tensor(grid)
     if max_dist is None:
         max_dist = math.sqrt(f.dim) + 1.0  # beyond every grid pair
     limit = max_dist + PAIR_TOL
-    w1, w2 = _box_windows((max_dist,) * f.dim, grid)
+    w1, w2 = _box_windows(max_dist, grid)
+    tensor = f.grid_tensor(grid)
     entries = []
     for dx, dy in _offsets(w1, w2):
         dist = math.hypot(dx, dy) * grid.spacing
@@ -462,11 +445,9 @@ def profile_at(dists: np.ndarray, profile: np.ndarray, delta):
 
 
 def stochastic_modulus(f: RandomFunction, delta: float, atom: int,
-                       grid: Grid | None = None) -> float:
+                       grid: Grid) -> float:
     """Max of |f(x, atom) - f(y, atom)| over grid pairs with ||x-y|| <= delta."""
     if not (0 <= atom < f.atom_count):
         raise InputError(f"atom index {atom} out of range")
-    if grid is None:
-        grid = Grid.default_for(f.dim)
     dists, prof = sample_modulus_profile(f, grid, max_dist=delta)
     return float(profile_at(dists, prof, delta)[atom])

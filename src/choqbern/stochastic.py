@@ -101,14 +101,10 @@ class KTable:
     deltas and cost O(1) each.
     """
 
-    def __init__(self, f: RandomFunction, grid: Grid | None = None):
+    def __init__(self, f: RandomFunction, grid: Grid):
         if f.dim != 1:
             raise InputError("K modulus is defined for 1-d functions")
-        if grid is None:
-            grid = Grid.default_for(1)
-        self.grid = grid
-        dists, prof = sample_modulus_profile(f, grid)
-        self._dists = dists
+        self._dists, prof = sample_modulus_profile(f, grid)
         self._max = prof.max(axis=1)
 
     def __call__(self, delta) -> np.ndarray | float:
@@ -116,7 +112,7 @@ class KTable:
         return float(out) if out.ndim == 0 else out
 
 
-def k_modulus(f: RandomFunction, delta: float, grid: Grid | None = None) -> float:
+def k_modulus(f: RandomFunction, delta: float, grid: Grid) -> float:
     """K(f, delta): max over atoms and grid pairs |x-y| <= delta of |f(x)-f(y)|.
 
     Each call builds a ``KTable``, one walk over every grid offset; for
@@ -129,7 +125,7 @@ def default_delta_grid(points: int = 1025) -> np.ndarray:
     return np.arange(points) / (points - 1)
 
 
-def k_inverse(f: RandomFunction, eps: float, grid: Grid | None = None,
+def k_inverse(f: RandomFunction, eps: float, grid: Grid,
               delta_grid=None) -> float:
     """Largest delta in the delta grid with K(f, delta) <= eps (0 if none).
 

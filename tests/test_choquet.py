@@ -280,18 +280,6 @@ def test_atom_function_validation(sqrt_cap2):
         choquet_integral([np.nan, 1.0], sqrt_cap2)
 
 
-def test_atom_function_wrapper(sqrt_cap2):
-    from choqbern import AtomFunction
-    f = AtomFunction((0.0, 1.0))
-    assert choquet_integral(f, sqrt_cap2).value == pytest.approx(
-        math.sqrt(0.5), abs=1e-15)
-    assert choquet_lp_norm(f, sqrt_cap2, 2.0) == pytest.approx(0.5 ** 0.25, abs=1e-12)
-    with pytest.raises(InputError):
-        AtomFunction((0.0, math.inf))
-    with pytest.raises(InputError):
-        AtomFunction(())
-
-
 def _row_wise_integral_batch(values, mu_table):
     """The row-wise (K, M) sorted-sum kernel, as a reference."""
     values = np.asarray(values, dtype=float)

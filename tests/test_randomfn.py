@@ -6,8 +6,9 @@ import pytest
 
 from choqbern import (DiscreteProbability, GroundSpace, InputError,
                       PossibilityDistribution, check_properties, choquet_modulus,
-                      make_distorted, make_distortion, make_possibility, make_table,
-                      randomfn, stochastic_modulus, subset_table)
+                      integral_batch, make_distorted, make_distortion,
+                      make_possibility, make_table, randomfn, semi_metric,
+                      stochastic_modulus, subset_table)
 from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
@@ -403,8 +404,6 @@ def test_modulus_table_multi_power_and_query_errors(cap1):
     assert table.gamma(0.25, p=1.0) == pytest.approx(0.25, abs=1e-12)
     assert table.gamma(0.25, p=2.0) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(InputError):
-        table.gamma(0.25)  # ambiguous power
-    with pytest.raises(InputError):
         table.gamma(0.9, p=1.0)  # beyond window
     with pytest.raises(InputError):
         ChoquetModulusTable(f, cap1, grid, 0.5, powers=(0.5,))
@@ -451,8 +450,39 @@ def test_stochastic_modulus_monotone_exact():
 
 def test_modulus_rejects_high_dimension(cap1):
     f = RandomFunction(SPACE1, 3, lambda pts, w: np.mean(pts, axis=-1))
-    with pytest.raises(InputError):
-        choquet_modulus(f, cap1, (0.1, 0.1, 0.1), 1.0, None)
+    with pytest.raises(InputError, match="dim <= 2"):
+        choquet_modulus(f, cap1, (0.1, 0.1, 0.1), 1.0, Grid(3, 5))
+    with pytest.raises(InputError, match="dim <= 2"):
+        sample_modulus_profile(f, Grid(3, 5))
+
+
+def test_modulus_scalar_box_is_every_axis():
+    space = GroundSpace.of_size(3)
+    f = build_family("affine_noise", space, 2)
+    cap = make_distorted(make_distortion("power", alpha=0.5),
+                         DiscreteProbability.uniform(3))
+    grid = Grid(2, 17)
+    powers = (1.0, 2.0)
+    scalar = ChoquetModulusTable(f, cap, grid, 0.3, powers)
+    boxed = ChoquetModulusTable(f, cap, grid, (0.3, 0.3), powers)
+    for p in powers:
+        assert np.array_equal(scalar._off[p], boxed._off[p])
+    assert (choquet_modulus(f, cap, 0.3, 2.0, grid)
+            == choquet_modulus(f, cap, (0.3, 0.3), 2.0, grid))
+
+
+@pytest.mark.parametrize("cap_atoms", [3, 8])
+def test_capacity_atom_mismatch_is_input_error(cap_atoms):
+    f = build_family("affine_noise", GroundSpace.of_size(5), 1)
+    cap = make_distorted(make_distortion("power", alpha=0.5),
+                         DiscreteProbability.uniform(cap_atoms))
+    grid = Grid(1, 33)
+    with pytest.raises(InputError, match="capacity table"):
+        choquet_modulus(f, cap, 0.1, 1.0, grid)
+    with pytest.raises(InputError, match="capacity table"):
+        semi_metric(f, f, cap, grid)
+    with pytest.raises(InputError, match="capacity table"):
+        integral_batch(f.grid_tensor(grid), subset_table(cap))
 
 
 def test_modulus_warns_for_uncertified_capacity():
