@@ -2,12 +2,10 @@
 of random functions, with a verification harness for the quantitative
 convergence estimates."""
 
-from .capacity import (Capacity, CapacityTooLargeError, ConstructionError,
-                       DiscreteProbability, Distortion, GroundSpace, InputError,
-                       PossibilityDistribution, PropertyReport, capacity_from_spec,
-                       check_properties, distortion_from_spec, eval_capacity,
-                       eval_sets, make_distorted, make_distortion, make_possibility,
-                       make_table, subset_table)
+from .capacity import (Capacity, CapacityTooLargeError, ConstructionError, Distortion,
+                       InputError, PropertyReport, capacity_from_spec, check_properties,
+                       distortion_from_spec, eval_capacity, eval_sets, make_distorted,
+                       make_distortion, make_possibility, make_table, subset_table)
 from .choquet import (IntegralResult, capacity_distribution_function,
                       choquet_integral, choquet_integral_oracle, choquet_lp_norm,
                       comonotone, integral_batch)

@@ -45,27 +45,6 @@ class CapacityTooLargeError(ValueError):
     """Exhaustive subset enumeration was requested for more than 20 atoms."""
 
 
-@dataclass(frozen=True)
-class GroundSpace:
-    """Finite sample space; subsets are bitmasks over atom indices."""
-
-    atom_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.atom_labels) < 1:
-            raise ConstructionError("ground space needs at least one atom")
-        if len(set(self.atom_labels)) != len(self.atom_labels):
-            raise ConstructionError("atom labels must be unique")
-
-    @classmethod
-    def of_size(cls, m: int, prefix: str = "w") -> "GroundSpace":
-        return cls(tuple(f"{prefix}{i}" for i in range(m)))
-
-    @property
-    def atom_count(self) -> int:
-        return len(self.atom_labels)
-
-
 def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
     """Normalize a subset (bitmask int, index iterable, or None for all)."""
     if subset is None:
@@ -89,26 +68,6 @@ def as_members(subset: Union[int, Iterable[int], None], m: int) -> np.ndarray:
     mask = as_mask(subset, m)
     packed = np.frombuffer(mask.to_bytes(-(-m // 8), "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=m, bitorder="little").astype(bool)
-
-
-@dataclass(frozen=True)
-class DiscreteProbability:
-    """Probability weights over the atoms of a ground space."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ConstructionError("weights must be a nonempty vector")
-        if np.any(w < -TOL) or np.any(w > 1 + TOL):
-            raise ConstructionError("weights must lie in [0, 1]")
-        if abs(float(w.sum()) - 1.0) > TOL:
-            raise ConstructionError(f"weights sum to {w.sum()}, expected 1")
-
-    @classmethod
-    def uniform(cls, m: int) -> "DiscreteProbability":
-        return cls(tuple(1.0 / m for _ in range(m)))
 
 
 @dataclass(frozen=True)
@@ -189,20 +148,14 @@ def make_distortion(kind: str, **params) -> Distortion:
     return dist
 
 
-@dataclass(frozen=True)
-class PossibilityDistribution:
-    """Per-atom possibility levels; the largest level must be one."""
-
-    levels: tuple[float, ...]
-
-    def __post_init__(self):
-        lam = np.asarray(self.levels, dtype=float)
-        if lam.ndim != 1 or lam.size < 1:
-            raise ConstructionError("levels must be a nonempty vector")
-        if np.any(lam < -TOL) or np.any(lam > 1 + TOL):
-            raise ConstructionError("levels must lie in [0, 1]")
-        if abs(float(lam.max()) - 1.0) > TOL:
-            raise ConstructionError(f"max level is {lam.max()}, expected 1")
+def _unit_vector(values, name: str) -> np.ndarray:
+    """``values`` as a nonempty vector in [0, 1] (within ``TOL``)."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ConstructionError(f"{name} must be a nonempty vector")
+    if np.any(v < -TOL) or np.any(v > 1 + TOL):
+        raise ConstructionError(f"{name} must lie in [0, 1]")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,38 +165,55 @@ class TableRepr:
 
 @dataclass(frozen=True)
 class DistortedRepr:
+    """u(P) for probability weights P over the atoms."""
+
     distortion: Distortion
-    probability: DiscreteProbability
+    weights: tuple[float, ...]
+
+    def __post_init__(self):
+        w = _unit_vector(self.weights, "weights")
+        if abs(float(w.sum()) - 1.0) > TOL:
+            raise ConstructionError(f"weights sum to {w.sum()}, expected 1")
 
 
 @dataclass(frozen=True)
 class PossibilityRepr:
-    distribution: PossibilityDistribution
+    """Per-atom possibility levels; the largest level must be one."""
+
+    levels: tuple[float, ...]
+
+    def __post_init__(self):
+        lam = _unit_vector(self.levels, "levels")
+        if abs(float(lam.max()) - 1.0) > TOL:
+            raise ConstructionError(f"max level is {lam.max()}, expected 1")
 
 
 @dataclass(eq=False)
 class Capacity:
-    """A normalized monotone set function over a finite ground space.
+    """A normalized monotone set function over a finite set of atoms.
 
-    Treat instances as immutable; the mutable fields memoize the full
-    subset table for vectorized consumers and ``certified_submodular``'s
-    verdict.
+    The atom count is read from the form.  Treat instances as immutable;
+    the mutable fields memoize the full subset table for vectorized
+    consumers and ``certified_submodular``'s verdict.
     """
 
-    space: GroundSpace
     form: Union[TableRepr, DistortedRepr, PossibilityRepr]
     _table: np.ndarray | None = field(default=None, repr=False)
     _certified: bool | None = field(default=None, repr=False)
 
     @property
     def atom_count(self) -> int:
-        return self.space.atom_count
+        form = self.form
+        if isinstance(form, TableRepr):
+            return form.values.size.bit_length() - 1
+        return len(form.weights if isinstance(form, DistortedRepr) else form.levels)
 
 
-def make_table(space: GroundSpace,
+def make_table(m: int,
                values: Union[Mapping[int, float], Sequence[float], np.ndarray]) -> Capacity:
-    """Explicit-table capacity; the table must be total and monotone."""
-    m = space.atom_count
+    """Explicit-table capacity on ``m`` atoms; the table must be total and monotone."""
+    if m < 1:
+        raise ConstructionError(f"a capacity needs at least one atom, got {m}")
     n = 1 << m
     if isinstance(values, Mapping):
         tbl = np.full(n, np.nan)
@@ -273,27 +243,17 @@ def make_table(space: GroundSpace,
         if np.any(tbl[without] > tbl[without | bit] + TOL):
             raise ConstructionError("table is not monotone under inclusion")
     tbl.setflags(write=False)
-    return Capacity(space, TableRepr(tbl))
+    return Capacity(TableRepr(tbl))
 
 
-def make_distorted(u: Distortion, p: DiscreteProbability,
-                   space: GroundSpace | None = None) -> Capacity:
+def make_distorted(u: Distortion, weights: Sequence[float]) -> Capacity:
     """Distorted probability u(P); concavity of u makes it submodular."""
-    if space is None:
-        space = GroundSpace.of_size(len(p.weights))
-    if space.atom_count != len(p.weights):
-        raise ConstructionError("weights length must match atom count")
-    return Capacity(space, DistortedRepr(u, p))
+    return Capacity(DistortedRepr(u, tuple(float(w) for w in weights)))
 
 
-def make_possibility(lam: PossibilityDistribution,
-                     space: GroundSpace | None = None) -> Capacity:
-    """Possibility measure A -> max of the distribution over A."""
-    if space is None:
-        space = GroundSpace.of_size(len(lam.levels))
-    if space.atom_count != len(lam.levels):
-        raise ConstructionError("levels length must match atom count")
-    return Capacity(space, PossibilityRepr(lam))
+def make_possibility(levels: Sequence[float]) -> Capacity:
+    """Possibility measure A -> max of the levels over A."""
+    return Capacity(PossibilityRepr(tuple(float(v) for v in levels)))
 
 
 def _fold(cap: Capacity, acc: np.ndarray, grow: Callable, empty) -> np.ndarray:
@@ -309,8 +269,8 @@ def _fold(cap: Capacity, acc: np.ndarray, grow: Callable, empty) -> np.ndarray:
     form = cap.form
     distorted = isinstance(form, DistortedRepr)
     for i in range(cap.atom_count):
-        acc = grow(acc, acc + form.probability.weights[i] if distorted
-                   else np.maximum(acc, form.distribution.levels[i]), i)
+        acc = grow(acc, acc + form.weights[i] if distorted
+                   else np.maximum(acc, form.levels[i]), i)
     if not distorted:
         return acc
     # weights carry a 1e-12 construction tolerance; keep the mass inside
@@ -448,7 +408,9 @@ def refuse_unknown_keys(obj: Mapping, where: str, known: Sequence[str]) -> None:
 def capacity_from_spec(obj: Mapping) -> Capacity:
     """Parse ``{"atoms": ..., "repr": {"type": ..., ...}}``; other keys are refused.
 
-    ``atoms`` is a label list or an atom count (an int, not a bool).
+    ``atoms`` is an atom count (an int >= 1, not a bool) or a nonempty list of
+    unique labels, which gives only its length; a "weights" or "lambda" list
+    of another length is refused.
     Representation types are "table" (key "values": subset -> value, subsets
     as comma-joined atom indices, "" for the empty set), "distorted" (keys
     "distortion" and "weights") and "possibility" (key "lambda").
@@ -466,34 +428,29 @@ def capacity_from_spec(obj: Mapping) -> Capacity:
     refuse_unknown_keys(rep, "capacity.repr", ("type", *keys))
     if keys[0] not in rep:
         raise ConstructionError(f"{kind} capacity missing key '{keys[0]}'")
-    atoms = obj.get("atoms")
-    if isinstance(atoms, int) and not isinstance(atoms, bool):
-        space = GroundSpace.of_size(atoms)
-    elif isinstance(atoms, list):
-        space = GroundSpace(tuple(str(a) for a in atoms))
-    elif atoms is None:
-        space = None
-    else:
-        raise ConstructionError(f"capacity 'atoms' must be an atom count or a label "
-                                f"list, got {atoms!r}")
-
-    if kind == "distorted":
-        u = distortion_from_spec(rep["distortion"])
-        if "weights" in rep:
-            p = DiscreteProbability(tuple(float(w) for w in rep["weights"]))
-        elif space is not None:
-            p = DiscreteProbability.uniform(space.atom_count)
-        else:
-            raise ConstructionError("distorted capacity missing key 'weights'")
-        return make_distorted(u, p, space)
+    m = obj.get("atoms")
+    if isinstance(m, list):
+        if len({str(a) for a in m}) != len(m):
+            raise ConstructionError("atom labels must be unique")
+        m = len(m)
+    if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+        raise ConstructionError(f"capacity 'atoms' must be an atom count >= 1 or a "
+                                f"nonempty label list, got {obj['atoms']!r}")
+    if kind == "table":
+        if m is None:
+            raise ConstructionError("table capacity missing key 'atoms'")
+        table = {}
+        for key, v in rep["values"].items():
+            idx = [int(s) for s in str(key).split(",") if s.strip() != ""]
+            table[as_mask(idx, m)] = float(v)
+        return make_table(m, table)
     if kind == "possibility":
-        lam = PossibilityDistribution(tuple(float(v) for v in rep["lambda"]))
-        return make_possibility(lam, space)
-    if space is None:
-        raise ConstructionError("table capacity missing key 'atoms'")
-    m = space.atom_count
-    table = {}
-    for key, v in rep["values"].items():
-        idx = [int(s) for s in str(key).split(",") if s.strip() != ""]
-        table[as_mask(idx, m)] = float(v)
-    return make_table(space, table)
+        cap = make_possibility(rep["lambda"])
+    else:
+        u = distortion_from_spec(rep["distortion"])
+        if "weights" not in rep and m is None:
+            raise ConstructionError("distorted capacity missing key 'weights'")
+        cap = make_distorted(u, rep["weights"] if "weights" in rep else [1.0 / m] * m)
+    if m is not None and cap.atom_count != m:
+        raise ConstructionError(f"'{keys[-1]}' has {cap.atom_count} entries for {m} atoms")
+    return cap

@@ -19,8 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernstein import _check_degree, multivariate_grid, uniform_constant
-from .capacity import (GroundSpace, as_mask, capacity_from_spec, check_properties,
-                       make_distortion)
+from .capacity import as_mask, capacity_from_spec, check_properties, make_distortion
 from .choquet import (_atom_values, choquet_integral, choquet_integral_oracle,
                       choquet_lp_norm)
 from .experiments import (ROW_TOLERANCE, ExperimentConfig, _fmt, named_errors,
@@ -97,8 +96,8 @@ def _build_from_args(args):
 
     --atom and --grid are checked before anything is computed.
     """
-    with named_errors("--atoms"):
-        space = GroundSpace.of_size(args.atoms)
+    if args.atoms < 1:
+        raise ValueError(f"--atoms: must be >= 1, got {args.atoms}")
     if args.family not in list_families():
         raise ValueError(f"unknown --family '{args.family}' (known: {list_families()})")
     if not 0 <= args.atom < args.atoms:
@@ -109,7 +108,7 @@ def _build_from_args(args):
         params = json.loads(args.params or "{}")
         if not isinstance(params, dict):
             raise TypeError(f"expected a JSON object, got {args.params}")
-        return build_family(args.family, space, args.dim, params), grid
+        return build_family(args.family, args.atoms, args.dim, params), grid
 
 
 def _cmd_modulus(args) -> int:
@@ -133,7 +132,8 @@ def _cmd_modulus(args) -> int:
         with named_errors("--p"):
             value = choquet_modulus(f, cap, deltas, args.p, grid)
     elif args.kind == "k":
-        value = k_modulus(f, args.delta, grid)
+        with named_errors("--dim"):
+            value = k_modulus(f, args.delta, grid)
     else:
         value = stochastic_modulus(f, args.delta, args.atom, grid)
     print(json.dumps({"kind": args.kind, "delta": args.delta, "value": value}))
@@ -150,6 +150,11 @@ def _cmd_approx(args) -> int:
             if n is not None:
                 _check_degree(n)
     n_vec = tuple([args.n] * args.dim if args.n2 is None else [args.n, args.n2])
+    finest = (grid.points_per_axis - 1) ** 2
+    if min(n_vec) > finest:
+        flag = "--n" if min(n_vec) == args.n else "--n2"
+        raise ValueError(f"{flag}: degree {min(n_vec)} is finer than the grid: the "
+                         f"modulus at 1/sqrt(n) needs n <= (grid - 1)**2 = {finest}")
     approx = multivariate_grid(f, n_vec, grid)
     tensor = f.grid_tensor(grid)
     w = args.atom

@@ -180,7 +180,9 @@ def _as(kind: type, v):
 
 
 def _floats(v, f) -> tuple[float, ...]:
-    """A number or a list of numbers."""
+    """A number or a nonempty list of numbers."""
+    if v == []:
+        raise ValueError("must be a number or a nonempty list")
     return tuple(_as(float, x) for x in (v if isinstance(v, list) else [v]))
 
 
@@ -211,7 +213,7 @@ def _family(v, f) -> RandomFunction:
         name, params = v.get("name"), _as(dict, v.get("params", {}))
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
-    fn = build_family(name, f["capacity"].space, f["dim"], params)
+    fn = build_family(name, f["capacity"].atom_count, f["dim"], params)
     if f["experiment"] == "stochastic" and not fn.continuous:
         raise ValueError(f"family '{name}' is not continuous in x; "
                          "stochastic runs require continuity")
@@ -241,7 +243,7 @@ def _capacity(spec, f) -> Capacity:
             raise ValueError(f"capacity atoms {json.dumps(spec['atoms'])} differ from the "
                              f"run's atoms {f['atoms']}")
         form = cap.form
-        if not isinstance(form, DistortedRepr) or len(set(form.probability.weights)) > 1:
+        if not isinstance(form, DistortedRepr) or len(set(form.weights)) > 1:
             raise ValueError("stochastic runs draw sample i on atom i mod M, so they need "
                              "a distorted capacity with uniform weights")
         _check_slope(form.distortion.derivative_at_zero)
@@ -411,8 +413,8 @@ def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float) -> Experimen
 def semi_metric(f: RandomFunction, g: RandomFunction, cap: Capacity,
                 grid: Grid) -> float:
     """sup over grid x of the Choquet integral of |F-G| / (1 + |F-G|)."""
-    if f.space != g.space or f.dim != g.dim:
-        raise InputError("semi-metric needs functions on the same space and domain")
+    if f.atom_count != g.atom_count or f.dim != g.dim:
+        raise InputError("semi-metric needs functions on the same atoms and domain")
     diff = np.abs(f.grid_tensor(grid) - g.grid_tensor(grid))
     return _semi_metric_of(diff, subset_table(cap))
 

@@ -16,8 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .capacity import (Capacity, GroundSpace, InputError, certified_submodular,
-                       subset_table)
+from .capacity import Capacity, InputError, certified_submodular, subset_table
 from .choquet import P_MAX, sorted_levels, telescoped_sum
 
 PAIR_TOL = 1e-12  # slack when matching grid pair distances against deltas
@@ -57,14 +56,14 @@ class Grid:
 
 @dataclass(eq=False)
 class RandomFunction:
-    """Stochastic process on [0, 1]^dim over a finite atom space.
+    """Stochastic process on [0, 1]^dim over ``atom_count`` atoms.
 
     ``evaluator(points, atom)`` must be a pure function accepting an array
     of shape (..., dim) and returning shape (...); grid tensors are
     memoized per grid (the only internal mutation).
     """
 
-    space: GroundSpace
+    atom_count: int
     dim: int
     evaluator: Callable[[np.ndarray, int], np.ndarray]
     name: str = "anonymous"
@@ -72,9 +71,10 @@ class RandomFunction:
     continuous: bool = True
     _grids: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def atom_count(self) -> int:
-        return self.space.atom_count
+    def __post_init__(self):
+        if self.atom_count < 1:
+            raise InputError(f"a random function needs at least one atom, "
+                             f"got {self.atom_count}")
 
     def eval(self, x, atom: int) -> float:
         pts = np.atleast_1d(np.asarray(x, dtype=float))
@@ -111,14 +111,13 @@ def _coord_mean(pts: np.ndarray) -> np.ndarray:
     return pts[..., 0] if pts.shape[-1] == 1 else np.mean(pts, axis=-1)
 
 
-def _absdev(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
+def _absdev(m: int, dim: int, params: dict) -> RandomFunction:
     def ev(pts, atom):
         return np.abs(_coord_mean(pts) - 0.5)
-    return RandomFunction(space, dim, ev, name="deterministic:absdev", m_sup=0.5)
+    return RandomFunction(m, dim, ev, name="deterministic:absdev", m_sup=0.5)
 
 
-def _affine_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
-    m = space.atom_count
+def _affine_noise(m: int, dim: int, params: dict) -> RandomFunction:
     z = np.asarray(params.pop("z", np.linspace(-1.0, 1.0, m) if m > 1 else [1.0]),
                    dtype=float)
     if z.shape != (m,):
@@ -134,11 +133,10 @@ def _affine_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
         return base + noise_gain * z[atom]
 
     sup = abs(scale) + abs(amp) * float(np.max(np.abs(z))) if z.size else abs(scale)
-    return RandomFunction(space, dim, ev, name="affine_noise", m_sup=sup)
+    return RandomFunction(m, dim, ev, name="affine_noise", m_sup=sup)
 
 
-def _step_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
-    m = space.atom_count
+def _step_noise(m: int, dim: int, params: dict) -> RandomFunction:
     z = np.asarray(params.pop("z", np.linspace(-1.0, 1.0, m) if m > 1 else [1.0]),
                    dtype=float)
     thresholds = np.asarray(params.pop("thresholds",
@@ -150,25 +148,26 @@ def _step_noise(space: GroundSpace, dim: int, params: dict) -> RandomFunction:
         return np.where(_coord_mean(pts) >= thresholds[atom], z[atom], 0.0)
 
     sup = float(np.max(np.abs(z))) if z.size else 0.0
-    return RandomFunction(space, dim, ev, name="step_noise", m_sup=sup,
+    return RandomFunction(m, dim, ev, name="step_noise", m_sup=sup,
                           continuous=False)
 
 
-# name -> builder(space, dim, params); a builder pops each parameter it reads
-FAMILIES: dict[str, Callable[[GroundSpace, int, dict], RandomFunction]] = {
+# name -> builder(m, dim, params) on m atoms; a builder pops each parameter it reads
+FAMILIES: dict[str, Callable[[int, int, dict], RandomFunction]] = {
     "deterministic:absdev": _absdev,
     "affine_noise": _affine_noise,
     "step_noise": _step_noise,
 }
 
 
-def build_family(name: str, space: GroundSpace, dim: int,
+def build_family(name: str, m: int, dim: int,
                  params: Mapping | None = None) -> RandomFunction:
-    """The family ``name``; a parameter its builder does not read is refused."""
+    """The family ``name`` on ``m`` atoms; a parameter its builder does not read
+    is refused."""
     if name not in FAMILIES:
         raise InputError(f"unknown family '{name}' (known: {sorted(FAMILIES)})")
     unread = dict(params or {})
-    f = FAMILIES[name](space, dim, unread)
+    f = FAMILIES[name](m, dim, unread)
     if unread:
         raise InputError(f"family '{name}' has no parameter {list(unread)[0]!r}")
     return f

@@ -8,8 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from choqbern import (DiscreteProbability, GroundSpace, PossibilityDistribution,
-                      integral_batch, make_distorted, make_distortion,
+from choqbern import (integral_batch, make_distorted, make_distortion,
                       make_possibility, make_table, subset_table)
 
 DISTORTION_KINDS = ("power", "rational_2t", "exp_decay", "log2", "sine", "arctan")
@@ -22,9 +21,9 @@ def random_distortion(rng: np.random.Generator):
     return make_distortion(kind)
 
 
-def random_probability(rng: np.random.Generator, m: int) -> DiscreteProbability:
+def random_probability(rng: np.random.Generator, m: int) -> tuple[float, ...]:
     w = rng.dirichlet(np.ones(m))
-    return DiscreteProbability(tuple(w))
+    return tuple(w)
 
 
 def random_monotone_table(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -48,8 +47,8 @@ def random_capacity(rng: np.random.Generator, m: int, kind: str | None = None):
     if kind == "possibility":
         lam = rng.random(m)
         lam[int(rng.integers(m))] = 1.0
-        return make_possibility(PossibilityDistribution(tuple(lam)))
-    return make_table(GroundSpace.of_size(m), random_monotone_table(rng, m))
+        return make_possibility(tuple(lam))
+    return make_table(m, random_monotone_table(rng, m))
 
 
 def brute_gamma(f, cap, deltas, p, grid) -> float:

@@ -7,8 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from choqbern import (GroundSpace, PossibilityDistribution,
-                      bernstein_basis, check_properties, choquet_integral,
+from choqbern import (bernstein_basis, check_properties, choquet_integral,
                       choquet_integral_oracle, eval_capacity, integral_batch,
                       lemma51_bound, make_distorted, make_distortion,
                       make_possibility, make_table, run_experiment,
@@ -110,10 +109,10 @@ def test_c03_submodularity_certificates():
         m = int(rng.integers(2, 11))
         lam = rng.random(m)
         lam[int(rng.integers(m))] = 1.0
-        cap = make_possibility(PossibilityDistribution(tuple(lam)))
+        cap = make_possibility(tuple(lam))
         rep = check_properties(cap, mode="exhaustive")
         assert (rep.monotone, rep.subadditive, rep.submodular) == (True, True, True)
-    counter = make_table(GroundSpace.of_size(2),
+    counter = make_table(2,
                          {0: 0.0, 1: 0.1, 2: 0.1, 3: 1.0})
     assert not check_properties(counter, mode="exhaustive").submodular
     _report(3, "100 distorted + 100 possibility capacities certified; "
@@ -124,7 +123,6 @@ def _thm0_instances(rng, count):
     out = []
     for i in range(count):
         m = int(rng.integers(3, 6))
-        space = GroundSpace.of_size(m)
         name = "affine_noise" if i % 2 == 0 else "step_noise"
         params = {"z": list(rng.uniform(-1, 1, m))}
         if name == "affine_noise":
@@ -132,7 +130,7 @@ def _thm0_instances(rng, count):
                           amp=float(rng.uniform(0.1, 0.5)))
         else:
             params.update(thresholds=list(np.sort(rng.uniform(0.1, 0.9, m))))
-        f = build_family(name, space, 2, params)
+        f = build_family(name, m, 2, params)
         cap = random_capacity(rng, m, kind="distorted" if i % 3 else "possibility")
         out.append((f, cap))
     return out
@@ -197,7 +195,7 @@ def test_c07_sikkema_estimate():
     for name, fn in (("absdev", lambda x: np.abs(x - 0.5)), ("sqrt", np.sqrt)):
         samples_on_grid = fn(grid)
         # the ordinary modulus of fn on the grid: a one-atom function's sample modulus
-        one_atom = RandomFunction(GroundSpace.of_size(1), 1,
+        one_atom = RandomFunction(1, 1,
                                   lambda pts, w, fn=fn: fn(pts[..., 0]))
         for n in (4, 16, 64, 256):
             approx = basis_matrix(n, grid) @ fn(np.arange(n + 1) / n)

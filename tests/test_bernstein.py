@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqbern import (DiscreteProbability, GroundSpace, InputError,
-                      bernstein_basis, bernstein_multivariate, bernstein_univariate,
-                      integral_batch, make_distorted, make_distortion, moment_sum,
-                      sikkema_constant, subset_table, tail_sum)
+from choqbern import (InputError, bernstein_basis, bernstein_multivariate,
+                      bernstein_univariate, integral_batch, make_distorted,
+                      make_distortion, moment_sum, sikkema_constant, subset_table,
+                      tail_sum)
 from choqbern.bernstein import basis_matrix, multivariate_grid
 from choqbern.randomfn import Grid, RandomFunction, build_family, stochastic_modulus
 from conftest import exact_basis
-
-SPACE1 = GroundSpace.of_size(1)
 
 
 def test_basis_small_cases():
@@ -88,13 +86,13 @@ def test_endpoint_interpolation_bit_exact():
 
 
 def test_multivariate_examples():
-    f_const = RandomFunction(SPACE1, 2, lambda pts, w: np.full(np.shape(pts)[:-1], 3.5))
+    f_const = RandomFunction(1, 2, lambda pts, w: np.full(np.shape(pts)[:-1], 3.5))
     assert bernstein_multivariate(f_const, (4, 6), (0.3, 0.9), 0) == \
         pytest.approx(3.5, abs=1e-12)
-    f_sum = RandomFunction(SPACE1, 2, lambda pts, w: pts[..., 0] + pts[..., 1])
+    f_sum = RandomFunction(1, 2, lambda pts, w: pts[..., 0] + pts[..., 1])
     assert bernstein_multivariate(f_sum, (7, 5), (0.3, 0.8), 0) == \
         pytest.approx(1.1, abs=1e-12)
-    f_prod = RandomFunction(SPACE1, 2, lambda pts, w: pts[..., 0] * pts[..., 1])
+    f_prod = RandomFunction(1, 2, lambda pts, w: pts[..., 0] * pts[..., 1])
     assert bernstein_multivariate(f_prod, (10, 10), (0.5, 0.5), 0) == \
         pytest.approx(0.25, abs=1e-12)
     with pytest.raises(InputError):
@@ -102,8 +100,7 @@ def test_multivariate_examples():
 
 
 def test_multivariate_grid_matches_pointwise():
-    space = GroundSpace.of_size(2)
-    f = build_family("affine_noise", space, 2, {"z": [-0.5, 1.0]})
+    f = build_family("affine_noise", 2, 2, {"z": [-0.5, 1.0]})
     grid = Grid(2, 9)
     surface = multivariate_grid(f, (5, 7), grid)
     c = grid.coords
@@ -161,7 +158,7 @@ def test_sikkema_constant_value():
 def test_grid_modulus_identity():
     # the ordinary modulus of tabulated values is the sample modulus of a
     # one-atom function on their grid
-    identity = RandomFunction(GroundSpace.of_size(1), 1, lambda pts, w: pts[..., 0])
+    identity = RandomFunction(1, 1, lambda pts, w: pts[..., 0])
     grid = Grid(1, 257)
     assert stochastic_modulus(identity, 0.25, 0, grid) == pytest.approx(0.25, abs=1e-15)
     assert stochastic_modulus(identity, 0.0, 0, grid) == 0.0
@@ -171,11 +168,10 @@ def test_jensen_step_inequality_2d(rng):
     # integrated pointwise bound: the operator error at x is dominated by the
     # basis-weighted integrals of |F(x) - F(nodes)|^p under a submodular capacity
     m = 4
-    space = GroundSpace.of_size(m)
-    f = build_family("affine_noise", space, 2,
+    f = build_family("affine_noise", m, 2,
                      {"z": list(rng.uniform(-1, 1, m)), "amp": 0.4})
     cap = make_distorted(make_distortion("power", alpha=0.5),
-                         DiscreteProbability.uniform(m))
+                         [1.0 / m] * m)
     mu = subset_table(cap)
     n1, n2 = 8, 6
     nodes1 = np.arange(n1 + 1) / n1

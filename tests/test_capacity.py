@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqbern import (CapacityTooLargeError, ConstructionError, DiscreteProbability,
-                      GroundSpace, InputError, PossibilityDistribution,
+from choqbern import (CapacityTooLargeError, ConstructionError, InputError,
                       capacity_from_spec, check_properties, eval_capacity, eval_sets,
                       make_distorted, make_distortion, make_possibility, make_table,
                       subset_table)
@@ -14,15 +13,14 @@ from conftest import random_capacity, random_probability
 
 
 def test_possibility_eval_is_sup():
-    cap = make_possibility(PossibilityDistribution((0.5, 1.0, 0.3)))
+    cap = make_possibility((0.5, 1.0, 0.3))
     assert eval_capacity(cap, [0, 2]) == 0.5
     assert eval_capacity(cap, [1]) == 1.0
     assert eval_capacity(cap, []) == 0.0
 
 
 def test_distorted_eval_sqrt_uniform():
-    cap = make_distorted(make_distortion("power", alpha=0.5),
-                         DiscreteProbability.uniform(4))
+    cap = make_distorted(make_distortion("power", alpha=0.5), [0.25] * 4)
     assert eval_capacity(cap, [2]) == pytest.approx(0.5, abs=1e-15)
     assert eval_capacity(cap, None) == pytest.approx(1.0, abs=1e-12)
     assert eval_capacity(cap, 0) == 0.0
@@ -32,12 +30,12 @@ def test_identity_distortion_reproduces_probability(rng):
     p = random_probability(rng, 5)
     cap = make_distorted(make_distortion("power", alpha=1.0), p)
     for mask in range(1 << 5):
-        expected = sum(p.weights[i] for i in range(5) if mask >> i & 1)
+        expected = sum(p[i] for i in range(5) if mask >> i & 1)
         assert eval_capacity(cap, mask) == pytest.approx(expected, abs=1e-14)
 
 
 def test_rational_distortion_singleton():
-    cap = make_distorted(make_distortion("rational_2t"), DiscreteProbability.uniform(2))
+    cap = make_distorted(make_distortion("rational_2t"), [0.5, 0.5])
     assert eval_capacity(cap, [0]) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
@@ -70,25 +68,36 @@ def test_custom_table_distortion_slope_estimated():
 
 
 def test_possibility_construction():
-    cap = make_possibility(PossibilityDistribution((1.0,)))
+    cap = make_possibility((1.0,))
     assert eval_capacity(cap, None) == 1.0
     assert eval_capacity(cap, 0) == 0.0
-    cap2 = make_possibility(PossibilityDistribution((0.2, 1.0)))
+    cap2 = make_possibility((0.2, 1.0))
     assert eval_capacity(cap2, [0]) == 0.2
     with pytest.raises(ConstructionError):
-        PossibilityDistribution((0.5, 0.5))
+        make_possibility((0.5, 0.5))
+
+
+_SQRT_REPR = {"type": "distorted", "distortion": {"kind": "power", "alpha": 0.5}}
 
 
 def test_ground_space_invariants():
-    with pytest.raises(ConstructionError):
-        GroundSpace(())
-    with pytest.raises(ConstructionError):
-        GroundSpace(("a", "a"))
-    assert GroundSpace.of_size(3).atom_count == 3
+    for atoms in ([], ["a", "a"]):
+        with pytest.raises(ConstructionError, match="atom"):
+            capacity_from_spec({"atoms": atoms, "repr": _SQRT_REPR})
+    cap = capacity_from_spec({"atoms": ["a", "b", "c"], "repr": _SQRT_REPR})
+    assert cap.atom_count == 3
+
+
+@pytest.mark.parametrize("rep", [
+    {**_SQRT_REPR, "weights": [0.5, 0.5]},
+    {"type": "possibility", "lambda": [0.5, 1.0]}])
+def test_atom_labels_must_match_the_form_length(rep):
+    with pytest.raises(ConstructionError, match="2 entries for 3 atoms"):
+        capacity_from_spec({"atoms": ["a", "b", "c"], "repr": rep})
 
 
 def test_subset_index_out_of_range():
-    cap = make_possibility(PossibilityDistribution((1.0, 0.5)))
+    cap = make_possibility((1.0, 0.5))
     with pytest.raises(InputError):
         eval_capacity(cap, [2])
     with pytest.raises(InputError):
@@ -96,19 +105,19 @@ def test_subset_index_out_of_range():
 
 
 def test_table_must_be_total_and_monotone():
-    space = GroundSpace.of_size(2)
     with pytest.raises(ConstructionError, match="not total"):
-        make_table(space, {0: 0.0, 3: 1.0, 1: 0.5})
+        make_table(2, {0: 0.0, 3: 1.0, 1: 0.5})
     with pytest.raises(ConstructionError, match="monotone"):
-        make_table(GroundSpace.of_size(3),
-                   [0.0, 0.8, 0.2, 0.5, 0.1, 0.9, 0.6, 1.0])
+        make_table(3, [0.0, 0.8, 0.2, 0.5, 0.1, 0.9, 0.6, 1.0])
     with pytest.raises(ConstructionError):
-        make_table(space, [0.1, 0.5, 0.5, 1.0])  # empty set not 0
+        make_table(2, [0.1, 0.5, 0.5, 1.0])  # empty set not 0
+    for m in (0, -1):
+        with pytest.raises(ConstructionError, match="at least one atom"):
+            make_table(m, [0.0])
 
 
 def test_counterexample_table_not_submodular():
-    space = GroundSpace.of_size(2)
-    cap = make_table(space, {0: 0.0, 1: 0.1, 2: 0.1, 3: 1.0})
+    cap = make_table(2, {0: 0.0, 1: 0.1, 2: 0.1, 3: 1.0})
     report = check_properties(cap, mode="exhaustive")
     assert report.monotone
     assert not report.submodular
@@ -116,12 +125,12 @@ def test_counterexample_table_not_submodular():
 
 
 def test_analytic_properties():
-    pos = make_possibility(PossibilityDistribution((0.5, 1.0, 0.3)))
+    pos = make_possibility((0.5, 1.0, 0.3))
     rep = check_properties(pos)
     assert (rep.monotone, rep.subadditive, rep.submodular) == (True, True, True)
     assert rep.mode == "analytic"
     dist = make_distorted(make_distortion("power", alpha=0.5),
-                          DiscreteProbability.uniform(3))
+                          [1.0 / 3] * 3)
     rep2 = check_properties(dist)
     assert (rep2.monotone, rep2.subadditive, rep2.submodular) == (True, True, True)
 
@@ -138,7 +147,7 @@ def test_analytic_and_exhaustive_agree(rng):
 
 def test_exhaustive_gate_above_twenty_atoms():
     cap = make_distorted(make_distortion("power", alpha=0.5),
-                         DiscreteProbability.uniform(21))
+                         [1.0 / 21] * 21)
     with pytest.raises(CapacityTooLargeError):
         check_properties(cap, mode="exhaustive")
     with pytest.raises(InputError):
@@ -175,7 +184,7 @@ def test_possibility_max_union_exact(rng):
 def test_possibility_union_property(levels, a, b):
     levels = list(levels)
     levels[0] = 1.0
-    cap = make_possibility(PossibilityDistribution(tuple(levels)))
+    cap = make_possibility(tuple(levels))
     m = len(levels)
     a &= (1 << m) - 1
     b &= (1 << m) - 1
@@ -208,8 +217,8 @@ def test_eval_sets_needs_no_bitmask(rng):
     lam = rng.random(m)
     lam[3] = 1.0
     u = make_distortion("power", alpha=0.5)
-    dist = make_distorted(u, DiscreteProbability(tuple(w)))
-    pos = make_possibility(PossibilityDistribution(tuple(lam)))
+    dist = make_distorted(u, tuple(w))
+    pos = make_possibility(tuple(lam))
     member = rng.random((5, m)) < 0.5
     member[0] = False
     assert np.allclose(eval_sets(dist, member),
@@ -225,7 +234,7 @@ def test_eval_sets_needs_no_bitmask(rng):
 
 def test_possibility_negative_level_reads_as_zero():
     # levels may sit up to TOL below 0; every set's max starts from 0
-    cap = make_possibility(PossibilityDistribution((1.0, -5e-13, 0.4)))
+    cap = make_possibility((1.0, -5e-13, 0.4))
     assert eval_capacity(cap, [1]) == subset_table(cap)[2] == 0.0
     assert eval_capacity(cap, []) == 0.0
 
@@ -252,11 +261,12 @@ def test_capacity_json_round_trip():
 
 
 def test_probability_invariants():
+    u = make_distortion("sine")
     with pytest.raises(ConstructionError):
-        DiscreteProbability((0.5, 0.6))
+        make_distorted(u, (0.5, 0.6))
     with pytest.raises(ConstructionError):
-        DiscreteProbability((1.5, -0.5))
-    DiscreteProbability((0.25, 0.75))
+        make_distorted(u, (1.5, -0.5))
+    make_distorted(u, (0.25, 0.75))
 
 
 def test_distortion_probe_grid_edges():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqbern import (DiscreteProbability, InputError, PossibilityDistribution,
-                      capacity_distribution_function, choquet_integral,
+from choqbern import (InputError, capacity_distribution_function, choquet_integral,
                       choquet_integral_oracle, choquet_lp_norm, comonotone,
                       eval_capacity, integral_batch, make_distorted,
                       make_distortion, make_possibility, subset_table)
@@ -15,12 +14,11 @@ from conftest import random_capacity
 
 @pytest.fixture(scope="module")
 def sqrt_cap2():
-    return make_distorted(make_distortion("power", alpha=0.5),
-                          DiscreteProbability.uniform(2))
+    return make_distorted(make_distortion("power", alpha=0.5), [0.5, 0.5])
 
 
 def test_constant_on_subset_is_calibrated():
-    cap = make_possibility(PossibilityDistribution((0.4, 1.0)))
+    cap = make_possibility((0.4, 1.0))
     res = choquet_integral([3.0, 3.0], cap, [0])
     assert res.value == pytest.approx(3.0 * 0.4, abs=1e-15)
     assert res.method == "sorted_sum"
@@ -49,7 +47,7 @@ def test_oracle_matches_closed_forms(sqrt_cap2):
 def test_oracle_constant_with_aligned_jump():
     # hi = 4, so the jump at 3 sits exactly on a cell boundary: the midpoint
     # rule is exact up to roundoff
-    cap = make_possibility(PossibilityDistribution((0.4, 1.0)))
+    cap = make_possibility((0.4, 1.0))
     got = choquet_integral_oracle([3.0, 3.0], cap, [0], steps=10 ** 6)
     assert got.value == pytest.approx(1.2, abs=1e-9)
 
@@ -233,7 +231,7 @@ def test_tie_permutation_bit_exact(rng):
        st.floats(0, 4), st.floats(-5, 5))
 def test_scaling_translation_property(values, a, c):
     cap = make_distorted(make_distortion("rational_2t"),
-                         DiscreteProbability.uniform(len(values)))
+                         [1.0 / len(values)] * len(values))
     f = np.asarray(values)
     base = choquet_integral(f, cap).value
     assert choquet_integral(a * f, cap).value == pytest.approx(a * base, abs=1e-9)
@@ -261,7 +259,7 @@ def test_scalar_paths_need_no_bitmask():
     # 70 atoms: beyond the 2**M table and an int64 bitmask
     m = 70
     w = np.full(m, 1.0 / m)
-    cap = make_distorted(make_distortion("sine"), DiscreteProbability(tuple(w)))
+    cap = make_distorted(make_distortion("sine"), tuple(w))
     f = np.arange(m, dtype=float)
     value = choquet_integral(f, cap).value
     # mu({f >= k}) = sin(pi/2 * (m - k) / m), one step of height 1 per rank
@@ -302,7 +300,7 @@ def test_integral_batch_matches_row_wise_kernel(rng, m):
     # below 8 difference terms numpy's row sum adds in ascending rank, as the
     # kernel does, so the two agree bit for bit; from 8 terms on it is pairwise
     for cap in (random_capacity(rng, m), make_distorted(
-            make_distortion("sine"), DiscreteProbability.uniform(m))):
+            make_distortion("sine"), [1.0 / m] * m)):
         tbl = subset_table(cap)
         block = rng.uniform(-3, 3, (257, m))
         block[::7] = np.round(block[::7])  # ties across atoms

@@ -384,6 +384,11 @@ def test_threads_flag(tmp_path, capsys):
     ({"experiment": "capacity_convergence",
       "family": {"name": "affine_noise", "parms": {"scale": 5}}}, "family"),
     ({"experiment": "stochastic", "tau": {"kind": "sqrt", "scal": 8}}, "tau"),
+    # a list of numbers must hold one
+    ({"experiment": "mean_convergence", "p": [], "grid_points": 9,
+      "schedule": [[4, 4]]}, "p"),
+    *[({"experiment": "stochastic", key: []}, key)
+      for key in ("deltas", "epsilons", "etas", "rs")],
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)
@@ -410,8 +415,8 @@ def test_out_of_memory_exits_two_naming_the_size_inputs(tmp_path, capsys,
 
 
 def test_experiment_unbounded_family_names_its_key(tmp_path, capsys, monkeypatch):
-    def build(space, dim, params):
-        return RandomFunction(space, dim, lambda pts, w: np.mean(pts, axis=-1),
+    def build(m, dim, params):
+        return RandomFunction(m, dim, lambda pts, w: np.mean(pts, axis=-1),
                               name="unbounded", m_sup=None)
     monkeypatch.setitem(FAMILIES, "_unbounded", build)
     cfg = _write_config(tmp_path, {"experiment": "capacity_convergence",
@@ -493,6 +498,7 @@ _MODULUS = ["modulus", "--family", "affine_noise", "--atoms", "2", "--grid", "9"
      "--delta2"),
     (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--p", "0.5"], "--p"),
     (_MODULUS + ["--kind", "sample", "--delta", "0.1", "--atoms", "0"], "--atoms"),
+    (_MODULUS + ["--kind", "k", "--dim", "2", "--delta", "0.1"], "--dim"),
 ])
 def test_integrate_and_modulus_name_the_bad_flag(cap_file, capsys, command, flag):
     assert run_cli(command + ["--capacity", cap_file]) == 2
@@ -516,12 +522,29 @@ _APPROX = ["approx", "--family", "affine_noise", "--grid", "9"]
     (_APPROX + ["--n", "4", "--n2", "4", "--dim", "1"], "--n2"),
     (_APPROX + ["--n", "4", "--n2", "0", "--dim", "2"], "--n2"),
     (_APPROX + ["--n", "4", "--atoms", "0"], "--atoms"),
+    # 1/sqrt(n) below one step of the 9-point grid: n > 8**2
+    (_APPROX + ["--n", "65"], "--n"),
+    (_APPROX + ["--n", "65", "--n2", "100", "--dim", "2"], "--n"),
+    (_APPROX + ["--n", "100", "--n2", "65", "--dim", "2"], "--n2"),
 ])
 def test_stochastic_and_approx_name_the_bad_flag(capsys, command, flag):
     assert run_cli(command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    # n = (grid - 1)**2 is the finest degree the 9-point grid resolves
+    ["approx", "--n", "64"], ["approx", "--n", "64", "--n2", "100", "--dim", "2"],
+    # only the K modulus is 1-d
+    ["modulus", "--kind", "sample", "--dim", "2", "--delta", "0.2"],
+    ["modulus", "--kind", "gamma", "--dim", "2", "--delta", "0.2", "--capacity", "CAP"]])
+def test_finest_approx_degree_and_2d_moduli_run(cap_file, capsys, flags):
+    flags = [cap_file if f == "CAP" else f for f in flags]
+    flags += ["--family", "affine_noise", "--atoms", "2", "--grid", "9"]
+    assert run_cli(flags) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 @pytest.fixture

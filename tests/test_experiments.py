@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from choqbern import (ConfigError, DiscreteProbability, ExperimentConfig,
-                      GroundSpace, InputError, make_distorted, make_distortion,
-                      make_table, run_experiment, semi_metric)
+from choqbern import (ConfigError, ExperimentConfig, InputError, make_distorted,
+                      make_distortion, make_table, run_experiment, semi_metric)
 from choqbern import experiments
 from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
                                   _cp_sup, _cp_sup_direct, _sample_errors,
@@ -235,7 +234,7 @@ _RUN_CAPACITIES = [
      # [100] and [4, 100] are finer than the 9-point grid
      "schedule": st.sampled_from([[2, 4], [100], [4, 100]]), "samples": st.just(50),
      "tau": st.just({"kind": "const", "scale": 1})},
-    optional={"dim": st.sampled_from([1, 2]),
+    optional={"dim": st.sampled_from([1, 2]), "p": st.sampled_from([1, [1, 2], []]),
               "capacity": st.sampled_from(_RUN_CAPACITIES),
               "family": st.sampled_from(["affine_noise", "step_noise",
                                          "deterministic:absdev"])}))
@@ -305,10 +304,9 @@ def test_possibility_run_with_24_atoms_completes():
 
 
 def test_semi_metric_properties(rng):
-    space = GroundSpace.of_size(4)
     cap = random_capacity(rng, 4, kind="distorted")
     grid = Grid(1, 33)
-    fs = [build_family("affine_noise", space, 1,
+    fs = [build_family("affine_noise", 4, 1,
                        {"z": list(rng.uniform(-1, 1, 4)),
                         "scale": float(rng.uniform(0.2, 2.0))})
           for _ in range(3)]
@@ -319,7 +317,7 @@ def test_semi_metric_properties(rng):
     d12 = semi_metric(fs[1], fs[2], cap, grid)
     d02 = semi_metric(fs[0], fs[2], cap, grid)
     assert d02 <= d01 + d12 + 1e-9
-    other = build_family("affine_noise", GroundSpace.of_size(2), 1)
+    other = build_family("affine_noise", 2, 1)
     with pytest.raises(InputError):
         semi_metric(fs[0], other, cap, grid)
 
@@ -375,8 +373,8 @@ def test_capacity_convergence_rows_recomputable(tmp_path):
 
 
 def test_capacity_convergence_unbounded_family_rejected():
-    def build(space, dim, params):
-        return RandomFunction(space, dim, lambda pts, w: np.mean(pts, axis=-1),
+    def build(m, dim, params):
+        return RandomFunction(m, dim, lambda pts, w: np.mean(pts, axis=-1),
                               name="unbounded", m_sup=None)
     FAMILIES["_unbounded"] = build
     try:

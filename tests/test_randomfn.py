@@ -4,8 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from choqbern import (DiscreteProbability, GroundSpace, InputError,
-                      PossibilityDistribution, check_properties, choquet_modulus,
+from choqbern import (InputError, check_properties, choquet_modulus,
                       integral_batch, make_distorted, make_distortion,
                       make_possibility, make_table, randomfn, semi_metric,
                       stochastic_modulus, subset_table)
@@ -19,31 +18,26 @@ from conftest import (brute_gamma, brute_sample_modulus, random_capacity,
                       random_monotone_table)
 
 
-SPACE1 = GroundSpace.of_size(1)
-
-
 def identity_fn(dim=1):
-    return RandomFunction(SPACE1, dim, lambda pts, w: np.mean(pts, axis=-1),
+    return RandomFunction(1, dim, lambda pts, w: np.mean(pts, axis=-1),
                           name="identity")
 
 
-def constant_fn(c, space=SPACE1, dim=1):
-    return RandomFunction(space, dim,
+def constant_fn(c, m=1, dim=1):
+    return RandomFunction(m, dim,
                           lambda pts, w, c=c: np.full(np.shape(pts)[:-1], c),
                           name="const")
 
 
 @pytest.fixture(scope="module")
 def cap1():
-    return make_distorted(make_distortion("power", alpha=0.5),
-                          DiscreteProbability.uniform(1))
+    return make_distorted(make_distortion("power", alpha=0.5), [1.0])
 
 
 def test_eval_random_function():
-    f = RandomFunction(GroundSpace.of_size(3), 1,
-                       lambda pts, w: pts[..., 0], name="coord")
+    f = RandomFunction(3, 1, lambda pts, w: pts[..., 0], name="coord")
     assert f.eval(0.25, 2) == 0.25
-    g = constant_fn(7.0, GroundSpace.of_size(2))
+    g = constant_fn(7.0, 2)
     assert g.eval(0.9, 1) == 7.0
     with pytest.raises(InputError):
         f.eval(1.5, 0)
@@ -54,8 +48,7 @@ def test_eval_random_function():
 
 
 def test_affine_noise_matches_hand_formula():
-    space = GroundSpace.of_size(3)
-    f = build_family("affine_noise", space, 1,
+    f = build_family("affine_noise", 3, 1,
                      {"z": [-1.0, 0.0, 1.0], "scale": 2.0, "amp": 0.5})
     x = 0.4
     for w, z in enumerate([-1.0, 0.0, 1.0]):
@@ -65,8 +58,7 @@ def test_affine_noise_matches_hand_formula():
 
 
 def test_step_noise_family():
-    space = GroundSpace.of_size(2)
-    f = build_family("step_noise", space, 1,
+    f = build_family("step_noise", 2, 1,
                      {"z": [1.0, -2.0], "thresholds": [0.5, 0.25]})
     assert f.eval(0.4, 0) == 0.0
     assert f.eval(0.6, 0) == 1.0
@@ -76,7 +68,7 @@ def test_step_noise_family():
 
 
 def test_absdev_family():
-    f = build_family("deterministic:absdev", GroundSpace.of_size(2), 2)
+    f = build_family("deterministic:absdev", 2, 2)
     assert f.eval((0.25, 0.25), 0) == 0.25
     assert f.eval((1.0, 0.0), 1) == 0.0
 
@@ -96,10 +88,9 @@ def test_families_in_1d_equal_the_mean_form(rng):
     params = {"deterministic:absdev": {}, "affine_noise": {"z": list(z), "scale": scale,
                                                            "amp": amp},
               "step_noise": {"z": list(z), "thresholds": list(thresholds)}}
-    space = GroundSpace.of_size(m)
     for name, want in mean_form.items():
         for dim in (1, 2):
-            f = build_family(name, space, dim, params[name])
+            f = build_family(name, m, dim, params[name])
             for shape in ((dim,), (37, dim), (9, 9, dim)):
                 pts = rng.random(shape)
                 pts[..., 0].flat[0] = thresholds[1]  # a step_noise tie in 1-D
@@ -112,12 +103,11 @@ def test_families_in_1d_equal_the_mean_form(rng):
 def test_family_registry():
     assert list_families() == sorted(FAMILIES)
     with pytest.raises(InputError):
-        build_family("nope", SPACE1, 1)
+        build_family("nope", 1, 1)
 
 
 def test_grid_tensor_matches_evaluator_bit_exact():
-    space = GroundSpace.of_size(3)
-    f = build_family("affine_noise", space, 2, {"scale": 1.3})
+    f = build_family("affine_noise", 3, 2, {"scale": 1.3})
     grid = Grid(2, 9)
     tensor = f.grid_tensor(grid)
     c = grid.coords
@@ -150,10 +140,9 @@ def test_choquet_modulus_identity(cap1):
 
 
 def test_choquet_modulus_agrees_with_brute_force(rng):
-    space = GroundSpace.of_size(3)
     cap = random_capacity(rng, 3, kind="distorted")
     for dim, g in ((1, 17), (2, 7)):
-        f = build_family("affine_noise", space, dim,
+        f = build_family("affine_noise", 3, dim,
                          {"z": list(rng.uniform(-1, 1, 3))})
         grid = Grid(dim, g)
         for p in (1.0, 2.0):
@@ -169,11 +158,10 @@ POWERS = (1.0, 1.5, 2.0, 3.0)
 def _modulus_instances(rng, m):
     """A function and capacity on m atoms for every family, capacity kind and
     dimension; step_noise gives ties and exact zeros in the differences."""
-    space = GroundSpace.of_size(m)
     for name in ("affine_noise", "step_noise"):
         for kind in ("distorted", "possibility"):
             for dim in (1, 2):
-                f = build_family(name, space, dim, {"z": list(rng.uniform(-1, 1, m))})
+                f = build_family(name, m, dim, {"z": list(rng.uniform(-1, 1, m))})
                 yield f, random_capacity(rng, m, kind=kind)
 
 
@@ -293,10 +281,9 @@ def _random_deltas(rng, grid):
 @pytest.mark.parametrize("kind", ["possibility", "distorted", "table", "table above 1"])
 def test_pruned_modulus_table_equals_unpruned_kernel(rng, kind):
     for m in (4, 1, 9):
-        space = GroundSpace.of_size(m)
         if kind == "table above 1":
             # the bound uses max(mu_table), here the full-set value 1 + TOL/2
-            cap = make_table(space, random_monotone_table(rng, m) * (1.0 + TOL / 2))
+            cap = make_table(m, random_monotone_table(rng, m) * (1.0 + TOL / 2))
         else:
             cap = random_capacity(rng, m, kind=kind)
         if kind.startswith("table") and m > 1:
@@ -304,7 +291,7 @@ def test_pruned_modulus_table_equals_unpruned_kernel(rng, kind):
         powers = (1.0, 1.5, 3.0)
         for name in ("affine_noise", "step_noise"):
             for dim in (1, 2):
-                f = build_family(name, space, dim, {"z": list(rng.uniform(-1, 1, m))})
+                f = build_family(name, m, dim, {"z": list(rng.uniform(-1, 1, m))})
                 grid = Grid(dim, 33 if dim == 1 else 13)
                 for deltas in ((0.5,) * dim, _random_deltas(rng, grid)):
                     table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
@@ -320,10 +307,9 @@ def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
     calls = []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
-    space = GroundSpace.of_size(3)
-    cap = make_possibility(PossibilityDistribution((0.4, 1.0, 0.7)))
+    cap = make_possibility((0.4, 1.0, 0.7))
     grid = Grid(dim, 33 if dim == 1 else 13)
-    table = ChoquetModulusTable(constant_fn(2.0, space, dim), cap, grid, 0.5,
+    table = ChoquetModulusTable(constant_fn(2.0, 3, dim), cap, grid, 0.5,
                                 powers=(1.0, 2.0))
     g = grid.points_per_axis
     cells = sum(math.prod(g - abs(d) for d in o[:dim])
@@ -335,9 +321,8 @@ def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
 
 def test_pruned_modulus_table_c08_shape(monkeypatch):
     """The C08 table: M = 5, g = 65, window 0.5, p in {1, 2}."""
-    space = GroundSpace.of_size(5)
     cap = make_distorted(make_distortion("power", alpha=0.5),
-                         DiscreteProbability.uniform(5))
+                         [1.0 / 5] * 5)
     grid, deltas, powers = Grid(2, 65), (0.5, 0.5), (1.0, 2.0)
     calls = []
     monkeypatch.setattr(randomfn, "sorted_levels",
@@ -347,7 +332,7 @@ def test_pruned_modulus_table_c08_shape(monkeypatch):
     bench = random.Random(3)
     for z, rows in ((np.random.default_rng(3).uniform(-1, 1, 5), 226_134),
                     ([bench.uniform(-1.0, 1.0) for _ in range(5)], 167_798)):
-        f = build_family("affine_noise", space, 2, {"z": list(z)})
+        f = build_family("affine_noise", 5, 2, {"z": list(z)})
         calls.clear()
         table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
         # own LB call for the 65 offsets with no (dx - 1, dy): (0, dy > 0) and
@@ -373,10 +358,9 @@ def test_keep_threshold_keeps_every_cell_the_bound_test_keeps(rng, m):
     # pass the bound test; fl(1/p) moves the root by up to 710 u / p, ~115 eps
     # at p = 1.5 and LB_p near 1e-300, so a slack of 16 or 100 eps fails too
     all_powers = (1.0, 1.5, 2.0, 3.0, 16.0)
-    space = GroundSpace.of_size(m)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
-            mu_table = subset_table(make_table(space, random_monotone_table(rng, m)))
+            mu_table = subset_table(make_table(m, random_monotone_table(rng, m)))
             factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
             # tiny, unit and large |D|; at 1e+19, UB^16 overflows near 2e19
             for scale in (1e-200, 1e-100, 1.0, 1e+10, 1e+19):
@@ -410,8 +394,7 @@ def test_modulus_table_multi_power_and_query_errors(cap1):
 
 
 def test_modulus_monotone_in_delta(rng):
-    space = GroundSpace.of_size(4)
-    f = build_family("step_noise", space, 1)
+    f = build_family("step_noise", 4, 1)
     cap = random_capacity(rng, 4, kind="possibility")
     grid = Grid(1, 129)
     table = ChoquetModulusTable(f, cap, grid, 1.0, powers=(1.0,))
@@ -428,9 +411,8 @@ def test_stochastic_modulus_examples():
 
 
 def test_stochastic_modulus_agrees_with_brute_force(rng):
-    space = GroundSpace.of_size(3)
     for dim, g in ((1, 21), (2, 9)):
-        f = build_family("affine_noise", space, dim,
+        f = build_family("affine_noise", 3, dim,
                          {"z": list(rng.uniform(-1, 1, 3)), "amp": 0.4})
         grid = Grid(dim, g)
         for delta in (0.15, 0.4, 0.9):
@@ -441,15 +423,14 @@ def test_stochastic_modulus_agrees_with_brute_force(rng):
 
 
 def test_stochastic_modulus_monotone_exact():
-    space = GroundSpace.of_size(3)
-    f = build_family("step_noise", space, 1)
+    f = build_family("step_noise", 3, 1)
     grid = Grid(1, 65)
     values = [stochastic_modulus(f, d, 1, grid) for d in np.linspace(0, 1, 33)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_modulus_rejects_high_dimension(cap1):
-    f = RandomFunction(SPACE1, 3, lambda pts, w: np.mean(pts, axis=-1))
+    f = RandomFunction(1, 3, lambda pts, w: np.mean(pts, axis=-1))
     with pytest.raises(InputError, match="dim <= 2"):
         choquet_modulus(f, cap1, (0.1, 0.1, 0.1), 1.0, Grid(3, 5))
     with pytest.raises(InputError, match="dim <= 2"):
@@ -457,10 +438,9 @@ def test_modulus_rejects_high_dimension(cap1):
 
 
 def test_modulus_scalar_box_is_every_axis():
-    space = GroundSpace.of_size(3)
-    f = build_family("affine_noise", space, 2)
+    f = build_family("affine_noise", 3, 2)
     cap = make_distorted(make_distortion("power", alpha=0.5),
-                         DiscreteProbability.uniform(3))
+                         [1.0 / 3] * 3)
     grid = Grid(2, 17)
     powers = (1.0, 2.0)
     scalar = ChoquetModulusTable(f, cap, grid, 0.3, powers)
@@ -473,9 +453,9 @@ def test_modulus_scalar_box_is_every_axis():
 
 @pytest.mark.parametrize("cap_atoms", [3, 8])
 def test_capacity_atom_mismatch_is_input_error(cap_atoms):
-    f = build_family("affine_noise", GroundSpace.of_size(5), 1)
+    f = build_family("affine_noise", 5, 1)
     cap = make_distorted(make_distortion("power", alpha=0.5),
-                         DiscreteProbability.uniform(cap_atoms))
+                         [1.0 / cap_atoms] * cap_atoms)
     grid = Grid(1, 33)
     with pytest.raises(InputError, match="capacity table"):
         choquet_modulus(f, cap, 0.1, 1.0, grid)
@@ -487,13 +467,13 @@ def test_capacity_atom_mismatch_is_input_error(cap_atoms):
 
 def test_modulus_warns_for_uncertified_capacity():
     # not submodular: mu({0, 1}) + mu({}) > mu({0}) + mu({1})
-    small = make_table(GroundSpace.of_size(2), [0.0, 0.1, 0.1, 1.0])
+    small = make_table(2, [0.0, 0.1, 0.1, 1.0])
     # submodular, but a table beyond the atoms the exhaustive check takes
-    big = make_table(GroundSpace.of_size(13), subset_table(make_possibility(
-        PossibilityDistribution(tuple(np.linspace(0.5, 1.0, 13))))))
+    big = make_table(13, subset_table(make_possibility(
+        tuple(np.linspace(0.5, 1.0, 13)))))
     assert not check_properties(small).submodular
     for cap in (small, big):
-        f = build_family("affine_noise", cap.space, 1)
+        f = build_family("affine_noise", cap.atom_count, 1)
         with pytest.warns(UserWarning, match="submodular"):
             choquet_modulus(f, cap, 0.1, 1.0, Grid(1, 17))
 
@@ -502,13 +482,12 @@ def _scaling_instances(rng, count):
     out = []
     for i in range(count):
         m = int(rng.integers(3, 6))
-        space = GroundSpace.of_size(m)
         name = "affine_noise" if i % 2 == 0 else "step_noise"
         params = {"z": list(rng.uniform(-1, 1, m))}
         if name == "affine_noise":
             params.update(scale=float(rng.uniform(0.5, 1.5)),
                           amp=float(rng.uniform(0.1, 0.5)))
-        f = build_family(name, space, 2, params)
+        f = build_family(name, m, 2, params)
         kind = "distorted" if i % 3 else "possibility"
         cap = random_capacity(rng, m, kind=kind)
         out.append((f, cap))
@@ -546,8 +525,7 @@ def test_modulus_subadditivity_step_small(rng):
 
 
 def test_sample_modulus_profile_max_dist_consistent(rng):
-    space = GroundSpace.of_size(3)
-    f = build_family("affine_noise", space, 2, {"z": list(rng.uniform(-1, 1, 3))})
+    f = build_family("affine_noise", 3, 2, {"z": list(rng.uniform(-1, 1, 3))})
     grid = Grid(2, 17)
     full_d, full_p = sample_modulus_profile(f, grid)
     part_d, part_p = sample_modulus_profile(f, grid, max_dist=0.5)
@@ -598,7 +576,7 @@ def _profile_reference(f, grid, max_dist=None):
 def test_sample_modulus_profile_matches_per_dimension_walks(dim, points, max_dist):
     rng = np.random.default_rng(points)
     f = build_family("step_noise" if points % 2 else "affine_noise",
-                     GroundSpace.of_size(3), dim, {"z": list(rng.uniform(-1, 1, 3))})
+                     3, dim, {"z": list(rng.uniform(-1, 1, 3))})
     grid = Grid(dim, points)
     got = sample_modulus_profile(f, grid, max_dist=max_dist)
     want = _profile_reference(f, grid, max_dist=max_dist)

@@ -5,15 +5,14 @@ import threading
 import numpy as np
 import pytest
 
-from choqbern import (ConfigError, ExperimentConfig, GroundSpace, InputError,
+from choqbern import (ConfigError, ExperimentConfig, InputError,
                       SeededStream, bernstein_univariate, k_inverse, k_modulus,
                       lemma51_bound, max_deviation_rows, sample_rows, sikkema_constant,
                       stochastic_bernstein, theorem6_bound)
 from choqbern.randomfn import PAIR_TOL, Grid, RandomFunction, build_family
 from choqbern.stochastic import KTable, default_delta_grid
 
-SPACE1 = GroundSpace.of_size(1)
-IDENTITY = RandomFunction(SPACE1, 1, lambda pts, w: np.mean(pts, axis=-1),
+IDENTITY = RandomFunction(1, 1, lambda pts, w: np.mean(pts, axis=-1),
                           name="identity")
 
 
@@ -122,7 +121,7 @@ def test_max_deviation():
 
 
 def test_stochastic_bernstein_reduction_bit_exact():
-    f = build_family("affine_noise", GroundSpace.of_size(3), 1)
+    f = build_family("affine_noise", 3, 1)
     n = 12
     row = np.arange(n + 1) / n
     for w in range(3):
@@ -133,21 +132,21 @@ def test_stochastic_bernstein_reduction_bit_exact():
 
 
 def test_stochastic_bernstein_values():
-    const = RandomFunction(SPACE1, 1,
+    const = RandomFunction(1, 1,
                            lambda pts, w: np.full(np.shape(pts)[:-1], 2.5))
     row = sample_rows(8, 3, 1, start_index=1)[0]
     assert stochastic_bernstein(const, row, 0.4, 0) == pytest.approx(2.5, abs=1e-12)
     r = np.array([0.1, 0.5, 0.8])
     got = stochastic_bernstein(IDENTITY, r, 0.5, 0)
     assert got == pytest.approx(0.25 * 0.1 + 0.5 * 0.5 + 0.25 * 0.8, abs=1e-15)
-    two_d = RandomFunction(SPACE1, 2, lambda pts, w: np.mean(pts, axis=-1))
+    two_d = RandomFunction(1, 2, lambda pts, w: np.mean(pts, axis=-1))
     with pytest.raises(InputError):
         stochastic_bernstein(two_d, r, 0.5, 0)
 
 
 def test_k_modulus_examples():
     g257 = Grid(1, 257)
-    const = RandomFunction(SPACE1, 1,
+    const = RandomFunction(1, 1,
                            lambda pts, w: np.full(np.shape(pts)[:-1], 1.0))
     assert k_modulus(const, 0.7, g257) == 0.0
     assert k_modulus(IDENTITY, 0.2, g257) == pytest.approx(51.0 / 256.0, abs=1e-15)
@@ -158,7 +157,7 @@ def test_k_modulus_examples():
 
 
 def test_k_modulus_is_sup_over_atoms(rng):
-    f = build_family("affine_noise", GroundSpace.of_size(4), 1,
+    f = build_family("affine_noise", 4, 1,
                      {"z": [-1.0, -0.2, 0.4, 1.0]})
     g = Grid(1, 129)
     from choqbern import stochastic_modulus
@@ -184,7 +183,7 @@ def test_k_inverse_examples():
     assert got == pytest.approx(307.0 / 1024.0, abs=1e-15)
     assert k_inverse(IDENTITY, 2.0, g257) == 1.0
     # below one grid step every qualifying delta sees only coincident pairs
-    tiny = RandomFunction(SPACE1, 1, lambda pts, w: 5.0 * np.mean(pts, axis=-1))
+    tiny = RandomFunction(1, 1, lambda pts, w: 5.0 * np.mean(pts, axis=-1))
     assert k_inverse(tiny, 0.001, g257) == pytest.approx(3.0 / 1024.0, abs=1e-15)
     assert k_inverse(tiny, 0.001, g257, np.array([0.5, 0.75, 1.0])) == 0.0
 
@@ -192,7 +191,7 @@ def test_k_inverse_examples():
 def test_k_inverse_right_continuity_property():
     g257 = Grid(1, 257)
     dgrid = default_delta_grid()
-    f = build_family("affine_noise", GroundSpace.of_size(3), 1)
+    f = build_family("affine_noise", 3, 1)
     for delta in dgrid[::64]:
         eps = k_modulus(f, float(delta), g257)
         assert float(delta) <= k_inverse(f, eps, g257, dgrid)
