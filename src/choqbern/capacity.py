@@ -95,6 +95,8 @@ class Distortion:
 
 def _validate_distortion(kind: str, fn) -> None:
     vals = fn(_PROBE)
+    if not np.isfinite(vals).all():
+        raise ConstructionError(f"distortion '{kind}': not finite on probe grid")
     if abs(float(vals[0])) > TOL or abs(float(vals[-1]) - 1.0) > TOL:
         raise ConstructionError(f"distortion '{kind}': needs u(0)=0 and u(1)=1")
     if np.any(np.diff(vals) < -TOL):
@@ -134,7 +136,7 @@ def make_distortion(kind: str, **params) -> Distortion:
         ys = np.asarray(params.pop("ys"), dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
             raise ConstructionError("custom_table needs matching xs/ys vectors")
-        if np.any(np.diff(xs) <= 0):
+        if not np.all(np.diff(xs) > 0):
             raise ConstructionError("custom_table xs must be strictly increasing")
         fn = lambda t, xs=xs, ys=ys: np.interp(t, xs, ys)
         h = 2.0 ** -20
@@ -149,11 +151,11 @@ def make_distortion(kind: str, **params) -> Distortion:
 
 
 def _unit_vector(values, name: str) -> np.ndarray:
-    """``values`` as a nonempty vector in [0, 1] (within ``TOL``)."""
+    """``values`` as a nonempty vector in [0, 1] (within ``TOL``), which NaN is not."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ConstructionError(f"{name} must be a nonempty vector")
-    if np.any(v < -TOL) or np.any(v > 1 + TOL):
+    if not np.all((v >= -TOL) & (v <= 1 + TOL)):
         raise ConstructionError(f"{name} must lie in [0, 1]")
     return v
 
@@ -216,14 +218,14 @@ def make_table(m: int,
         raise ConstructionError(f"a capacity needs at least one atom, got {m}")
     n = 1 << m
     if isinstance(values, Mapping):
-        tbl = np.full(n, np.nan)
+        tbl, given = np.zeros(n), np.zeros(n, dtype=bool)
         for mask, v in values.items():
             mask = as_mask(mask, m) if not isinstance(mask, (int, np.integer)) else int(mask)
             if mask < 0 or mask >= n:
                 raise ConstructionError(f"table key {mask} out of range")
-            tbl[mask] = float(v)
-        if np.any(np.isnan(tbl)):
-            missing = int(np.flatnonzero(np.isnan(tbl))[0])
+            tbl[mask], given[mask] = float(v), True
+        if not given.all():
+            missing = int(np.flatnonzero(~given)[0])
             raise ConstructionError(f"table is not total: subset mask {missing} missing")
     else:
         tbl = np.asarray(values, dtype=float).copy()
@@ -233,7 +235,7 @@ def make_table(m: int,
         raise ConstructionError("table value on the empty set must be 0")
     if abs(tbl[n - 1] - 1.0) > TOL:
         raise ConstructionError("table value on the full set must be 1")
-    if np.any(tbl < -TOL) or np.any(tbl > 1 + TOL):
+    if not np.all((tbl >= -TOL) & (tbl <= 1 + TOL)):  # NaN does not
         raise ConstructionError("table values must lie in [0, 1]")
     # monotone along every covering pair mask -> mask | bit
     masks = np.arange(n)

@@ -23,7 +23,7 @@ from .capacity import as_mask, capacity_from_spec, check_properties, make_distor
 from .choquet import (_atom_values, choquet_integral, choquet_integral_oracle,
                       choquet_lp_norm)
 from .experiments import (ROW_TOLERANCE, ExperimentConfig, _fmt, named_errors,
-                          run_experiment)
+                          refuse_constant, run_experiment)
 from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
 from .stochastic import (SeededStream, _check_r, _check_slope, k_modulus,
@@ -31,13 +31,16 @@ from .stochastic import (SeededStream, _check_r, _check_slope, k_modulus,
 
 
 def _read_json(path: str, what: str):
+    """The JSON value in ``path``; NaN and +-Infinity are refused."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse_constant)
     except OSError as exc:
         raise ValueError(f"cannot read {what} file '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} file '{path}' is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what} file '{path}': {exc}") from exc
 
 
 def _load_capacity(path: str):
@@ -94,7 +97,8 @@ def _cmd_capacity_check(args) -> int:
 def _build_from_args(args):
     """The family named by --family, with the JSON object --params, and the grid.
 
-    --atom and --grid are checked before anything is computed.
+    --atom and --grid are checked before anything is computed; the family
+    must be finite on the grid.
     """
     if args.atoms < 1:
         raise ValueError(f"--atoms: must be >= 1, got {args.atoms}")
@@ -105,10 +109,12 @@ def _build_from_args(args):
     with named_errors("--grid"):
         grid = Grid.default_for(args.dim, args.grid)
     with named_errors("--params"):
-        params = json.loads(args.params or "{}")
+        params = json.loads(args.params or "{}", parse_constant=refuse_constant)
         if not isinstance(params, dict):
             raise TypeError(f"expected a JSON object, got {args.params}")
-        return build_family(args.family, args.atoms, args.dim, params), grid
+        f = build_family(args.family, args.atoms, args.dim, params)
+        f.grid_tensor(grid)  # memoized; refuses non-finite values
+        return f, grid
 
 
 def _cmd_modulus(args) -> int:

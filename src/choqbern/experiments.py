@@ -66,6 +66,11 @@ def named_errors(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def refuse_constant(name: str):
+    """``json``'s ``parse_constant`` hook: NaN, Infinity and -Infinity are refused."""
+    raise ValueError(f"{name} is not a finite number")
+
+
 @dataclass(frozen=True)
 class BoundRow:
     """One measured-versus-bound record; empty fields are None.
@@ -204,8 +209,9 @@ def _dim(v, f) -> int:
 def _family(v, f) -> RandomFunction:
     """A name, or an object {"name": ..., "params": {...}}.
 
-    The family is built on the capacity's atoms; a stochastic run needs a
-    continuous one and a capacity run a bounded one.
+    The family is built on the capacity's atoms and must be finite on the
+    run's grid; a stochastic run needs a continuous one and a capacity run a
+    bounded one.
     """
     name, params = v, {}
     if isinstance(v, dict):
@@ -214,6 +220,7 @@ def _family(v, f) -> RandomFunction:
     if not isinstance(name, str) or name not in FAMILIES:
         raise ValueError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
     fn = build_family(name, f["capacity"].atom_count, f["dim"], params)
+    fn.grid_tensor(Grid(f["dim"], f["grid_points"]))  # memoized; refuses non-finite values
     if f["experiment"] == "stochastic" and not fn.continuous:
         raise ValueError(f"family '{name}' is not continuous in x; "
                          "stochastic runs require continuity")
@@ -375,6 +382,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"key '{unknown[0]}': unknown key "
                               f"(known: experiment, {', '.join(_SCHEMA)})")
+        for key, value in raw.items():
+            with named_errors(f"key '{key}'"):
+                json.loads(json.dumps(value), parse_constant=refuse_constant)
         f = {"experiment": raw["experiment"]}
         for key, (kind, interval, default) in _SCHEMA.items():
             value = raw[key] if key in raw else (
@@ -585,8 +595,9 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     return _result(cfg, rows, t0)
 
 
-# node values per streamed block of samples: bounds the stochastic sweep's
-# working set (about 16 MB per block-sized array) whatever 'samples' is
+# cells per streamed block of samples: a block is _BLOCK_CELLS // max(n + 1, g)
+# rows, so its node rows and its (rows, g) GEMM product each take at most
+# 16 MB, and the stochastic sweep's working set does not grow with 'samples'
 _BLOCK_CELLS = 2_000_000
 
 
@@ -596,38 +607,37 @@ def _sup_errors(f: RandomFunction, rows: np.ndarray, start: int,
 
     Row i is sample ``start + i``, on atom (start + i) mod M, so rows i,
     i + M, ... share one atom and are evaluated through one strided view.
+    The node values overwrite ``rows``, and the grid values are subtracted
+    from the product in place, so the call allocates one (len(rows), g) array.
     """
     m = f.atom_count
-    node_vals = np.empty_like(rows)
     for i in range(min(m, len(rows))):
-        node_vals[i::m] = f.evaluator(rows[i::m][..., None], (start + i) % m)
-    approx = node_vals @ basis_t
-    atoms = np.arange(start, start + len(rows)) % m
-    return np.abs(approx - grid_values[:, atoms].T).max(axis=1)
+        rows[i::m] = f.evaluator(rows[i::m][..., None], (start + i) % m)
+    approx = rows @ basis_t
+    for i in range(min(m, len(rows))):
+        approx[i::m] -= grid_values[:, (start + i) % m]
+    return np.abs(approx, out=approx).max(axis=1)
 
 
 def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
-                   start_index: int, grid: Grid,
-                   grid_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample node deviation M_n and sup error of one degree.
+                   start_index: int, grid: Grid, grid_values: np.ndarray):
+    """Per-sample node deviation M_n and sup error of one degree, block by block.
 
-    The samples are streamed in blocks of ``_BLOCK_CELLS // (n + 1)`` rows,
-    so memory does not grow with ``cfg.samples``.  Sample i uses substream
+    Yields (dev, sup_err) for consecutive blocks of
+    ``_BLOCK_CELLS // max(n + 1, g)`` samples, g the grid size, so memory does
+    not grow with ``cfg.samples``.  Sample i uses substream
     ``start_index + i`` and atom i mod M.
     """
-    s_count = cfg.samples
     basis_t = basis_matrix(n, grid.coords).T
-    dev, sup_err = np.empty(s_count), np.empty(s_count)
-    block = max(1, _BLOCK_CELLS // (n + 1))
-    for s in range(0, s_count, block):
-        count = min(block, s_count - s)
+    block = max(1, _BLOCK_CELLS // max(n + 1, grid.points_per_axis))
+    for s in range(0, cfg.samples, block):
+        count = min(block, cfg.samples - s)
         if cfg.degenerate_nodes:
             rows = np.tile(np.arange(n + 1) / n, (count, 1))
         else:
             rows = sample_rows(n, cfg.seed, count, start_index=start_index + s)
-        dev[s:s + count] = max_deviation_rows(rows)
-        sup_err[s:s + count] = _sup_errors(f, rows, s, basis_t, grid_values)
-    return dev, sup_err
+        dev = max_deviation_rows(rows)  # before _sup_errors overwrites the rows
+        yield dev, _sup_errors(f, rows, s, basis_t, grid_values)
 
 
 def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -639,7 +649,9 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     capacity-level row, then per (epsilon, r) a deviation-bound row, then
     per r a rate-function row.  Sample i of degree-index d uses substream
     (seed, d * samples + i) with atom i mod M, so results are independent
-    of batching.
+    of batching.  Every threshold is known before the first draw, so each
+    statistic (a maximum or a count, both exact) is reduced block by block
+    and no array grows with ``samples``.
     """
     u = cfg.capacity.form.distortion
     f, grid = cfg.family, Grid(1, cfg.grid_points)
@@ -654,40 +666,44 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     def one_degree(item) -> list[BoundRow]:
         d_idx, n = item
-        dev, sup_err = _sample_errors(f, n, cfg, d_idx * s_count, grid, grid_values)
-        k_sqrt = float(ktab(1.0 / math.sqrt(n)))
-        k_dev = ktab(dev)
+        c_k_sqrt = c * float(ktab(1.0 / math.sqrt(n)))  # c K(1/sqrt(n))
+        deltas = [d for d in cfg.deltas if n >= 1.0 / (d * d) and ktab(d) > 0.0]
+        tau_n = tau_value(cfg.tau, n)
+        # M_n is counted above each delta, then above each epsilon; the sup
+        # error above (1 + c) K(delta) for each delta, then for sqrt(tau(n) / n)
+        dev_cuts = np.array([*deltas, *cfg.epsilons])
+        err_cuts = np.array([(1.0 + c) * float(ktab(d)) + EVENT_SLACK
+                             for d in (*deltas, math.sqrt(tau_n / n))])
+        nd = len(deltas)
+        chain_excess = -math.inf
+        dev_over = np.zeros(dev_cuts.size, dtype=np.int64)
+        err_over = np.zeros(err_cuts.size, dtype=np.int64)
+        violations = np.zeros(nd, dtype=np.int64)
+        for dev, sup_err in _sample_errors(f, n, cfg, d_idx * s_count, grid, grid_values):
+            chain_excess = np.maximum(chain_excess, (sup_err - (c_k_sqrt + ktab(dev))).max())
+            dev_hit = dev > dev_cuts[:, None]
+            err_hit = sup_err > err_cuts[:, None]
+            dev_over += np.count_nonzero(dev_hit, axis=1)
+            err_over += np.count_nonzero(err_hit, axis=1)
+            violations += np.count_nonzero(err_hit[:nd] & ~dev_hit[:nd], axis=1)
+        dev_over, err_over = dev_over.tolist(), err_over.tolist()
 
-        out: list[BoundRow] = []
-        chain_excess = float((sup_err - (c * k_sqrt + k_dev)).max())
-        out.append(BoundRow("stochastic", n, None, None, None, None, None,
-                            chain_excess, 0.0))
-        for delta in cfg.deltas:
-            if n < 1.0 / (delta * delta):
-                continue
-            k_delta = float(ktab(delta))
-            if k_delta <= 0.0:
-                continue
-            exceed = sup_err > (1.0 + c) * k_delta + EVENT_SLACK
-            violations = int(np.count_nonzero(exceed & (dev <= delta)))
+        out = [BoundRow("stochastic", n, None, None, None, None, None,
+                        float(chain_excess), 0.0)]
+        for j, delta in enumerate(deltas):
             out.append(BoundRow("stochastic", n, None, None, delta, None, None,
-                                float(violations), 0.0))
-            lhs_cap = u(np.count_nonzero(exceed) / s_count)
-            rhs_cap = u(np.count_nonzero(dev > delta) / s_count)
+                                float(violations[j]), 0.0))
             out.append(BoundRow("stochastic", n, None, None, delta, delta, None,
-                                lhs_cap, rhs_cap))
-        for eps in cfg.epsilons:
-            p_hat = np.count_nonzero(dev > eps) / s_count
+                                u(err_over[j] / s_count), u(dev_over[j] / s_count)))
+        for eps, over in zip(cfg.epsilons, dev_over[nd:]):
+            p_hat = over / s_count
             sigma = math.sqrt(p_hat * (1.0 - p_hat) / s_count)
             for r in cfg.rs:
                 closed = lemma51_bound(n, eps, r, u_slope)
                 out.append(BoundRow("stochastic", n, None, None, eps, None, r,
                                     u(p_hat), closed + 3.0 * u_slope * sigma,
                                     vacuous=closed >= 1.0))
-        tau_n = tau_value(cfg.tau, n)
-        delta6 = math.sqrt(tau_n / n)
-        thresh = (1.0 + c) * float(ktab(delta6))
-        p_hat6 = np.count_nonzero(sup_err > thresh + EVENT_SLACK) / s_count
+        p_hat6 = err_over[-1] / s_count
         sigma6 = math.sqrt(p_hat6 * (1.0 - p_hat6) / s_count)
         for r in cfg.rs:
             closed = theorem6_bound(n, tau_n, r, u_slope)

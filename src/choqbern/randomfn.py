@@ -87,16 +87,24 @@ class RandomFunction:
         return float(self.evaluator(pts, atom))
 
     def grid_tensor(self, grid: Grid) -> np.ndarray:
-        """Values on the grid, shape (g,)*dim + (M,); memoized."""
+        """Values on the grid, shape (g,)*dim + (M,); memoized.
+
+        A value that is not finite (say, from parameters whose products
+        overflow) is an ``InputError``: no bound holds for it.
+        """
         if grid.dim != self.dim:
             raise InputError("grid dimension mismatch")
         key = (grid.dim, grid.points_per_axis)
         if key not in self._grids:
             pts = np.stack(np.meshgrid(*[grid.coords] * self.dim, indexing="ij"),
                            axis=-1)
-            out = np.stack([self.evaluator(pts, w) for w in range(self.atom_count)],
-                           axis=-1)
+            with np.errstate(all="ignore"):  # an overflow is refused below
+                out = np.stack([self.evaluator(pts, w) for w in range(self.atom_count)],
+                               axis=-1)
             out = np.ascontiguousarray(out, dtype=float)
+            if not np.isfinite(out).all():
+                raise InputError(f"family '{self.name}' is not finite on the "
+                                 f"{grid.points_per_axis}-point grid")
             out.setflags(write=False)
             self._grids[key] = out
         return self._grids[key]

@@ -170,7 +170,7 @@ def lemma51_bound(n: int, eps: float, r: float, u_prime_0: float) -> float:
     """
     if n < 1:
         raise InputError(f"degree must be >= 1, got {n}")
-    if eps < 0:
+    if not eps >= 0:  # NaN is not
         raise InputError("eps must be nonnegative")
     _check_r(r)
     _check_slope(u_prime_0)
@@ -185,7 +185,7 @@ def theorem6_bound(n: int, tau_n: float, r: float, u_prime_0: float) -> float:
     """
     if n < 1:
         raise InputError(f"degree must be >= 1, got {n}")
-    if tau_n < 1.0:
+    if not tau_n >= 1.0:
         raise InputError(f"tau(n) >= 1 is required, got {tau_n}")
     _check_r(r)
     _check_slope(u_prime_0)

@@ -276,3 +276,21 @@ def test_distortion_probe_grid_edges():
     assert u(0.8) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ConstructionError, match="nondecreasing|concave"):
         make_distortion("custom_table", xs=[0.0, 0.5, 1.0], ys=[0.0, 1.2, 1.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_distorted(make_distortion("rational_2t"), (math.nan, math.nan)),
+    lambda: make_possibility((math.nan, 1.0)),
+    lambda: make_table(1, [0.0, math.nan]),
+    lambda: make_table(2, [0.0, math.nan, 0.5, 1.0]),
+    lambda: make_table(2, {0: 0.0, 1: math.nan, 2: 0.5, 3: 1.0}),
+    lambda: make_distortion("custom_table", xs=[0.0, 0.5, 1.0], ys=[0.0, math.nan, 1.0]),
+    lambda: make_distortion("custom_table", xs=[0.0, math.nan, 1.0], ys=[0.0, 0.7, 1.0]),
+    lambda: make_distortion("power", alpha=math.nan),
+])
+def test_constructors_refuse_non_finite_values(build):
+    # every range check reads "inside", which NaN is not, so no NaN capacity
+    # is integrated or certified submodular
+    with pytest.raises(ConstructionError) as err:
+        build()
+    assert "missing" not in str(err.value)  # a NaN table entry is given, not missing

@@ -106,6 +106,13 @@ def test_bad_capacity_file_is_input_error(tmp_path, capsys):
     *[{"atoms": atoms, "repr": {"type": "possibility", "lambda": [1.0] * n}}
       for atoms, n in (("ab", 2), ({"x": 1, "y": 2}, 2), (True, 1))],
     {**SQRT_CAP, "extra": 1},
+    # json writes and reads NaN and +-Infinity; the file is refused before a
+    # capacity is built, so none is integrated to nan or certified
+    {"atoms": 2, "repr": {**SQRT_CAP["repr"], "weights": [math.nan, math.nan]}},
+    {"atoms": 2, "repr": {"type": "possibility", "lambda": [math.nan, 1.0]}},
+    {"atoms": 2, "repr": {"type": "distorted", "distortion": {
+        "kind": "custom_table", "xs": [0, 0.5, 1], "ys": [0, math.nan, 1]}}},
+    {"atoms": 1, "repr": {"type": "table", "values": {"": 0, "0": -math.inf}}},
 ])
 @pytest.mark.parametrize("command", [
     ["capacity-check"], ["integrate", "--values", "0,1"],
@@ -283,6 +290,12 @@ def test_experiment_bad_config_exit_two(tmp_path, capsys):
                          "tau.json")
     assert run_cli(["experiment", "--config", cfg3]) == 2
     assert "tau(n) >= 1" in capsys.readouterr().err
+    # json.dumps writes NaN, which json reads; the file is refused before parsing
+    cfg4 = _write_config(tmp_path, {"experiment": "capacity_convergence", "family": {
+        "name": "affine_noise", "params": {"z": [math.nan, 1, 0, 0, 0]}}}, "nan.json")
+    assert run_cli(["experiment", "--config", cfg4]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config file '{cfg4}': NaN is not a finite number")
 
 
 def test_experiment_stdout_csv(tmp_path, capsys):
@@ -389,6 +402,11 @@ def test_threads_flag(tmp_path, capsys):
       "schedule": [[4, 4]]}, "p"),
     *[({"experiment": "stochastic", key: []}, key)
       for key in ("deltas", "epsilons", "etas", "rs")],
+    # finite parameters whose products overflow on the grid: every comparison
+    # with the nan they give is false, so the event rows would pass
+    ({"experiment": "stochastic",
+      "family": {"name": "affine_noise", "params": {"scale": 1e308, "amp": 1e308}}},
+     "family"),
 ])
 def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     cfg = _write_config(tmp_path, payload)
@@ -499,6 +517,11 @@ _MODULUS = ["modulus", "--family", "affine_noise", "--atoms", "2", "--grid", "9"
     (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--p", "0.5"], "--p"),
     (_MODULUS + ["--kind", "sample", "--delta", "0.1", "--atoms", "0"], "--atoms"),
     (_MODULUS + ["--kind", "k", "--dim", "2", "--delta", "0.1"], "--dim"),
+    # non-finite parameters, given or from an overflow on the grid
+    (_MODULUS + ["--kind", "k", "--delta", "0.1", "--params", '{"z": [NaN, 1]}'],
+     "--params"),
+    (_MODULUS + ["--kind", "sample", "--delta", "0.1", "--atom", "1",
+                 "--params", '{"scale": 1e308, "amp": 1e308}'], "--params"),
 ])
 def test_integrate_and_modulus_name_the_bad_flag(cap_file, capsys, command, flag):
     assert run_cli(command + ["--capacity", cap_file]) == 2
@@ -526,6 +549,13 @@ _APPROX = ["approx", "--family", "affine_noise", "--grid", "9"]
     (_APPROX + ["--n", "65"], "--n"),
     (_APPROX + ["--n", "65", "--n2", "100", "--dim", "2"], "--n"),
     (_APPROX + ["--n", "100", "--n2", "65", "--dim", "2"], "--n2"),
+    # non-finite inputs, which would print NaN, and NaN is not JSON
+    (["stochastic", "--n", "5", "--epsilon", "nan"], "--epsilon"),
+    (_APPROX + ["--n", "4", "--params", '{"z": [NaN, 1, 0, 0, 0]}'], "--params"),
+    (_APPROX + ["--n", "4", "--params", '{"scale": -Infinity}'], "--params"),
+    # finite parameters whose products overflow on the grid
+    (_APPROX + ["--n", "4", "--atom", "4", "--params", '{"scale": 1e308, "amp": 1e308}'],
+     "--params"),
 ])
 def test_stochastic_and_approx_name_the_bad_flag(capsys, command, flag):
     assert run_cli(command) == 2

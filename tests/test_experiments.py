@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -59,6 +60,18 @@ def test_config_rejections():
     with pytest.raises(ConfigError, match="capacity"):
         _cfg({"capacity": {"repr": {"type": "distorted",
                                     "distortion": {"kind": "bogus"}}}})
+    # a non-finite number anywhere in a library caller's dict names its key
+    with pytest.raises(ConfigError, match="^key 'capacity': NaN is not a finite number"):
+        _cfg({"capacity": {"atoms": 2, "repr": {
+            "type": "distorted", "weights": [math.nan, math.nan],
+            "distortion": {"kind": "power", "alpha": 0.5}}}})
+    with pytest.raises(ConfigError, match="^key 'family': Infinity is not a finite"):
+        _cfg({"family": {"name": "affine_noise", "params": {"scale": math.inf}}})
+    # finite parameters whose products overflow on the grid
+    with pytest.raises(ConfigError, match="^key 'family': family 'affine_noise' "
+                                          "is not finite on the 65-point grid"):
+        _cfg({"family": {"name": "affine_noise",
+                         "params": {"scale": 1e308, "amp": 1e308}}})
 
 
 def test_config_family_resolution_checked_at_parse_time():
@@ -229,6 +242,10 @@ _RUN_CAPACITIES = [
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
+@example({"experiment": "capacity_convergence", "grid_points": 9, "schedule": [2, 4],
+          "samples": 50, "tau": {"kind": "const", "scale": 1},
+          # overflows on the grid: nan rows, exit 1, unless refused
+          "family": {"name": "affine_noise", "params": {"scale": 1e308, "amp": 1e308}}})
 @given(st.fixed_dictionaries(
     {"experiment": st.sampled_from(EXPERIMENT_IDS), "grid_points": st.just(9),
      # [100] and [4, 100] are finer than the 9-point grid
@@ -245,7 +262,9 @@ def test_a_config_that_parses_also_runs(config):
     except ConfigError as exc:
         assert str(exc).startswith("key '")
         return
-    assert run_experiment(cfg).rows
+    rows = run_experiment(cfg).rows
+    assert rows
+    assert all(math.isfinite(r.measured) and math.isfinite(r.bound) for r in rows)
 
 
 def test_mean_run_on_a_certified_table_does_not_warn():
@@ -500,21 +519,64 @@ def test_mean_run_certifies_a_table_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_stochastic_blocks_match_one_block(monkeypatch, degenerate):
-    n, samples = 1600, 3000  # three blocks of 1249 rows, the last one partial
+def _streamed(n, cfg):
+    """Every sample's deviation and sup error, joined over the streamed
+    blocks, and the number of blocks."""
+    f, grid = cfg.family, Grid(1, cfg.grid_points)
+    blocks = list(_sample_errors(f, n, cfg, cfg.samples, grid, f.grid_tensor(grid)))
+    return [np.concatenate(column) for column in zip(*blocks)], len(blocks)
+
+
+def _blocks_match_one_block(monkeypatch, n, samples, degenerate):
     cfg = ExperimentConfig.from_mapping({
         "experiment": "stochastic", "family": "affine_noise", "schedule": [n],
         "samples": samples, "degenerate_nodes": degenerate, "seed": 8})
-    f, grid = cfg.family, Grid(1, cfg.grid_points)
-    grid_values = f.grid_tensor(grid)
-    streamed = _sample_errors(f, n, cfg, samples, grid, grid_values)
-    assert experiments._BLOCK_CELLS // (n + 1) < samples
-    for cells in (samples * (n + 1), 7 * (n + 1)):  # one block; blocks of 7 rows
+    streamed, blocks = _streamed(n, cfg)
+    assert blocks == 3
+    width = max(n + 1, cfg.grid_points)
+    for cells in (samples * width, 7 * width):  # one block; blocks of 7 rows
         monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
-        other = _sample_errors(f, n, cfg, samples, grid, grid_values)
+        other, _ = _streamed(n, cfg)
         for a, b in zip(streamed, other):
-            assert np.array_equal(a, b)
+            assert a.shape == (samples,) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_stochastic_blocks_match_one_block(monkeypatch, degenerate):
+    # three blocks of 1249 rows, the last one partial: the 1601 nodes set the block
+    _blocks_match_one_block(monkeypatch, 1600, 3000, degenerate)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_stochastic_blocks_match_one_block_where_the_grid_sets_it(monkeypatch,
+                                                                  degenerate):
+    # three blocks of 7782 rows, the last one partial: at n = 25 the 257 grid
+    # values of each sample's product, not its 26 nodes, set the block
+    _blocks_match_one_block(monkeypatch, 25, 16000, degenerate)
+
+
+def _traced_peak(config: dict) -> int:
+    """Largest traced allocation, in bytes, while one parsed config runs."""
+    cfg = ExperimentConfig.from_mapping(config)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stochastic_working_set_is_a_few_blocks():
+    # at n = 25 and g = 257 the grid, not the 26 nodes, sets the block: the
+    # peak is one (rows, g) product of _BLOCK_CELLS values plus small arrays
+    base = {"experiment": "stochastic", "schedule": [25], "seed": 4}
+    block_array = 8 * experiments._BLOCK_CELLS
+    assert _traced_peak({**base, "samples": 20_000}) < 2 * block_array
+    # ten times the samples add none of the 16 bytes per sample that a
+    # per-sample array of deviations or errors would hold (cheap nodes)
+    small = _traced_peak({**base, "samples": 20_000, "degenerate_nodes": True})
+    large = _traced_peak({**base, "samples": 200_000, "degenerate_nodes": True})
+    assert large - small < 256 * 1024
 
 
 _RUN_STOCHASTIC = """

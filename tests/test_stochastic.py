@@ -222,6 +222,10 @@ def test_bound_argument_validation():
         lemma51_bound(200, 0.3, 0.9, math.inf)  # power distortion slope
     with pytest.raises(InputError):
         theorem6_bound(100, 0.99, 0.9, 2.0)
+    for nan_eps in (lambda: lemma51_bound(200, math.nan, 0.9, 2.0),
+                    lambda: theorem6_bound(100, math.nan, 0.9, 2.0)):
+        with pytest.raises(InputError):  # comparisons with NaN are false
+            nan_eps()
 
 
 def test_theorem6_bound_values():
