@@ -18,6 +18,7 @@ largest value, so operator values stay as they were.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import Sequence
 
@@ -53,9 +54,13 @@ def _lgamma_table(n: int) -> np.ndarray:
     return out
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n) -> int:
+    """``n`` as an int degree; a non-integral value is refused, not truncated."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise InputError(f"degree must be an integer, got {n}")
     if not (1 <= n <= N_MAX):
         raise InputError(f"degree must lie in [1, {N_MAX}], got {n}")
+    return int(n)
 
 
 def basis_matrix(n: int, xs: Sequence[float]) -> np.ndarray:
@@ -65,7 +70,7 @@ def basis_matrix(n: int, xs: Sequence[float]) -> np.ndarray:
     unit vectors.  log x and log(1 - x) are taken per point with ``math``,
     so a row has the same bits whatever other points share the call.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise InputError(f"points must form a 1-d sequence, got shape {xs.shape}")
@@ -102,38 +107,38 @@ def bernstein_univariate(samples, x: float) -> float:
     return float(np.dot(samples, basis))
 
 
-def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
-    """Tensor-product Bernstein operator applied to a random function."""
-    n_vec = tuple(int(n) for n in (n_vec if not np.isscalar(n_vec) else [n_vec]))
+def _degrees(f: RandomFunction, n_vec) -> MultiDegree:
+    """One checked integer degree per axis of ``f`` from a number or a sequence."""
+    n_vec = [n_vec] if np.isscalar(n_vec) else list(n_vec)
     if len(n_vec) != f.dim:
         raise InputError(f"expected {f.dim} degrees, got {len(n_vec)}")
-    for n in n_vec:
-        _check_degree(n)
+    return tuple(_check_degree(n) for n in n_vec)
+
+
+def _node_axes(n_vec: MultiDegree) -> list[np.ndarray]:
+    return [np.arange(n + 1) / n for n in n_vec]
+
+
+def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
+    """Tensor-product Bernstein operator applied to a random function."""
+    n_vec = _degrees(f, n_vec)
+    f.check_atom(atom)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (f.dim,):
         raise InputError(f"point must have {f.dim} coordinates")
-    nodes = _node_tensor(f, n_vec, atom)
-    out = nodes
+    out = f.on_axes(_node_axes(n_vec))[..., atom]
     for axis, n in enumerate(n_vec):
         basis = bernstein_basis(n, float(x[axis]))
         out = np.tensordot(basis, out, axes=(0, 0))
     return float(out)
 
 
-def _node_tensor(f: RandomFunction, n_vec, atom: int) -> np.ndarray:
-    axes = [np.arange(n + 1) / n for n in n_vec]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return np.asarray(f.evaluator(pts, atom), dtype=float)
-
-
 def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
     """Operator values over a grid for every atom, shape (g,)*dim + (M,)."""
-    n_vec = tuple(int(n) for n in n_vec)
-    if len(n_vec) != f.dim:
-        raise InputError(f"expected {f.dim} degrees, got {len(n_vec)}")
+    n_vec = _degrees(f, n_vec)
+    f.check_grid(grid)
     mats = [basis_matrix(n, grid.coords) for n in n_vec]
-    nodes = np.stack([_node_tensor(f, n_vec, w) for w in range(f.atom_count)],
-                     axis=-1)
+    nodes = f.on_axes(_node_axes(n_vec))
     if f.dim == 1:
         return np.einsum("ik,km->im", mats[0], nodes)
     # contract one axis at a time; the joint einsum would cost O(g^2 n^2 M)

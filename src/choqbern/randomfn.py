@@ -9,6 +9,7 @@ their continuum counterparts.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -58,14 +59,17 @@ class Grid:
 class RandomFunction:
     """Stochastic process on [0, 1]^dim over ``atom_count`` atoms.
 
-    ``evaluator(points, atom)`` must be a pure function accepting an array
-    of shape (..., dim) and returning shape (...); grid tensors are
-    memoized per grid (the only internal mutation).
+    ``evaluator(points, atoms)`` must be a pure function of an array of
+    shape (..., dim) and an atom index: either an int, or an integer array
+    that broadcasts against ``points.shape[:-1]``.  It returns the values
+    at the joint broadcast shape; a result that ignores ``atoms`` has the
+    shape of ``points.shape[:-1]`` and is broadcast by the caller.  Grid
+    tensors are memoized per grid (the only internal mutation).
     """
 
     atom_count: int
     dim: int
-    evaluator: Callable[[np.ndarray, int], np.ndarray]
+    evaluator: Callable[[np.ndarray, int | np.ndarray], np.ndarray]
     name: str = "anonymous"
     m_sup: float | None = None
     continuous: bool = True
@@ -76,15 +80,40 @@ class RandomFunction:
             raise InputError(f"a random function needs at least one atom, "
                              f"got {self.atom_count}")
 
+    def check_atom(self, atom: int) -> None:
+        if not (isinstance(atom, numbers.Integral) and 0 <= atom < self.atom_count):
+            raise InputError(f"atom index {atom} out of range")
+
+    def check_grid(self, grid: Grid) -> None:
+        if grid.dim != self.dim:
+            raise InputError("grid dimension mismatch")
+
     def eval(self, x, atom: int) -> float:
         pts = np.atleast_1d(np.asarray(x, dtype=float))
         if pts.shape != (self.dim,):
             raise InputError(f"point must have {self.dim} coordinates")
         if np.any(pts < -PAIR_TOL) or np.any(pts > 1 + PAIR_TOL):
             raise InputError(f"point {pts.tolist()} outside the unit cube")
-        if not (0 <= atom < self.atom_count):
-            raise InputError(f"atom index {atom} out of range")
+        self.check_atom(atom)
         return float(self.evaluator(pts, atom))
+
+    def on_axes(self, axes) -> np.ndarray:
+        """Values at every point of the product of ``axes`` (one coordinate
+        array per dimension) for every atom, shape (len(a) for a in axes) + (M,).
+
+        One evaluator call on the point tensor against the atom vector.  For
+        an elementwise evaluator, as every built-in family is, each entry has
+        the bits of its one-point, one-atom call.
+        """
+        if len(axes) != self.dim:
+            raise InputError(f"expected {self.dim} coordinate axes, got {len(axes)}")
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        out = np.asarray(self.evaluator(pts[..., None, :], np.arange(self.atom_count)),
+                         dtype=float)
+        shape = pts.shape[:-1] + (self.atom_count,)
+        if out.shape != shape:  # a result that ignores the atoms
+            return np.broadcast_to(out, shape).copy()
+        return np.ascontiguousarray(out)
 
     def grid_tensor(self, grid: Grid) -> np.ndarray:
         """Values on the grid, shape (g,)*dim + (M,); memoized.
@@ -92,16 +121,11 @@ class RandomFunction:
         A value that is not finite (say, from parameters whose products
         overflow) is an ``InputError``: no bound holds for it.
         """
-        if grid.dim != self.dim:
-            raise InputError("grid dimension mismatch")
+        self.check_grid(grid)
         key = (grid.dim, grid.points_per_axis)
         if key not in self._grids:
-            pts = np.stack(np.meshgrid(*[grid.coords] * self.dim, indexing="ij"),
-                           axis=-1)
             with np.errstate(all="ignore"):  # an overflow is refused below
-                out = np.stack([self.evaluator(pts, w) for w in range(self.atom_count)],
-                               axis=-1)
-            out = np.ascontiguousarray(out, dtype=float)
+                out = self.on_axes([grid.coords] * self.dim)
             if not np.isfinite(out).all():
                 raise InputError(f"family '{self.name}' is not finite on the "
                                  f"{grid.points_per_axis}-point grid")
@@ -454,7 +478,6 @@ def profile_at(dists: np.ndarray, profile: np.ndarray, delta):
 def stochastic_modulus(f: RandomFunction, delta: float, atom: int,
                        grid: Grid) -> float:
     """Max of |f(x, atom) - f(y, atom)| over grid pairs with ||x-y|| <= delta."""
-    if not (0 <= atom < f.atom_count):
-        raise InputError(f"atom index {atom} out of range")
+    f.check_atom(atom)
     dists, prof = sample_modulus_profile(f, grid, max_dist=delta)
     return float(profile_at(dists, prof, delta)[atom])

@@ -84,8 +84,7 @@ def stochastic_bernstein(f: RandomFunction, nodes, x: float, atom: int) -> float
         raise InputError("nodes must be sorted nondecreasing")
     if f.dim != 1:
         raise InputError("stochastic Bernstein polynomials need a 1-d function")
-    if not (0 <= atom < f.atom_count):
-        raise InputError(f"atom index {atom} out of range")
+    f.check_atom(atom)
     samples = np.asarray(f.evaluator(nodes[:, None], atom), dtype=float)
     return float(np.dot(samples, bernstein_basis(nodes.size - 1, x)))
 

@@ -111,6 +111,47 @@ def test_multivariate_grid_matches_pointwise():
                     bernstein_multivariate(f, (5, 7), (c[i], c[j]), w), abs=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 3, 16])
+def test_grid_paths_call_the_evaluator_once(m):
+    base = build_family("affine_noise", m, 2)
+    calls = []
+
+    def counted(pts, atoms):
+        calls.append(np.shape(atoms))
+        return base.evaluator(pts, atoms)
+
+    f = RandomFunction(m, 2, counted)
+    grid = Grid(2, 9)
+    f.grid_tensor(grid)
+    assert calls == [(m,)]
+    multivariate_grid(f, (4, 3), grid)
+    assert calls == [(m,), (m,)]
+
+
+def test_multivariate_refusals():
+    f = build_family("affine_noise", 3, 2)
+    grid = Grid(2, 9)
+    # the grid_tensor refusal: a 1-D grid does not silently give a 2-D tensor
+    for call in (lambda: f.grid_tensor(Grid(1, 9)),
+                 lambda: multivariate_grid(f, (4, 4), Grid(1, 9))):
+        with pytest.raises(InputError, match="grid dimension mismatch"):
+            call()
+    for bad in ((4.7, 4), (4, 2.5), (4, "4")):
+        with pytest.raises(InputError, match="degree must be an integer"):
+            multivariate_grid(f, bad, grid)
+        with pytest.raises(InputError, match="degree must be an integer"):
+            bernstein_multivariate(f, bad, (0.5, 0.5), 0)
+    with pytest.raises(InputError, match="degree must be an integer"):
+        basis_matrix(4.5, grid.coords)
+    # an integral float is an integer degree
+    assert np.array_equal(multivariate_grid(f, (4.0, np.int64(3)), grid),
+                          multivariate_grid(f, (4, 3), grid))
+    assert np.array_equal(basis_matrix(4.0, grid.coords), basis_matrix(4, grid.coords))
+    for atom in (3, 5, -1, 1.5):
+        with pytest.raises(InputError, match=f"atom index {atom} out of range"):
+            bernstein_multivariate(f, (4, 4), (0.5, 0.5), atom)
+
+
 def test_moment_sum_values():
     assert moment_sum(17, 0.42, 0) == pytest.approx(1.0, abs=1e-12)
     assert moment_sum(4, 0.5, 2) == pytest.approx(0.25, abs=1e-12)

@@ -118,6 +118,29 @@ def test_grid_tensor_matches_evaluator_bit_exact():
     assert f.grid_tensor(grid) is tensor  # memoized
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_on_axes_matches_per_atom_per_point_calls(dim):
+    # one call against the atom vector gives every entry the bits of its
+    # own one-point, one-atom call; a result that ignores the atom is broadcast
+    m = 4
+    fns = [build_family(name, m, dim)
+           for name in ("affine_noise", "step_noise", "deterministic:absdev")]
+    fns.append(RandomFunction(m, dim, lambda pts, w: np.mean(pts, axis=-1) ** 2,
+                              name="atom-free"))
+    # 0.2 ... 0.8 are step_noise's default thresholds: ties in every dim
+    axes = [np.arange(6) / 5, np.array([0.0, 0.3, 0.4, 1.0])][:dim]
+    for f in fns:
+        got = f.on_axes(axes)
+        assert got.shape == tuple(len(a) for a in axes) + (m,)
+        assert got.flags.c_contiguous and got.flags.writeable
+        for idx in np.ndindex(*got.shape[:-1]):
+            pt = np.array([a[i] for a, i in zip(axes, idx)])
+            for w in range(m):
+                assert got[idx + (w,)] == f.evaluator(pt, w), (f.name, idx, w)
+    with pytest.raises(InputError, match=f"expected {dim} coordinate axes"):
+        fns[0].on_axes(axes * 2)
+
+
 def test_grid_validation():
     with pytest.raises(InputError):
         Grid(0, 5)
