@@ -30,8 +30,8 @@ from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, Distorted
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
-from .stochastic import (KTable, _check_slope, lemma51_bound, max_deviation_rows,
-                         sample_rows, theorem6_bound)
+from .stochastic import (KTable, _check_slope, chunk_rows, lemma51_bound,
+                         max_deviation_rows, sample_rows, theorem6_bound)
 
 ROW_TOLERANCE = 1e-9
 TREND_SLACK = 1e-12
@@ -605,18 +605,28 @@ def _sup_errors(f: RandomFunction, rows: np.ndarray, start: int,
                 basis_t: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
     """Per-sample sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.
 
-    Row i is sample ``start + i``, on atom (start + i) mod M, so rows i,
-    i + M, ... share one atom and are evaluated through one strided view.
-    The node values overwrite ``rows``, and the grid values are subtracted
-    from the product in place, so the call allocates one (len(rows), g) array.
+    Row i is sample ``start + i``, on atom (start + i) mod M.  The node
+    values overwrite ``rows`` chunk by chunk (``chunk_rows``), and within a
+    chunk the rows of one atom are evaluated through one strided view.  One
+    GEMM then makes the (len(rows), g) product, from which the grid values
+    are subtracted in place, chunk by chunk, before each chunk's abs-max.
     """
     m = f.atom_count
-    for i in range(min(m, len(rows))):
-        rows[i::m] = f.evaluator(rows[i::m][..., None], (start + i) % m)
+    count = len(rows)
+    step = chunk_rows(rows.shape[1])
+    for c in range(0, count, step):
+        part = rows[c:c + step]
+        for i in range(min(m, len(part))):
+            part[i::m] = f.evaluator(part[i::m][..., None], (start + c + i) % m)
     approx = rows @ basis_t
-    for i in range(min(m, len(rows))):
-        approx[i::m] -= grid_values[:, (start + i) % m]
-    return np.abs(approx, out=approx).max(axis=1)
+    out = np.empty(count)
+    step = chunk_rows(approx.shape[1])
+    for c in range(0, count, step):
+        part = approx[c:c + step]
+        for i in range(min(m, len(part))):
+            part[i::m] -= grid_values[:, (start + c + i) % m]
+        np.abs(part, out=part).max(axis=1, out=out[c:c + step])
+    return out
 
 
 def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,

@@ -214,7 +214,7 @@ def list_families() -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _window(delta: float, grid: Grid) -> int:
-    if delta < 0:
+    if not delta >= 0:  # NaN is not
         raise InputError("delta must be nonnegative")
     steps = math.floor((delta + PAIR_TOL) / grid.spacing + 1e-9)
     return min(max(steps, 0), grid.points_per_axis - 1)
@@ -470,7 +470,7 @@ def profile_at(dists: np.ndarray, profile: np.ndarray, delta):
     delta, and a delta that misses a grid distance by rounding still gets it.
     """
     delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0):
+    if not np.all(delta >= 0):  # NaN is not
         raise InputError("delta must be nonnegative")
     return profile[np.searchsorted(dists, delta + PAIR_TOL, side="right") - 1]
 

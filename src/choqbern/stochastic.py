@@ -10,6 +10,7 @@ so results do not depend on batching or scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,16 @@ import numpy as np
 from .bernstein import bernstein_basis
 from .capacity import InputError
 from .randomfn import Grid, RandomFunction, profile_at, sample_modulus_profile
+
+# cells in one chunk of a block's elementwise passes (node deviations, node
+# values, error reduction): 512 KB of float64, so a chunk's temporaries stay
+# in L2 where a whole block's would not
+CHUNK_CELLS = 1 << 16
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk of a (rows, width) array: ``CHUNK_CELLS`` cells, at least one row."""
+    return max(1, CHUNK_CELLS // width)
 
 
 @dataclass(frozen=True)
@@ -47,8 +58,11 @@ def sample_rows(n: int, master_seed: int, count: int,
     that of a fresh generator keyed (master_seed, start_index + i), which is
     all a substream is, instead of building a generator per row.
     """
-    if n < 1:
-        raise InputError(f"degree must be >= 1, got {n}")
+    if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= 1):
+        raise InputError(f"degree must be an integer >= 1, got {n}")
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise InputError(f"count must be an integer >= 0, got {count}")
+    n = int(n)
     # SeededStream rejects a seed or index outside [0, 2**64) before any draw
     SeededStream(master_seed, start_index + max(count - 1, 0))
     gen = SeededStream(master_seed, start_index).generator()
@@ -65,11 +79,26 @@ def sample_rows(n: int, master_seed: int, count: int,
 
 
 def max_deviation_rows(rows: np.ndarray) -> np.ndarray:
-    """M_n = max over k of |Y_{n,k} - k/n| for each row of a (count, n+1) stack."""
+    """M_n = max over k of |Y_{n,k} - k/n| for each row of a (count, n+1) stack.
+
+    Reduced chunk by chunk through one scratch array of at most
+    ``CHUNK_CELLS`` cells (or one row), so no block-sized temporary is made.
+    """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1] - 1
-    dev = rows - np.arange(n + 1) / n
-    return np.abs(dev, out=dev).max(axis=1)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise InputError(f"node rows need shape (count, n + 1) with n >= 1, "
+                         f"got {rows.shape}")
+    count, width = rows.shape
+    nodes = np.arange(width) / (width - 1)
+    step = chunk_rows(width)
+    scratch = np.empty((min(step, count), width))
+    out = np.empty(count)
+    for c in range(0, count, step):
+        part = rows[c:c + step]
+        dev = scratch[:len(part)]
+        np.subtract(part, nodes, out=dev)
+        np.abs(dev, out=dev).max(axis=1, out=out[c:c + step])
+    return out
 
 
 def stochastic_bernstein(f: RandomFunction, nodes, x: float, atom: int) -> float:
@@ -133,7 +162,7 @@ def k_inverse(f: RandomFunction, eps: float, grid: Grid,
     delta.  Like ``k_modulus``, each call builds a ``KTable``; for repeated
     queries, build the table once and compare ``table(delta_grid)`` with eps.
     """
-    if eps < 0:
+    if not eps >= 0:  # NaN is not
         raise InputError("eps must be nonnegative")
     if delta_grid is None:
         delta_grid = default_delta_grid()

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from choqbern import (ConfigError, ExperimentConfig, InputError, make_distorted,
                       make_distortion, make_table, run_experiment, semi_metric)
-from choqbern import experiments
+from choqbern import experiments, stochastic
 from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
                                   _cp_sup, _cp_sup_direct, _sample_errors,
                                   run_capacity_convergence, run_mean_convergence,
@@ -534,9 +534,15 @@ def _blocks_match_one_block(monkeypatch, n, samples, degenerate):
     streamed, blocks = _streamed(n, cfg)
     assert blocks == 3
     width = max(n + 1, cfg.grid_points)
-    for cells in (samples * width, 7 * width):  # one block; blocks of 7 rows
-        monkeypatch.setattr(experiments, "_BLOCK_CELLS", cells)
-        other, _ = _streamed(n, cfg)
+    # one block; blocks of 7 rows; then, at the default block, chunks of one
+    # row and of 7 rows (on the wider array), 7 not a multiple of M = 5
+    for owner, name, cells in ((experiments, "_BLOCK_CELLS", samples * width),
+                               (experiments, "_BLOCK_CELLS", 7 * width),
+                               (stochastic, "CHUNK_CELLS", width),
+                               (stochastic, "CHUNK_CELLS", 7 * width)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, cells)
+            other, _ = _streamed(n, cfg)
         for a, b in zip(streamed, other):
             assert a.shape == (samples,) and np.array_equal(a, b)
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from choqbern import (ConfigError, ExperimentConfig, InputError,
                       SeededStream, bernstein_univariate, k_inverse, k_modulus,
                       lemma51_bound, max_deviation_rows, sample_rows, sikkema_constant,
-                      stochastic_bernstein, theorem6_bound)
+                      stochastic_bernstein, stochastic_modulus, theorem6_bound)
+from choqbern import stochastic
 from choqbern.randomfn import PAIR_TOL, Grid, RandomFunction, build_family
 from choqbern.stochastic import KTable, default_delta_grid
 
@@ -120,6 +122,57 @@ def test_max_deviation():
     assert devs[3] == max_deviation_rows(sample_rows(9, 5, 1, start_index=3))[0]
 
 
+def test_max_deviation_rows_refuses_other_shapes():
+    for rows in (np.array([0.0, 0.5, 1.0]),      # one row, not a stack
+                 np.zeros((3, 1)),                # degree 0: no k/n
+                 np.zeros((2, 3, 4))):
+        with pytest.raises(InputError, match="shape"):
+            max_deviation_rows(rows)
+    assert max_deviation_rows(np.zeros((0, 5))).shape == (0,)
+
+
+def test_max_deviation_rows_matches_whole_stack_across_chunks(monkeypatch):
+    rows = sample_rows(30, 6, 101)
+    want = np.abs(rows - np.arange(31) / 30).max(axis=1)
+    for cells in (1, 31, 7 * 31, 2 ** 16):  # one row; 7 rows; the whole stack
+        monkeypatch.setattr(stochastic, "CHUNK_CELLS", cells)
+        assert np.array_equal(max_deviation_rows(rows), want)
+
+
+def test_max_deviation_rows_peak_is_two_chunks():
+    # a streamed block at n = 1600: 1249 rows of 1601 nodes, 16 MB
+    rows = np.tile(np.linspace(0.0, 1.0, 1601), (1249, 1))
+    tracemalloc.start()
+    try:
+        max_deviation_rows(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * stochastic.CHUNK_CELLS + 8 * len(rows)
+
+
+def test_sample_rows_argument_checks():
+    with pytest.raises(InputError, match="count"):
+        sample_rows(5, 1, -1)
+    for n in (5.5, math.nan, "5"):
+        with pytest.raises(InputError, match="degree"):
+            sample_rows(n, 1, 2)
+    assert np.array_equal(sample_rows(25.0, 7, 3, start_index=2),
+                          sample_rows(25, 7, 3, start_index=2))
+    assert sample_rows(25, 7, 0).shape == (0, 26)
+
+
+def test_moduli_refuse_nan():
+    f = build_family("affine_noise", 3, 1)
+    grid = Grid(1, 65)
+    for call in (lambda: k_modulus(f, math.nan, grid),
+                 lambda: KTable(f, grid)(np.array([0.1, math.nan])),
+                 lambda: stochastic_modulus(f, math.nan, 0, grid),
+                 lambda: k_inverse(f, math.nan, grid)):
+        with pytest.raises(InputError, match="nonnegative"):
+            call()
+
+
 def test_stochastic_bernstein_reduction_bit_exact():
     f = build_family("affine_noise", 3, 1)
     n = 12
@@ -160,7 +213,6 @@ def test_k_modulus_is_sup_over_atoms(rng):
     f = build_family("affine_noise", 4, 1,
                      {"z": [-1.0, -0.2, 0.4, 1.0]})
     g = Grid(1, 129)
-    from choqbern import stochastic_modulus
     for delta in (0.1, 0.33):
         per_atom = [stochastic_modulus(f, delta, w, g) for w in range(4)]
         assert k_modulus(f, delta, g) == max(per_atom)
