@@ -166,7 +166,7 @@ def moment_sum(n: int, x: float, j: int) -> float:
 
 def tail_sum(n: int, x: float, delta: float) -> float:
     """Sum of p_{k,n}(x) over k with |k/n - x| >= delta."""
-    if delta <= 0:
+    if not delta > 0:  # NaN is not
         raise InputError(f"delta must be positive, got {delta}")
     basis = bernstein_basis(n, x)
     mask = np.abs(np.arange(n + 1) / n - x) >= delta

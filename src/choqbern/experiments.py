@@ -30,8 +30,8 @@ from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, Distorted
 from .choquet import P_MAX, integral_batch
 from .randomfn import (FAMILIES, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
-from .stochastic import (KTable, _check_slope, chunk_rows, lemma51_bound,
-                         max_deviation_rows, sample_rows, theorem6_bound)
+from .stochastic import (KTable, _check_slope, lemma51_bound, max_deviation_rows,
+                         sample_rows, theorem6_bound)
 
 ROW_TOLERANCE = 1e-9
 TREND_SLACK = 1e-12
@@ -599,34 +599,42 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 # rows, so its node rows and its (rows, g) GEMM product each take at most
 # 16 MB, and the stochastic sweep's working set does not grow with 'samples'
 _BLOCK_CELLS = 2_000_000
+# cells per chunk of a block's elementwise passes (node deviations, node
+# values, error reduction): 512 KB of float64, so a chunk's temporaries stay
+# in L2 where a whole block's would not
+_CHUNK_CELLS = 1 << 16
 
 
-def _sup_errors(f: RandomFunction, rows: np.ndarray, start: int,
-                basis_t: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
-    """Per-sample sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.
+def _block_errors(f: RandomFunction, rows: np.ndarray, start: int,
+                  basis_t: np.ndarray, grid_values: np.ndarray):
+    """Node deviation M_n and sup error of each sample in one block of node rows.
 
-    Row i is sample ``start + i``, on atom (start + i) mod M.  The node
-    values overwrite ``rows`` chunk by chunk (``chunk_rows``), and within a
-    chunk the rows of one atom are evaluated through one strided view.  One
-    GEMM then makes the (len(rows), g) product, from which the grid values
-    are subtracted in place, chunk by chunk, before each chunk's abs-max.
+    Row i is sample ``start + i``, on atom w = (start + i) mod M; its sup
+    error is the sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.  Chunk by
+    chunk of ``_CHUNK_CELLS`` cells, M_n is taken before the node values
+    overwrite the chunk, the rows of one atom evaluated through one strided
+    view.  One GEMM makes the (len(rows), g) product, from which the grid
+    values are subtracted in place, chunk by chunk, before each chunk's
+    abs-max.
     """
     m = f.atom_count
-    count = len(rows)
-    step = chunk_rows(rows.shape[1])
+    count, width = rows.shape
+    dev = np.empty(count)
+    step = max(1, _CHUNK_CELLS // width)
     for c in range(0, count, step):
         part = rows[c:c + step]
+        dev[c:c + step] = max_deviation_rows(part)
         for i in range(min(m, len(part))):
             part[i::m] = f.evaluator(part[i::m][..., None], (start + c + i) % m)
     approx = rows @ basis_t
-    out = np.empty(count)
-    step = chunk_rows(approx.shape[1])
+    sup_err = np.empty(count)
+    step = max(1, _CHUNK_CELLS // approx.shape[1])
     for c in range(0, count, step):
         part = approx[c:c + step]
         for i in range(min(m, len(part))):
             part[i::m] -= grid_values[:, (start + c + i) % m]
-        np.abs(part, out=part).max(axis=1, out=out[c:c + step])
-    return out
+        np.abs(part, out=part).max(axis=1, out=sup_err[c:c + step])
+    return dev, sup_err
 
 
 def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
@@ -635,8 +643,8 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
 
     Yields (dev, sup_err) for consecutive blocks of
     ``_BLOCK_CELLS // max(n + 1, g)`` samples, g the grid size, so memory does
-    not grow with ``cfg.samples``.  Sample i uses substream
-    ``start_index + i`` and atom i mod M.
+    not grow with ``cfg.samples``: one block's rows are alive at a time.
+    Sample i uses substream ``start_index + i`` and atom i mod M.
     """
     basis_t = basis_matrix(n, grid.coords).T
     block = max(1, _BLOCK_CELLS // max(n + 1, grid.points_per_axis))
@@ -646,8 +654,9 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
             rows = np.tile(np.arange(n + 1) / n, (count, 1))
         else:
             rows = sample_rows(n, cfg.seed, count, start_index=start_index + s)
-        dev = max_deviation_rows(rows)  # before _sup_errors overwrites the rows
-        yield dev, _sup_errors(f, rows, s, basis_t, grid_values)
+        errors = _block_errors(f, rows, s, basis_t, grid_values)
+        del rows  # freed before the next block's rows are drawn
+        yield errors
 
 
 def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:

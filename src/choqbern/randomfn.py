@@ -92,7 +92,7 @@ class RandomFunction:
         pts = np.atleast_1d(np.asarray(x, dtype=float))
         if pts.shape != (self.dim,):
             raise InputError(f"point must have {self.dim} coordinates")
-        if np.any(pts < -PAIR_TOL) or np.any(pts > 1 + PAIR_TOL):
+        if not np.all((pts >= -PAIR_TOL) & (pts <= 1 + PAIR_TOL)):  # NaN is not inside
             raise InputError(f"point {pts.tolist()} outside the unit cube")
         self.check_atom(atom)
         return float(self.evaluator(pts, atom))

@@ -19,16 +19,6 @@ from .bernstein import bernstein_basis
 from .capacity import InputError
 from .randomfn import Grid, RandomFunction, profile_at, sample_modulus_profile
 
-# cells in one chunk of a block's elementwise passes (node deviations, node
-# values, error reduction): 512 KB of float64, so a chunk's temporaries stay
-# in L2 where a whole block's would not
-CHUNK_CELLS = 1 << 16
-
-
-def chunk_rows(width: int) -> int:
-    """Rows per chunk of a (rows, width) array: ``CHUNK_CELLS`` cells, at least one row."""
-    return max(1, CHUNK_CELLS // width)
-
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -38,7 +28,12 @@ class SeededStream:
     stream_index: int
 
     def __post_init__(self):
-        # both are halves of the 128-bit Philox key; wrapping would alias streams
+        # both are halves of the 128-bit Philox key; truncating or wrapping
+        # would alias streams (a bool is not a seed)
+        for value in (self.master_seed, self.stream_index):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InputError(f"seed {self.master_seed!r} and stream index "
+                                 f"{self.stream_index!r} must be integers")
         if not (0 <= self.master_seed < 1 << 64 and 0 <= self.stream_index < 1 << 64):
             raise InputError(f"seed {self.master_seed} and stream index "
                              f"{self.stream_index} must lie in [0, 2**64)")
@@ -79,26 +74,14 @@ def sample_rows(n: int, master_seed: int, count: int,
 
 
 def max_deviation_rows(rows: np.ndarray) -> np.ndarray:
-    """M_n = max over k of |Y_{n,k} - k/n| for each row of a (count, n+1) stack.
-
-    Reduced chunk by chunk through one scratch array of at most
-    ``CHUNK_CELLS`` cells (or one row), so no block-sized temporary is made.
-    """
+    """M_n = max over k of |Y_{n,k} - k/n| for each row of a (count, n+1) stack."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise InputError(f"node rows need shape (count, n + 1) with n >= 1, "
                          f"got {rows.shape}")
-    count, width = rows.shape
-    nodes = np.arange(width) / (width - 1)
-    step = chunk_rows(width)
-    scratch = np.empty((min(step, count), width))
-    out = np.empty(count)
-    for c in range(0, count, step):
-        part = rows[c:c + step]
-        dev = scratch[:len(part)]
-        np.subtract(part, nodes, out=dev)
-        np.abs(dev, out=dev).max(axis=1, out=out[c:c + step])
-    return out
+    n = rows.shape[1] - 1
+    dev = rows - np.arange(n + 1) / n
+    return np.abs(dev, out=dev).max(axis=1)
 
 
 def stochastic_bernstein(f: RandomFunction, nodes, x: float, atom: int) -> float:

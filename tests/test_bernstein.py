@@ -180,6 +180,12 @@ def test_tail_sum_values():
         tail_sum(50, 0.3, 0.0)
 
 
+def test_tail_sum_refuses_a_nan_delta():
+    # the check reads "delta > 0", which NaN is not; it returned 0.0
+    with pytest.raises(InputError, match="positive"):
+        tail_sum(10, 0.3, math.nan)
+
+
 def test_tail_bound_spot_checks():
     for n in (10, 100):
         for delta in (0.05, 0.1, 0.3):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from choqbern import (ConfigError, ExperimentConfig, InputError, make_distorted,
                       make_distortion, make_table, run_experiment, semi_metric)
-from choqbern import experiments, stochastic
+from choqbern import experiments
 from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
                                   _cp_sup, _cp_sup_direct, _sample_errors,
                                   run_capacity_convergence, run_mean_convergence,
@@ -535,13 +535,12 @@ def _blocks_match_one_block(monkeypatch, n, samples, degenerate):
     assert blocks == 3
     width = max(n + 1, cfg.grid_points)
     # one block; blocks of 7 rows; then, at the default block, chunks of one
-    # row and of 7 rows (on the wider array), 7 not a multiple of M = 5
-    for owner, name, cells in ((experiments, "_BLOCK_CELLS", samples * width),
-                               (experiments, "_BLOCK_CELLS", 7 * width),
-                               (stochastic, "CHUNK_CELLS", width),
-                               (stochastic, "CHUNK_CELLS", 7 * width)):
+    # row and of 7 rows (on the wider array), 7 not a multiple of M = 5; M_n is
+    # taken chunk by chunk inside the node pass, so the chunks cover it too
+    for name, cells in (("_BLOCK_CELLS", samples * width), ("_BLOCK_CELLS", 7 * width),
+                        ("_CHUNK_CELLS", width), ("_CHUNK_CELLS", 7 * width)):
         with monkeypatch.context() as patch:
-            patch.setattr(owner, name, cells)
+            patch.setattr(experiments, name, cells)
             other, _ = _streamed(n, cfg)
         for a, b in zip(streamed, other):
             assert a.shape == (samples,) and np.array_equal(a, b)
@@ -583,6 +582,19 @@ def test_stochastic_working_set_is_a_few_blocks():
     small = _traced_peak({**base, "samples": 20_000, "degenerate_nodes": True})
     large = _traced_peak({**base, "samples": 200_000, "degenerate_nodes": True})
     assert large - small < 256 * 1024
+
+
+def test_stochastic_peak_holds_one_block_of_rows():
+    # n = 1600, g = 257: three blocks of 1249 rows, the last one partial.  The
+    # peak is one block's rows and (rows, g) product, the basis and a few
+    # chunks; a block's rows still alive while the next block's are drawn
+    # would add 16 MB
+    n, g = 1600, 257
+    block = experiments._BLOCK_CELLS // (n + 1)
+    bound = 8 * (block * (n + 1) + block * g + (n + 1) * g + 4 * experiments._CHUNK_CELLS)
+    peak = _traced_peak({"experiment": "stochastic", "schedule": [n], "grid_points": g,
+                         "samples": 2500, "seed": 4})
+    assert peak < bound
 
 
 _RUN_STOCHASTIC = """

@@ -47,6 +47,14 @@ def test_eval_random_function():
         f.eval((0.5, 0.5), 0)
 
 
+def test_eval_refuses_a_nan_coordinate():
+    # the unit-cube check reads "inside", which NaN is not
+    for dim, x in ((1, [math.nan]), (2, (0.5, math.nan))):
+        f = RandomFunction(3, dim, lambda pts, w: pts[..., 0])
+        with pytest.raises(InputError, match="unit cube"):
+            f.eval(x, 0)
+
+
 def test_affine_noise_matches_hand_formula():
     f = build_family("affine_noise", 3, 1,
                      {"z": [-1.0, 0.0, 1.0], "scale": 2.0, "amp": 0.5})

@@ -33,3 +33,17 @@ def test_readme_config_table_lists_the_schema_keys_in_order():
     table = text[text.index("| key | type | range | default |"):].split("\n\n", 1)[0]
     keys = re.findall(r"^\| `(\w+)` \|", table, re.M)
     assert keys == list(_SCHEMA)
+
+
+def test_readme_streaming_sizes_match_the_code():
+    from choqbern.experiments import _BLOCK_CELLS, _CHUNK_CELLS
+    text = README.read_text()
+    start = text.index("The sweep streams each degree's samples")
+    paragraph = " ".join(text[start:text.index("\n\n", start)].split())
+    block = re.search(r"blocks of `(\S+) // max\(n \+ 1, g\)` samples", paragraph)
+    chunk = re.search(r"chunks of 2\^(\d+) cells \((\d+) KB\)", paragraph)
+    assert block and chunk, "the streaming paragraph names no block or chunk size"
+    assert float(block.group(1)) == _BLOCK_CELLS
+    assert f"most {8 * _BLOCK_CELLS // 10 ** 6} MB" in paragraph
+    assert 2 ** int(chunk.group(1)) == _CHUNK_CELLS
+    assert int(chunk.group(2)) * 1024 == 8 * _CHUNK_CELLS
