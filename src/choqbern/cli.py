@@ -20,7 +20,7 @@ import numpy as np
 
 from .bernstein import _check_degree, multivariate_grid, uniform_constant
 from .capacity import as_mask, capacity_from_spec, check_properties, make_distortion
-from .choquet import (_atom_values, choquet_integral, choquet_integral_oracle,
+from .choquet import (P_MAX, _atom_values, choquet_integral, choquet_integral_oracle,
                       choquet_lp_norm)
 from .experiments import (ROW_TOLERANCE, ExperimentConfig, _fmt, named_errors,
                           refuse_constant, run_experiment)
@@ -72,6 +72,12 @@ def _cmd_integrate(args) -> int:
     with named_errors("--subset"):
         subset = as_mask(_parse_subset(args.subset), cap.atom_count)
     if args.p is not None:
+        if args.subset != "all":
+            raise ValueError("--subset: --p prints the L^p norm over every atom, "
+                             "so it takes no subset")
+        if args.method != "sorted":
+            raise ValueError("--method: --p prints the L^p norm by the sorted "
+                             "formula only")
         with named_errors("--p"):
             norm = choquet_lp_norm(values, cap, args.p)
         print(_fmt(norm))
@@ -87,7 +93,8 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_capacity_check(args) -> int:
     cap = _load_capacity(args.capacity)
-    report = check_properties(cap, mode=args.mode)
+    with named_errors("--mode"):
+        report = check_properties(cap, mode=args.mode)
     print(json.dumps({"monotone": report.monotone,
                       "subadditive": report.subadditive,
                       "submodular": report.submodular}))
@@ -128,14 +135,17 @@ def _cmd_modulus(args) -> int:
             raise ValueError("a second delta needs --kind gamma and --dim 2")
     if args.kind == "gamma":
         if not args.capacity:
-            raise ValueError("gamma modulus needs --capacity")
+            raise ValueError("--capacity: the gamma modulus needs a capacity file")
         cap = _load_capacity(args.capacity)
         if cap.atom_count != args.atoms:
-            raise ValueError("--atoms must match the capacity's atom count")
+            raise ValueError(f"--atoms: must match the capacity's atom count "
+                             f"{cap.atom_count}, got {args.atoms}")
+        if not 1.0 <= args.p <= P_MAX:
+            raise ValueError(f"--p: must lie in [1, {P_MAX:g}], got {args.p}")
         deltas = [args.delta] * args.dim
         if args.delta2 is not None:
             deltas = [args.delta, args.delta2]
-        with named_errors("--p"):
+        with named_errors("--capacity"):
             value = choquet_modulus(f, cap, deltas, args.p, grid)
     elif args.kind == "k":
         with named_errors("--dim"):
@@ -198,22 +208,26 @@ def _cmd_stochastic(args) -> int:
 
 def parse_config(path: str, seed: int | None = None,
                  workers: int | None = None) -> ExperimentConfig:
-    """Read and validate an experiment config file, applying defaults."""
+    """Read and validate an experiment config file, applying defaults.
+
+    Sweeps run on one thread, so ``workers`` may only be None or 1.
+    """
+    if workers not in (None, 1):
+        raise ValueError(f"workers: sweeps run on one thread, so it must be 1, "
+                         f"got {workers}")
     obj = _read_json(path, "config")
     if not isinstance(obj, dict):
         raise ValueError(f"config file '{path}' must hold a JSON object")
     if seed is not None:
         obj = {**obj, "seed": seed}
-    cfg = ExperimentConfig.from_mapping(obj)
-    if workers is not None:
-        cfg.workers = workers
-    return cfg
+    return ExperimentConfig.from_mapping(obj)
 
 
 def _cmd_experiment(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads: must be >= 1, got {args.threads}")
-    cfg = parse_config(args.config, seed=args.seed, workers=args.threads)
+    if args.threads != 1:
+        raise ValueError(f"--threads: sweeps run on one thread, so it must be 1, "
+                         f"got {args.threads}")
+    cfg = parse_config(args.config, seed=args.seed)
     result = run_experiment(cfg)
     if args.out:
         result.write_csv(args.out)
@@ -292,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="write rows CSV here")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the schedule entries (default 1)")
+                   help="accepted only as 1: sweeps run on one thread")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("list-families", help="names of built-in random functions")

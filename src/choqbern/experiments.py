@@ -5,8 +5,7 @@ bound); a row passes iff measured <= bound + ROW_TOLERANCE, so every pass
 flag is recomputable from the stored fields.  Trend rows carry the
 previous measured value (plus a 1e-12 slack) in their bound field.  Runs
 are deterministic for a fixed (config, seed): Monte Carlo samples use
-per-sample substreams and schedule entries may be evaluated on a thread
-pool without affecting results.
+per-sample substreams, and every sweep runs its schedule in order.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -341,7 +339,7 @@ _SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     capacity: Capacity
@@ -358,7 +356,6 @@ class ExperimentConfig:
     seed: int
     samples: int
     degenerate_nodes: bool = False
-    workers: int = 1
     raw: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -403,13 +400,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Shared pieces
 # ---------------------------------------------------------------------------
-
-def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float) -> ExperimentResult:
     """The rows with the run metadata; ``t0`` is when the timed part began."""
@@ -499,23 +489,19 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                                 (1.0 / math.sqrt(min_n1), 1.0 / math.sqrt(min_n2)),
                                 powers=cfg.p_values)
 
-    def one_entry(n_vec) -> list[BoundRow]:
-        n1, n2 = n_vec
+    # rows are p-major: every schedule entry for one p, then the next p
+    per_p = [[] for _ in cfg.p_values]
+    for n1, n2 in cfg.schedule:
         # one approximation error per schedule entry, shared by every p
         err = np.abs(tensor - multivariate_grid(f, (n1, n2), grid)).reshape(-1, m)
-        out = []
-        for p, cp in zip(cfg.p_values, _cp_sup(n1, n2, cfg.p_values, grid)):
+        cps = _cp_sup(n1, n2, cfg.p_values, grid)
+        for rows_of_p, p, cp in zip(per_p, cfg.p_values, cps):
             gamma = table.gamma(1.0 / math.sqrt(n1), 1.0 / math.sqrt(n2), p=p)
             lhs = integral_batch(err ** p, mu) ** (1.0 / p)
             bound = cp ** (1.0 / p) * gamma
-            out.append(BoundRow("mean_convergence", n1, n2, p, None, None, None,
-                                float(lhs.max()), bound))
-        return out
-
-    # rows are p-major: every schedule entry for one p, then the next p
-    per_entry = _parallel_map(one_entry, cfg.schedule, cfg.workers)
-    rows = [row for rows_of_p in zip(*per_entry) for row in rows_of_p]
-    return _result(cfg, rows, t0)
+            rows_of_p.append(BoundRow("mean_convergence", n1, n2, p, None, None, None,
+                                      float(lhs.max()), bound))
+    return _result(cfg, [row for rows_of_p in per_p for row in rows_of_p], t0)
 
 
 def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -525,19 +511,15 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
 
-    def one_entry(n_vec) -> tuple[float, list[float]]:
-        approx = multivariate_grid(f, n_vec, grid)
-        diff = np.abs(tensor - approx)
+    rows: list[BoundRow] = []
+    computed = []  # (d_n, caps) per schedule entry, for the threshold rows
+    prev_d = None
+    for entry in cfg.schedule:
+        diff = np.abs(tensor - multivariate_grid(f, entry, grid))
         d_n = _semi_metric_of(diff, mu)
         flat = diff.reshape(-1, diff.shape[-1])
         caps = [float(eval_sets(cap, flat >= eps).max()) for eps in cfg.epsilons]
-        return d_n, caps
-
-    computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
-
-    rows: list[BoundRow] = []
-    prev_d = None
-    for entry, (d_n, caps) in zip(cfg.schedule, computed):
+        computed.append((d_n, caps))
         n1, n2 = (*entry, None)[:2]  # n2 stays empty in 1-D
         trend_bound = 1.0 if prev_d is None else prev_d + TREND_SLACK
         rows.append(BoundRow("capacity_convergence", n1, n2, None, None, None, None,
@@ -572,16 +554,11 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                                             max_dist=1.0 / math.sqrt(n_floor))
     axes = tuple(range(tensor.ndim - 1))
 
-    def one_entry(n_vec) -> tuple[np.ndarray, np.ndarray]:
-        approx = multivariate_grid(f, n_vec, grid)
-        sup_err = np.abs(tensor - approx).max(axis=axes)
-        return sup_err, profile_at(dists, profile, 1.0 / math.sqrt(min(n_vec)))
-
-    computed = _parallel_map(one_entry, cfg.schedule, cfg.workers)
-
     rows: list[BoundRow] = []
     prev = {eps: None for eps in cfg.epsilons}
-    for n_vec, (sup_err, o_vals) in zip(cfg.schedule, computed):
+    for n_vec in cfg.schedule:
+        sup_err = np.abs(tensor - multivariate_grid(f, n_vec, grid)).max(axis=axes)
+        o_vals = profile_at(dists, profile, 1.0 / math.sqrt(min(n_vec)))
         n1, n2 = (*n_vec, None)[:2]
         excess = float((sup_err - const * o_vals).max())
         rows.append(BoundRow("possibility_convergence", n1, n2, None, None, None,
@@ -681,10 +658,8 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     s_count = cfg.samples
     u_slope = u.derivative_at_zero
 
-    degrees = sorted({n for (n,) in cfg.schedule})
-
-    def one_degree(item) -> list[BoundRow]:
-        d_idx, n = item
+    rows: list[BoundRow] = []
+    for d_idx, n in enumerate(sorted({n for (n,) in cfg.schedule})):
         c_k_sqrt = c * float(ktab(1.0 / math.sqrt(n)))  # c K(1/sqrt(n))
         deltas = [d for d in cfg.deltas if n >= 1.0 / (d * d) and ktab(d) > 0.0]
         tau_n = tau_value(cfg.tau, n)
@@ -707,32 +682,29 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             violations += np.count_nonzero(err_hit[:nd] & ~dev_hit[:nd], axis=1)
         dev_over, err_over = dev_over.tolist(), err_over.tolist()
 
-        out = [BoundRow("stochastic", n, None, None, None, None, None,
-                        float(chain_excess), 0.0)]
+        rows.append(BoundRow("stochastic", n, None, None, None, None, None,
+                             float(chain_excess), 0.0))
         for j, delta in enumerate(deltas):
-            out.append(BoundRow("stochastic", n, None, None, delta, None, None,
-                                float(violations[j]), 0.0))
-            out.append(BoundRow("stochastic", n, None, None, delta, delta, None,
-                                u(err_over[j] / s_count), u(dev_over[j] / s_count)))
+            rows.append(BoundRow("stochastic", n, None, None, delta, None, None,
+                                 float(violations[j]), 0.0))
+            rows.append(BoundRow("stochastic", n, None, None, delta, delta, None,
+                                 u(err_over[j] / s_count), u(dev_over[j] / s_count)))
         for eps, over in zip(cfg.epsilons, dev_over[nd:]):
             p_hat = over / s_count
             sigma = math.sqrt(p_hat * (1.0 - p_hat) / s_count)
             for r in cfg.rs:
                 closed = lemma51_bound(n, eps, r, u_slope)
-                out.append(BoundRow("stochastic", n, None, None, eps, None, r,
-                                    u(p_hat), closed + 3.0 * u_slope * sigma,
-                                    vacuous=closed >= 1.0))
+                rows.append(BoundRow("stochastic", n, None, None, eps, None, r,
+                                     u(p_hat), closed + 3.0 * u_slope * sigma,
+                                     vacuous=closed >= 1.0))
         p_hat6 = err_over[-1] / s_count
         sigma6 = math.sqrt(p_hat6 * (1.0 - p_hat6) / s_count)
         for r in cfg.rs:
             closed = theorem6_bound(n, tau_n, r, u_slope)
-            out.append(BoundRow("stochastic", n, None, None, None, None, r,
-                                u(p_hat6), closed + 3.0 * u_slope * sigma6,
-                                vacuous=closed >= 1.0))
-        return out
-
-    per_degree = _parallel_map(one_degree, list(enumerate(degrees)), cfg.workers)
-    return _result(cfg, [row for out in per_degree for row in out], t0)
+            rows.append(BoundRow("stochastic", n, None, None, None, None, r,
+                                 u(p_hat6), closed + 3.0 * u_slope * sigma6,
+                                 vacuous=closed >= 1.0))
+    return _result(cfg, rows, t0)
 
 
 _RUNNERS = {

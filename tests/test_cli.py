@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choqbern import Capacity, ConfigError
-from choqbern.cli import _load_capacity, run_cli
+from choqbern.cli import _load_capacity, parse_config, run_cli
 from choqbern.randomfn import FAMILIES, RandomFunction
 
 SQRT_CAP = {
@@ -95,6 +95,23 @@ def test_bad_capacity_file_is_input_error(tmp_path, capsys):
     bad2.write_text(json.dumps({"atoms": 2, "repr": {"type": "wat"}}))
     assert run_cli(["capacity-check", "--capacity", str(bad2)]) == 2
     assert "wat" in capsys.readouterr().err
+
+
+# 21 atoms: one more than a 2**M subset table allows
+WIDE_CAP = {"atoms": 21, "repr": {"type": "distorted",
+                                  "distortion": {"kind": "power", "alpha": 0.5}}}
+
+
+@pytest.mark.parametrize("spec, mode", [
+    (NON_SUBMODULAR_CAP, "analytic"),  # a table has no analytic verdict
+    (WIDE_CAP, "exhaustive")])
+def test_capacity_check_names_the_mode(tmp_path, capsys, spec, mode):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(["capacity-check", "--capacity", str(path), "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mode: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec", [
@@ -330,6 +347,8 @@ def test_threads_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_threads_flag(tmp_path, capsys):
+    # sweeps run on one thread: --threads 1 changes no byte, any other value
+    # is an input error, and so is a library caller's workers other than 1
     cfg = _write_config(tmp_path, {
         "experiment": "capacity_convergence", "family": "affine_noise",
         "schedule": [4, 16]})
@@ -338,8 +357,20 @@ def test_threads_flag(tmp_path, capsys):
     assert run_cli(["experiment", "--config", cfg, "--out", str(a)]) == 0
     capsys.readouterr()
     assert run_cli(["experiment", "--config", cfg, "--out", str(b),
-                    "--threads", "3"]) == 0
+                    "--threads", "1"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    for bad in ("0", "-2", "2"):
+        c = tmp_path / f"c{bad}.csv"
+        assert run_cli(["experiment", "--config", cfg, "--out", str(c),
+                        "--threads", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threads: ")
+        assert "Traceback" not in err
+        assert not c.exists()
+    assert parse_config(cfg, workers=1).raw == parse_config(cfg).raw
+    with pytest.raises(ValueError, match="^workers: "):
+        parse_config(cfg, workers=2)
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -522,11 +553,29 @@ _MODULUS = ["modulus", "--family", "affine_noise", "--atoms", "2", "--grid", "9"
      "--params"),
     (_MODULUS + ["--kind", "sample", "--delta", "0.1", "--atom", "1",
                  "--params", '{"scale": 1e308, "amp": 1e308}'], "--params"),
+    # --p is the norm over every atom by the sorted formula
+    (["integrate", "--values", "1,2", "--p", "2", "--subset", "0"], "--subset"),
+    (["integrate", "--values", "1,2", "--p", "2", "--method", "oracle"], "--method"),
+    (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--atoms", "3"], "--atoms"),
 ])
 def test_integrate_and_modulus_name_the_bad_flag(cap_file, capsys, command, flag):
     assert run_cli(command + ["--capacity", cap_file]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [None, WIDE_CAP])
+def test_gamma_modulus_names_the_capacity(tmp_path, capsys, spec):
+    # a missing capacity file, then one too wide for its subset table
+    command = _MODULUS + ["--kind", "gamma", "--delta", "0.1", "--atoms", "21"]
+    if spec is not None:
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(spec))
+        command += ["--capacity", str(path)]
+    assert run_cli(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --capacity: ")
     assert "Traceback" not in err
 
 
@@ -575,55 +624,3 @@ def test_finest_approx_degree_and_2d_moduli_run(cap_file, capsys, flags):
     flags += ["--family", "affine_noise", "--atoms", "2", "--grid", "9"]
     assert run_cli(flags) == 0
     assert json.loads(capsys.readouterr().out)
-
-
-@pytest.fixture
-def worker_counts(monkeypatch):
-    """The worker count of every _parallel_map call a sweep makes."""
-    from choqbern import experiments
-    seen = []
-    real = experiments._parallel_map
-
-    def spy(fn, items, workers):
-        seen.append(workers)
-        return real(fn, items, workers)
-    monkeypatch.setattr(experiments, "_parallel_map", spy)
-    monkeypatch.delenv("CHOQBERN_THREADS", raising=False)
-    return seen
-
-
-@pytest.mark.parametrize("flag, env, expected", [
-    (None, None, 1),     # the default
-    (None, "3", 1),      # CHOQBERN_THREADS is not read
-    ("1", "2", 1),
-    ("4", None, 4),
-])
-def test_worker_threads_precedence(tmp_path, capsys, monkeypatch, worker_counts,
-                                   flag, env, expected):
-    cfg = _write_config(tmp_path, {
-        "experiment": "capacity_convergence", "family": "affine_noise",
-        "schedule": [4, 16], "grid_points": 9})
-    if env is not None:
-        monkeypatch.setenv("CHOQBERN_THREADS", env)
-    argv = ["experiment", "--config", cfg, "--out", str(tmp_path / "rows.csv")]
-    assert run_cli(argv + (["--threads", flag] if flag else [])) == 0
-    assert worker_counts == [expected]
-
-
-@pytest.mark.parametrize("flag, env, name", [
-    ("0", None, "--threads"),
-    ("-2", None, "--threads"),
-    ("0", "4", "--threads"),  # CHOQBERN_THREADS is not read
-])
-def test_bad_worker_threads_is_input_error(tmp_path, capsys, monkeypatch, worker_counts,
-                                           flag, env, name):
-    cfg = _write_config(tmp_path, {"experiment": "capacity_convergence",
-                                   "schedule": [4], "grid_points": 9})
-    if env is not None:
-        monkeypatch.setenv("CHOQBERN_THREADS", env)
-    argv = ["experiment", "--config", cfg] + (["--threads", flag] if flag else [])
-    assert run_cli(argv) == 2
-    err = capsys.readouterr().err
-    assert name in err
-    assert "Traceback" not in err
-    assert worker_counts == []

@@ -642,16 +642,6 @@ def test_stochastic_small_run_passes_and_orders_rows():
     assert res.metadata["config_hash"] == cfg.config_hash()
 
 
-def test_workers_do_not_change_rows():
-    base = {"experiment": "capacity_convergence", "family": "affine_noise",
-            "schedule": [4, 16, 64], "seed": 9}
-    res1 = run_experiment(ExperimentConfig.from_mapping(base))
-    cfg = ExperimentConfig.from_mapping(base)
-    cfg.workers = 3
-    res2 = run_experiment(cfg)
-    assert res1.to_csv() == res2.to_csv()
-
-
 def test_rerun_is_byte_identical():
     base = {"experiment": "stochastic", "family": "affine_noise",
             "schedule": [25], "samples": 300, "seed": 77}

@@ -2,6 +2,7 @@
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,17 @@ def test_readme_streaming_sizes_match_the_code():
     assert f"most {8 * _BLOCK_CELLS // 10 ** 6} MB" in paragraph
     assert 2 ** int(chunk.group(1)) == _CHUNK_CELLS
     assert int(chunk.group(2)) * 1024 == 8 * _CHUNK_CELLS
+
+
+def test_readme_cli_lines_parse():
+    # a flag the CLI drops cannot stay documented
+    from choqbern.cli import _build_parser
+    text = README.read_text()
+    block = re.search(r"## CLI\s*```\n(.*?)```", text, re.S)
+    assert block, "README.md has no code block under '## CLI'"
+    lines = block.group(1).strip().splitlines()
+    assert lines
+    for line in lines:
+        prog, *argv = shlex.split(line.replace("[", "").replace("]", ""), comments=True)
+        assert prog == "choqbern"
+        _build_parser().parse_args(argv)  # exits 2 on an unknown flag or value
