@@ -373,6 +373,27 @@ def test_threads_flag(tmp_path, capsys):
         parse_config(cfg, workers=2)
 
 
+@pytest.mark.parametrize("flag, env, name", [
+    ("0", None, "--threads"),
+    ("-2", None, "--threads"),
+    ("0", "4", "--threads"),  # CHOQBERN_THREADS is not read
+])
+def test_bad_worker_threads_is_input_error(tmp_path, capsys, monkeypatch,
+                                           flag, env, name):
+    cfg = _write_config(tmp_path, {"experiment": "capacity_convergence",
+                                   "schedule": [4], "grid_points": 9})
+    monkeypatch.delenv("CHOQBERN_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CHOQBERN_THREADS", env)
+    out = tmp_path / "rows.csv"
+    argv = ["experiment", "--config", cfg, "--out", str(out), "--threads", flag]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload, key", [
     ({"experiment": "stochastic", "deltas": None}, "deltas"),
     ({"experiment": "mean_convergence", "atoms": None}, "atoms"),
