@@ -31,8 +31,6 @@ N_MAX = 10 ** 5
 J_MAX = 16
 _TINY = np.finfo(float).tiny  # smallest normal double
 
-MultiDegree = tuple  # per-axis degrees, each >= 1
-
 
 def sikkema_constant() -> float:
     """Optimal constant in the uniform Bernstein bound against w1(f, 1/sqrt(n))."""
@@ -61,6 +59,19 @@ def _check_degree(n) -> int:
     if not (1 <= n <= N_MAX):
         raise InputError(f"degree must lie in [1, {N_MAX}], got {n}")
     return int(n)
+
+
+def bernstein_nodes(n: int) -> np.ndarray:
+    """The nodes k/n, k = 0..n, at which B_n samples a function."""
+    return np.arange(n + 1) / n
+
+
+def degree_vector(n_vec, dim: int) -> tuple[int, ...]:
+    """One checked degree per axis; a bare number is the degree of every axis."""
+    n_vec = [n_vec] * dim if np.isscalar(n_vec) else list(n_vec)
+    if len(n_vec) != dim:
+        raise InputError(f"expected {dim} degrees, got {len(n_vec)}")
+    return tuple(_check_degree(n) for n in n_vec)
 
 
 def basis_matrix(n: int, xs: Sequence[float]) -> np.ndarray:
@@ -107,26 +118,14 @@ def bernstein_univariate(samples, x: float) -> float:
     return float(np.dot(samples, basis))
 
 
-def _degrees(f: RandomFunction, n_vec) -> MultiDegree:
-    """One checked integer degree per axis of ``f`` from a number or a sequence."""
-    n_vec = [n_vec] if np.isscalar(n_vec) else list(n_vec)
-    if len(n_vec) != f.dim:
-        raise InputError(f"expected {f.dim} degrees, got {len(n_vec)}")
-    return tuple(_check_degree(n) for n in n_vec)
-
-
-def _node_axes(n_vec: MultiDegree) -> list[np.ndarray]:
-    return [np.arange(n + 1) / n for n in n_vec]
-
-
 def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
     """Tensor-product Bernstein operator applied to a random function."""
-    n_vec = _degrees(f, n_vec)
+    n_vec = degree_vector(n_vec, f.dim)
     f.check_atom(atom)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (f.dim,):
         raise InputError(f"point must have {f.dim} coordinates")
-    out = f.on_axes(_node_axes(n_vec))[..., atom]
+    out = f.on_axes([bernstein_nodes(n) for n in n_vec])[..., atom]
     for axis, n in enumerate(n_vec):
         basis = bernstein_basis(n, float(x[axis]))
         out = np.tensordot(basis, out, axes=(0, 0))
@@ -135,10 +134,10 @@ def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
 
 def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
     """Operator values over a grid for every atom, shape (g,)*dim + (M,)."""
-    n_vec = _degrees(f, n_vec)
+    n_vec = degree_vector(n_vec, f.dim)
     f.check_grid(grid)
     mats = [basis_matrix(n, grid.coords) for n in n_vec]
-    nodes = f.on_axes(_node_axes(n_vec))
+    nodes = f.on_axes([bernstein_nodes(n) for n in n_vec])
     if f.dim == 1:
         return np.einsum("ik,km->im", mats[0], nodes)
     # contract one axis at a time; the joint einsum would cost O(g^2 n^2 M)
@@ -155,7 +154,7 @@ def moment_sums(n: int, xs: Sequence[float], j_max: int) -> np.ndarray:
         raise InputError(f"moment order must lie in [0, {J_MAX}], got {j_max}")
     xs = np.asarray(xs, dtype=float)
     basis = basis_matrix(n, xs)
-    dev = math.sqrt(n) * np.abs(xs[:, None] - np.arange(n + 1) / n)
+    dev = math.sqrt(n) * np.abs(xs[:, None] - bernstein_nodes(n))
     return np.stack([np.einsum("xk,xk->x", basis, dev ** j) for j in range(j_max + 1)])
 
 
@@ -169,5 +168,5 @@ def tail_sum(n: int, x: float, delta: float) -> float:
     if not delta > 0:  # NaN is not
         raise InputError(f"delta must be positive, got {delta}")
     basis = bernstein_basis(n, x)
-    mask = np.abs(np.arange(n + 1) / n - x) >= delta
+    mask = np.abs(bernstein_nodes(n) - x) >= delta
     return float(basis[mask].sum())

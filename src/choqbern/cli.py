@@ -16,14 +16,12 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from .bernstein import _check_degree, multivariate_grid, uniform_constant
+from .bernstein import _check_degree, degree_vector
 from .capacity import as_mask, capacity_from_spec, check_properties, make_distortion
 from .choquet import (P_MAX, _atom_values, choquet_integral, choquet_integral_oracle,
                       choquet_lp_norm)
-from .experiments import (ROW_TOLERANCE, ExperimentConfig, _fmt, named_errors,
-                          refuse_constant, run_experiment)
+from .experiments import (BoundRow, ExperimentConfig, _fmt, named_errors,
+                          refuse_constant, run_experiment, uniform_estimate)
 from .randomfn import (Grid, build_family, choquet_modulus, list_families,
                        stochastic_modulus)
 from .stochastic import (SeededStream, _check_r, _check_slope, k_modulus,
@@ -62,43 +60,55 @@ def _parse_values(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns the text to print and the exit code
 # ---------------------------------------------------------------------------
 
-def _cmd_integrate(args) -> int:
+# per subcommand: (flags, whether the chosen mode leaves them unread, why); run_cli
+# refuses such a flag set away from its default once the flags the mode reads pass
+_UNREAD = {
+    "integrate": [("subset method steps", lambda a: a.p is not None,
+                   "--p prints the L^p norm over every atom by the sorted formula"),
+                  ("steps", lambda a: a.method != "oracle", "only --method oracle reads it")],
+    "modulus": [("capacity p", lambda a: a.kind != "gamma", "only --kind gamma reads it"),
+                ("delta2", lambda a: (a.kind, a.dim) != ("gamma", 2),
+                 "a second delta needs --kind gamma and --dim 2"),
+                ("atom", lambda a: a.kind != "sample", "only --kind sample reads it")],
+    "approx": [("n2", lambda a: a.dim != 2, "a second degree needs --dim 2")],
+    "stochastic": [("r distortion", lambda a: a.epsilon is None, "only --epsilon reads it")],
+}
+
+
+def _refuse_unread(args) -> None:
+    """Refuse a flag set away from its default that the chosen mode does not read."""
+    for flags, unread, why in _UNREAD.get(args.command, ()):
+        for dest in flags.split():
+            if unread(args) and getattr(args, dest) != args.parser.get_default(dest):
+                raise ValueError(f"--{dest}: {why}")
+
+
+def _cmd_integrate(args) -> tuple[str, int]:
     cap = _load_capacity(args.capacity)
     with named_errors("--values"):
         values = _atom_values(_parse_values(args.values), cap.atom_count)
+    if args.p is not None:
+        with named_errors("--p"):
+            return _fmt(choquet_lp_norm(values, cap, args.p)), 0
     with named_errors("--subset"):
         subset = as_mask(_parse_subset(args.subset), cap.atom_count)
-    if args.p is not None:
-        if args.subset != "all":
-            raise ValueError("--subset: --p prints the L^p norm over every atom, "
-                             "so it takes no subset")
-        if args.method != "sorted":
-            raise ValueError("--method: --p prints the L^p norm by the sorted "
-                             "formula only")
-        with named_errors("--p"):
-            norm = choquet_lp_norm(values, cap, args.p)
-        print(_fmt(norm))
-        return 0
     if args.method == "oracle":
         with named_errors("--steps"):
             res = choquet_integral_oracle(values, cap, subset, steps=args.steps)
     else:
         res = choquet_integral(values, cap, subset)
-    print(_fmt(res.value))
-    return 0
+    return _fmt(res.value), 0
 
 
-def _cmd_capacity_check(args) -> int:
+def _cmd_capacity_check(args) -> tuple[str, int]:
     cap = _load_capacity(args.capacity)
     with named_errors("--mode"):
         report = check_properties(cap, mode=args.mode)
-    print(json.dumps({"monotone": report.monotone,
-                      "subadditive": report.subadditive,
-                      "submodular": report.submodular}))
-    return 0
+    return json.dumps({"monotone": report.monotone, "subadditive": report.subadditive,
+                       "submodular": report.submodular}), 0
 
 
 def _build_from_args(args):
@@ -124,15 +134,12 @@ def _build_from_args(args):
         return f, grid
 
 
-def _cmd_modulus(args) -> int:
+def _cmd_modulus(args) -> tuple[str, int]:
     f, grid = _build_from_args(args)
     for flag, delta in (("--delta", args.delta), ("--delta2", args.delta2)):
         with named_errors(flag):
             if delta is not None and not 0.0 <= delta < math.inf:
                 raise ValueError(f"must be a finite number >= 0, got {delta}")
-    with named_errors("--delta2"):
-        if args.delta2 is not None and (args.kind, args.dim) != ("gamma", 2):
-            raise ValueError("a second delta needs --kind gamma and --dim 2")
     if args.kind == "gamma":
         if not args.capacity:
             raise ValueError("--capacity: the gamma modulus needs a capacity file")
@@ -142,9 +149,7 @@ def _cmd_modulus(args) -> int:
                              f"{cap.atom_count}, got {args.atoms}")
         if not 1.0 <= args.p <= P_MAX:
             raise ValueError(f"--p: must lie in [1, {P_MAX:g}], got {args.p}")
-        deltas = [args.delta] * args.dim
-        if args.delta2 is not None:
-            deltas = [args.delta, args.delta2]
+        deltas = [args.delta, args.delta if args.delta2 is None else args.delta2][:args.dim]
         with named_errors("--capacity"):
             value = choquet_modulus(f, cap, deltas, args.p, grid)
     elif args.kind == "k":
@@ -152,39 +157,29 @@ def _cmd_modulus(args) -> int:
             value = k_modulus(f, args.delta, grid)
     else:
         value = stochastic_modulus(f, args.delta, args.atom, grid)
-    print(json.dumps({"kind": args.kind, "delta": args.delta, "value": value}))
-    return 0
+    return json.dumps({"kind": args.kind, "delta": args.delta, "value": value}), 0
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> tuple[str, int]:
     f, grid = _build_from_args(args)
-    with named_errors("--n2"):
-        if args.n2 is not None and args.dim != 2:
-            raise ValueError("a second degree needs --dim 2")
-    for flag, n in (("--n", args.n), ("--n2", args.n2)):
+    n2 = args.n2 if args.dim == 2 else None  # a 1-D --n2 is refused as unread
+    for flag, n in (("--n", args.n), ("--n2", n2)):
         with named_errors(flag):
             if n is not None:
                 _check_degree(n)
-    n_vec = tuple([args.n] * args.dim if args.n2 is None else [args.n, args.n2])
-    finest = (grid.points_per_axis - 1) ** 2
-    if min(n_vec) > finest:
-        flag = "--n" if min(n_vec) == args.n else "--n2"
-        raise ValueError(f"{flag}: degree {min(n_vec)} is finer than the grid: the "
-                         f"modulus at 1/sqrt(n) needs n <= (grid - 1)**2 = {finest}")
-    approx = multivariate_grid(f, n_vec, grid)
-    tensor = f.grid_tensor(grid)
-    w = args.atom
-    sup_err = float(np.abs(tensor[..., w] - approx[..., w]).max())
-    delta = 1.0 / math.sqrt(min(n_vec))
-    omega = stochastic_modulus(f, delta, w, grid)
-    bound = uniform_constant(args.dim) * omega
-    passed = sup_err <= bound + ROW_TOLERANCE
-    print(json.dumps({"n": min(n_vec), "sup_error": sup_err, "modulus": omega,
-                 "bound": bound, "pass": bool(passed)}))
-    return 0 if passed else 1
+    n_vec = degree_vector(args.n if n2 is None else (args.n, n2), args.dim)
+    n = min(n_vec)  # the estimate reads the modulus at 1/sqrt(n)
+    if n > grid.finest_degree:
+        raise ValueError(f"{'--n' if n == args.n else '--n2'}: degree {n} is finer than "
+                         f"the grid: the modulus at 1/sqrt(n) needs n <= (grid - 1)**2 = "
+                         f"{grid.finest_degree}")
+    sup_err, omega, bound = (float(v[args.atom]) for v in uniform_estimate(f, n_vec, grid))
+    passed = BoundRow("approx", n, None, None, None, None, None, sup_err, bound).passed
+    return json.dumps({"n": n, "sup_error": sup_err, "modulus": omega,
+                       "bound": bound, "pass": passed}), 0 if passed else 1
 
 
-def _cmd_stochastic(args) -> int:
+def _cmd_stochastic(args) -> tuple[str, int]:
     with named_errors("--seed"):
         SeededStream(args.seed, 0)
     with named_errors("--index"):
@@ -202,8 +197,7 @@ def _cmd_stochastic(args) -> int:
         with named_errors("--epsilon"):
             out["lemma_bound"] = lemma51_bound(args.n, args.epsilon, args.r, slope)
         out["exceeds"] = bool(m_n > args.epsilon)
-    print(json.dumps(out))
-    return 0
+    return json.dumps(out), 0
 
 
 def parse_config(path: str, seed: int | None = None,
@@ -223,7 +217,7 @@ def parse_config(path: str, seed: int | None = None,
     return ExperimentConfig.from_mapping(obj)
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple[str, int]:
     if args.threads != 1:
         raise ValueError(f"--threads: sweeps run on one thread, so it must be 1, "
                          f"got {args.threads}")
@@ -231,15 +225,12 @@ def _cmd_experiment(args) -> int:
     result = run_experiment(cfg)
     if args.out:
         result.write_csv(args.out)
-    else:
-        sys.stdout.write(result.to_csv())
-    print(json.dumps(result.summary(), sort_keys=True))
-    return 0 if result.all_passed else 1
+    summary = json.dumps(result.summary(), sort_keys=True)
+    return ("" if args.out else result.to_csv()) + summary, 0 if result.all_passed else 1
 
 
-def _cmd_list_families(args) -> int:
-    print(json.dumps(list_families()))
-    return 0
+def _cmd_list_families(args) -> tuple[str, int]:
+    return json.dumps(list_families()), 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-families", help="names of built-in random functions")
     p.set_defaults(fn=_cmd_list_families)
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # whose defaults ``_refuse_unread`` reads
     return parser
 
 
@@ -318,7 +311,8 @@ def run_cli(argv: Sequence[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        out, code = args.fn(args)
+        _refuse_unread(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -326,6 +320,8 @@ def run_cli(argv: Sequence[str]) -> int:
         print("error: out of memory; lower the size inputs ('grid_points', 'samples' "
               "or the 'schedule' degrees of a config, or --grid)", file=sys.stderr)
         return 2
+    print(out)
+    return code
 
 
 def main() -> None:

@@ -20,8 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .bernstein import (N_MAX, basis_matrix, moment_sums, multivariate_grid,
-                        sikkema_constant, uniform_constant)
+from .bernstein import (basis_matrix, bernstein_nodes, degree_vector, moment_sums,
+                        multivariate_grid, uniform_constant)
 from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, DistortedRepr,
                        InputError, PossibilityRepr, capacity_from_spec,
                        certified_submodular, eval_sets, refuse_unknown_keys, subset_table)
@@ -277,20 +277,17 @@ def _default_capacity(f) -> dict:
 
 
 def _schedule(v, f) -> list:
-    """Tuples of ``dim`` degrees, (n,) in 1-D; a bare n means (n,) * dim.
+    """Tuples of ``dim`` degrees (``degree_vector``), (n,) in 1-D.
 
-    A run that reads a grid modulus at 1/sqrt(n) needs n <= (grid_points - 1)**2
-    on every axis, or the modulus, and so the bound, is 0.
+    A run that reads a grid modulus at 1/sqrt(n) needs every degree at most
+    the grid's ``finest_degree``, or the modulus, and so the bound, is 0.
     """
     if not _as(list, v):
         raise ValueError("must be a nonempty list")
-    dim, out = f["dim"], []
-    finest = (f["grid_points"] - 1) ** 2
+    out, finest = [], Grid(f["dim"], f["grid_points"]).finest_degree
     for entry in v:
-        nv = (tuple(_as(int, n) for n in entry) if isinstance(entry, list)
-              else (_as(int, entry),) * dim)
-        if len(nv) != dim or not 1 <= min(nv) <= max(nv) <= N_MAX:
-            raise ValueError(f"bad entry {entry!r}: needs {dim} degrees in [1, {N_MAX}]")
+        nv = degree_vector([_as(int, n) for n in entry] if isinstance(entry, list)
+                           else _as(int, entry), f["dim"])
         if f["experiment"] != "capacity_convergence" and max(nv) > finest:
             raise ValueError(f"degree {max(nv)} is finer than the grid: "
                              f"{f['experiment']} runs need n <= (grid_points - 1)**2 "
@@ -410,6 +407,24 @@ def _result(cfg: ExperimentConfig, rows: list[BoundRow], t0: float) -> Experimen
         "vacuous": [i for i, r in enumerate(rows) if r.vacuous]})
 
 
+def _step(n_vec) -> float:
+    """1/sqrt(min n): the step at which an estimate reads a modulus."""
+    return 1.0 / math.sqrt(min(n_vec))
+
+
+def uniform_estimate(f: RandomFunction, n_vec, grid: Grid, profile=None):
+    """(sup |B_n f - f|, omega, c * omega) per atom on ``grid``, shape (M,) each.
+
+    The estimate is sup |B_n f - f| <= c * omega(1/sqrt(min n)), c the
+    ``uniform_constant`` of f's dimension.  ``profile`` is a
+    ``sample_modulus_profile`` of f on ``grid`` that reaches the step.
+    """
+    step = _step(n_vec)
+    omega = profile_at(*(profile or sample_modulus_profile(f, grid, max_dist=step)), step)
+    err = np.abs(f.grid_tensor(grid) - multivariate_grid(f, n_vec, grid))
+    return err.max(axis=tuple(range(f.dim))), omega, uniform_constant(f.dim) * omega
+
+
 def semi_metric(f: RandomFunction, g: RandomFunction, cap: Capacity,
                 grid: Grid) -> float:
     """sup over grid x of the Choquet integral of |F-G| / (1 + |F-G|)."""
@@ -461,8 +476,9 @@ def _cp_sup_direct(n1: int, n2: int, p: float, grid: Grid) -> float:
     coords = grid.coords
     b1 = basis_matrix(n1, coords)
     b2 = basis_matrix(n2, coords)
-    dev1 = math.sqrt(n1) * np.abs(coords[:, None] - np.arange(n1 + 1) / n1)
-    dev2 = math.sqrt(n2) * np.abs(coords[:, None] - np.arange(n2 + 1) / n2)
+    # the nodes spelled out, not ``bernstein_nodes``: this is the reference
+    dev1, dev2 = (math.sqrt(n) * np.abs(coords[:, None] - np.arange(n + 1) / n)
+                  for n in (n1, n2))
     best = 0.0
     for i in range(coords.size):
         inner = (1.0 + dev1[i][:, None, None] + dev2[None, :, :]) ** p
@@ -482,11 +498,8 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     tensor = f.grid_tensor(grid)
     mu = subset_table(cap)
     m = f.atom_count
-    min_n1 = min(n for n, _ in cfg.schedule)
-    min_n2 = min(n for _, n in cfg.schedule)
-
-    table = ChoquetModulusTable(f, cap, grid,
-                                (1.0 / math.sqrt(min_n1), 1.0 / math.sqrt(min_n2)),
+    # per axis, the coarsest step of the schedule
+    table = ChoquetModulusTable(f, cap, grid, tuple(map(_step, zip(*cfg.schedule))),
                                 powers=cfg.p_values)
 
     # rows are p-major: every schedule entry for one p, then the next p
@@ -547,22 +560,15 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-sample quantitative estimate and exceedance trend under possibility."""
     f, cap, grid = cfg.family, cfg.capacity, Grid(cfg.dim, cfg.grid_points)
     t0 = time.perf_counter()
-    tensor = f.grid_tensor(grid)
-    const = uniform_constant(cfg.dim)
-    n_floor = min(min(n_vec) for n_vec in cfg.schedule)
-    dists, profile = sample_modulus_profile(f, grid,
-                                            max_dist=1.0 / math.sqrt(n_floor))
-    axes = tuple(range(tensor.ndim - 1))
+    profile = sample_modulus_profile(f, grid, max_dist=max(map(_step, cfg.schedule)))
 
     rows: list[BoundRow] = []
     prev = {eps: None for eps in cfg.epsilons}
     for n_vec in cfg.schedule:
-        sup_err = np.abs(tensor - multivariate_grid(f, n_vec, grid)).max(axis=axes)
-        o_vals = profile_at(dists, profile, 1.0 / math.sqrt(min(n_vec)))
+        sup_err, o_vals, bound = uniform_estimate(f, n_vec, grid, profile)
         n1, n2 = (*n_vec, None)[:2]
-        excess = float((sup_err - const * o_vals).max())
         rows.append(BoundRow("possibility_convergence", n1, n2, None, None, None,
-                             None, excess, 0.0))
+                             None, float((sup_err - bound).max()), 0.0))
         for eps in cfg.epsilons:
             level = float(eval_sets(cap, (o_vals > eps)[None, :])[0])
             trend_bound = 1.0 if prev[eps] is None else prev[eps] + TREND_SLACK
@@ -627,10 +633,8 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
     block = max(1, _BLOCK_CELLS // max(n + 1, grid.points_per_axis))
     for s in range(0, cfg.samples, block):
         count = min(block, cfg.samples - s)
-        if cfg.degenerate_nodes:
-            rows = np.tile(np.arange(n + 1) / n, (count, 1))
-        else:
-            rows = sample_rows(n, cfg.seed, count, start_index=start_index + s)
+        rows = (np.tile(bernstein_nodes(n), (count, 1)) if cfg.degenerate_nodes
+                else sample_rows(n, cfg.seed, count, start_index=start_index + s))
         errors = _block_errors(f, rows, s, basis_t, grid_values)
         del rows  # freed before the next block's rows are drawn
         yield errors
@@ -653,14 +657,14 @@ def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     f, grid = cfg.family, Grid(1, cfg.grid_points)
     t0 = time.perf_counter()
     ktab = KTable(f, grid)
-    c = sikkema_constant()
+    c = uniform_constant(1)
     grid_values = f.grid_tensor(grid)  # (g, M)
     s_count = cfg.samples
     u_slope = u.derivative_at_zero
 
     rows: list[BoundRow] = []
     for d_idx, n in enumerate(sorted({n for (n,) in cfg.schedule})):
-        c_k_sqrt = c * float(ktab(1.0 / math.sqrt(n)))  # c K(1/sqrt(n))
+        c_k_sqrt = c * float(ktab(_step((n,))))  # c K(1/sqrt(n))
         deltas = [d for d in cfg.deltas if n >= 1.0 / (d * d) and ktab(d) > 0.0]
         tau_n = tau_value(cfg.tau, n)
         # M_n is counted above each delta, then above each epsilon; the sup

@@ -48,6 +48,11 @@ class Grid:
     def spacing(self) -> float:
         return 1.0 / (self.points_per_axis - 1)
 
+    @property
+    def finest_degree(self) -> int:
+        """The largest n whose 1/sqrt(n) spans a grid step; past it a grid modulus is 0."""
+        return (self.points_per_axis - 1) ** 2
+
     @classmethod
     def default_for(cls, dim: int, points: int | None = None) -> "Grid":
         if points is None:

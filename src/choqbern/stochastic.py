@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import bernstein_basis
+from .bernstein import _check_degree, bernstein_basis, bernstein_nodes
 from .capacity import InputError
 from .randomfn import Grid, RandomFunction, profile_at, sample_modulus_profile
 
@@ -53,11 +53,9 @@ def sample_rows(n: int, master_seed: int, count: int,
     that of a fresh generator keyed (master_seed, start_index + i), which is
     all a substream is, instead of building a generator per row.
     """
-    if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= 1):
-        raise InputError(f"degree must be an integer >= 1, got {n}")
+    n = _check_degree(n)
     if not (isinstance(count, numbers.Integral) and count >= 0):
         raise InputError(f"count must be an integer >= 0, got {count}")
-    n = int(n)
     # SeededStream rejects a seed or index outside [0, 2**64) before any draw
     SeededStream(master_seed, start_index + max(count - 1, 0))
     gen = SeededStream(master_seed, start_index).generator()
@@ -79,8 +77,7 @@ def max_deviation_rows(rows: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise InputError(f"node rows need shape (count, n + 1) with n >= 1, "
                          f"got {rows.shape}")
-    n = rows.shape[1] - 1
-    dev = rows - np.arange(n + 1) / n
+    dev = rows - bernstein_nodes(rows.shape[1] - 1)
     return np.abs(dev, out=dev).max(axis=1)
 
 
@@ -179,8 +176,7 @@ def lemma51_bound(n: int, eps: float, r: float, u_prime_0: float) -> float:
 
     u'(0) * (n+1) / sqrt(1-r) * exp(-(3r/2) * n * eps**2).
     """
-    if n < 1:
-        raise InputError(f"degree must be >= 1, got {n}")
+    n = _check_degree(n)
     if not eps >= 0:  # NaN is not
         raise InputError("eps must be nonnegative")
     _check_r(r)
@@ -194,8 +190,7 @@ def theorem6_bound(n: int, tau_n: float, r: float, u_prime_0: float) -> float:
     u'(0) * (n+1) / sqrt(1-r) * exp(-(3r/2) * tau(n)); equals
     ``lemma51_bound`` under tau(n) = n * eps**2.
     """
-    if n < 1:
-        raise InputError(f"degree must be >= 1, got {n}")
+    n = _check_degree(n)
     if not tau_n >= 1.0:
         raise InputError(f"tau(n) >= 1 is required, got {tau_n}")
     _check_r(r)

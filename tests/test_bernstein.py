@@ -147,6 +147,13 @@ def test_multivariate_refusals():
     assert np.array_equal(multivariate_grid(f, (4.0, np.int64(3)), grid),
                           multivariate_grid(f, (4, 3), grid))
     assert np.array_equal(basis_matrix(4.0, grid.coords), basis_matrix(4, grid.coords))
+    # a bare degree is the degree of every axis; a sequence needs one per axis
+    assert np.array_equal(multivariate_grid(f, 4, grid), multivariate_grid(f, (4, 4), grid))
+    assert bernstein_multivariate(f, 4, (0.3, 0.6), 1) == \
+        bernstein_multivariate(f, (4, 4), (0.3, 0.6), 1)
+    for bad in ((4,), (4, 4, 4)):
+        with pytest.raises(InputError, match="expected 2 degrees"):
+            multivariate_grid(f, bad, grid)
     for atom in (3, 5, -1, 1.5):
         with pytest.raises(InputError, match=f"atom index {atom} out of range"):
             bernstein_multivariate(f, (4, 4), (0.5, 0.5), atom)

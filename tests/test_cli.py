@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choqbern import Capacity, ConfigError
+from choqbern import Capacity, ConfigError, cli
 from choqbern.cli import _load_capacity, parse_config, run_cli
 from choqbern.randomfn import FAMILIES, RandomFunction
 
@@ -601,6 +604,38 @@ def test_gamma_modulus_names_the_capacity(tmp_path, capsys, spec):
 
 
 _APPROX = ["approx", "--family", "affine_noise", "--grid", "9"]
+_K_MODULUS = ["modulus", "--family", "affine_noise", "--grid", "9", "--kind", "k",
+              "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["integrate", "--capacity", "CAP", "--values", "0,1", "--steps", "0"], "--steps"),
+    (["integrate", "--capacity", "CAP", "--values", "0,1", "--p", "2", "--steps", "5"],
+     "--steps"),
+    (_K_MODULUS + ["--p", "0.5", "--capacity", "nonexist.json"], "--capacity"),
+    (_K_MODULUS + ["--p", "0.5"], "--p"),
+    (_K_MODULUS + ["--atom", "3"], "--atom"),
+    (_MODULUS + ["--kind", "gamma", "--delta", "0.1", "--capacity", "CAP", "--atom", "1"],
+     "--atom"),
+    (_MODULUS + ["--kind", "sample", "--delta", "0.1", "--capacity", "CAP"], "--capacity"),
+    (["stochastic", "--n", "5", "--r", "7", "--distortion", "nope"], "--r"),
+    (["stochastic", "--n", "5", "--distortion", "exp_decay"], "--distortion"),
+])
+def test_a_flag_the_mode_does_not_read_is_refused(cap_file, capsys, command, flag):
+    assert run_cli([cap_file if a == "CAP" else a for a in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    _K_MODULUS + ["--atom", "0", "--p", "1"],
+    ["stochastic", "--n", "5", "--r", "0.9", "--distortion", "rational_2t"],
+    ["integrate", "--capacity", "CAP", "--values", "0,1", "--steps", "1000000"]])
+def test_an_unread_flag_at_its_default_is_accepted(cap_file, capsys, command):
+    assert run_cli([cap_file if a == "CAP" else a for a in command]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -626,6 +661,8 @@ _APPROX = ["approx", "--family", "affine_noise", "--grid", "9"]
     # finite parameters whose products overflow on the grid
     (_APPROX + ["--n", "4", "--atom", "4", "--params", '{"scale": 1e308, "amp": 1e308}'],
      "--params"),
+    # a degree is an integer in [1, 100000] for every command
+    (["stochastic", "--n", "100001"], "--n"),
 ])
 def test_stochastic_and_approx_name_the_bad_flag(capsys, command, flag):
     assert run_cli(command) == 2
@@ -645,3 +682,13 @@ def test_finest_approx_degree_and_2d_moduli_run(cap_file, capsys, flags):
     flags += ["--family", "affine_noise", "--atoms", "2", "--grid", "9"]
     assert run_cli(flags) == 0
     assert json.loads(capsys.readouterr().out)
+
+
+def test_importing_the_cli_loads_no_pool_logging_or_subprocess():
+    # the benchmark's set-up time is the import plus one config parse
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = ("import sys, choqbern.cli; print(sorted({'concurrent.futures', 'logging', "
+            "'subprocess'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -62,3 +62,12 @@ def test_readme_cli_lines_parse():
         prog, *argv = shlex.split(line.replace("[", "").replace("]", ""), comments=True)
         assert prog == "choqbern"
         _build_parser().parse_args(argv)  # exits 2 on an unknown flag or value
+
+
+def test_readme_degree_range_matches_the_code():
+    from choqbern.bernstein import N_MAX
+    text = README.read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `schedule` |"))
+    stated = re.search(r"degrees in \[1, (\d+)\]", row)
+    assert stated, "the schedule row states no degree range"
+    assert int(stated.group(1)) == N_MAX

@@ -148,7 +148,7 @@ def test_max_deviation_rows_refuses_other_shapes():
 def test_sample_rows_argument_checks():
     with pytest.raises(InputError, match="count"):
         sample_rows(5, 1, -1)
-    for n in (5.5, math.nan, "5"):
+    for n in (5.5, math.nan, "5", 100_001):  # a degree lies in [1, N_MAX]
         with pytest.raises(InputError, match="degree"):
             sample_rows(n, 1, 2)
     assert np.array_equal(sample_rows(25.0, 7, 3, start_index=2),
@@ -272,6 +272,12 @@ def test_bound_argument_validation():
                     lambda: theorem6_bound(100, math.nan, 0.9, 2.0)):
         with pytest.raises(InputError):  # comparisons with NaN are false
             nan_eps()
+    # the degree is checked as everywhere else: an integer in [1, N_MAX]
+    for bad_n in (lambda: lemma51_bound(2.5, 0.3, 0.9, 2.0),
+                  lambda: theorem6_bound(2.5, 1.5, 0.9, 2.0),
+                  lambda: lemma51_bound(100_001, 0.3, 0.9, 2.0)):
+        with pytest.raises(InputError, match="degree must"):
+            bad_n()
 
 
 def test_theorem6_bound_values():
