@@ -53,8 +53,8 @@ def _lgamma_table(n: int) -> np.ndarray:
 
 
 def _check_degree(n) -> int:
-    """``n`` as an int degree; a non-integral value is refused, not truncated."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+    """``n`` as an int degree; a non-integral value or a bool is refused."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()) or isinstance(n, bool):
         raise InputError(f"degree must be an integer, got {n}")
     if not (1 <= n <= N_MAX):
         raise InputError(f"degree must lie in [1, {N_MAX}], got {n}")

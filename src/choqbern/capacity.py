@@ -49,6 +49,8 @@ def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
     """Normalize a subset (bitmask int, index iterable, or None for all)."""
     if subset is None:
         return (1 << m) - 1
+    if isinstance(subset, bool):
+        raise InputError(f"a subset is a bitmask, an index list or None, not {subset}")
     if isinstance(subset, (int, np.integer)):
         mask = int(subset)
         if mask < 0 or mask >> m:

@@ -145,19 +145,14 @@ class ExperimentResult:
 # Configuration
 # ---------------------------------------------------------------------------
 
-TAU_KINDS = ("log", "sqrt", "const")
+_TAU = {"log": lambda n: math.log(n + 1.0), "sqrt": math.sqrt, "const": lambda n: 1.0}
 
 
 def tau_value(tau: Mapping, n: int) -> float:
-    kind = tau["kind"]
-    scale = float(tau.get("scale", 1.0))
-    if kind == "log":
-        return scale * math.log(n + 1.0)
-    if kind == "sqrt":
-        return scale * math.sqrt(n)
-    if kind == "const":
-        return scale
-    raise ConfigError(f"unknown tau kind '{kind}' (known: {TAU_KINDS})")
+    """tau(n) = scale * the kind's rate; ``scale`` defaults to 1."""
+    if tau.get("kind") not in _TAU:
+        raise InputError(f"unknown tau kind {tau.get('kind')!r} (known: {tuple(_TAU)})")
+    return float(tau.get("scale", 1.0)) * _TAU[tau["kind"]](n)
 
 
 _DEFAULT_SCHEDULES = {
@@ -194,14 +189,6 @@ def _within(x, interval: str) -> bool:
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     return ((lo < x) if interval[0] == "(" else (lo <= x)) and \
         ((x < hi) if interval[-1] == ")" else (x <= hi))
-
-
-def _dim(v, f) -> int:
-    """Stochastic runs are 1-D and the Choquet-mean estimate is 2-D."""
-    v, need = _as(int, v), {"stochastic": 1, "mean_convergence": 2}.get(f["experiment"])
-    if need is not None and v != need:
-        raise ValueError(f"must be {need} for {f['experiment']} runs")
-    return v
 
 
 def _family(v, f) -> RandomFunction:
@@ -300,9 +287,7 @@ def _tau(v, f) -> dict:
     """tau(n) >= 1 for every n, and tau(n) < n along a stochastic schedule."""
     v = _as(dict, v)
     refuse_unknown_keys(v, "tau", ("kind", "scale"))
-    if v.get("kind") not in TAU_KINDS:
-        raise ValueError(f"unknown tau kind {v.get('kind')!r} (known: {TAU_KINDS})")
-    tau = {"kind": v["kind"], "scale": _as(float, v.get("scale", 1.0))}
+    tau = {"kind": v.get("kind"), "scale": _as(float, v.get("scale", 1.0))}
     # every catalog entry is nondecreasing in n, so tau(n) >= 1 reduces to n = 1
     if not tau_value(tau, 1) >= 1.0:
         raise ValueError(f"{tau} violates tau(n) >= 1")
@@ -313,27 +298,40 @@ def _tau(v, f) -> dict:
     return tau
 
 
-# Every key but 'experiment': key -> (type, range, default), parsed in this
-# order.  A type is a JSON type or a parser that also gets the keys parsed
-# before it; a callable default is computed from those keys too.
+# Every key but 'experiment': key -> (type, range, default, runs), parsed in
+# this order.  A type is a JSON type or a parser that also gets the keys parsed
+# before it; a callable default is computed from those keys too.  A config sets
+# only keys its run reads: ``runs`` lists those runs, or tests the raw config.
 _SCHEMA = {
-    "seed": (int, f"[0, {2 ** 64})", 0),
-    "samples": (int, "[1, inf)", 10000),
-    "degenerate_nodes": (bool, None, False),
-    "dim": (_dim, "[1, 2]", lambda f: 1 if f["experiment"] == "stochastic" else 2),
-    "atoms": (int, "[1, inf)", 5),
+    "seed": (int, f"[0, {2 ** 64})", 0, EXPERIMENT_IDS),
+    "samples": (int, "[1, inf)", 10000, ("stochastic",)),
+    "degenerate_nodes": (bool, None, False, ("stochastic",)),
+    # stochastic runs are 1-D and the Choquet-mean estimate is 2-D
+    "dim": (int, "[1, 2]", lambda f: 1 if f["experiment"] == "stochastic" else 2,
+            ("capacity_convergence", "possibility_convergence")),
+    # elsewhere the atom count sizes the default capacity
+    "atoms": (int, "[1, inf)", 5,
+              lambda raw: raw["experiment"] == "stochastic" or "capacity" not in raw),
     "grid_points": (int, "[2, inf)",
-                    lambda f: Grid.default_for(f["dim"]).points_per_axis),
-    "p": (_floats, f"[1, {P_MAX:g}]", [1.0]),
-    "deltas": (_floats, "(0, 1)", [0.1, 0.2]),
-    "epsilons": (_floats, "(0, inf)", [0.1]),
-    "etas": (_floats, "(0, 1)", [0.05]),
-    "rs": (_floats, "(0, 1)", [0.9]),
-    "capacity": (_capacity, None, _default_capacity),
-    "family": (_family, None, "affine_noise"),
-    "schedule": (_schedule, None, lambda f: _DEFAULT_SCHEDULES[f["experiment"]]),
-    "tau": (_tau, None, {"kind": "log", "scale": 4.0}),
+                    lambda f: Grid.default_for(f["dim"]).points_per_axis, EXPERIMENT_IDS),
+    "p": (_floats, f"[1, {P_MAX:g}]", [1.0], ("mean_convergence",)),
+    "deltas": (_floats, "(0, 1)", [0.1, 0.2], ("stochastic",)),
+    "epsilons": (_floats, "(0, inf)", [0.1],
+                 ("capacity_convergence", "possibility_convergence", "stochastic")),
+    "etas": (_floats, "(0, 1)", [0.05], ("capacity_convergence",)),
+    "rs": (_floats, "(0, 1)", [0.9], ("stochastic",)),
+    "capacity": (_capacity, None, _default_capacity, EXPERIMENT_IDS),
+    "family": (_family, None, "affine_noise", EXPERIMENT_IDS),
+    "schedule": (_schedule, None, lambda f: _DEFAULT_SCHEDULES[f["experiment"]],
+                 EXPERIMENT_IDS),
+    "tau": (_tau, None, {"kind": "log", "scale": 4.0}, ("stochastic",)),
 }
+
+
+def _reads(raw: Mapping) -> list[str]:
+    """The ``_SCHEMA`` keys that the run of config ``raw`` reads, in order."""
+    return [key for key, (*_, runs) in _SCHEMA.items()
+            if (runs(raw) if callable(runs) else raw["experiment"] in runs)]
 
 
 @dataclass(frozen=True)
@@ -343,7 +341,7 @@ class ExperimentConfig:
     family: RandomFunction
     dim: int
     schedule: list
-    p_values: tuple[float, ...]
+    p: tuple[float, ...]
     grid_points: int
     deltas: tuple[float, ...]
     epsilons: tuple[float, ...]
@@ -372,15 +370,15 @@ class ExperimentConfig:
         if raw["experiment"] not in EXPERIMENT_IDS:
             raise ConfigError(f"key 'experiment': unknown experiment "
                               f"{raw['experiment']!r} (known: {EXPERIMENT_IDS})")
-        unknown = sorted(raw.keys() - _SCHEMA.keys() - {"experiment"})
-        if unknown:
-            raise ConfigError(f"key '{unknown[0]}': unknown key "
-                              f"(known: experiment, {', '.join(_SCHEMA)})")
+        unread = sorted(raw.keys() - _reads(raw) - {"experiment"})
+        if unread:
+            raise ConfigError(f"key '{unread[0]}': not read by this {raw['experiment']} "
+                              f"run (it reads: experiment, {', '.join(_reads(raw))})")
         for key, value in raw.items():
             with named_errors(f"key '{key}'"):
                 json.loads(json.dumps(value), parse_constant=refuse_constant)
         f = {"experiment": raw["experiment"]}
-        for key, (kind, interval, default) in _SCHEMA.items():
+        for key, (kind, interval, default, _) in _SCHEMA.items():
             value = raw[key] if key in raw else (
                 default(f) if callable(default) else default)
             with named_errors(f"key '{key}'"):
@@ -388,10 +386,8 @@ class ExperimentConfig:
                 for x in f[key] if isinstance(f[key], tuple) else [f[key]]:
                     if interval and not _within(x, interval):
                         raise ValueError(f"{x!r} is not in {interval}")
-        return cls(f["experiment"], f["capacity"], f["family"], f["dim"], f["schedule"],
-                   f["p"], f["grid_points"], f["deltas"], f["epsilons"], f["etas"],
-                   f["rs"], f["tau"], f["seed"], f["samples"], f["degenerate_nodes"],
-                   raw=raw)
+        del f["atoms"]  # the capacity holds the count
+        return cls(**f, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +496,15 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     m = f.atom_count
     # per axis, the coarsest step of the schedule
     table = ChoquetModulusTable(f, cap, grid, tuple(map(_step, zip(*cfg.schedule))),
-                                powers=cfg.p_values)
+                                powers=cfg.p)
 
     # rows are p-major: every schedule entry for one p, then the next p
-    per_p = [[] for _ in cfg.p_values]
+    per_p = [[] for _ in cfg.p]
     for n1, n2 in cfg.schedule:
         # one approximation error per schedule entry, shared by every p
         err = np.abs(tensor - multivariate_grid(f, (n1, n2), grid)).reshape(-1, m)
-        cps = _cp_sup(n1, n2, cfg.p_values, grid)
-        for rows_of_p, p, cp in zip(per_p, cfg.p_values, cps):
+        cps = _cp_sup(n1, n2, cfg.p, grid)
+        for rows_of_p, p, cp in zip(per_p, cfg.p, cps):
             gamma = table.gamma(1.0 / math.sqrt(n1), 1.0 / math.sqrt(n2), p=p)
             lhs = integral_batch(err ** p, mu) ** (1.0 / p)
             bound = cp ** (1.0 / p) * gamma

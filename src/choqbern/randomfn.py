@@ -86,7 +86,8 @@ class RandomFunction:
                              f"got {self.atom_count}")
 
     def check_atom(self, atom: int) -> None:
-        if not (isinstance(atom, numbers.Integral) and 0 <= atom < self.atom_count):
+        if not isinstance(atom, numbers.Integral) or isinstance(atom, bool) \
+                or not 0 <= atom < self.atom_count:
             raise InputError(f"atom index {atom} out of range")
 
     def check_grid(self, grid: Grid) -> None:

@@ -54,7 +54,7 @@ def sample_rows(n: int, master_seed: int, count: int,
     all a substream is, instead of building a generator per row.
     """
     n = _check_degree(n)
-    if not (isinstance(count, numbers.Integral) and count >= 0):
+    if not (isinstance(count, numbers.Integral) and count >= 0) or isinstance(count, bool):
         raise InputError(f"count must be an integer >= 0, got {count}")
     # SeededStream rejects a seed or index outside [0, 2**64) before any draw
     SeededStream(master_seed, start_index + max(count - 1, 0))

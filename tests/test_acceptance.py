@@ -251,7 +251,7 @@ def _check_elp(cfg):
         mesh = np.stack(np.meshgrid(np.arange(n1 + 1) / n1,
                                     np.arange(n2 + 1) / n2, indexing="ij"), axis=-1)
         node_vals = np.stack([f.evaluator(mesh, w) for w in range(m)], axis=-1)
-        for p in cfg.p_values:
+        for p in cfg.p:
             for x1 in probes:
                 for x2 in probes:
                     fx = np.array([f.eval((x1, x2), w) for w in range(m)])

@@ -410,7 +410,7 @@ def test_bad_worker_threads_is_input_error(tmp_path, capsys, monkeypatch,
     ({"experiment": "stochastic", "schedule": [4.9]}, "schedule"),
     ({"experiment": "mean_convergence", "grid_points": 5.7}, "grid_points"),
     ({"experiment": "stochastic", "samples": True}, "samples"),
-    ({"experiment": "mean_convergence", "dim": "2"}, "dim"),
+    ({"experiment": "capacity_convergence", "dim": "2"}, "dim"),
     ({"experiment": "mean_convergence", "workers": -3}, "workers"),
     ({"experiment": "mean_convergence", "shedule": [4]}, "shedule"),
     ({"experiment": "stochastic", "seed": -1}, "seed"),
@@ -455,8 +455,8 @@ def test_bad_worker_threads_is_input_error(tmp_path, capsys, monkeypatch,
     # a list of numbers must hold one
     ({"experiment": "mean_convergence", "p": [], "grid_points": 9,
       "schedule": [[4, 4]]}, "p"),
-    *[({"experiment": "stochastic", key: []}, key)
-      for key in ("deltas", "epsilons", "etas", "rs")],
+    *[({"experiment": "capacity_convergence" if key == "etas" else "stochastic", key: []},
+       key) for key in ("deltas", "epsilons", "etas", "rs")],
     # finite parameters whose products overflow on the grid: every comparison
     # with the nan they give is false, so the event rows would pass
     ({"experiment": "stochastic",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 from choqbern import (ConfigError, ExperimentConfig, InputError, make_distorted,
                       make_distortion, make_table, run_experiment, semi_metric)
 from choqbern import experiments
-from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA,
+from choqbern.capacity import subset_table
+from choqbern.cli import run_cli
+from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA, _reads,
                                   _cp_sup, _cp_sup_direct, _sample_errors,
                                   run_capacity_convergence, run_mean_convergence,
                                   run_possibility_convergence,
@@ -34,7 +37,7 @@ def _cfg(overrides):
 def test_minimal_config_defaults():
     cfg = _cfg({})
     assert cfg.schedule == [(4, 4), (16, 16), (64, 64)]
-    assert cfg.p_values == (1.0,)
+    assert cfg.p == (1.0,)
     assert cfg.grid_points == 65
     assert cfg.capacity is not None
     cfg_s = ExperimentConfig.from_mapping({"experiment": "stochastic"})
@@ -52,7 +55,7 @@ def test_config_rejections():
     with pytest.raises(ConfigError, match="'p'"):
         _cfg({"p": 0.5})
     with pytest.raises(ConfigError, match="'rs'"):
-        _cfg({"rs": [1.0]})
+        ExperimentConfig.from_mapping({"experiment": "stochastic", "rs": [1.0]})
     with pytest.raises(ConfigError, match="family"):
         _cfg({"family": "nonexistent"})  # surfaces at run time otherwise
     with pytest.raises(ConfigError, match="schedule"):
@@ -79,6 +82,72 @@ def test_config_family_resolution_checked_at_parse_time():
         _cfg({"family": {"name": "nonexistent"}})
 
 
+# the keys each run reads besides seed, grid_points, capacity, family and
+# schedule, which every run reads, and atoms, which sizes a default capacity
+_OWN = {"mean_convergence": {"p"},
+        "capacity_convergence": {"dim", "epsilons", "etas"},
+        "possibility_convergence": {"dim", "epsilons"},
+        "stochastic": {"samples", "degenerate_nodes", "atoms", "deltas", "epsilons",
+                       "rs", "tau"}}
+_EVERY_RUN = {"seed", "grid_points", "capacity", "family", "schedule"}
+_THREE_ATOMS = {"mean_convergence": {"atoms": 3, "repr": {
+                    "type": "distorted", "distortion": {"kind": "power", "alpha": 0.5}}},
+                "possibility_convergence": {"atoms": 3, "repr": {
+                    "type": "possibility", "lambda": [0.5, 1.0, 0.3]}}}
+_THREE_ATOMS["capacity_convergence"] = _THREE_ATOMS["mean_convergence"]
+
+
+def _defaults(run: str) -> dict:
+    """Every key of a ``run`` config, each set to its default as JSON."""
+    config = {"experiment": run}
+    for key, (_, _, default, _) in _SCHEMA.items():
+        config[key] = default(config) if callable(default) else default
+    return config
+
+
+_UNREAD = [({"experiment": run, key: _defaults(run)[key]}, key)
+           for run in EXPERIMENT_IDS for key in _SCHEMA
+           if key not in _EVERY_RUN | _OWN[run] | {"atoms"}]
+# a capacity as written holds its own atom count, which atoms would contradict
+_UNREAD += [({"experiment": run, "capacity": capacity, "atoms": 5}, "atoms")
+            for run, capacity in _THREE_ATOMS.items()]
+
+
+@pytest.mark.parametrize("config, key", _UNREAD,
+                         ids=[f"{c['experiment']}-{k}" + ("-capacity" * ("capacity" in c))
+                              for c, k in _UNREAD])
+def test_a_key_the_run_does_not_read_is_refused(tmp_path, capsys, config, key):
+    # even at its default, which is the value the run would use
+    with pytest.raises(ConfigError, match=f"^key '{key}': not read by this "
+                                          f"{config['experiment']} run") as err:
+        ExperimentConfig.from_mapping(config)
+    assert "(it reads: experiment, seed," in str(err.value)
+    path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(config))
+    assert run_cli(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: key '{key}': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", EXPERIMENT_IDS)
+def test_a_run_accepts_every_key_it_reads(run):
+    # each at its default parses to the values of the bare config
+    bare = ExperimentConfig.from_mapping({"experiment": run})
+    full = {key: value for key, value in _defaults(run).items()
+            if key in _EVERY_RUN | _OWN[run] | {"experiment", "atoms"}}
+    # elsewhere a capacity as written takes the place of atoms
+    configs = [full] if run == "stochastic" else [
+        {k: v for k, v in full.items() if k != drop} for drop in ("atoms", "capacity")]
+    grid = Grid(bare.dim, bare.grid_points)
+    for config in configs:
+        cfg = ExperimentConfig.from_mapping(config)
+        for field in dataclasses.fields(cfg):
+            if field.name not in ("raw", "capacity", "family"):
+                assert getattr(cfg, field.name) == getattr(bare, field.name), field.name
+        assert np.array_equal(subset_table(cfg.capacity), subset_table(bare.capacity))
+        assert np.array_equal(cfg.family.grid_tensor(grid), bare.family.grid_tensor(grid))
+
+
 def test_tau_catalog():
     assert tau_value({"kind": "log", "scale": 4.0}, 100) == \
         pytest.approx(4.0 * math.log(101.0))
@@ -94,6 +163,18 @@ def test_tau_catalog():
     with pytest.raises(ConfigError, match="kind"):
         ExperimentConfig.from_mapping({"experiment": "stochastic",
                                        "tau": {"kind": "poly"}})
+
+
+@pytest.mark.parametrize("tau", [{"kind": "bogus"}, {"scale": 2.0}])
+def test_tau_value_owns_the_kind_rule(tmp_path, capsys, tau):
+    # an input error, like every other library refusal, that names the kinds
+    with pytest.raises(InputError, match=r"unknown tau kind .*'log', 'sqrt', 'const'"):
+        tau_value(tau, 3)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "stochastic", "tau": tau}))
+    assert run_cli(["experiment", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'tau': unknown tau kind ") and "'sqrt'" in err
 
 
 def test_stochastic_rejects_infinite_slope():
@@ -188,8 +269,8 @@ def _object(required: dict, **optional):
 _DISTORTION = _object(
     {"kind": st.sampled_from(["power", "rational_2t", "custom_table"])},
     alpha=_JSON, xs=_JSON, ys=_JSON)
-# mostly valid values, so that parsing often gets past the early keys to the
-# capacity, family, schedule and tau checks
+# mostly valid values, drawn only for keys the run reads, so that parsing
+# often gets past the early keys to the capacity, family, schedule and tau checks
 _NEAR = {
     "seed": st.just(0), "samples": st.just(50),
     "degenerate_nodes": st.booleans(), "dim": st.sampled_from([1, 2]),
@@ -213,9 +294,10 @@ _NEAR = {
 @example({"experiment": "stochastic"},  # KeyError: custom_table needs xs and ys
          {"capacity": {"repr": {"type": "distorted",
                                 "distortion": {"kind": "custom_table"}}}})
-@example({"experiment": "stochastic"}, {"p": 10 ** 400})  # OverflowError
-@given(st.fixed_dictionaries({"experiment": st.sampled_from(EXPERIMENT_IDS)},
-                             optional=_NEAR),
+@example({"experiment": "mean_convergence"}, {"p": 10 ** 400})  # OverflowError
+@given(st.sampled_from(EXPERIMENT_IDS).flatmap(lambda run: st.fixed_dictionaries(
+           {"experiment": st.just(run)},
+           optional={k: v for k, v in _NEAR.items() if k in _reads({"experiment": run})})),
        st.dictionaries(st.sampled_from(list(_SCHEMA)), _JSON, max_size=2))
 def test_from_mapping_returns_a_config_or_config_error(near, arbitrary):
     try:
@@ -241,20 +323,33 @@ _RUN_CAPACITIES = [
 ]
 
 
+# the keys a run reads beyond those every run reads: (required, optional);
+# a stochastic run takes few samples and a tau(n) below its small degrees
+_OWN_KEYS = {
+    "mean_convergence": ({}, {"p": st.sampled_from([1, [1, 2], []])}),
+    "capacity_convergence": ({}, {"dim": st.sampled_from([1, 2])}),
+    "possibility_convergence": ({}, {"dim": st.sampled_from([1, 2])}),
+    "stochastic": ({"samples": st.just(50),
+                    "tau": st.just({"kind": "const", "scale": 1})}, {}),
+}
+
+
+def _run_config(run):
+    required, optional = _OWN_KEYS[run]
+    return st.fixed_dictionaries(
+        {"experiment": st.just(run), "grid_points": st.just(9),
+         # [100] and [4, 100] are finer than the 9-point grid
+         "schedule": st.sampled_from([[2, 4], [4], [100], [4, 100]]), **required},
+        optional={"capacity": st.sampled_from(_RUN_CAPACITIES),
+                  "family": st.sampled_from(["affine_noise", "step_noise",
+                                             "deterministic:absdev"]), **optional})
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @example({"experiment": "capacity_convergence", "grid_points": 9, "schedule": [2, 4],
-          "samples": 50, "tau": {"kind": "const", "scale": 1},
           # overflows on the grid: nan rows, exit 1, unless refused
           "family": {"name": "affine_noise", "params": {"scale": 1e308, "amp": 1e308}}})
-@given(st.fixed_dictionaries(
-    {"experiment": st.sampled_from(EXPERIMENT_IDS), "grid_points": st.just(9),
-     # [100] and [4, 100] are finer than the 9-point grid
-     "schedule": st.sampled_from([[2, 4], [100], [4, 100]]), "samples": st.just(50),
-     "tau": st.just({"kind": "const", "scale": 1})},
-    optional={"dim": st.sampled_from([1, 2]), "p": st.sampled_from([1, [1, 2], []]),
-              "capacity": st.sampled_from(_RUN_CAPACITIES),
-              "family": st.sampled_from(["affine_noise", "step_noise",
-                                         "deterministic:absdev"])}))
+@given(st.sampled_from(EXPERIMENT_IDS).flatmap(_run_config))
 def test_a_config_that_parses_also_runs(config):
     # every hypothesis of a run's estimate is checked when the config is parsed
     try:
@@ -369,7 +464,8 @@ def test_mean_convergence_refuses_non_submodular():
 
 
 def test_mean_convergence_requires_dim2():
-    with pytest.raises(ConfigError, match="^key 'dim': must be 2"):
+    # the Choquet-mean estimate is 2-D, so a mean run does not read 'dim'
+    with pytest.raises(ConfigError, match="^key 'dim': not read by this mean_convergence"):
         ExperimentConfig.from_mapping({
             "experiment": "mean_convergence", "family": "affine_noise", "dim": 1,
             "schedule": [4, 8]})

@@ -36,6 +36,22 @@ def test_readme_config_table_lists_the_schema_keys_in_order():
     assert keys == list(_SCHEMA)
 
 
+def test_readme_lists_the_keys_each_run_reads():
+    from choqbern.experiments import EXPERIMENT_IDS, _reads
+    text = README.read_text()
+    start = text.index("a run accepts only the keys it reads:")
+    stated = {}
+    for bullet in text[start:text.index("\n\n", text.index("\n- ", start))].split("\n- ")[1:]:
+        label, keys = bullet.split(": ", 1)
+        stated[label.strip("`")] = set(re.findall(r"`(\w+)`", keys))
+    assert stated.keys() == {"every run", *EXPERIMENT_IDS, "a run with no `capacity` key"}
+    for run in EXPERIMENT_IDS:
+        reads = stated["every run"] | stated[run]
+        assert set(_reads({"experiment": run, "capacity": {}})) == reads, run
+        assert set(_reads({"experiment": run})) == \
+            reads | stated["a run with no `capacity` key"], run
+
+
 def test_readme_streaming_sizes_match_the_code():
     from choqbern.experiments import _BLOCK_CELLS, _CHUNK_CELLS
     text = README.read_text()

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from choqbern import (ConfigError, ExperimentConfig, InputError,
-                      SeededStream, bernstein_univariate, k_inverse, k_modulus,
+                      SeededStream, bernstein_univariate, choquet_integral,
+                      k_inverse, k_modulus, make_distorted, make_distortion,
                       lemma51_bound, max_deviation_rows, sample_rows, sikkema_constant,
                       stochastic_bernstein, stochastic_modulus, theorem6_bound)
+from choqbern.bernstein import basis_matrix
+from choqbern.capacity import as_mask
 from choqbern.randomfn import PAIR_TOL, Grid, RandomFunction, build_family
 from choqbern.stochastic import KTable, default_delta_grid
 
@@ -154,6 +157,27 @@ def test_sample_rows_argument_checks():
     assert np.array_equal(sample_rows(25.0, 7, 3, start_index=2),
                           sample_rows(25, 7, 3, start_index=2))
     assert sample_rows(25, 7, 0).shape == (0, 26)
+
+
+_F3 = build_family("affine_noise", 3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_rows(True, 0, 1),  # a degree
+    lambda: lemma51_bound(True, 0.3, 0.9, 2.0),
+    lambda: basis_matrix(True, [0.5]),
+    lambda: sample_rows(5, 0, True),  # a count
+    lambda: _F3.eval([0.5], True),  # an atom index
+    lambda: stochastic_modulus(_F3, 0.1, True, Grid(1, 9)),
+    lambda: as_mask(True, 3),  # a subset
+    lambda: choquet_integral([0.2, 0.5, 0.9], make_distorted(
+        make_distortion("power", alpha=0.5), [1 / 3] * 3), subset=True),
+], ids=["sample_rows-n", "lemma51_bound-n", "basis_matrix-n", "sample_rows-count",
+        "eval-atom", "stochastic_modulus-atom", "as_mask", "choquet_integral-subset"])
+def test_a_bool_is_not_a_degree_count_atom_or_subset(call):
+    # True would count as 1: degree 1, one row, atom 1 or the bitmask of atom 0
+    with pytest.raises(InputError):
+        call()
 
 
 def test_moduli_refuse_nan():
