@@ -17,6 +17,7 @@ verdict), so they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -49,7 +50,7 @@ def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
     """Normalize a subset (bitmask int, index iterable, or None for all)."""
     if subset is None:
         return (1 << m) - 1
-    if isinstance(subset, bool):
+    if isinstance(subset, (bool, np.bool_)):
         raise InputError(f"a subset is a bitmask, an index list or None, not {subset}")
     if isinstance(subset, (int, np.integer)):
         mask = int(subset)
@@ -58,6 +59,9 @@ def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
         return mask
     mask = 0
     for i in subset:
+        # int() would truncate 0.7 to atom 0 and read True as atom 1
+        if not isinstance(i, numbers.Integral) or isinstance(i, bool):
+            raise InputError(f"atom index {i!r} is not an integer")
         i = int(i)
         if i < 0 or i >= m:
             raise InputError(f"atom index {i} out of range for {m} atoms")
@@ -104,12 +108,9 @@ def _validate_distortion(kind: str, fn) -> None:
     if np.any(np.diff(vals) < -TOL):
         raise ConstructionError(f"distortion '{kind}': not nondecreasing on probe grid")
     # midpoint concavity over all same-parity probe pairs (their midpoint is
-    # again a probe point)
-    for parity in (0, 1):
-        v = vals[parity::2]
-        idx = np.arange(parity, PROBE_POINTS, 2)
-        mids = (idx[:, None] + idx[None, :]) // 2
-        if np.any(vals[mids] < (v[:, None] + v[None, :]) / 2.0 - TOL):
+    # again a probe point), taken by half-gap h: the pair (c - h, c + h)
+    for h in range(1, PROBE_POINTS // 2 + 1):
+        if np.any(vals[h:-h] < (vals[:-2 * h] + vals[2 * h:]) / 2.0 - TOL):
             raise ConstructionError(f"distortion '{kind}': not concave on probe grid")
 
 
@@ -222,6 +223,8 @@ def make_table(m: int,
     if isinstance(values, Mapping):
         tbl, given = np.zeros(n), np.zeros(n, dtype=bool)
         for mask, v in values.items():
+            if isinstance(mask, (bool, np.bool_)):
+                raise ConstructionError(f"table key {mask} is not a subset")
             mask = as_mask(mask, m) if not isinstance(mask, (int, np.integer)) else int(mask)
             if mask < 0 or mask >= n:
                 raise ConstructionError(f"table key {mask} out of range")

@@ -204,10 +204,10 @@ def parse_config(path: str, seed: int | None = None,
                  workers: int | None = None) -> ExperimentConfig:
     """Read and validate an experiment config file, applying defaults.
 
-    Sweeps run on one thread, so ``workers`` may only be None or 1.
+    Sweeps set their own threads, so ``workers`` may only be None or 1.
     """
     if workers not in (None, 1):
-        raise ValueError(f"workers: sweeps run on one thread, so it must be 1, "
+        raise ValueError(f"workers: sweeps set their own threads, so it must be 1, "
                          f"got {workers}")
     obj = _read_json(path, "config")
     if not isinstance(obj, dict):
@@ -219,7 +219,7 @@ def parse_config(path: str, seed: int | None = None,
 
 def _cmd_experiment(args) -> tuple[str, int]:
     if args.threads != 1:
-        raise ValueError(f"--threads: sweeps run on one thread, so it must be 1, "
+        raise ValueError(f"--threads: sweeps set their own threads, so it must be 1, "
                          f"got {args.threads}")
     cfg = parse_config(args.config, seed=args.seed)
     result = run_experiment(cfg)
@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="write rows CSV here")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted only as 1: sweeps run on one thread")
+                   help="accepted only as 1: sweeps set their own threads")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("list-families", help="names of built-in random functions")

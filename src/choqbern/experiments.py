@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -575,26 +576,23 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 # cells per streamed block of samples: a block is _BLOCK_CELLS // max(n + 1, g)
-# rows, so its node rows and its (rows, g) GEMM product each take at most
-# 16 MB, and the stochastic sweep's working set does not grow with 'samples'
-_BLOCK_CELLS = 2_000_000
+# rows.  Two blocks' node rows are alive at once (the helper thread makes the
+# next while the GEMM runs on this one), and with this block's (rows, g) GEMM
+# product each takes at most 4 MB, so the stochastic sweep's working set
+# does not grow with 'samples'
+_BLOCK_CELLS = 500_000
 # cells per chunk of a block's elementwise passes (node deviations, node
 # values, error reduction): 512 KB of float64, so a chunk's temporaries stay
 # in L2 where a whole block's would not
 _CHUNK_CELLS = 1 << 16
 
 
-def _block_errors(f: RandomFunction, rows: np.ndarray, start: int,
-                  basis_t: np.ndarray, grid_values: np.ndarray):
-    """Node deviation M_n and sup error of each sample in one block of node rows.
+def _node_pass(f: RandomFunction, rows: np.ndarray, start: int) -> np.ndarray:
+    """Node deviation M_n of each sample in one block, then its node values.
 
-    Row i is sample ``start + i``, on atom w = (start + i) mod M; its sup
-    error is the sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.  Chunk by
-    chunk of ``_CHUNK_CELLS`` cells, M_n is taken before the node values
-    overwrite the chunk, the rows of one atom evaluated through one strided
-    view.  One GEMM makes the (len(rows), g) product, from which the grid
-    values are subtracted in place, chunk by chunk, before each chunk's
-    abs-max.
+    Row i is sample ``start + i``, on atom (start + i) mod M.  Chunk by chunk
+    of ``_CHUNK_CELLS`` cells, M_n is taken before the node values overwrite
+    the chunk, the rows of one atom evaluated through one strided view.
     """
     m = f.atom_count
     count, width = rows.shape
@@ -605,15 +603,72 @@ def _block_errors(f: RandomFunction, rows: np.ndarray, start: int,
         dev[c:c + step] = max_deviation_rows(part)
         for i in range(min(m, len(part))):
             part[i::m] = f.evaluator(part[i::m][..., None], (start + c + i) % m)
-    approx = rows @ basis_t
-    sup_err = np.empty(count)
+    return dev
+
+
+def _sup_errors(values: np.ndarray, start: int, basis_t: np.ndarray,
+                grid_values: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    """Sup error of each sample in one block, from its node values.
+
+    Row i is sample ``start + i``, on atom w = (start + i) mod M; its sup
+    error is the sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.  One GEMM
+    writes the (len(values), g) product into ``approx``, from which the grid
+    values are subtracted in place, chunk by chunk, before each chunk's
+    abs-max.
+    """
+    m = grid_values.shape[1]
+    np.matmul(values, basis_t, out=approx)
+    sup_err = np.empty(len(approx))
     step = max(1, _CHUNK_CELLS // approx.shape[1])
-    for c in range(0, count, step):
+    for c in range(0, len(approx), step):
         part = approx[c:c + step]
         for i in range(min(m, len(part))):
             part[i::m] -= grid_values[:, (start + c + i) % m]
         np.abs(part, out=part).max(axis=1, out=sup_err[c:c + step])
-    return dev, sup_err
+    return sup_err
+
+
+def _one_ahead(produce, items):
+    """Yield ``produce(item)`` for each item in order, made one item ahead.
+
+    One helper thread calls ``produce``; it starts item k + 1 when item k
+    is handed over, so two results are alive at once if the caller drops
+    each before it asks for the next.  An exception in ``produce`` is
+    raised here, at its item.  The helper is joined on every exit, also
+    when the generator is closed early.
+    """
+    go = threading.Semaphore(1)  # the helper may start its next item
+    ready = threading.Semaphore(0)  # the helper has finished an item
+    done = []  # (result, exception) of the finished item not yet handed over
+    stop = False
+
+    def work():
+        for item in items:
+            go.acquire()
+            if stop:
+                return
+            try:
+                done.append((produce(item), None))
+            except BaseException as exc:  # raised again on the caller's thread
+                done.append((None, exc))
+                ready.release()
+                return
+            ready.release()
+
+    helper = threading.Thread(target=work, daemon=True)
+    helper.start()
+    try:
+        for _ in items:
+            ready.acquire()
+            result, exc = done.pop()
+            if exc is not None:
+                raise exc
+            go.release()
+            yield result
+    finally:
+        stop = True
+        go.release()
+        helper.join()
 
 
 def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
@@ -622,18 +677,32 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
 
     Yields (dev, sup_err) for consecutive blocks of
     ``_BLOCK_CELLS // max(n + 1, g)`` samples, g the grid size, so memory does
-    not grow with ``cfg.samples``: one block's rows are alive at a time.
-    Sample i uses substream ``start_index + i`` and atom i mod M.
+    not grow with ``cfg.samples``.  Sample i uses substream
+    ``start_index + i`` and atom i mod M.  The blocks run as a two-stage
+    pipeline: while this thread runs one block's GEMM and error reduction,
+    a helper thread draws the next block's rows and runs its node pass.
+    Every block's GEMM writes into one product buffer that lives as long
+    as the degree, so the helper's temporaries meet the same arrays here
+    however the two threads interleave, and the peak is reached in the
+    first blocks, not by chance in one of many.
     """
     basis_t = basis_matrix(n, grid.coords).T
     block = max(1, _BLOCK_CELLS // max(n + 1, grid.points_per_axis))
-    for s in range(0, cfg.samples, block):
+    starts = range(0, cfg.samples, block)
+    approx = np.empty((min(block, cfg.samples), grid.points_per_axis))
+
+    def nodes(s):  # on the helper thread
         count = min(block, cfg.samples - s)
         rows = (np.tile(bernstein_nodes(n), (count, 1)) if cfg.degenerate_nodes
                 else sample_rows(n, cfg.seed, count, start_index=start_index + s))
-        errors = _block_errors(f, rows, s, basis_t, grid_values)
-        del rows  # freed before the next block's rows are drawn
-        yield errors
+        return rows, _node_pass(f, rows, s)
+
+    with closing(_one_ahead(nodes, starts)) as blocks:
+        for s, (values, dev) in zip(starts, blocks):
+            sup_err = _sup_errors(values, s, basis_t, grid_values,
+                                  approx[:len(values)])
+            del values  # freed before the helper draws the block after next
+            yield dev, sup_err
 
 
 def run_stochastic_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqbern import (CapacityTooLargeError, ConstructionError, InputError,
                       capacity_from_spec, check_properties, eval_capacity, eval_sets,
                       make_distorted, make_distortion, make_possibility, make_table,
                       subset_table)
+from choqbern.capacity import _PROBE, TOL, _validate_distortion, as_mask
 from conftest import random_capacity, random_probability
 
 
@@ -294,3 +295,49 @@ def test_constructors_refuse_non_finite_values(build):
     with pytest.raises(ConstructionError) as err:
         build()
     assert "missing" not in str(err.value)  # a NaN table entry is given, not missing
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 0.7, 2.9, 2.0])
+def test_as_mask_refuses_an_index_that_is_not_an_integer(index):
+    # int() would read True as atom 1 and truncate 0.7 to atom 0
+    with pytest.raises(InputError, match="not an integer"):
+        as_mask([0, index], 3)
+
+
+def test_table_refuses_a_bool_key():
+    # True == 1 as a dict key, so it would pass for the mask of atom 0
+    with pytest.raises(ConstructionError, match="not a subset"):
+        make_table(1, {True: 1.0, 0: 0.0})
+    assert make_table(1, {1: 1.0, 0: 0.0}).form.values.tolist() == [0.0, 1.0]
+
+
+def _concave_all_pairs(vals) -> bool:
+    """Midpoint concavity over every same-parity pair: the reference form."""
+    for parity in (0, 1):
+        v = vals[parity::2]
+        idx = np.arange(parity, vals.size, 2)
+        mids = (idx[:, None] + idx[None, :]) // 2
+        if np.any(vals[mids] < (v[:, None] + v[None, :]) / 2.0 - TOL):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+       noise=st.sampled_from([0.0, 1e-13, 4e-13, 1e-12, 3e-12, 1e-9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alpha=1.0, noise=0.0, seed=0)  # linear: concave with no slack
+@example(alpha=1.0, noise=3e-12, seed=0)  # linear plus noise beyond TOL
+@example(alpha=2.0, noise=0.0, seed=0)  # convex
+def test_concavity_check_matches_all_pairs(alpha, noise, seed):
+    # a nondecreasing probe table from 0 to 1, near the TOL slack when noisy
+    vals = _PROBE ** alpha + noise * np.random.default_rng(seed).standard_normal(_PROBE.size)
+    vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
+    vals[0], vals[-1] = 0.0, 1.0
+    try:
+        _validate_distortion("probe", lambda t: vals)
+        concave = True
+    except ConstructionError as err:
+        assert "not concave" in str(err)
+        concave = False
+    assert concave == _concave_all_pairs(vals)

@@ -350,7 +350,7 @@ def test_threads_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_threads_flag(tmp_path, capsys):
-    # sweeps run on one thread: --threads 1 changes no byte, any other value
+    # sweeps set their own threads: --threads 1 changes no byte, any other value
     # is an input error, and so is a library caller's workers other than 1
     cfg = _write_config(tmp_path, {
         "experiment": "capacity_convergence", "family": "affine_noise",

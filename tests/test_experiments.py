@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -644,16 +645,88 @@ def _blocks_match_one_block(monkeypatch, n, samples, degenerate):
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_stochastic_blocks_match_one_block(monkeypatch, degenerate):
-    # three blocks of 1249 rows, the last one partial: the 1601 nodes set the block
-    _blocks_match_one_block(monkeypatch, 1600, 3000, degenerate)
+    # three blocks of 312 rows, the last one partial: the 1601 nodes set the block
+    _blocks_match_one_block(monkeypatch, 1600, 900, degenerate)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_stochastic_blocks_match_one_block_where_the_grid_sets_it(monkeypatch,
                                                                   degenerate):
-    # three blocks of 7782 rows, the last one partial: at n = 25 the 257 grid
+    # three blocks of 1945 rows, the last one partial: at n = 25 the 257 grid
     # values of each sample's product, not its 26 nodes, set the block
-    _blocks_match_one_block(monkeypatch, 25, 16000, degenerate)
+    _blocks_match_one_block(monkeypatch, 25, 5010, degenerate)
+
+
+def test_stochastic_helper_error_is_raised_and_the_helper_joined(monkeypatch):
+    # the helper thread draws each block's rows: a failure on the second
+    # block reaches the run, and no thread outlives it
+    real, calls = experiments.sample_rows, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise InputError("second block")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(experiments, "sample_rows", fail_second)
+    cfg = ExperimentConfig.from_mapping({
+        "experiment": "stochastic", "schedule": [1600], "samples": 800, "seed": 2})
+    before = threading.active_count()
+    with pytest.raises(InputError, match="second block"):
+        run_experiment(cfg)
+    assert threading.active_count() == before
+    assert len(calls) == 2
+
+
+def test_stochastic_blocks_closed_early_join_the_helper():
+    # three blocks at n = 1600; the helper waits to start the third
+    cfg = ExperimentConfig.from_mapping({
+        "experiment": "stochastic", "schedule": [1600], "samples": 800, "seed": 2})
+    f, grid = cfg.family, Grid(1, cfg.grid_points)
+    before = threading.active_count()
+    blocks = _sample_errors(f, 1600, cfg, 0, grid, f.grid_tensor(grid))
+    next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_one_ahead_hands_over_every_item_in_order_under_fast_switching():
+    # four pipelines at once (eight threads on fewer cores), switching every
+    # microsecond: a lost or reordered hand-over breaks a sequence, a missed
+    # wake-up leaves a consumer alive past its timeout, and a helper not
+    # joined after an early close shows in the thread count
+    def consume(got):
+        got.extend(experiments._one_ahead(lambda k: k * k, range(500)))
+        for taken in (0, 1, 5):  # closed early, after `taken` items
+            started = threading.Event()
+
+            def produce(k, taken=taken, started=started):
+                if k == taken:
+                    started.set()
+                return [k]
+            blocks = experiments._one_ahead(produce, range(10))
+            got.append([next(blocks) for _ in range(taken)])
+            if taken:  # the helper has begun the next item: only the close stops it
+                assert started.wait(timeout=60)
+            blocks.close()
+
+    before = threading.active_count()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [[] for _ in range(4)]
+        consumers = [threading.Thread(target=consume, args=(got,), daemon=True)
+                     for got in runs]
+        for t in consumers:
+            t.start()
+        for t in consumers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in consumers)
+    expected = [k * k for k in range(500)] + [[], [[0]], [[k] for k in range(5)]]
+    assert all(got == expected for got in runs)
+    assert threading.active_count() == before
 
 
 def _traced_peak(config: dict) -> int:
@@ -669,7 +742,8 @@ def _traced_peak(config: dict) -> int:
 
 def test_stochastic_working_set_is_a_few_blocks():
     # at n = 25 and g = 257 the grid, not the 26 nodes, sets the block: the
-    # peak is one (rows, g) product of _BLOCK_CELLS values plus small arrays
+    # peak is one (rows, g) product of _BLOCK_CELLS values plus two blocks'
+    # node rows (26 cells a sample) and small arrays
     base = {"experiment": "stochastic", "schedule": [25], "seed": 4}
     block_array = 8 * experiments._BLOCK_CELLS
     assert _traced_peak({**base, "samples": 20_000}) < 2 * block_array
@@ -680,16 +754,18 @@ def test_stochastic_working_set_is_a_few_blocks():
     assert large - small < 256 * 1024
 
 
-def test_stochastic_peak_holds_one_block_of_rows():
-    # n = 1600, g = 257: three blocks of 1249 rows, the last one partial.  The
-    # peak is one block's rows and (rows, g) product, the basis and a few
-    # chunks; a block's rows still alive while the next block's are drawn
-    # would add 16 MB
+def test_stochastic_peak_holds_two_blocks_of_rows():
+    # n = 1600, g = 257: three blocks of 312 rows, the last one partial.  The
+    # peak is two blocks' rows (the one in the GEMM and the one the helper
+    # thread makes), one (rows, g) product, the basis and a few chunks; a
+    # third block's rows alive at once would add 4 MB
     n, g = 1600, 257
     block = experiments._BLOCK_CELLS // (n + 1)
-    bound = 8 * (block * (n + 1) + block * g + (n + 1) * g + 4 * experiments._CHUNK_CELLS)
+    bound = 8 * (2 * block * (n + 1) + block * g + (n + 1) * g
+                 + 4 * experiments._CHUNK_CELLS)
+    assert bound < 22.8 * 2 ** 20  # the bound when one block was in flight
     peak = _traced_peak({"experiment": "stochastic", "schedule": [n], "grid_points": g,
-                         "samples": 2500, "seed": 4})
+                         "samples": 800, "seed": 4})
     assert peak < bound
 
 
