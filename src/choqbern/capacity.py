@@ -38,6 +38,23 @@ class InputError(ValueError):
     """An argument to a capacity operation is out of range."""
 
 
+def check_integer(value, what: str, lo: int, hi: int | None = None,
+                  error: type[ValueError] = InputError) -> int:
+    """``value`` as an int, refused with ``error`` unless it is an integer in
+    [lo, hi) (no upper bound when ``hi`` is None).
+
+    Any ``numbers.Integral`` is an integer, numpy's too; a bool is not, nor a
+    float, 2.0 included: int() would read True as 1 and truncate 2.5 to 2.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+            and lo <= value and (hi is None or value < hi):
+        return int(value)
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+    if hi is not None and hi >= 1 << 32 and hi & (hi - 1) == 0:
+        span = f"in [{lo}, 2**{hi.bit_length() - 1})"  # a seed's bound, not 20 digits
+    raise error(f"{what} must be an integer {span}, got {value!r}")
+
+
 TABLE_ATOM_LIMIT = 20  # most atoms whose 2**M subset table is built
 CERTIFY_ATOM_LIMIT = 12  # most atoms of a table checked for submodularity
 
@@ -50,22 +67,11 @@ def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
     """Normalize a subset (bitmask int, index iterable, or None for all)."""
     if subset is None:
         return (1 << m) - 1
-    if isinstance(subset, (bool, np.bool_)):
-        raise InputError(f"a subset is a bitmask, an index list or None, not {subset}")
-    if isinstance(subset, (int, np.integer)):
-        mask = int(subset)
-        if mask < 0 or mask >> m:
-            raise InputError(f"bitmask {mask} out of range for {m} atoms")
-        return mask
+    if not isinstance(subset, Iterable):
+        return check_integer(subset, "bitmask", 0, 1 << m)
     mask = 0
     for i in subset:
-        # int() would truncate 0.7 to atom 0 and read True as atom 1
-        if not isinstance(i, numbers.Integral) or isinstance(i, bool):
-            raise InputError(f"atom index {i!r} is not an integer")
-        i = int(i)
-        if i < 0 or i >= m:
-            raise InputError(f"atom index {i} out of range for {m} atoms")
-        mask |= 1 << i
+        mask |= 1 << check_integer(i, "atom index", 0, m)
     return mask
 
 
@@ -217,17 +223,13 @@ class Capacity:
 def make_table(m: int,
                values: Union[Mapping[int, float], Sequence[float], np.ndarray]) -> Capacity:
     """Explicit-table capacity on ``m`` atoms; the table must be total and monotone."""
-    if m < 1:
-        raise ConstructionError(f"a capacity needs at least one atom, got {m}")
+    m = check_integer(m, "atom count", 1, error=ConstructionError)
     n = 1 << m
     if isinstance(values, Mapping):
         tbl, given = np.zeros(n), np.zeros(n, dtype=bool)
-        for mask, v in values.items():
-            if isinstance(mask, (bool, np.bool_)):
-                raise ConstructionError(f"table key {mask} is not a subset")
-            mask = as_mask(mask, m) if not isinstance(mask, (int, np.integer)) else int(mask)
-            if mask < 0 or mask >= n:
-                raise ConstructionError(f"table key {mask} out of range")
+        for key, v in values.items():
+            mask = (as_mask(key, m) if isinstance(key, Iterable)
+                    else check_integer(key, "table key", 0, n, error=ConstructionError))
             tbl[mask], given[mask] = float(v), True
         if not given.all():
             missing = int(np.flatnonzero(~given)[0])
@@ -338,7 +340,7 @@ def known_submodular(cap: Capacity) -> bool:
     return isinstance(cap.form, (DistortedRepr, PossibilityRepr))
 
 
-def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> PropertyReport:
+def check_properties(cap: Capacity, mode: str = "auto") -> PropertyReport:
     """Verify monotonicity, subadditivity and submodularity.
 
     ``analytic`` mode returns guaranteed verdicts for distorted and
@@ -365,11 +367,11 @@ def check_properties(cap: Capacity, mode: str = "auto", tol: float = TOL) -> Pro
         ti = tbl[a & b]
         if monotone:
             is_subset = (a & b) == a
-            monotone = bool(np.all(~is_subset | (ta <= tbl + tol)))
+            monotone = bool(np.all(~is_subset | (ta <= tbl + TOL)))
         if subadditive:
-            subadditive = bool(np.all(tu <= ta + tbl + tol))
+            subadditive = bool(np.all(tu <= ta + tbl + TOL))
         if submodular:
-            submodular = bool(np.all(tu + ti <= ta + tbl + tol))
+            submodular = bool(np.all(tu + ti <= ta + tbl + TOL))
         if not (monotone or subadditive or submodular):
             break
     return PropertyReport(monotone, subadditive, submodular, "exhaustive")
@@ -415,7 +417,7 @@ def refuse_unknown_keys(obj: Mapping, where: str, known: Sequence[str]) -> None:
 def capacity_from_spec(obj: Mapping) -> Capacity:
     """Parse ``{"atoms": ..., "repr": {"type": ..., ...}}``; other keys are refused.
 
-    ``atoms`` is an atom count (an int >= 1, not a bool) or a nonempty list of
+    ``atoms`` is an atom count (an integer >= 1) or a nonempty list of
     unique labels, which gives only its length; a "weights" or "lambda" list
     of another length is refused.
     Representation types are "table" (key "values": subset -> value, subsets
@@ -440,9 +442,9 @@ def capacity_from_spec(obj: Mapping) -> Capacity:
         if len({str(a) for a in m}) != len(m):
             raise ConstructionError("atom labels must be unique")
         m = len(m)
-    if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
-        raise ConstructionError(f"capacity 'atoms' must be an atom count >= 1 or a "
-                                f"nonempty label list, got {obj['atoms']!r}")
+    if m is not None:
+        m = check_integer(m, "capacity 'atoms' (a count, or the length of a label list)",
+                          1, error=ConstructionError)
     if kind == "table":
         if m is None:
             raise ConstructionError("table capacity missing key 'atoms'")

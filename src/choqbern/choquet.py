@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .capacity import Capacity, InputError, as_members, eval_sets
+from .capacity import Capacity, InputError, as_members, check_integer, eval_sets
 
 P_MAX = 16.0  # largest supported L^p exponent
 
@@ -70,8 +70,7 @@ def choquet_integral_oracle(f, cap: Capacity,
     part, so the quadrature error is bounded by the sum of the two cell
     widths.
     """
-    if steps < 1000:
-        raise InputError("oracle needs steps >= 1000")
+    steps = check_integer(steps, "oracle steps", 1000)
     m = cap.atom_count
     member = as_members(subset, m)
     vals = _atom_values(f, m)
@@ -96,10 +95,16 @@ def choquet_integral_oracle(f, cap: Capacity,
     return IntegralResult(total, "riemann_oracle", used)
 
 
-def choquet_lp_norm(f, cap: Capacity, p: float) -> float:
-    """((C) integral of |f|^p over the whole space) ** (1/p)."""
+def check_p(p: float) -> float:
+    """``p`` if it is an L^p exponent in [1, ``P_MAX``], which NaN is not."""
     if not (1.0 <= p <= P_MAX):
         raise InputError(f"p must lie in [1, {P_MAX:g}], got {p}")
+    return p
+
+
+def choquet_lp_norm(f, cap: Capacity, p: float) -> float:
+    """((C) integral of |f|^p over the whole space) ** (1/p)."""
+    check_p(p)
     vals = _atom_values(f, cap.atom_count)
     integral = choquet_integral(np.abs(vals) ** p, cap).value
     return float(integral ** (1.0 / p))

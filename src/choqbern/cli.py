@@ -17,12 +17,13 @@ import sys
 from typing import Sequence
 
 from .bernstein import _check_degree, degree_vector
-from .capacity import as_mask, capacity_from_spec, check_properties, make_distortion
-from .choquet import (P_MAX, _atom_values, choquet_integral, choquet_integral_oracle,
+from .capacity import (as_mask, capacity_from_spec, check_integer, check_properties,
+                       make_distortion)
+from .choquet import (_atom_values, check_p, choquet_integral, choquet_integral_oracle,
                       choquet_lp_norm)
 from .experiments import (BoundRow, ExperimentConfig, _fmt, named_errors,
                           refuse_constant, run_experiment, uniform_estimate)
-from .randomfn import (Grid, build_family, choquet_modulus, list_families,
+from .randomfn import (Grid, build_family, choquet_modulus, family_builder, list_families,
                        stochastic_modulus)
 from .stochastic import (SeededStream, _check_r, _check_slope, k_modulus,
                          lemma51_bound, max_deviation_rows, sample_rows)
@@ -117,12 +118,12 @@ def _build_from_args(args):
     --atom and --grid are checked before anything is computed; the family
     must be finite on the grid.
     """
-    if args.atoms < 1:
-        raise ValueError(f"--atoms: must be >= 1, got {args.atoms}")
-    if args.family not in list_families():
-        raise ValueError(f"unknown --family '{args.family}' (known: {list_families()})")
-    if not 0 <= args.atom < args.atoms:
-        raise ValueError(f"--atom must lie in [0, {args.atoms}), got {args.atom}")
+    with named_errors("--atoms"):
+        check_integer(args.atoms, "atom count", 1)
+    with named_errors("--family"):
+        family_builder(args.family)
+    with named_errors("--atom"):
+        check_integer(args.atom, "atom index", 0, args.atoms)
     with named_errors("--grid"):
         grid = Grid.default_for(args.dim, args.grid)
     with named_errors("--params"):
@@ -147,8 +148,8 @@ def _cmd_modulus(args) -> tuple[str, int]:
         if cap.atom_count != args.atoms:
             raise ValueError(f"--atoms: must match the capacity's atom count "
                              f"{cap.atom_count}, got {args.atoms}")
-        if not 1.0 <= args.p <= P_MAX:
-            raise ValueError(f"--p: must lie in [1, {P_MAX:g}], got {args.p}")
+        with named_errors("--p"):
+            check_p(args.p)
         deltas = [args.delta, args.delta if args.delta2 is None else args.delta2][:args.dim]
         with named_errors("--capacity"):
             value = choquet_modulus(f, cap, deltas, args.p, grid)

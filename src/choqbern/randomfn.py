@@ -9,7 +9,6 @@ their continuum counterparts.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -17,8 +16,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .capacity import Capacity, InputError, certified_submodular, subset_table
-from .choquet import P_MAX, sorted_levels, telescoped_sum
+from .capacity import Capacity, InputError, certified_submodular, check_integer, subset_table
+from .choquet import check_p, sorted_levels, telescoped_sum
 
 PAIR_TOL = 1e-12  # slack when matching grid pair distances against deltas
 
@@ -34,10 +33,8 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError("grid dimension must be >= 1")
-        if self.points_per_axis < 2:
-            raise InputError("grid needs at least 2 points per axis")
+        check_integer(self.dim, "grid dimension", 1)
+        check_integer(self.points_per_axis, "grid points per axis", 2)
 
     @property
     def coords(self) -> np.ndarray:
@@ -81,14 +78,11 @@ class RandomFunction:
     _grids: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.atom_count < 1:
-            raise InputError(f"a random function needs at least one atom, "
-                             f"got {self.atom_count}")
+        self.atom_count = check_integer(self.atom_count, "atom count", 1)
+        self.dim = check_integer(self.dim, "dimension", 1)
 
     def check_atom(self, atom: int) -> None:
-        if not isinstance(atom, numbers.Integral) or isinstance(atom, bool) \
-                or not 0 <= atom < self.atom_count:
-            raise InputError(f"atom index {atom} out of range")
+        check_integer(atom, "atom index", 0, self.atom_count)
 
     def check_grid(self, grid: Grid) -> None:
         if grid.dim != self.dim:
@@ -198,14 +192,21 @@ FAMILIES: dict[str, Callable[[int, int, dict], RandomFunction]] = {
 }
 
 
+def family_builder(name: str) -> Callable[[int, int, dict], RandomFunction]:
+    """The builder of the built-in family ``name``; any other name is refused."""
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise InputError(f"unknown family {name!r} (known: {sorted(FAMILIES)})")
+    return FAMILIES[name]
+
+
 def build_family(name: str, m: int, dim: int,
                  params: Mapping | None = None) -> RandomFunction:
     """The family ``name`` on ``m`` atoms; a parameter its builder does not read
     is refused."""
-    if name not in FAMILIES:
-        raise InputError(f"unknown family '{name}' (known: {sorted(FAMILIES)})")
+    build = family_builder(name)
+    m = check_integer(m, "atom count", 1)  # the builders size their defaults by it
     unread = dict(params or {})
-    f = FAMILIES[name](m, dim, unread)
+    f = build(m, dim, unread)
     if unread:
         raise InputError(f"family '{name}' has no parameter {list(unread)[0]!r}")
     return f
@@ -384,10 +385,7 @@ class ChoquetModulusTable:
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
                  max_deltas, powers):
         w1, w2 = _box_windows(max_deltas, grid)
-        self.powers = tuple(float(p) for p in powers)
-        for p in self.powers:
-            if not (1.0 <= p <= P_MAX):
-                raise InputError(f"p must lie in [1, {P_MAX:g}], got {p}")
+        self.powers = tuple(check_p(float(p)) for p in powers)
         if not certified_submodular(cap):
             warnings.warn("capacity is not certified submodular; the modulus "
                           "triangle/scaling properties may fail", stacklevel=2)

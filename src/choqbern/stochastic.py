@@ -10,13 +10,12 @@ so results do not depend on batching or scheduling.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernstein import _check_degree, bernstein_basis, bernstein_nodes
-from .capacity import InputError
+from .capacity import InputError, check_integer
 from .randomfn import Grid, RandomFunction, profile_at, sample_modulus_profile
 
 
@@ -29,14 +28,9 @@ class SeededStream:
 
     def __post_init__(self):
         # both are halves of the 128-bit Philox key; truncating or wrapping
-        # would alias streams (a bool is not a seed)
-        for value in (self.master_seed, self.stream_index):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InputError(f"seed {self.master_seed!r} and stream index "
-                                 f"{self.stream_index!r} must be integers")
-        if not (0 <= self.master_seed < 1 << 64 and 0 <= self.stream_index < 1 << 64):
-            raise InputError(f"seed {self.master_seed} and stream index "
-                             f"{self.stream_index} must lie in [0, 2**64)")
+        # would alias streams
+        check_integer(self.master_seed, "seed", 0, 1 << 64)
+        check_integer(self.stream_index, "stream index", 0, 1 << 64)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
@@ -56,11 +50,11 @@ def sample_rows(n: int, master_seed: int, count: int,
     faster than numpy arrays; the bits are the same.
     """
     n = _check_degree(n)
-    if not (isinstance(count, numbers.Integral) and count >= 0) or isinstance(count, bool):
-        raise InputError(f"count must be an integer >= 0, got {count}")
-    # SeededStream rejects a seed or index outside [0, 2**64) before any draw
-    SeededStream(master_seed, start_index + max(count - 1, 0))
+    count = check_integer(count, "count", 0)
+    # the seed and first index are checked before the sum, the last index before any draw
     gen = SeededStream(master_seed, start_index).generator()
+    start_index = int(start_index)
+    SeededStream(master_seed, start_index + max(count - 1, 0))
     bits = gen.bit_generator
     fresh = bits.state  # counter 0, empty buffer; only the key varies by row
     fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}

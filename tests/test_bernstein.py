@@ -155,7 +155,8 @@ def test_multivariate_refusals():
         with pytest.raises(InputError, match="expected 2 degrees"):
             multivariate_grid(f, bad, grid)
     for atom in (3, 5, -1, 1.5):
-        with pytest.raises(InputError, match=f"atom index {atom} out of range"):
+        with pytest.raises(InputError,
+                           match=rf"atom index must be an integer in \[0, 3\), got {atom}"):
             bernstein_multivariate(f, (4, 4), (0.5, 0.5), atom)
 
 

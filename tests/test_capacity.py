@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqbern import (CapacityTooLargeError, ConstructionError, InputError,
-                      capacity_from_spec, check_properties, eval_capacity, eval_sets,
-                      make_distorted, make_distortion, make_possibility, make_table,
-                      subset_table)
+                      capacity_from_spec, check_properties, choquet_integral,
+                      eval_capacity, eval_sets, make_distorted, make_distortion,
+                      make_possibility, make_table, subset_table)
 from choqbern.capacity import _PROBE, TOL, _validate_distortion, as_mask
 from conftest import random_capacity, random_probability
 
@@ -113,7 +113,7 @@ def test_table_must_be_total_and_monotone():
     with pytest.raises(ConstructionError):
         make_table(2, [0.1, 0.5, 0.5, 1.0])  # empty set not 0
     for m in (0, -1):
-        with pytest.raises(ConstructionError, match="at least one atom"):
+        with pytest.raises(ConstructionError, match="atom count must be an integer >= 1"):
             make_table(m, [0.0])
 
 
@@ -300,13 +300,22 @@ def test_constructors_refuse_non_finite_values(build):
 @pytest.mark.parametrize("index", [True, np.True_, 0.7, 2.9, 2.0])
 def test_as_mask_refuses_an_index_that_is_not_an_integer(index):
     # int() would read True as atom 1 and truncate 0.7 to atom 0
-    with pytest.raises(InputError, match="not an integer"):
+    with pytest.raises(InputError, match="atom index must be an integer"):
         as_mask([0, index], 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cap: eval_capacity(cap, 2.5),
+    lambda cap: choquet_integral([0.1, 0.2, 0.3], cap, subset=2.5)])
+def test_a_subset_that_is_not_a_set_is_input_error(call):
+    # 2.5 is not None, an integer or an iterable; it used to reach ``for i in subset``
+    with pytest.raises(InputError, match=r"bitmask must be an integer in \[0, 8\), got 2.5"):
+        call(make_possibility((1.0, 0.5, 0.2)))
 
 
 def test_table_refuses_a_bool_key():
     # True == 1 as a dict key, so it would pass for the mask of atom 0
-    with pytest.raises(ConstructionError, match="not a subset"):
+    with pytest.raises(ConstructionError, match="table key must be an integer"):
         make_table(1, {True: 1.0, 0: 0.0})
     assert make_table(1, {1: 1.0, 0: 0.0}).form.values.tolist() == [0.0, 1.0]
 
