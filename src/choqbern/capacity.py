@@ -56,23 +56,23 @@ def check_integer(value, what: str, lo: int, hi: int | None = None,
 
 
 TABLE_ATOM_LIMIT = 20  # most atoms whose 2**M subset table is built
-CERTIFY_ATOM_LIMIT = 12  # most atoms of a table checked for submodularity
 
 
 class CapacityTooLargeError(ValueError):
     """Exhaustive subset enumeration was requested for more than 20 atoms."""
 
 
-def as_mask(subset: Union[int, Iterable[int], None], m: int) -> int:
-    """Normalize a subset (bitmask int, index iterable, or None for all)."""
+def as_mask(subset: Union[int, Iterable[int], None], m: int, error=InputError) -> int:
+    """Normalize a subset (bitmask int, index iterable, or None for all); a bad
+    one is refused with ``error``."""
     if subset is None:
         return (1 << m) - 1
+    if isinstance(subset, np.ndarray):  # a 0-d array is a scalar, not an index iterable
+        subset = subset.tolist()
     if not isinstance(subset, Iterable):
-        return check_integer(subset, "bitmask", 0, 1 << m)
-    mask = 0
-    for i in subset:
-        mask |= 1 << check_integer(i, "atom index", 0, m)
-    return mask
+        return check_integer(subset, "bitmask", 0, 1 << m, error)
+    # distinct powers of two: their sum is their union
+    return sum({1 << check_integer(i, "atom index", 0, m, error) for i in subset})
 
 
 def as_members(subset: Union[int, Iterable[int], None], m: int) -> np.ndarray:
@@ -228,7 +228,7 @@ def make_table(m: int,
     if isinstance(values, Mapping):
         tbl, given = np.zeros(n), np.zeros(n, dtype=bool)
         for key, v in values.items():
-            mask = (as_mask(key, m) if isinstance(key, Iterable)
+            mask = (as_mask(key, m, ConstructionError) if isinstance(key, Iterable)
                     else check_integer(key, "table key", 0, n, error=ConstructionError))
             tbl[mask], given[mask] = float(v), True
         if not given.all():
@@ -244,13 +244,8 @@ def make_table(m: int,
         raise ConstructionError("table value on the full set must be 1")
     if not np.all((tbl >= -TOL) & (tbl <= 1 + TOL)):  # NaN does not
         raise ConstructionError("table values must lie in [0, 1]")
-    # monotone along every covering pair mask -> mask | bit
-    masks = np.arange(n)
-    for i in range(m):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        if np.any(tbl[without] > tbl[without | bit] + TOL):
-            raise ConstructionError("table is not monotone under inclusion")
+    if not _monotone(tbl.reshape((2,) * m), TOL):
+        raise ConstructionError("table is not monotone under inclusion")
     tbl.setflags(write=False)
     return Capacity(TableRepr(tbl))
 
@@ -335,56 +330,68 @@ class PropertyReport:
     mode: str
 
 
-def known_submodular(cap: Capacity) -> bool:
-    """True when the representation guarantees submodularity analytically."""
-    return isinstance(cap.form, (DistortedRepr, PossibilityRepr))
+def _monotone(cube: np.ndarray, tol: float) -> bool:
+    """No covering pair of the table as a (2,)*M ``cube`` has mu(A) > mu(A | {i}) + tol."""
+    return not any(np.any(v[0] > v[1] + tol)
+                   for v in (np.moveaxis(cube, i, 0) for i in range(cube.ndim)))
+
+
+def _local_walk(tbl: np.ndarray) -> tuple[bool, bool]:
+    """(monotone, submodular) of a 2**M table: ``_monotone``, and mu(A | {i}) +
+    mu(A | {j}) >= mu(A | {i, j}) + mu(A) for all A and i != j outside A,
+    which is submodularity (Fujishige 2005; Schrijver 2003), O(2**M M**2).
+
+    An exhaustive-mode inequality sums k <= max(M, floor(M**2 / 4)) local ones
+    (covering pairs on a chain, or |A - B| |B - A| squares), so a local one
+    allows TOL / k - 12 eps.  Entries lie in [-TOL, 1 + TOL], so a comparison's
+    three roundings add at most 6 eps, and k passing local ones leave slack
+    <= TOL - 6 eps to the exhaustive one; near-ties may be refused here only.
+    """
+    m = tbl.size.bit_length() - 1
+    cube, tol = tbl.reshape((2,) * m), TOL / max(1, m, m * m // 4) - 12 * np.finfo(float).eps
+    return _monotone(cube, tol), not any(
+        np.any(v[1, 1] + v[0, 0] > v[1, 0] + v[0, 1] + tol)
+        for v in (np.moveaxis(cube, (i, j), (0, 1)) for i in range(m) for j in range(i)))
 
 
 def check_properties(cap: Capacity, mode: str = "auto") -> PropertyReport:
     """Verify monotonicity, subadditivity and submodularity.
 
-    ``analytic`` mode returns guaranteed verdicts for distorted and
-    possibility capacities.  ``exhaustive`` mode compares every pair of
-    subsets against the table, so it costs O(4**M); ``subset_table`` gates
-    it at M <= 20, and it is practical up to M around 13.
+    ``analytic`` verdicts hold for distorted and possibility capacities, and
+    ``auto`` takes them.  On a table, ``auto`` takes ``_local_walk``'s, and
+    ``exhaustive`` compares every pair of subsets, O(4**M).  Walk-submodular
+    with entries >= 0 is subadditive, as mu(A | B) <= mu(A) + mu(B) -
+    mu(A & B) + TOL - 6 eps; else (an entry in [-TOL, 0) breaks that step, as
+    in (-TOL, 1/2 - 3 TOL / 5, 1/2 - 3 TOL / 5, 1)) ``auto`` checks the pairs.
     """
     if mode not in ("auto", "analytic", "exhaustive"):
         raise InputError(f"unknown mode '{mode}'")
-    if mode in ("auto", "analytic") and known_submodular(cap):
+    if mode in ("auto", "analytic") and isinstance(cap.form, (DistortedRepr, PossibilityRepr)):
         return PropertyReport(True, True, True, "analytic")
     if mode == "analytic":
         raise InputError("analytic verdicts exist only for distorted/possibility forms")
     tbl = subset_table(cap)
-    n = tbl.size
-    masks = np.arange(n, dtype=np.int64)
+    if mode == "auto":
+        monotone, submodular = _local_walk(tbl)
+        subadditive = (bool(submodular and tbl.min() >= 0)
+                       or check_properties(cap, "exhaustive").subadditive)
+        return PropertyReport(monotone, subadditive, submodular, "local")
+    masks, chunk = np.arange(tbl.size, dtype=np.int64), max(1, (1 << 22) // tbl.size)
     monotone = subadditive = submodular = True
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, n, chunk):
-        a = masks[start:start + chunk, None]
-        b = masks[None, :]
-        ta = tbl[a]
-        tu = tbl[a | b]
-        ti = tbl[a & b]
-        if monotone:
-            is_subset = (a & b) == a
-            monotone = bool(np.all(~is_subset | (ta <= tbl + TOL)))
-        if subadditive:
-            subadditive = bool(np.all(tu <= ta + tbl + TOL))
-        if submodular:
-            submodular = bool(np.all(tu + ti <= ta + tbl + TOL))
-        if not (monotone or subadditive or submodular):
-            break
+    for start in range(0, tbl.size, chunk):
+        a, ta = masks[start:start + chunk, None], tbl[start:start + chunk, None]
+        tu, ti = tbl[a | masks], tbl[a & masks]
+        monotone = monotone and bool(np.all(((a & masks) != a) | (ta <= tbl + TOL)))
+        subadditive = subadditive and bool(np.all(tu <= ta + tbl + TOL))
+        submodular = submodular and bool(np.all(tu + ti <= ta + tbl + TOL))
     return PropertyReport(monotone, subadditive, submodular, "exhaustive")
 
 
 def certified_submodular(cap: Capacity) -> bool:
-    """True when ``check_properties`` certifies ``cap`` submodular: analytically
-    for the distorted and possibility forms, exhaustively for a table of at
-    most ``CERTIFY_ATOM_LIMIT`` atoms (beyond which O(4**M) is too slow).
-    The verdict is memoized, so each capacity is checked once."""
+    """Whether ``check_properties`` certifies ``cap`` submodular; memoized."""
     if cap._certified is None:
-        cap._certified = known_submodular(cap) or (cap.atom_count <= CERTIFY_ATOM_LIMIT
-                                                   and check_properties(cap).submodular)
+        cap._certified = (isinstance(cap.form, (DistortedRepr, PossibilityRepr))
+                          or _local_walk(subset_table(cap))[1])
     return cap._certified
 
 
@@ -448,11 +455,8 @@ def capacity_from_spec(obj: Mapping) -> Capacity:
     if kind == "table":
         if m is None:
             raise ConstructionError("table capacity missing key 'atoms'")
-        table = {}
-        for key, v in rep["values"].items():
-            idx = [int(s) for s in str(key).split(",") if s.strip() != ""]
-            table[as_mask(idx, m)] = float(v)
-        return make_table(m, table)
+        return make_table(m, {tuple(int(s) for s in str(key).split(",") if s.strip()): v
+                              for key, v in rep["values"].items()})
     if kind == "possibility":
         cap = make_possibility(rep["lambda"])
     else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bernstein import (basis_matrix, bernstein_nodes, degree_vector, moment_sums,
                         multivariate_grid, uniform_constant)
-from .capacity import (CERTIFY_ATOM_LIMIT, TABLE_ATOM_LIMIT, Capacity, DistortedRepr,
+from .capacity import (TABLE_ATOM_LIMIT, Capacity, DistortedRepr,
                        InputError, PossibilityRepr, capacity_from_spec,
                        certified_submodular, eval_sets, refuse_unknown_keys, subset_table)
 from .choquet import P_MAX, integral_batch
@@ -217,13 +217,12 @@ def _family(v, f) -> RandomFunction:
 def _capacity(spec, f) -> Capacity:
     """The capacity, which must meet the hypotheses of the run's estimate.
 
-    Mean and capacity runs need one that ``certified_submodular`` certifies:
-    analytically, or by the exhaustive check for a table of at most
-    ``CERTIFY_ATOM_LIMIT`` atoms; they build its 2**M subset table, so at
-    most ``TABLE_ATOM_LIMIT`` atoms.  Possibility runs need a possibility
-    measure.  A stochastic run draws sample i on atom i mod M, so it needs a
-    distorted capacity with uniform weights on the run's atoms (the default)
-    whose distortion has a finite positive slope at zero.
+    Mean and capacity runs need one that ``certified_submodular`` certifies
+    (analytically, or a table by its local check) and build its 2**M subset
+    table, so at most ``TABLE_ATOM_LIMIT`` atoms.  Possibility runs need a
+    possibility measure.  A stochastic run draws sample i on atom i mod M, so
+    it needs a distorted capacity with uniform weights on the run's atoms
+    (the default) whose distortion has a finite positive slope at zero.
     """
     spec, run = _as(dict, spec), f["experiment"]
     if run == "stochastic":
@@ -245,10 +244,7 @@ def _capacity(spec, f) -> Capacity:
             raise ValueError(f"{run} runs build a table over all 2**M subsets, so they "
                              f"allow at most {TABLE_ATOM_LIMIT} atoms, not {cap.atom_count}")
         if not certified_submodular(cap):
-            raise ValueError("capacity is not submodular"
-                             if cap.atom_count <= CERTIFY_ATOM_LIMIT else
-                             "submodularity cannot be certified (explicit table "
-                             f"with more than {CERTIFY_ATOM_LIMIT} atoms)")
+            raise ValueError("capacity is not submodular")
     return cap
 
 

@@ -9,8 +9,9 @@ from choqbern import (CapacityTooLargeError, ConstructionError, InputError,
                       capacity_from_spec, check_properties, choquet_integral,
                       eval_capacity, eval_sets, make_distorted, make_distortion,
                       make_possibility, make_table, subset_table)
-from choqbern.capacity import _PROBE, TOL, _validate_distortion, as_mask
-from conftest import random_capacity, random_probability
+from choqbern.capacity import (_PROBE, TOL, _validate_distortion, as_mask,
+                               certified_submodular)
+from conftest import random_capacity, random_monotone_table, random_probability
 
 
 def test_possibility_eval_is_sup():
@@ -350,3 +351,75 @@ def test_concavity_check_matches_all_pairs(alpha, noise, seed):
         assert "not concave" in str(err)
         concave = False
     assert concave == _concave_all_pairs(vals)
+
+
+def _worst_violations(tbl):
+    """Largest mu(A) - mu(B) over A within B, and largest
+    mu(A | B) + mu(A & B) - mu(A) - mu(B) over all pairs, as computed."""
+    a = np.arange(tbl.size)[:, None]
+    b = a.T
+    nested = (a & b) == a
+    return (float(np.where(nested, tbl[a] - tbl[b], -np.inf).max()),
+            float((tbl[a | b] + tbl[a & b] - (tbl[a] + tbl[b])).max()))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(m=st.integers(2, 8), kind=st.sampled_from(["distorted", "possibility", "monotone"]),
+       alpha=st.sampled_from([1.0, 0.7, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
+       entry=st.integers(0, 255),
+       shift=st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.01, 2.0, 4.0, 1e3]),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(m=2, kind="distorted", alpha=1.0, seed=0, entry=3, shift=0.5, sign=1.0)
+@example(m=8, kind="distorted", alpha=1.0, seed=0, entry=255, shift=0.5, sign=1.0)
+@example(m=8, kind="possibility", alpha=1.0, seed=0, entry=254, shift=0.5, sign=-1.0)
+def test_local_check_accepts_only_what_the_exhaustive_check_accepts(
+        m, kind, alpha, seed, entry, shift, sign):
+    # one entry moved by a multiple of TOL, on both sides of the local and
+    # the exhaustive tolerances
+    rng = np.random.default_rng(seed)
+    if kind == "distorted":
+        base = subset_table(make_distorted(make_distortion("power", alpha=alpha),
+                                           random_probability(rng, m)))
+    elif kind == "possibility":
+        levels = rng.random(m)
+        levels[int(rng.integers(m))] = 1.0
+        base = subset_table(make_possibility(tuple(levels)))
+    else:
+        base = random_monotone_table(rng, m)
+    tbl = base.copy()
+    tbl[entry % tbl.size] += sign * shift * TOL
+    try:
+        cap = make_table(m, tbl)
+    except ConstructionError:
+        return
+    local, exhaustive = check_properties(cap), check_properties(cap, mode="exhaustive")
+    assert local.mode == "local"
+    for verdict in ("monotone", "subadditive", "submodular"):
+        assert getattr(exhaustive, verdict) or not getattr(local, verdict), verdict
+    # away from the tolerance the two agree
+    for verdict, worst in zip(("monotone", "submodular"), _worst_violations(tbl)):
+        if worst <= 0.0 or worst > 1.5 * TOL:
+            assert getattr(local, verdict) == getattr(exhaustive, verdict), verdict
+    assert local.subadditive == exhaustive.subadditive
+
+
+def test_local_check_of_a_table_with_a_negative_entry():
+    # submodular, yet mu({0, 1}) > mu({0}) + mu({1}) + TOL: mu(empty) < 0 breaks
+    # the step from submodular to subadditive, so auto checks the pairs
+    half = 0.5 - 0.6 * TOL
+    cap = make_table(2, [-TOL, half, half, 1.0])
+    for mode in ("auto", "exhaustive"):
+        report = check_properties(cap, mode=mode)
+        assert (report.monotone, report.subadditive, report.submodular) == \
+            (True, False, True), mode
+
+
+@pytest.mark.parametrize("m", [13, 16, 20])
+def test_local_check_certifies_wide_tables(m):
+    # beyond the atoms an O(4**M) pairwise check can take
+    possibility = make_table(m, subset_table(make_possibility(tuple(np.linspace(0.5, 1, m)))))
+    report = check_properties(possibility)
+    assert (report.monotone, report.subadditive, report.submodular, report.mode) == \
+        (True, True, True, "local")
+    tbl = np.array([bin(mask).count("1") / m for mask in range(1 << m)]) ** 2
+    assert not certified_submodular(make_table(m, tbl))  # supermodular

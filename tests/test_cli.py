@@ -471,6 +471,17 @@ def test_experiment_bad_value_names_its_key(tmp_path, capsys, payload, key):
     assert "Traceback" not in err
 
 
+def test_a_wide_table_that_is_not_submodular_exits_2(tmp_path, capsys):
+    # supermodular on 13 atoms: refused for what it is, not for its size
+    values = {",".join(str(i) for i in range(13) if mask >> i & 1):
+              (bin(mask).count("1") / 13) ** 2 for mask in range(1 << 13)}
+    cfg = _write_config(tmp_path, {"experiment": "mean_convergence", "capacity": {
+        "atoms": 13, "repr": {"type": "table", "values": values}}})
+    assert run_cli(["experiment", "--config", cfg]) == 2
+    assert capsys.readouterr().err == \
+        "error: key 'capacity': capacity is not submodular\n"
+
+
 def test_out_of_memory_exits_two_naming_the_size_inputs(tmp_path, capsys,
                                                       monkeypatch):
     from choqbern import experiments

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from choqbern import (ConfigError, ExperimentConfig, InputError, make_distorted,
-                      make_distortion, make_table, run_experiment, semi_metric)
+                      make_distortion, make_possibility, make_table, run_experiment,
+                      semi_metric)
 from choqbern import experiments
 from choqbern.capacity import subset_table
 from choqbern.cli import run_cli
@@ -364,7 +365,7 @@ def test_a_config_that_parses_also_runs(config):
 
 
 def test_mean_run_on_a_certified_table_does_not_warn():
-    # the exhaustive check certifies this table, so the modulus table must not
+    # the local check certifies this table, so the modulus table must not
     # call it uncertified
     cfg = ExperimentConfig.from_mapping({
         "experiment": "mean_convergence", "grid_points": 9, "schedule": [[2, 4]],
@@ -372,6 +373,30 @@ def test_mean_run_on_a_certified_table_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_experiment(cfg).rows
+
+
+def _table_capacity(m, tbl):
+    """A config's "table" capacity object with the 2**m entries of ``tbl``."""
+    return {"atoms": m, "repr": {"type": "table", "values": {
+        ",".join(str(i) for i in range(m) if mask >> i & 1): float(tbl[mask])
+        for mask in range(1 << m)}}}
+
+
+@pytest.mark.parametrize("m, cap", [
+    (13, make_possibility(tuple(np.linspace(0.5, 1.0, 13)))),
+    (16, make_distorted(make_distortion("power", alpha=0.5), [1 / 16] * 16))])
+@pytest.mark.parametrize("config", [
+    {"experiment": "mean_convergence", "schedule": [[2, 4]]},
+    {"experiment": "capacity_convergence", "dim": 1, "schedule": [2, 4]}])
+def test_a_wide_submodular_table_is_certified_and_runs(m, cap, config):
+    # more atoms than an O(4**M) pairwise check takes, within the table limit
+    cfg = ExperimentConfig.from_mapping({
+        **config, "grid_points": 9, "capacity": _table_capacity(m, subset_table(cap))})
+    assert cfg.atoms == m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_experiment(cfg).rows
+    assert rows and all(math.isfinite(r.measured) for r in rows)
 
 
 @pytest.mark.parametrize("config", [
@@ -603,12 +628,12 @@ def test_mean_run_certifies_a_table_once(monkeypatch):
     # the config parser and the modulus table both ask for the verdict
     from choqbern import capacity
     calls = []
-    real = capacity.check_properties
+    real = capacity._local_walk
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    monkeypatch.setattr(capacity, "check_properties", spy)
+    monkeypatch.setattr(capacity, "_local_walk", spy)
     cfg = ExperimentConfig.from_mapping({
         "experiment": "mean_convergence", "grid_points": 9, "schedule": [[2, 4]],
         "capacity": _RUN_CAPACITIES[-1]})

@@ -38,9 +38,9 @@ _ENTRY_POINTS = {
     "as_mask bitmask": (lambda v: as_mask(v, 3), InputError, 5),
     "as_mask index": (lambda v: as_mask([0, v], 3), InputError, 2),
     "make_table m": (lambda v: make_table(v, [0.0, 1.0]).form.values, ConstructionError, 1),
-    # a string key is an index iterable, whose index '1' as_mask refuses
+    # a string key is an index iterable, whose index '1' is refused as a bad table too
     "make_table key": (lambda v: make_table(1, {v: 1.0, 0: 0.0}).form.values,
-                       (ConstructionError, InputError), 1),
+                       ConstructionError, 1),
     "RandomFunction.eval atom": (lambda v: _F.eval(0.5, v), InputError, 2),
     "SeededStream master_seed":
         (lambda v: SeededStream(v, 7).generator().random(3), InputError, 3),
@@ -74,3 +74,18 @@ def test_an_integer_input_refuses_what_is_not_an_integer(entry, value):
 def test_a_numpy_integer_input_is_its_python_int(entry):
     call, _, legal = _ENTRY_POINTS[entry]
     assert np.array_equal(call(np.int64(legal)), call(legal))
+
+
+def test_a_zero_dimensional_array_is_a_scalar_subset():
+    # numpy gives a 0-d array __iter__, but iterating one raises TypeError
+    assert as_mask(np.array(3), 3) == as_mask(np.int64(3), 3) == 3
+    for value in (np.array(2.5), np.array(True)):
+        with pytest.raises(InputError, match="bitmask must be an integer"):
+            as_mask(value, 3)
+    assert as_mask(np.array([0, 2]), 3) == 5  # a 1-d array is an index iterable
+
+
+def test_an_index_key_out_of_range_is_a_construction_error():
+    # the table's other bad keys are rows of the table above
+    with pytest.raises(ConstructionError, match=r"atom index must be an integer in \[0, 1\)"):
+        make_table(1, {(5,): 1.0, 0: 0.0})

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -499,14 +500,15 @@ def test_capacity_atom_mismatch_is_input_error(cap_atoms):
 def test_modulus_warns_for_uncertified_capacity():
     # not submodular: mu({0, 1}) + mu({}) > mu({0}) + mu({1})
     small = make_table(2, [0.0, 0.1, 0.1, 1.0])
-    # submodular, but a table beyond the atoms the exhaustive check takes
+    assert not check_properties(small).submodular
+    with pytest.warns(UserWarning, match="submodular"):
+        choquet_modulus(build_family("affine_noise", 2, 1), small, 0.1, 1.0, Grid(1, 17))
+    # submodular on 13 atoms, which the local check certifies
     big = make_table(13, subset_table(make_possibility(
         tuple(np.linspace(0.5, 1.0, 13)))))
-    assert not check_properties(small).submodular
-    for cap in (small, big):
-        f = build_family("affine_noise", cap.atom_count, 1)
-        with pytest.warns(UserWarning, match="submodular"):
-            choquet_modulus(f, cap, 0.1, 1.0, Grid(1, 17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        choquet_modulus(build_family("affine_noise", 13, 1), big, 0.1, 1.0, Grid(1, 17))
 
 
 def _scaling_instances(rng, count):

@@ -87,3 +87,12 @@ def test_readme_degree_range_matches_the_code():
     stated = re.search(r"degrees in \[1, (\d+)\]", row)
     assert stated, "the schedule row states no degree range"
     assert int(stated.group(1)) == N_MAX
+
+
+def test_readme_capacity_atom_limit_matches_the_code():
+    from choqbern.capacity import TABLE_ATOM_LIMIT
+    text = README.read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `capacity` |"))
+    stated = re.findall(r"at most (\d+) atoms", row)
+    assert stated, "the capacity row states no atom limit"
+    assert [int(n) for n in stated] == [TABLE_ATOM_LIMIT]
