@@ -336,20 +336,36 @@ def _monotone(cube: np.ndarray, tol: float) -> bool:
                    for v in (np.moveaxis(cube, i, 0) for i in range(cube.ndim)))
 
 
-def _local_walk(tbl: np.ndarray) -> tuple[bool, bool]:
-    """(monotone, submodular) of a 2**M table: ``_monotone``, and mu(A | {i}) +
-    mu(A | {j}) >= mu(A | {i, j}) + mu(A) for all A and i != j outside A,
-    which is submodularity (Fujishige 2005; Schrijver 2003), O(2**M M**2).
+def _subset_max_monotone(tbl: np.ndarray) -> bool:
+    """Whether mu(A) <= mu(B) + TOL for every A within B, in O(2**M M).
 
-    An exhaustive-mode inequality sums k <= max(M, floor(M**2 / 4)) local ones
-    (covering pairs on a chain, or |A - B| |B - A| squares), so a local one
-    allows TOL / k - 12 eps.  Entries lie in [-TOL, 1 + TOL], so a comparison's
-    three roundings add at most 6 eps, and k passing local ones leave slack
-    <= TOL - 6 eps to the exhaustive one; near-ties may be refused here only.
+    One running max per axis of the (2,)*M view gives smax[B], the largest
+    mu(A) over the subsets A of B; it is one of those entries, so
+    smax[B] <= mu(B) + TOL are the float comparisons of exhaustive mode.
+    """
+    m = tbl.size.bit_length() - 1
+    smax = tbl.reshape((2,) * m).copy()
+    for i in range(m):
+        v = np.moveaxis(smax, i, 0)
+        np.maximum(v[1], v[0], out=v[1])
+    return bool(np.all(smax.ravel() <= tbl + TOL))
+
+
+def _local_walk(tbl: np.ndarray) -> bool:
+    """Whether a 2**M table passes mu(A | {i}) + mu(A | {j}) >= mu(A | {i, j})
+    + mu(A) for all A and i != j outside A, which is submodularity
+    (Fujishige 2005; Schrijver 2003), O(2**M M**2).
+
+    An exhaustive-mode inequality sums k <= floor(M**2 / 4) local ones
+    (|A - B| |B - A| squares), so a local one allows TOL / max(1, M,
+    floor(M**2 / 4)) - 12 eps, at most TOL / k - 12 eps.  Entries lie in
+    [-TOL, 1 + TOL], so a comparison's three roundings add at most 6 eps, and
+    k passing local ones leave slack <= TOL - 6 eps to the exhaustive one;
+    near-ties may be refused here only.
     """
     m = tbl.size.bit_length() - 1
     cube, tol = tbl.reshape((2,) * m), TOL / max(1, m, m * m // 4) - 12 * np.finfo(float).eps
-    return _monotone(cube, tol), not any(
+    return not any(
         np.any(v[1, 1] + v[0, 0] > v[1, 0] + v[0, 1] + tol)
         for v in (np.moveaxis(cube, (i, j), (0, 1)) for i in range(m) for j in range(i)))
 
@@ -358,11 +374,13 @@ def check_properties(cap: Capacity, mode: str = "auto") -> PropertyReport:
     """Verify monotonicity, subadditivity and submodularity.
 
     ``analytic`` verdicts hold for distorted and possibility capacities, and
-    ``auto`` takes them.  On a table, ``auto`` takes ``_local_walk``'s, and
-    ``exhaustive`` compares every pair of subsets, O(4**M).  Walk-submodular
-    with entries >= 0 is subadditive, as mu(A | B) <= mu(A) + mu(B) -
-    mu(A & B) + TOL - 6 eps; else (an entry in [-TOL, 0) breaks that step, as
-    in (-TOL, 1/2 - 3 TOL / 5, 1/2 - 3 TOL / 5, 1)) ``auto`` checks the pairs.
+    ``auto`` takes them.  On a table, ``auto`` reads monotone from
+    ``_subset_max_monotone``, which agrees with ``exhaustive``, and
+    submodular from ``_local_walk``; ``exhaustive`` compares every pair of
+    subsets, O(4**M).  Walk-submodular with entries >= 0 is subadditive, as
+    mu(A | B) <= mu(A) + mu(B) - mu(A & B) + TOL - 6 eps; else (an entry in
+    [-TOL, 0) breaks that step, as in (-TOL, 1/2 - 3 TOL / 5, 1/2 - 3 TOL / 5,
+    1)) ``auto`` checks the pairs.
     """
     if mode not in ("auto", "analytic", "exhaustive"):
         raise InputError(f"unknown mode '{mode}'")
@@ -372,7 +390,7 @@ def check_properties(cap: Capacity, mode: str = "auto") -> PropertyReport:
         raise InputError("analytic verdicts exist only for distorted/possibility forms")
     tbl = subset_table(cap)
     if mode == "auto":
-        monotone, submodular = _local_walk(tbl)
+        monotone, submodular = _subset_max_monotone(tbl), _local_walk(tbl)
         subadditive = (bool(submodular and tbl.min() >= 0)
                        or check_properties(cap, "exhaustive").subadditive)
         return PropertyReport(monotone, subadditive, submodular, "local")
@@ -391,7 +409,7 @@ def certified_submodular(cap: Capacity) -> bool:
     """Whether ``check_properties`` certifies ``cap`` submodular; memoized."""
     if cap._certified is None:
         cap._certified = (isinstance(cap.form, (DistortedRepr, PossibilityRepr))
-                          or _local_walk(subset_table(cap))[1])
+                          or _local_walk(subset_table(cap)))
     return cap._certified
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable, Mapping
 
 import numpy as np
@@ -287,54 +286,65 @@ def _keep_thresholds(rows: np.ndarray, mu_table: np.ndarray, powers,
     return roots.min(axis=0)
 
 
-def _predecessor_thresholds(atoms: np.ndarray, mu_table: np.ndarray, powers,
-                            factor: float, dx: int, tops: dict) -> dict:
-    """Keep thresholds of the offsets (dx, dy) whose (dx - 1, dy) was walked.
+def _offset_maxima(atoms: np.ndarray, mu_table: np.ndarray, powers, factor: float,
+                   offset: tuple[int, ...]) -> tuple[float, ...]:
+    """One offset's exact value per p: the maximum over grid positions of the
+    integral of |D|^p, for every p in ``powers`` from one sorting pass.
 
-    ``atoms`` is the atom-major grid tensor and ``tops[dy]`` the grid position
-    of the top-UB cell of (dx - 1, dy); clipped into the one fewer first-axis
-    position of (dx, dy), it is a cell of (dx, dy), and the LB is that cell's
-    integral.  One gather and one ``_keep_thresholds`` call serve every dy.
+    ``atoms`` is the atom-major grid tensor and ``offset`` one step per grid
+    axis.  The LB cell is the offset's own top-UB cell, whose
+    ``_keep_thresholds`` root keeps the cells that can hold a maximum.
     """
-    if not tops:
-        return {}
-    dim = atoms.ndim - 1
-    dys = list(tops)
-    pos = np.array([tops[dy] for dy in dys]).T  # (dim, len(dys))
-    pos[0] = np.minimum(pos[0], atoms.shape[1] - 1 - dx)
-    steps = np.array([(dx, dy)[:dim] for dy in dys]).T
-    # the cells of ``_translate_pair``: a at pos + max(step, 0), b at pos + max(-step, 0)
-    a = atoms[(slice(None), *(pos + np.maximum(steps, 0)))]
-    b = atoms[(slice(None), *(pos + np.maximum(-steps, 0)))]
-    return dict(zip(dys, _keep_thresholds(np.abs(a - b).T, mu_table, powers, factor)))
+    m = len(atoms)
+    a, b = _translate_pair(atoms, (0, *offset))
+    d = np.abs(a - b).reshape(m, -1)
+    ub = d.max(axis=0)
+    top = ub.argmax()
+    thr = _keep_thresholds(d[:, top].reshape(1, m), mu_table, powers, factor)[0]
+    v, mu = sorted_levels(d.compress(ub >= thr, axis=1).T, mu_table)
+    return tuple(float(vals.max()) for vals in _powered_integrals(v, mu, powers))
+
+
+# the triangle bound's slack sigma and the least bound that may skip; see
+# "Offset skip" in ``ChoquetModulusTable``
+_TRIANGLE_SLACK = 1.0 + 4 * np.finfo(float).eps
+_SKIP_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 class ChoquetModulusTable:
-    """Per-offset maxima of the Choquet L^p distance between grid translates.
+    """Choquet L^p moduli of a random function over delta boxes, on demand.
 
-    Precomputes, for every axis offset within a window, the maximum over
-    grid positions of the integral of |F(t) - F(s)|^p; modulus queries then
-    reduce to a maximum over the offsets inside a delta box (``_box_windows``);
-    a 1-D table is a 2-D one with no second axis.
+    ``gamma(*deltas, p)`` is the p-th root of the maximum, over the grid
+    offsets of its delta box (``_box_windows``, ``_offsets``), of the
+    offset's exact value: the maximum over grid positions of the integral
+    of |F(t) - F(s)|^p (``_offset_maxima``).  A 1-D table is a 2-D one with
+    no second axis.  Construction takes only the per-axis sample moduli
+    omega1(dx) and omega2(dy): the largest UB, a cell's max over atoms of
+    |D|, of the axis offsets (dx, 0) and (0, dy), with omega(0) = 0.
+
+    Offset skip.  x + (dx, 0) is on the grid whenever x and x + (dx, dy)
+    are, so by the triangle inequality every cell of (dx, dy) has
+    UB <= omega1(dx) + omega2(|dy|).  A query walks its box's offsets in
+    descending order of U = fl(fl(omega1(dx) + omega2(|dy|)) * sigma) and
+    stops at the first whose bound fl(fl(U^p) * F) is below the best exact
+    value found so far: by the pruning below, that offset and every later
+    one have exact values at most that bound.  Every offset reached goes
+    through ``_offset_maxima`` once, for every power, into a per-offset
+    cache that every query shares; that cache is the table's working set.
+    So each box maximum is a maximum of the same exact per-offset values,
+    whichever queries came before, and has the bits of an eager table over
+    every offset.
 
     Exact pruning.  For h >= 0 and any nonnegative monotone table, the
     Choquet integral of h is at most max(h) * max(mu_table): the telescoped
     terms (h_k - h_(k-1)) mu_k sum to at most max(h) * mu_0 (Abel summation,
     mu_k nonincreasing in k).  No submodularity is needed, and mu of the
-    full set may exceed 1.  So per offset, with UB the max over atoms of a
-    cell's |D| and LB_p the integral of any one cell of the offset, a cell
-    with UB^p * max(mu_table) < LB_p for every p cannot hold a maximum of
-    the offset.  One threshold per offset, a lower bound thr of min over p
-    of (LB_p / max(mu_table))^(1/p), decides: only the cells with UB >= thr
-    go through ``sorted_levels``/``telescoped_sum``.
-
-    The LB cell of (dx, dy) is the top-UB grid position of (dx - 1, dy),
-    clipped into the cell range of (dx, dy): neighbouring offsets peak at
-    nearby positions, and one gather and one ``sorted_levels`` call give
-    the LBs, and one vectorised root the thresholds, of every dy of a dx
-    before its dy loop.  Offsets with no (dx - 1, dy), which are (0, dy > 0)
-    and (1, dy <= 0), and (1,) in 1-D, take their own top-UB cell through
-    the same ``_keep_thresholds``.
+    full set may exceed 1.  So per offset, with LB_p the integral of any one
+    cell of the offset, a cell with UB^p * max(mu_table) < LB_p for every p
+    cannot hold a maximum of the offset.  One threshold per offset, a lower
+    bound thr of min over p of (LB_p / max(mu_table))^(1/p) from its own
+    top-UB cell, decides: only the cells with UB >= thr go through
+    ``sorted_levels``/``telescoped_sum``.
 
     Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
     one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
@@ -350,6 +360,25 @@ class ChoquetModulusTable:
     integral of a cell of the offset, so it is at most the offset's computed
     maximum: a cell that fails the bound test for every p has a computed
     integral below every such maximum, and each p's maximum cell passes.
+
+    The offset skip extends this to whole offsets.  A cell's computed |D| is
+    fl(|a - b|) <= (1 + u)|a - b| <= (1 + u)(|a - c| + |c - b|), c the grid
+    point x + (dx, 0), and each axis modulus is at least (1 - u) times its
+    exact difference, so UB <= (1 + u)(omega1 + omega2) / (1 - u);
+    subtraction has no underflow error.  U >= (1 - u)^2 sigma (omega1 +
+    omega2) where U is normal, and sigma = 1 + 4 eps = 1 + 8u exceeds
+    (1 + u) / (1 - u)^3 = 1 + 4u + O(u^2), so U >= UB for every cell of the
+    offset, and of every later offset in the walk, whose U is no larger.
+    The cell argument then holds with U for UB: fl(fl(U^p) * F) loses at
+    most 4u to its power (one ulp) and two products, so no later offset's
+    computed maximum exceeds the bound, and a bound below the best computed
+    value skips only offsets that cannot raise it.  Underflow adds at most
+    2^-1074 to each power and product beyond the relative bounds, at most
+    2M 2^-1074 to an integral; a bound of at least tiny / eps
+    (``_SKIP_FLOOR``) leaves (M + 1)u times it, above (M + 1) 2^-1024, for
+    that, and max(mu_table) is within ``capacity.TOL`` of 1 for every
+    capacity, so fl(U^p) and U are normal there.  A bound below that floor,
+    or an overflowed fl(U^p), never skips.
 
     Threshold slack.  ``_keep_thresholds`` takes thr = min over p of
     thr_p = fl(fl(r^q) * s), with r = fl(LB_p / F), q = fl(1/p) and
@@ -369,67 +398,65 @@ class ChoquetModulusTable:
     table entry in [-``capacity.TOL``, 0)) or not finite, its relative error
     is unbounded, and the root is taken of 0: thr_p = 0 keeps every cell of
     the offset, a superset of any kept set.  LB_p = 0, as for a constant
-    function, so keeps every cell, and no offset reaches
-    ``np.maximum.reduceat`` with no kept cell.
+    function, so keeps every cell, and no offset reaches its maximum with
+    no kept cell.
 
-    The kept cells of every dy of one dx run through the kernel together,
-    and ``np.maximum.reduceat`` takes each offset's maximum; each cell's
-    integral does not depend on the batch (``telescoped_sum``
-    is elementwise per column), so LB_p has the bits of its cell's kernel
-    result, and every table entry has the bits an unpruned kernel gives it.
-    Keeping more cells than the bound test changes no entry, and the next
-    dx's LB cells come from the UB argmax, which the keep test does not move.
-    The working set is one offset's |D| plus one dx's kept cells.
+    Each cell's integral does not depend on the other kept cells
+    (``telescoped_sum`` is elementwise per column), so keeping more cells
+    than the bound test changes no offset value.  A query holds one
+    offset's |D| at a time.
     """
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
                  max_deltas, powers):
-        w1, w2 = _box_windows(max_deltas, grid)
+        self._windows = w1, w2 = _box_windows(max_deltas, grid)
         self.powers = tuple(check_p(float(p)) for p in powers)
         if not certified_submodular(cap):
             warnings.warn("capacity is not certified submodular; the modulus "
                           "triangle/scaling properties may fail", stacklevel=2)
         self.grid = grid
-        m = f.atom_count
         # atom-major, so an offset's |D| is (M, cells) and UB a leading-axis max
-        atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
-        mu_table = subset_table(cap)
-        factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
-        # (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D; written through (w1 + 1, -1) views
-        self._off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in self.powers}
-        cells = {p: off.reshape(w1 + 1, -1) for p, off in self._off.items()}
-        tops = {}  # dy -> grid position of the previous dx's top-UB cell
-        for dx, group in groupby(_offsets(w1, w2), key=lambda o: o[0]):
-            dys = [dy for _, dy in group]
-            thr = _predecessor_thresholds(atoms, mu_table, self.powers, factor, dx, tops)
-            tops = {}
-            kept = []
-            for dy in dys:
-                a, b = _translate_pair(atoms, (0, dx, dy)[:1 + f.dim])
-                d = np.abs(a - b).reshape(m, -1)
-                ub = d.max(axis=0)
-                top = ub.argmax()
-                tops[dy] = np.unravel_index(top, a.shape[1:])
-                t = thr[dy] if dy in thr else _keep_thresholds(
-                    d[:, top].reshape(1, m), mu_table, self.powers, factor)[0]
-                kept.append(d.compress(ub >= t, axis=1))
-            starts = np.cumsum([0] + [k.shape[1] for k in kept[:-1]])
-            v, mu = sorted_levels(np.concatenate(kept, axis=1).T, mu_table)
-            for p, vals in zip(self.powers, _powered_integrals(v, mu, self.powers)):
-                cells[p][dx, dys[0] + w2:dys[-1] + w2 + 1] = np.maximum.reduceat(vals, starts)
+        self._atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
+        self._mu_table = subset_table(cap)
+        self._factor = float(self._mu_table.max()) * (
+            1.0 + (f.atom_count + 4) * np.finfo(float).eps)
+
+        def largest_ub(offset):
+            a, b = _translate_pair(self._atoms, (0, *offset[:f.dim]))
+            return np.abs(a - b).max()
+        omega1 = np.array([0.0] + [largest_ub((dx, 0)) for dx in range(1, w1 + 1)])
+        omega2 = np.array([0.0] + [largest_ub((0, dy)) for dy in range(1, w2 + 1)])
+        offsets = np.array(_offsets(w1, w2), dtype=np.int64).reshape(-1, 2)
+        bound = (omega1[offsets[:, 0]] + omega2[np.abs(offsets[:, 1])]) * _TRIANGLE_SLACK
+        order = np.argsort(-bound, kind="stable")
+        self._offsets, bound = offsets[order], bound[order]
+        # per p, fl(fl(U^p) * F), infinite where it may not skip
+        with np.errstate(over="ignore"):
+            self._bounds = {p: (bound if p == 1.0 else bound ** p) * self._factor
+                            for p in self.powers}
+        for b in self._bounds.values():
+            b[~(b >= _SKIP_FLOOR)] = np.inf
+        self._maxima: dict[int, tuple[float, ...]] = {}  # walk index -> value per p
 
     def gamma(self, *deltas: float, p: float) -> float:
         """Choquet L^p modulus for a delta box: one delta, or one per axis."""
-        if p not in self._off:
-            raise InputError(f"p={p} was not precomputed (have {self.powers})")
+        if p not in self._bounds:
+            raise InputError(f"p={p} is not one of the table's powers {self.powers}")
         d1, d2 = _box_windows(deltas, self.grid)
-        off = self._off[p]
-        off = off.reshape(len(off), -1)  # (w1 + 1, 2 w2 + 1), w2 = 0 in 1-D
-        w2 = off.shape[1] // 2
-        if d1 + 1 > off.shape[0] or d2 > w2:
-            raise InputError("delta exceeds the precomputed window")
-        best = float(off[:d1 + 1, w2 - d2:w2 + d2 + 1].max())
-        return best ** (1.0 / p)
+        if d1 > self._windows[0] or d2 > self._windows[1]:
+            raise InputError("delta exceeds the table's window")
+        at, bounds = self.powers.index(p), self._bounds[p]
+        inside = (self._offsets[:, 0] <= d1) & (np.abs(self._offsets[:, 1]) <= d2)
+        best = np.float64(0.0)
+        for i in np.flatnonzero(inside):
+            if bounds[i] < best:
+                break
+            if i not in self._maxima:
+                self._maxima[i] = _offset_maxima(
+                    self._atoms, self._mu_table, self.powers, self._factor,
+                    tuple(self._offsets[i, :self.grid.dim]))
+            best = np.maximum(best, self._maxima[i][at])
+        return float(best) ** (1.0 / p)
 
 
 def choquet_modulus(f: RandomFunction, cap: Capacity, deltas, p: float,

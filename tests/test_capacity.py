@@ -403,6 +403,62 @@ def test_local_check_accepts_only_what_the_exhaustive_check_accepts(
     assert local.subadditive == exhaustive.subadditive
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(m=st.integers(2, 8),
+       kind=st.sampled_from(["chain", "possibility", "monotone", "distorted"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       moves=st.lists(st.tuples(st.integers(0, 255),
+                                st.sampled_from([0.3, 0.5, 0.9, 1.0, 1.5, 3.0, 1e3]),
+                                st.sampled_from([1.0, -1.0])), max_size=3))
+def test_auto_and_exhaustive_monotone_verdicts_agree(m, kind, seed, moves):
+    # entries moved by multiples of TOL, so that make_table's covering pairs
+    # pass while longer chains may not
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        # a flat table falling by a step below TOL along a chain of nested
+        # sets, which may fall by more than TOL in all
+        base = np.ones(1 << m)
+        base[0] = 0.0
+        chain = np.cumsum(1 << rng.permutation(m))[:-1]
+        base[chain] += TOL * (rng.choice([0.0, 0.5, 0.9])
+                              - rng.choice([0.3, 0.6, 0.95]) * np.arange(m - 1))
+    elif kind == "possibility":
+        # ties between nested sets leave room for chains of small drops
+        levels = rng.choice([0.5, 1.0], m)
+        levels[int(rng.integers(m))] = 1.0
+        base = subset_table(make_possibility(tuple(levels)))
+    elif kind == "distorted":
+        base = subset_table(make_distorted(make_distortion("power", alpha=0.5),
+                                           random_probability(rng, m)))
+    else:
+        base = random_monotone_table(rng, m)
+    tbl = base.copy()
+    for entry, shift, sign in moves:
+        tbl[entry % tbl.size] += sign * shift * TOL
+    try:
+        cap = make_table(m, tbl)
+    except ConstructionError:
+        return
+    assert (check_properties(cap).monotone
+            == check_properties(cap, mode="exhaustive").monotone)
+
+
+@pytest.mark.parametrize("moves, monotone", [
+    # {0, 1} 0.5 TOL below {0}: within make_table's TOL, and monotone
+    ({3: 1.0 - 0.5 * TOL}, True),
+    # {0} 0.9 TOL above 1 and the full set 0.9 TOL below: each covering pair
+    # is within TOL, but {0} within {0, 1, 2} is 1.8 TOL apart
+    ({1: 1.0 + 0.9 * TOL, 7: 1.0 - 0.9 * TOL}, False)])
+def test_auto_monotone_is_the_exhaustive_verdict(moves, monotone):
+    tbl = np.ones(8)
+    tbl[0] = 0.0
+    for entry, value in moves.items():
+        tbl[entry] = value
+    cap = make_table(3, tbl)
+    for mode in ("auto", "exhaustive"):
+        assert check_properties(cap, mode=mode).monotone == monotone, mode
+
+
 def test_local_check_of_a_table_with_a_negative_entry():
     # submodular, yet mu({0, 1}) > mu({0}) + mu({1}) + TOL: mu(empty) < 0 breaks
     # the step from submodular to subadditive, so auto checks the pairs

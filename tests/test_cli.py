@@ -198,6 +198,36 @@ def test_modulus_gamma(cap_file, capsys):
     assert out["value"] > 0.0
 
 
+# exact stdout of ``modulus --kind gamma`` with the 2-atom sqrt capacity,
+# recorded from an eager table over every offset in the window; the value
+# prints with 17 significant digits, so a query that skips an offset it
+# needs shows here
+_GAMMA_STDOUT = [
+    (["--family", "affine_noise", "--dim", "1", "--delta", "0.25", "--p", "2",
+      "--grid", "101"], 0.25, "0.46283662217297994"),
+    (["--family", "affine_noise", "--dim", "2", "--delta", "0.2", "--grid", "9"],
+     0.2, "0.24651016296014927"),
+    (["--family", "affine_noise", "--dim", "2", "--delta", "0.2", "--delta2", "0.1",
+      "--p", "2", "--grid", "9", "--params", '{"z": [0.3, -0.8]}'],
+     0.2, "0.12099548286987544"),
+    (["--family", "step_noise", "--dim", "2", "--delta", "0.25", "--delta2", "0.5",
+      "--p", "2.5", "--grid", "33", "--params", '{"z": [0.7, -0.4]}'],
+     0.25, "0.6335819813828043"),
+    (["--family", "deterministic:absdev", "--dim", "1", "--delta", "0.5",
+      "--grid", "257"], 0.5, "0.5"),
+    (["--family", "step_noise", "--dim", "1", "--delta", "0.1", "--p", "2.5",
+      "--grid", "101"], 0.1, "0.8705505632961241"),
+]
+
+
+@pytest.mark.parametrize("args, delta, value", _GAMMA_STDOUT)
+def test_modulus_gamma_stdout_pinned(cap_file, capsys, args, delta, value):
+    assert run_cli(["modulus", "--atoms", "2", "--kind", "gamma",
+                    "--capacity", cap_file] + args) == 0
+    assert capsys.readouterr().out == (
+        f'{{"kind": "gamma", "delta": {delta}, "value": {value}}}\n')
+
+
 def test_approx_subcommand(capsys):
     assert run_cli(["approx", "--family", "deterministic:absdev", "--atoms", "1",
                     "--dim", "1", "--n", "16"]) == 0

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
                                _box_windows, _keep_thresholds, _offsets,
-                               _translate_pair, _window, build_family, list_families,
-                               sample_modulus_profile)
+                               _powered_integrals, _translate_pair, _window,
+                               build_family, list_families, sample_modulus_profile)
 from conftest import (brute_gamma, brute_sample_modulus, random_capacity,
                       random_monotone_table)
 
@@ -268,6 +269,19 @@ def _row_wise_off(f, cap, grid, max_deltas, powers):
     return off
 
 
+def _table_off(table):
+    """Every offset's value from the table's per-offset pass, laid out as
+    the references lay out theirs: (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D."""
+    (w1, w2), dim = table._windows, table.grid.dim
+    off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in table.powers}
+    for dx, dy in table._offsets:
+        values = randomfn._offset_maxima(table._atoms, table._mu_table, table.powers,
+                                         table._factor, (dx, dy)[:dim])
+        for p, value in zip(table.powers, values):
+            off[p][(dx, dy + w2)[:dim]] = value
+    return off
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 12])
 def test_modulus_table_matches_row_wise_kernel(rng, m):
     # up to 8 atoms the rank-by-rank sum adds in numpy's row-sum order, so
@@ -275,13 +289,13 @@ def test_modulus_table_matches_row_wise_kernel(rng, m):
     for f, cap in _modulus_instances(rng, m):
         grid = Grid(f.dim, 33 if f.dim == 1 else 13)
         deltas = (0.5,) * f.dim
-        table = ChoquetModulusTable(f, cap, grid, deltas, powers=POWERS)
+        got = _table_off(ChoquetModulusTable(f, cap, grid, deltas, powers=POWERS))
         want = _row_wise_off(f, cap, grid, deltas, POWERS)
         for p in POWERS:
             if m <= 8:
-                assert np.array_equal(table._off[p], want[p])
+                assert np.array_equal(got[p], want[p])
             else:
-                np.testing.assert_allclose(table._off[p], want[p], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got[p], want[p], rtol=1e-12, atol=0)
 
 
 def _unpruned_off(f, cap, grid, max_deltas, powers):
@@ -298,6 +312,59 @@ def _unpruned_off(f, cap, grid, max_deltas, powers):
             vals = telescoped_sum(v if p == 1.0 else v ** p, mu)
             off[p][(dx, dy + w2)[:f.dim]] = vals.max()
     return off
+
+
+def _eager_off(f, cap, grid, max_deltas, powers):
+    """The per-offset table of an eager walk over every offset, as a reference.
+
+    Offsets go by dx; an offset's LB cell is the top-UB grid position of
+    (dx - 1, dy), clipped into its own cells, or its own top-UB cell where no
+    (dx - 1, dy) was walked; the kept cells of one dx go through the kernel
+    together and ``np.maximum.reduceat`` takes each offset's maximum.
+    """
+    atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
+    mu_table = subset_table(cap)
+    m, dim = f.atom_count, f.dim
+    factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
+    w1, w2 = _box_windows(max_deltas, grid)
+    off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in powers}
+    cells = {p: o.reshape(w1 + 1, -1) for p, o in off.items()}
+    tops = {}  # dy -> grid position of the previous dx's top-UB cell
+    for dx, group in groupby(_offsets(w1, w2), key=lambda o: o[0]):
+        dys = [dy for _, dy in group]
+        thr = {}
+        if tops:
+            pos = np.array([tops[dy] for dy in tops]).T  # (dim, len(tops))
+            pos[0] = np.minimum(pos[0], atoms.shape[1] - 1 - dx)
+            steps = np.array([(dx, dy)[:dim] for dy in tops]).T
+            lb_a = atoms[(slice(None), *(pos + np.maximum(steps, 0)))]
+            lb_b = atoms[(slice(None), *(pos + np.maximum(-steps, 0)))]
+            thr = dict(zip(tops, _keep_thresholds(np.abs(lb_a - lb_b).T, mu_table,
+                                                  powers, factor)))
+        tops, kept = {}, []
+        for dy in dys:
+            a, b = _translate_pair(atoms, (0, dx, dy)[:1 + dim])
+            d = np.abs(a - b).reshape(m, -1)
+            ub = d.max(axis=0)
+            top = ub.argmax()
+            tops[dy] = np.unravel_index(top, a.shape[1:])
+            t = thr[dy] if dy in thr else _keep_thresholds(
+                d[:, top].reshape(1, m), mu_table, powers, factor)[0]
+            kept.append(d.compress(ub >= t, axis=1))
+        starts = np.cumsum([0] + [k.shape[1] for k in kept[:-1]])
+        v, mu = sorted_levels(np.concatenate(kept, axis=1).T, mu_table)
+        for p, vals in zip(powers, _powered_integrals(v, mu, powers)):
+            cells[p][dx, dys[0] + w2:dys[-1] + w2 + 1] = np.maximum.reduceat(vals, starts)
+    return off
+
+
+def _eager_gamma(off, grid, deltas, p):
+    """A box's modulus from an ``_eager_off`` table: the largest entry in the
+    box, (0, 0) included, to the power 1 / p."""
+    d1, d2 = _box_windows(deltas, grid)
+    off = off.reshape(len(off), -1)
+    w2 = off.shape[1] // 2
+    return float(off[:d1 + 1, w2 - d2:w2 + d2 + 1].max()) ** (1.0 / p)
 
 
 def _random_deltas(rng, grid):
@@ -327,15 +394,19 @@ def test_pruned_modulus_table_equals_unpruned_kernel(rng, kind):
                 grid = Grid(dim, 33 if dim == 1 else 13)
                 for deltas in ((0.5,) * dim, _random_deltas(rng, grid)):
                     table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
+                    got = _table_off(table)
                     want = _unpruned_off(f, cap, grid, deltas, powers)
                     for p in powers:
-                        assert np.array_equal(table._off[p], want[p])
+                        assert np.array_equal(got[p], want[p])
+                        want_gamma = float(want[p].max()) ** (1.0 / p)
+                        assert table.gamma(*deltas, p=p) == want_gamma
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
     # every |D| is 0, so UB^p * factor equals every LB: the keep test must pass
-    # every cell, or offsets with no kept cell would corrupt the reduceat
+    # every cell, or an offset with no kept cell would have no maximum; every
+    # bound is 0 and below the skip floor, so the query reaches every offset
     calls = []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
@@ -346,35 +417,138 @@ def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
     g = grid.points_per_axis
     cells = sum(math.prod(g - abs(d) for d in o[:dim])
                 for o in _offsets(*_box_windows((0.5,) * dim, grid)))
-    assert sum(calls) >= cells
     for p in (1.0, 2.0):
-        assert not table._off[p].any()
+        assert table.gamma(0.5, p=p) == 0.0
+    assert sum(calls) >= cells
+
+
+def _c08_table(z):
+    """The C08 table: M = 5, g = 65, window 0.5, p in {1, 2}."""
+    cap = make_distorted(make_distortion("power", alpha=0.5), [1.0 / 5] * 5)
+    f = build_family("affine_noise", 5, 2, {"z": list(z)})
+    return f, cap, ChoquetModulusTable(f, cap, Grid(2, 65), (0.5, 0.5), (1.0, 2.0))
+
+
+# the boxes the C08 mean run asks for: 1/sqrt(n) per axis of its schedule
+_C08_BOXES = [(1 / math.sqrt(n1), 1 / math.sqrt(n2))
+              for n1, n2 in ((4, 4), (16, 16), (64, 64), (16, 4), (64, 16))]
 
 
 def test_pruned_modulus_table_c08_shape(monkeypatch):
-    """The C08 table: M = 5, g = 65, window 0.5, p in {1, 2}."""
-    cap = make_distorted(make_distortion("power", alpha=0.5),
-                         [1.0 / 5] * 5)
-    grid, deltas, powers = Grid(2, 65), (0.5, 0.5), (1.0, 2.0)
     calls = []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
     # z as numpy draws it, and as the ``mean2d`` benchmark workload draws it at
-    # seed 3, with the rows that the per-p keep test sent through ``sorted_levels``
+    # seed 3, with the rows that an eager table of every offset sent through
+    # ``sorted_levels``
     bench = random.Random(3)
-    for z, rows in ((np.random.default_rng(3).uniform(-1, 1, 5), 226_134),
-                    ([bench.uniform(-1.0, 1.0) for _ in range(5)], 167_798)):
-        f = build_family("affine_noise", 5, 2, {"z": list(z)})
+    for z, eager_rows in ((np.random.default_rng(3).uniform(-1, 1, 5), 226_134),
+                          ([bench.uniform(-1.0, 1.0) for _ in range(5)], 167_798)):
         calls.clear()
-        table = ChoquetModulusTable(f, cap, grid, deltas, powers=powers)
-        # own LB call for the 65 offsets with no (dx - 1, dy): (0, dy > 0) and
-        # (1, dy <= 0); one LB batch per dx >= 1 and one kernel batch per dx
-        assert len(calls) == 65 + 32 + 33
-        # the threshold slack is ~1e-13 relative, so it must not undo the pruning
-        assert sum(calls) <= 1.001 * rows
-        want = _unpruned_off(f, cap, grid, deltas, powers)
-        for p in powers:
-            assert np.array_equal(table._off[p], want[p])
+        f, cap, table = _c08_table(z)
+        assert not calls  # construction takes only the two axis moduli
+        want = _eager_off(f, cap, table.grid, (0.5, 0.5), table.powers)
+        calls.clear()
+        for deltas in _C08_BOXES:
+            for p in table.powers:
+                assert table.gamma(*deltas, p=p) == _eager_gamma(want[p], table.grid,
+                                                                 deltas, p)
+        # one LB row and one kernel batch per offset reached: 360 and 222 of
+        # the 2112 offsets, and 32_099 and 17_229 rows
+        assert len(calls) % 2 == 0 and len(calls) // 2 < len(table._offsets) // 4
+        assert sum(calls) < eager_rows // 4
+
+
+def test_c08_queries_reach_under_a_quarter_of_the_offsets(monkeypatch):
+    # the C08 mean run as the ``mean2d`` benchmark workload makes it at seed 0;
+    # an eager walk would reach every offset of the table's window
+    from choqbern.experiments import ExperimentConfig, run_experiment
+    bench = random.Random(0)
+    cfg = ExperimentConfig.from_mapping({
+        "experiment": "mean_convergence",
+        "family": {"name": "affine_noise",
+                   "params": {"z": [bench.uniform(-1.0, 1.0) for _ in range(5)]}},
+        "capacity": {"atoms": 5, "repr": {"type": "distorted",
+                                          "distortion": {"kind": "power", "alpha": 0.5}}},
+        "schedule": [[4, 4], [16, 16], [64, 64], [16, 4], [64, 16]],
+        "p": [1, 2], "grid_points": 65, "seed": 0})
+    reached, tables = [], []
+    real_pass, real_table = randomfn._offset_maxima, ChoquetModulusTable
+    monkeypatch.setattr(randomfn, "_offset_maxima",
+                        lambda *args: reached.append(args[-1]) or real_pass(*args))
+    monkeypatch.setattr("choqbern.experiments.ChoquetModulusTable",
+                        lambda *args, **kw: tables.append(real_table(*args, **kw))
+                        or tables[-1])
+    assert run_experiment(cfg).all_passed
+    (table,) = tables
+    assert len(table._offsets) == 2112
+    assert len(set(reached)) == len(reached) < len(table._offsets) / 4
+    # a constant gives every box 0, whatever it skips
+    flat = ChoquetModulusTable(constant_fn(0.5, 5, 2), cfg.capacity, Grid(2, 65),
+                               (0.5, 0.5), (1.0, 2.0))
+    for deltas in _C08_BOXES:
+        for p in (1.0, 2.0):
+            assert flat.gamma(*deltas, p=p) == 0.0
+
+
+def _linear_fn(m, dim, rng):
+    """F(x, atom) = c_atom (x1 + x2), or c_atom x in 1-D: for dy >= 0 the
+    triangle bound omega1(dx) + omega2(dy) is every offset's largest UB."""
+    c = rng.uniform(0.5, 2.0, m)
+    return RandomFunction(m, dim, lambda pts, w, c=c: c[w] * pts.sum(axis=-1),
+                          name="linear")
+
+
+def _sub_box_instances(rng):
+    """A function and capacity per family and per linear function, capacity
+    kind and dimension."""
+    for name in (*FAMILIES, "linear"):
+        for kind in ("distorted", "possibility", "table"):
+            for dim in (1, 2):
+                m = int(rng.integers(1, 6))
+                if name == "linear":
+                    f = _linear_fn(m, dim, rng)
+                elif name.startswith("deterministic"):
+                    f = build_family(name, m, dim)
+                else:
+                    f = build_family(name, m, dim, {"z": list(rng.uniform(-1, 1, m))})
+                yield f, random_capacity(rng, m, kind=kind)
+
+
+@pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
+def test_every_offset_value_is_within_its_skip_bound(rng):
+    # the skip rests on value <= fl(fl(U^p) F) for every offset; on one atom
+    # the linear function meets its bound to rounding at dy >= 0
+    powers = (1.0, 2.0, 2.5)
+    one_atom = [(_linear_fn(1, dim, rng), make_table(1, [0, 1])) for dim in (1, 2)]
+    for f, cap in [*_sub_box_instances(rng), *one_atom]:
+        grid = Grid(f.dim, 33 if f.dim == 1 else 17)
+        table = ChoquetModulusTable(f, cap, grid, (0.5,) * f.dim, powers)
+        for i, (dx, dy) in enumerate(table._offsets):
+            values = randomfn._offset_maxima(table._atoms, table._mu_table, powers,
+                                             table._factor, (dx, dy)[:f.dim])
+            for p, value in zip(powers, values):
+                bound = table._bounds[p][i]
+                assert value <= bound, (f.name, dx, dy, p)
+                if f.name == "linear" and f.atom_count == 1 and dy >= 0 and value:
+                    assert bound <= value * (1 + 1e-14)
+
+
+@pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
+def test_lazy_box_queries_equal_the_eager_table(rng):
+    # random sub-boxes in random order on one table, so each query finds the
+    # per-offset cache that the ones before it left
+    powers = (1.0, 2.0, 2.5)
+    for f, cap in _sub_box_instances(rng):
+        grid = Grid(f.dim, 33 if f.dim == 1 else 17)
+        max_deltas = tuple(rng.uniform(0.3, 0.6, f.dim))
+        table = ChoquetModulusTable(f, cap, grid, max_deltas, powers)
+        want = _eager_off(f, cap, grid, max_deltas, powers)
+        for _ in range(12):
+            deltas = tuple(rng.uniform(0.0, 1.0) * d for d in max_deltas)
+            for p in powers:
+                got = table.gamma(*deltas, p=p)
+                assert got == _eager_gamma(want[p], grid, deltas, p), (f.name, deltas, p)
 
 
 def _bound_test(ub, lbs, powers, factor):
@@ -475,10 +649,10 @@ def test_modulus_scalar_box_is_every_axis():
                          [1.0 / 3] * 3)
     grid = Grid(2, 17)
     powers = (1.0, 2.0)
-    scalar = ChoquetModulusTable(f, cap, grid, 0.3, powers)
-    boxed = ChoquetModulusTable(f, cap, grid, (0.3, 0.3), powers)
+    scalar = _table_off(ChoquetModulusTable(f, cap, grid, 0.3, powers))
+    boxed = _table_off(ChoquetModulusTable(f, cap, grid, (0.3, 0.3), powers))
     for p in powers:
-        assert np.array_equal(scalar._off[p], boxed._off[p])
+        assert np.array_equal(scalar[p], boxed[p])
     assert (choquet_modulus(f, cap, 0.3, 2.0, grid)
             == choquet_modulus(f, cap, (0.3, 0.3), 2.0, grid))
 
