@@ -1,7 +1,6 @@
 import math
 import random
 import warnings
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
                                _box_windows, _keep_thresholds, _offsets,
-                               _powered_integrals, _translate_pair, _window,
-                               build_family, list_families, sample_modulus_profile)
+                               _translate_pair, _window, build_family, list_families,
+                               sample_modulus_profile)
 from conftest import (brute_gamma, brute_sample_modulus, random_capacity,
                       random_monotone_table)
 
@@ -314,53 +313,9 @@ def _unpruned_off(f, cap, grid, max_deltas, powers):
     return off
 
 
-def _eager_off(f, cap, grid, max_deltas, powers):
-    """The per-offset table of an eager walk over every offset, as a reference.
-
-    Offsets go by dx; an offset's LB cell is the top-UB grid position of
-    (dx - 1, dy), clipped into its own cells, or its own top-UB cell where no
-    (dx - 1, dy) was walked; the kept cells of one dx go through the kernel
-    together and ``np.maximum.reduceat`` takes each offset's maximum.
-    """
-    atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
-    mu_table = subset_table(cap)
-    m, dim = f.atom_count, f.dim
-    factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
-    w1, w2 = _box_windows(max_deltas, grid)
-    off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in powers}
-    cells = {p: o.reshape(w1 + 1, -1) for p, o in off.items()}
-    tops = {}  # dy -> grid position of the previous dx's top-UB cell
-    for dx, group in groupby(_offsets(w1, w2), key=lambda o: o[0]):
-        dys = [dy for _, dy in group]
-        thr = {}
-        if tops:
-            pos = np.array([tops[dy] for dy in tops]).T  # (dim, len(tops))
-            pos[0] = np.minimum(pos[0], atoms.shape[1] - 1 - dx)
-            steps = np.array([(dx, dy)[:dim] for dy in tops]).T
-            lb_a = atoms[(slice(None), *(pos + np.maximum(steps, 0)))]
-            lb_b = atoms[(slice(None), *(pos + np.maximum(-steps, 0)))]
-            thr = dict(zip(tops, _keep_thresholds(np.abs(lb_a - lb_b).T, mu_table,
-                                                  powers, factor)))
-        tops, kept = {}, []
-        for dy in dys:
-            a, b = _translate_pair(atoms, (0, dx, dy)[:1 + dim])
-            d = np.abs(a - b).reshape(m, -1)
-            ub = d.max(axis=0)
-            top = ub.argmax()
-            tops[dy] = np.unravel_index(top, a.shape[1:])
-            t = thr[dy] if dy in thr else _keep_thresholds(
-                d[:, top].reshape(1, m), mu_table, powers, factor)[0]
-            kept.append(d.compress(ub >= t, axis=1))
-        starts = np.cumsum([0] + [k.shape[1] for k in kept[:-1]])
-        v, mu = sorted_levels(np.concatenate(kept, axis=1).T, mu_table)
-        for p, vals in zip(powers, _powered_integrals(v, mu, powers)):
-            cells[p][dx, dys[0] + w2:dys[-1] + w2 + 1] = np.maximum.reduceat(vals, starts)
-    return off
-
-
 def _eager_gamma(off, grid, deltas, p):
-    """A box's modulus from an ``_eager_off`` table: the largest entry in the
-    box, (0, 0) included, to the power 1 / p."""
+    """A box's modulus from an ``_unpruned_off`` table: the largest entry in
+    the box, (0, 0) included, to the power 1 / p."""
     d1, d2 = _box_windows(deltas, grid)
     off = off.reshape(len(off), -1)
     w2 = off.shape[1] // 2
@@ -435,60 +390,44 @@ _C08_BOXES = [(1 / math.sqrt(n1), 1 / math.sqrt(n2))
 
 
 def test_pruned_modulus_table_c08_shape(monkeypatch):
-    calls = []
+    calls, reached = [], []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
-    # z as numpy draws it, and as the ``mean2d`` benchmark workload draws it at
-    # seed 3, with the rows that an eager table of every offset sent through
-    # ``sorted_levels``
-    bench = random.Random(3)
-    for z, eager_rows in ((np.random.default_rng(3).uniform(-1, 1, 5), 226_134),
-                          ([bench.uniform(-1.0, 1.0) for _ in range(5)], 167_798)):
+    real_pass = randomfn._offset_maxima
+    monkeypatch.setattr(randomfn, "_offset_maxima",
+                        lambda *args: reached.append(args[-1]) or real_pass(*args))
+    # z as numpy draws it at seed 3, and as the ``mean2d`` benchmark workload
+    # draws it at seeds 3 and 0
+    zs = [np.random.default_rng(3).uniform(-1, 1, 5)]
+    for seed in (3, 0):
+        bench = random.Random(seed)
+        zs.append([bench.uniform(-1.0, 1.0) for _ in range(5)])
+    for z in zs:
         calls.clear()
+        reached.clear()
         f, cap, table = _c08_table(z)
         assert not calls  # construction takes only the two axis moduli
-        want = _eager_off(f, cap, table.grid, (0.5, 0.5), table.powers)
-        calls.clear()
+        want = _unpruned_off(f, cap, table.grid, (0.5, 0.5), table.powers)
         for deltas in _C08_BOXES:
             for p in table.powers:
                 assert table.gamma(*deltas, p=p) == _eager_gamma(want[p], table.grid,
                                                                  deltas, p)
-        # one LB row and one kernel batch per offset reached: 360 and 222 of
-        # the 2112 offsets, and 32_099 and 17_229 rows
-        assert len(calls) % 2 == 0 and len(calls) // 2 < len(table._offsets) // 4
-        assert sum(calls) < eager_rows // 4
-
-
-def test_c08_queries_reach_under_a_quarter_of_the_offsets(monkeypatch):
-    # the C08 mean run as the ``mean2d`` benchmark workload makes it at seed 0;
-    # an eager walk would reach every offset of the table's window
-    from choqbern.experiments import ExperimentConfig, run_experiment
-    bench = random.Random(0)
-    cfg = ExperimentConfig.from_mapping({
-        "experiment": "mean_convergence",
-        "family": {"name": "affine_noise",
-                   "params": {"z": [bench.uniform(-1.0, 1.0) for _ in range(5)]}},
-        "capacity": {"atoms": 5, "repr": {"type": "distorted",
-                                          "distortion": {"kind": "power", "alpha": 0.5}}},
-        "schedule": [[4, 4], [16, 16], [64, 64], [16, 4], [64, 16]],
-        "p": [1, 2], "grid_points": 65, "seed": 0})
-    reached, tables = [], []
-    real_pass, real_table = randomfn._offset_maxima, ChoquetModulusTable
-    monkeypatch.setattr(randomfn, "_offset_maxima",
-                        lambda *args: reached.append(args[-1]) or real_pass(*args))
-    monkeypatch.setattr("choqbern.experiments.ChoquetModulusTable",
-                        lambda *args, **kw: tables.append(real_table(*args, **kw))
-                        or tables[-1])
-    assert run_experiment(cfg).all_passed
-    (table,) = tables
-    assert len(table._offsets) == 2112
-    assert len(set(reached)) == len(reached) < len(table._offsets) / 4
-    # a constant gives every box 0, whatever it skips
-    flat = ChoquetModulusTable(constant_fn(0.5, 5, 2), cfg.capacity, Grid(2, 65),
-                               (0.5, 0.5), (1.0, 2.0))
-    for deltas in _C08_BOXES:
-        for p in (1.0, 2.0):
-            assert flat.gamma(*deltas, p=p) == 0.0
+        # an eager table reaches all 2112 offsets; these queries reach 360,
+        # 222 and 278, each once
+        assert len(set(reached)) == len(reached) < len(table._offsets) // 4
+        # per offset reached, one LB row and the cells that the bound test
+        # against that LB keeps: the threshold's slack keeps no more
+        assert len(calls) == 2 * len(reached)
+        atoms, mu_table = table._atoms, table._mu_table
+        exact = len(reached)
+        for offset in reached:
+            a, b = _translate_pair(atoms, (0, *offset))
+            d = np.abs(a - b).reshape(len(atoms), -1)
+            ub = d.max(axis=0)
+            v, mu = sorted_levels(d[:, [ub.argmax()]].T, mu_table)
+            lbs = [telescoped_sum(v if p == 1.0 else v ** p, mu)[0] for p in table.powers]
+            exact += int(_bound_test(ub, lbs, table.powers, table._factor).sum())
+        assert sum(calls) <= 1.001 * exact
 
 
 def _linear_fn(m, dim, rng):
@@ -543,7 +482,7 @@ def test_lazy_box_queries_equal_the_eager_table(rng):
         grid = Grid(f.dim, 33 if f.dim == 1 else 17)
         max_deltas = tuple(rng.uniform(0.3, 0.6, f.dim))
         table = ChoquetModulusTable(f, cap, grid, max_deltas, powers)
-        want = _eager_off(f, cap, grid, max_deltas, powers)
+        want = _unpruned_off(f, cap, grid, max_deltas, powers)
         for _ in range(12):
             deltas = tuple(rng.uniform(0.0, 1.0) * d for d in max_deltas)
             for p in powers:
