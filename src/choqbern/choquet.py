@@ -170,6 +170,17 @@ def telescoped_sum(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
+def powered_integrals(v: np.ndarray, mu: np.ndarray, powers) -> list[np.ndarray]:
+    """Integrals of the p-th powers of nonnegative rows, one array per p in
+    ``powers``, from one ``sorted_levels`` output ``(v, mu)`` of the rows.
+
+    x and x^p sort alike for x >= 0, and where two powers tie the term
+    between them is an exact zero, so each p's integrals are
+    ``integral_batch`` of the powered rows, bit for bit, from one sort.
+    """
+    return [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
+
+
 def integral_batch(values: np.ndarray, mu_table: np.ndarray) -> np.ndarray:
     """Sorted-sum Choquet integrals over the full space for a batch of rows.
 

@@ -15,8 +15,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .capacity import Capacity, InputError, certified_submodular, check_integer, subset_table
-from .choquet import check_p, sorted_levels, telescoped_sum
+from .capacity import (Capacity, InputError, _monotone, certified_submodular, check_integer,
+                       subset_table)
+from .choquet import check_p, powered_integrals, sorted_levels
 
 PAIR_TOL = 1e-12  # slack when matching grid pair distances against deltas
 
@@ -263,52 +264,57 @@ def _translate_pair(tensor: np.ndarray, offset: tuple[int, ...]
     return tensor[a], tensor[b]
 
 
-def _powered_integrals(v: np.ndarray, mu: np.ndarray, powers) -> list[np.ndarray]:
-    """Integrals of |D|^p per column of ``sorted_levels`` output, one array per p.
+def _lower_bounds(d: np.ndarray, weights: np.ndarray, powers) -> list[float]:
+    """Closed-form LBs of an offset's largest integral of |D|^p, one per p.
 
-    |D| and |D|^p sort identically, so every p shares one sorting pass.
+    ``d`` is the offset's (M, cells) |D|.  With x the largest per-cell
+    minimum over the atoms followed by every atom's largest |D|, LB_p is
+    the max over j of fl(x_j^p) * weights[j]; ``weights`` holds mu(X) and
+    the singleton capacities, scaled down by the slack of "Rounding slack"
+    in ``ChoquetModulusTable``, or zeros where the table is not monotone
+    and nonnegative.
     """
-    return [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
+    x = np.empty(len(d) + 1)
+    x[0] = d.min(axis=0).max()
+    d.max(axis=1, out=x[1:])
+    return (x ** np.array(powers)[:, None] * weights).max(axis=1).tolist()
 
 
-def _keep_thresholds(rows: np.ndarray, mu_table: np.ndarray, powers,
-                     factor: float) -> np.ndarray:
-    """One UB threshold per (K, M) row of |D|: a lower bound of min over p of
-    (LB_p / factor)^(1/p), where LB_p is the row's integral of |D|^p.
+def _keep_threshold(lbs, powers, factor: float) -> float:
+    """A UB threshold from one LB per p: a lower bound of min over p of
+    (LB_p / factor)^(1/p).
 
-    Each p's root is taken of r = LB_p / factor, or of 0 where r is below
-    the normal range or not finite; see "Threshold slack" in
+    Each p's root is taken of r = LB_p / factor, or of 0 where LB_p is below
+    ``_BOUND_FLOOR`` or not finite; see "Threshold slack" in
     ``ChoquetModulusTable``.
     """
-    r = np.array(_powered_integrals(*sorted_levels(rows, mu_table), powers)) / factor
-    r[~((r >= np.finfo(float).tiny) & (r <= np.finfo(float).max))] = 0.0
-    roots = r ** (1.0 / np.array(powers))[:, None] * (1.0 - 360 * np.finfo(float).eps)
-    return roots.min(axis=0)
+    return min((lb / factor if _BOUND_FLOOR <= lb < math.inf else 0.0) ** (1.0 / p)
+               for lb, p in zip(lbs, powers)) * (1.0 - 360 * np.finfo(float).eps)
 
 
 def _offset_maxima(atoms: np.ndarray, mu_table: np.ndarray, powers, factor: float,
-                   offset: tuple[int, ...]) -> tuple[float, ...]:
+                   weights: np.ndarray, offset: tuple[int, ...]) -> tuple[float, ...]:
     """One offset's exact value per p: the maximum over grid positions of the
     integral of |D|^p, for every p in ``powers`` from one sorting pass.
 
     ``atoms`` is the atom-major grid tensor and ``offset`` one step per grid
-    axis.  The LB cell is the offset's own top-UB cell, whose
-    ``_keep_thresholds`` root keeps the cells that can hold a maximum.
+    axis.  The ``_lower_bounds`` of the offset give the ``_keep_threshold``
+    root that keeps the cells that can hold a maximum, so only the kept
+    cells go through the kernel.
     """
     m = len(atoms)
     a, b = _translate_pair(atoms, (0, *offset))
     d = np.abs(a - b).reshape(m, -1)
     ub = d.max(axis=0)
-    top = ub.argmax()
-    thr = _keep_thresholds(d[:, top].reshape(1, m), mu_table, powers, factor)[0]
+    thr = _keep_threshold(_lower_bounds(d, weights, powers), powers, factor)
     v, mu = sorted_levels(d.compress(ub >= thr, axis=1).T, mu_table)
-    return tuple(float(vals.max()) for vals in _powered_integrals(v, mu, powers))
+    return tuple(float(vals.max()) for vals in powered_integrals(v, mu, powers))
 
 
-# the triangle bound's slack sigma and the least bound that may skip; see
-# "Offset skip" in ``ChoquetModulusTable``
+# the triangle bound's slack sigma, and the least bound that may skip an offset
+# or LB that may drop a cell; see "Rounding slack" in ``ChoquetModulusTable``
 _TRIANGLE_SLACK = 1.0 + 4 * np.finfo(float).eps
-_SKIP_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+_BOUND_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 class ChoquetModulusTable:
@@ -318,33 +324,49 @@ class ChoquetModulusTable:
     offsets of its delta box (``_box_windows``, ``_offsets``), of the
     offset's exact value: the maximum over grid positions of the integral
     of |F(t) - F(s)|^p (``_offset_maxima``).  A 1-D table is a 2-D one with
-    no second axis.  Construction takes only the per-axis sample moduli
-    omega1(dx) and omega2(dy): the largest UB, a cell's max over atoms of
-    |D|, of the axis offsets (dx, 0) and (0, dy), with omega(0) = 0.
+    no second axis.  Construction takes only the per-atom axis moduli
+    omega1_w(dx) and omega2_w(dy): the largest |D| of atom w over the cells
+    of the axis offsets (dx, 0) and (0, dy), with omega(0) = 0.
 
     Offset skip.  x + (dx, 0) is on the grid whenever x and x + (dx, dy)
     are, so by the triangle inequality every cell of (dx, dy) has
-    UB <= omega1(dx) + omega2(|dy|).  A query walks its box's offsets in
-    descending order of U = fl(fl(omega1(dx) + omega2(|dy|)) * sigma) and
-    stops at the first whose bound fl(fl(U^p) * F) is below the best exact
-    value found so far: by the pruning below, that offset and every later
-    one have exact values at most that bound.  Every offset reached goes
-    through ``_offset_maxima`` once, for every power, into a per-offset
-    cache that every query shares; that cache is the table's working set.
-    So each box maximum is a maximum of the same exact per-offset values,
-    whichever queries came before, and has the bits of an eager table over
-    every offset.
+    |D_w| <= omega1_w(dx) + omega2_w(|dy|) for every atom w.  On a table
+    that is monotone and nonnegative, entry by entry and with no tolerance,
+    the Choquet integral is monotone in its integrand (Denneberg,
+    Non-Additive Measure and Integral, 1994), so every cell's integral of
+    |D|^p is at most that of b^p, b_w = fl(fl(omega1_w + omega2_w) * sigma).
+    The bound of an offset is fl(C^(b^p) * S), with C^ the kernel
+    (``sorted_levels``/``powered_integrals``, one call over every offset)
+    and S = 1 + (M + 4) eps.  ``make_table`` lets entries lie within
+    ``capacity.TOL`` below 0 or below a subset's entry, and then C is not
+    monotone (on two atoms, (0, 1 + TOL, 0, 1) gives d = (1, 0) the
+    integral 1 + TOL and b = (1, 1) the integral 1), so there the bound is
+    fl(fl(max_w b_w^p) * F), F = max(mu_table) * (1 + (M + 4) eps), from the
+    Abel bound below.  Each power walks its box's offsets in descending
+    order of its own bound and stops at the first one below the best exact
+    value found so far: that offset and every later one have exact values
+    at most their bounds, which are no larger.  Every offset reached goes through
+    ``_offset_maxima`` once, for every power, into a per-offset cache that
+    every query shares; that cache is the table's working set.  So each box
+    maximum is a maximum of the same exact per-offset values, whichever
+    queries came before, and has the bits of an eager table over every
+    offset.
 
-    Exact pruning.  For h >= 0 and any nonnegative monotone table, the
-    Choquet integral of h is at most max(h) * max(mu_table): the telescoped
-    terms (h_k - h_(k-1)) mu_k sum to at most max(h) * mu_0 (Abel summation,
-    mu_k nonincreasing in k).  No submodularity is needed, and mu of the
-    full set may exceed 1.  So per offset, with LB_p the integral of any one
-    cell of the offset, a cell with UB^p * max(mu_table) < LB_p for every p
-    cannot hold a maximum of the offset.  One threshold per offset, a lower
-    bound thr of min over p of (LB_p / max(mu_table))^(1/p) from its own
-    top-UB cell, decides: only the cells with UB >= thr go through
-    ``sorted_levels``/``telescoped_sum``.
+    Exact pruning.  For h >= 0 and any table, the Choquet integral of h is
+    at most max(h) * max(mu_table): the telescoped terms (h_k - h_(k-1)) mu_k
+    have nonnegative differences, so they sum to at most max(h) *
+    max(mu_table) (Abel summation).  No monotonicity is needed, and mu of the
+    full set may exceed 1.  Per offset, with LB_p at most the computed
+    integral of some cell of the offset, a cell with UB^p * max(mu_table)
+    < LB_p for every p, UB its max over atoms of |D|, cannot hold a maximum
+    of the offset.  One threshold per offset, a lower bound thr of min over
+    p of (LB_p / max(mu_table))^(1/p), decides: only the cells with
+    UB >= thr go through the kernel, one call per offset.  On a monotone,
+    nonnegative table the integral C(h) of a cell is at least min(h) mu(X),
+    as {h > t} = X for t < min(h), and at least h_i mu({i}) for every atom
+    i, as i is in {h > t} for t < h_i; so LB_p is the largest over the
+    offset's cells of these closed forms (``_lower_bounds``), and no cell
+    is sorted for it.  Elsewhere LB_p = 0, which keeps every cell.
 
     Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
     one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
@@ -356,31 +378,47 @@ class ChoquetModulusTable:
     So a cell's computed integral stays below its computed bound once the
     factor F exceeds 1 + (M + 7)u + O(M u^2); the factor
     F = max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
-    leaves (M + 1)u for the second-order terms.  LB_p is the computed
-    integral of a cell of the offset, so it is at most the offset's computed
-    maximum: a cell that fails the bound test for every p has a computed
-    integral below every such maximum, and each p's maximum cell passes.
+    leaves (M + 1)u for the second-order terms.
 
-    The offset skip extends this to whole offsets.  A cell's computed |D| is
-    fl(|a - b|) <= (1 + u)|a - b| <= (1 + u)(|a - c| + |c - b|), c the grid
-    point x + (dx, 0), and each axis modulus is at least (1 - u) times its
-    exact difference, so UB <= (1 + u)(omega1 + omega2) / (1 - u);
-    subtraction has no underflow error.  U >= (1 - u)^2 sigma (omega1 +
-    omega2) where U is normal, and sigma = 1 + 4 eps = 1 + 8u exceeds
-    (1 + u) / (1 - u)^3 = 1 + 4u + O(u^2), so U >= UB for every cell of the
-    offset, and of every later offset in the walk, whose U is no larger.
-    The cell argument then holds with U for UB: fl(fl(U^p) * F) loses at
-    most 4u to its power (one ulp) and two products, so no later offset's
-    computed maximum exceeds the bound, and a bound below the best computed
-    value skips only offsets that cannot raise it.  Underflow adds at most
-    2^-1074 to each power and product beyond the relative bounds, at most
-    2M 2^-1074 to an integral; a bound of at least tiny / eps
-    (``_SKIP_FLOOR``) leaves (M + 1)u times it, above (M + 1) 2^-1024, for
-    that, and max(mu_table) is within ``capacity.TOL`` of 1 for every
-    capacity, so fl(U^p) and U are normal there.  A bound below that floor,
-    or an overflowed fl(U^p), never skips.
+    On a monotone, nonnegative table the kernel is also close to the exact
+    integral C(h) of the exact powers h of a cell's computed |D|.  Summed by
+    parts, the telescoped sum over the computed powers P_k is
+    sum_k P_k (mu_k - mu_(k+1)) (mu_M = 0) with weights mu_k - mu_(k+1) >= 0,
+    and C(h) is the same sum over h_k, so the one ulp of each power moves it
+    by at most 2u C(h).  A difference P_k - P_(k-1) that the power's rounding
+    makes negative is at most 4u h_k in size, and h_k mu_k <= C(h), so the terms'
+    absolute values sum to C(h) (1 + O(M u)), and the kernel's result lies
+    within (M + 3)u + O(M^2 u^2) of C(h), relative.  With M <= 20 atoms the
+    second-order terms are below u / 10^12.  Then:
+    - the skip bound: a cell's computed |D| is fl(|a - b|) <= (1 + u)|a - b|
+      <= (1 + u)(|a - c| + |c - b|), c the grid point x + (dx, 0), and each
+      axis modulus is at least (1 - u) times its exact difference, so
+      |D_w| <= (1 + u)(omega1_w + omega2_w) / (1 - u); a difference, or sum
+      of moduli, below the normal range is exact, and fl(s * sigma) >= s.
+      sigma = 1 + 4 eps = 1 + 8u exceeds (1 + u) / (1 - u)^3 = 1 + 4u +
+      O(u^2), so b_w >= |D_w|, and C(|D|^p) <= C(b^p) by monotonicity.  So
+      a cell's computed integral is at most (1 + (M + 3)u) C(b^p), and C^(b^p)
+      is at least (1 - (M + 3)u) C(b^p): their ratio is 1 + (2M + 6)u +
+      O(M^2 u^2), and fl(C^(b^p) * S) >= (1 - u)(1 + (2M + 8)u) C^(b^p)
+      leaves u for the second-order terms.  Where the table is not monotone,
+      the Abel bound holds as above with U = max_w b_w >= UB in place of UB:
+      fl(fl(U^p) * F) loses at most 4u to its power (one ulp) and two
+      products.
+    - the closed-form LBs: ``_lower_bounds`` forms fl(fl(x^p) * w), with
+      w = fl(mu * (1 - (M + 4) eps)) and x the computed |D| that a cell's
+      bound min(h) mu(X) or h_i mu({i}) reads.  Its power and two products
+      put it within (1 + 4u)(1 - (2M + 8)u) of that bound, and the cell's
+      computed integral is at least (1 - (M + 3)u) times the bound, which
+      leaves (M + 1)u for the second-order terms: LB_p is below the
+      computed integral of the cell it comes from.
+    Underflow adds at most 2^-1074 to each power and product beyond the
+    relative bounds, at most 4M 2^-1074 to a comparison; a bound or LB of at
+    least tiny / eps (``_BOUND_FLOOR``) leaves u times it, above 2^-1024,
+    which covers that, so a bound below that floor, or one not finite
+    (an overflowed power), never skips, and such an LB is taken as 0.
+    max(mu_table) is within ``capacity.TOL`` of 1 for every capacity.
 
-    Threshold slack.  ``_keep_thresholds`` takes thr = min over p of
+    Threshold slack.  ``_keep_threshold`` takes thr = min over p of
     thr_p = fl(fl(r^q) * s), with r = fl(LB_p / F), q = fl(1/p) and
     s = 1 - 360 eps = 1 - 720u (exact), and every cell that passes the bound
     test for some p has UB >= thr_p.  Such a cell has LB_p <= fl(fl(UB^p) F)
@@ -394,12 +432,10 @@ class ChoquetModulusTable:
     (also where it dips below the normal range: fl(r^q) >= min(r, 1) is
     normal, so the subnormal spacing there is 2u * tiny <= 2u fl(r^q)).
     That is 717u + O(u^2) in all; s leaves 3u for the second-order terms.
-    Where r is below the normal range (subnormal, 0, or negative through a
-    table entry in [-``capacity.TOL``, 0)) or not finite, its relative error
-    is unbounded, and the root is taken of 0: thr_p = 0 keeps every cell of
-    the offset, a superset of any kept set.  LB_p = 0, as for a constant
-    function, so keeps every cell, and no offset reaches its maximum with
-    no kept cell.
+    An LB_p below ``_BOUND_FLOOR`` (so r is normal wherever it is not) or
+    not finite is taken as 0: thr_p = 0 keeps every cell of the offset, a
+    superset of any kept set.  LB_p = 0, as for a constant function, so
+    keeps every cell, and no offset reaches its maximum with no kept cell.
 
     Each cell's integral does not depend on the other kept cells
     (``telescoped_sum`` is elementwise per column), so keeping more cells
@@ -415,46 +451,58 @@ class ChoquetModulusTable:
             warnings.warn("capacity is not certified submodular; the modulus "
                           "triangle/scaling properties may fail", stacklevel=2)
         self.grid = grid
+        m = f.atom_count
         # atom-major, so an offset's |D| is (M, cells) and UB a leading-axis max
         self._atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
-        self._mu_table = subset_table(cap)
-        self._factor = float(self._mu_table.max()) * (
-            1.0 + (f.atom_count + 4) * np.finfo(float).eps)
+        self._mu_table = mu = subset_table(cap)
 
-        def largest_ub(offset):
+        def atom_moduli(offset):
             a, b = _translate_pair(self._atoms, (0, *offset[:f.dim]))
-            return np.abs(a - b).max()
-        omega1 = np.array([0.0] + [largest_ub((dx, 0)) for dx in range(1, w1 + 1)])
-        omega2 = np.array([0.0] + [largest_ub((0, dy)) for dy in range(1, w2 + 1)])
-        offsets = np.array(_offsets(w1, w2), dtype=np.int64).reshape(-1, 2)
-        bound = (omega1[offsets[:, 0]] + omega2[np.abs(offsets[:, 1])]) * _TRIANGLE_SLACK
-        order = np.argsort(-bound, kind="stable")
-        self._offsets, bound = offsets[order], bound[order]
-        # per p, fl(fl(U^p) * F), infinite where it may not skip
-        with np.errstate(over="ignore"):
-            self._bounds = {p: (bound if p == 1.0 else bound ** p) * self._factor
-                            for p in self.powers}
-        for b in self._bounds.values():
-            b[~(b >= _SKIP_FLOOR)] = np.inf
-        self._maxima: dict[int, tuple[float, ...]] = {}  # walk index -> value per p
+            return np.abs(a - b).reshape(m, -1).max(axis=1)
+        omega1 = np.array([np.zeros(m)] + [atom_moduli((dx, 0)) for dx in range(1, w1 + 1)])
+        omega2 = np.array([np.zeros(m)] + [atom_moduli((0, dy)) for dy in range(1, w2 + 1)])
+        self._offsets = offsets = np.array(_offsets(w1, w2), dtype=np.int64).reshape(-1, 2)
+        b = (omega1[offsets[:, 0]] + omega2[np.abs(offsets[:, 1])]) * _TRIANGLE_SLACK
+        levels = sorted_levels(b, mu)  # also refuses a table of another atom count
+        slack = (m + 4) * np.finfo(float).eps
+        self._factor = float(mu.max()) * (1.0 + slack)
+        monotone = bool(mu.min() >= 0) and _monotone(mu.reshape((2,) * m), 0.0)
+        # mu(X) and the singletons, in the order ``_lower_bounds`` reads them
+        self._weights = (np.append(mu[-1], mu[np.int64(1) << np.arange(m)]) * (1.0 - slack)
+                         if monotone else np.zeros(m + 1))
+        # per p, one bound per offset; infinite where it may not skip
+        with np.errstate(over="ignore", invalid="ignore"):
+            if monotone:
+                bounds = [c * (1.0 + slack) for c in powered_integrals(*levels, self.powers)]
+            else:
+                top = b.max(axis=1)
+                bounds = [(top if p == 1.0 else top ** p) * self._factor
+                          for p in self.powers]
+        self._bounds, self._walks = {}, {}
+        for p, bound in zip(self.powers, bounds):
+            bound[~(bound >= _BOUND_FLOOR)] = np.inf
+            order = np.argsort(-bound, kind="stable")
+            self._bounds[p] = bound
+            self._walks[p] = order, bound[order], offsets[order]
+        self._maxima: dict[int, tuple[float, ...]] = {}  # offset index -> value per p
 
     def gamma(self, *deltas: float, p: float) -> float:
         """Choquet L^p modulus for a delta box: one delta, or one per axis."""
-        if p not in self._bounds:
+        if p not in self._walks:
             raise InputError(f"p={p} is not one of the table's powers {self.powers}")
         d1, d2 = _box_windows(deltas, self.grid)
         if d1 > self._windows[0] or d2 > self._windows[1]:
             raise InputError("delta exceeds the table's window")
-        at, bounds = self.powers.index(p), self._bounds[p]
-        inside = (self._offsets[:, 0] <= d1) & (np.abs(self._offsets[:, 1]) <= d2)
+        at, (order, bounds, offsets) = self.powers.index(p), self._walks[p]
+        inside = (offsets[:, 0] <= d1) & (np.abs(offsets[:, 1]) <= d2)
         best = np.float64(0.0)
-        for i in np.flatnonzero(inside):
-            if bounds[i] < best:
+        for i, bound in zip(order[inside], bounds[inside]):
+            if bound < best:
                 break
             if i not in self._maxima:
                 self._maxima[i] = _offset_maxima(
                     self._atoms, self._mu_table, self.powers, self._factor,
-                    tuple(self._offsets[i, :self.grid.dim]))
+                    self._weights, tuple(self._offsets[i, :self.grid.dim]))
             best = np.maximum(best, self._maxima[i][at])
         return float(best) ** (1.0 / p)
 

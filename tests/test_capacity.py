@@ -470,6 +470,19 @@ def test_local_check_of_a_table_with_a_negative_entry():
             (True, False, True), mode
 
 
+def test_auto_subadditive_pass_is_the_exhaustive_verdict():
+    # two tables that are not submodular, over the four chunks of pairs of 12
+    # atoms: (|A|/M)^2 is not subadditive from the first chunk on, and
+    # ceil(|A|/2) / 6 is subadditive over every chunk
+    m = 12
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << m)])
+    for tbl, subadditive in (((sizes / m) ** 2, False), (np.ceil(sizes / 2) / 6, True)):
+        cap = make_table(m, tbl)
+        auto, exhaustive = check_properties(cap), check_properties(cap, mode="exhaustive")
+        assert not auto.submodular
+        assert auto.subadditive == exhaustive.subadditive == subadditive
+
+
 @pytest.mark.parametrize("m", [13, 16, 20])
 def test_local_check_certifies_wide_tables(m):
     # beyond the atoms an O(4**M) pairwise check can take

@@ -19,7 +19,9 @@ from choqbern import (ConfigError, ExperimentConfig, InputError, make_distorted,
                       make_distortion, make_possibility, make_table, run_experiment,
                       semi_metric)
 from choqbern import experiments
+from choqbern.bernstein import multivariate_grid
 from choqbern.capacity import subset_table
+from choqbern.choquet import integral_batch, powered_integrals, sorted_levels
 from choqbern.cli import run_cli
 from choqbern.experiments import (EXPERIMENT_IDS, ROW_TOLERANCE, _SCHEMA, _reads,
                                   _cp_sup, _cp_sup_direct, _sample_errors,
@@ -469,6 +471,25 @@ def test_mean_convergence_constant_family():
     res = run_mean_convergence(cfg)
     assert all(r.measured == 0.0 for r in res.rows)
     assert res.all_passed
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_mean_run_integrals_share_one_sort_across_p(family):
+    # x and x^p sort alike for x >= 0 and ties add exact zeros, so one sort of
+    # a mean run's error rows gives each p the integrals of its powered rows
+    powers = (1.0, 1.5, 2.0, 2.5, 3.0)
+    grid = Grid(2, 17)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        params = {} if family.startswith("deterministic") else {
+            "z": list(rng.uniform(-1, 1, 5))}
+        f = build_family(family, 5, 2, params)
+        mu = subset_table(random_capacity(rng, 5))
+        for n_vec in ((4, 4), (16, 16), (64, 64), (16, 4), (64, 16)):
+            err = np.abs(f.grid_tensor(grid) - multivariate_grid(f, n_vec, grid))
+            err = err.reshape(-1, 5)
+            for p, got in zip(powers, powered_integrals(*sorted_levels(err, mu), powers)):
+                assert np.array_equal(got, integral_batch(err ** p, mu)), (seed, n_vec, p)
 
 
 @pytest.mark.parametrize("g", [2, 17, 65])

@@ -12,7 +12,7 @@ from choqbern import (InputError, check_properties, choquet_modulus,
 from choqbern.capacity import TOL
 from choqbern.choquet import sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
-                               _box_windows, _keep_thresholds, _offsets,
+                               _box_windows, _keep_threshold, _lower_bounds, _offsets,
                                _translate_pair, _window, build_family, list_families,
                                sample_modulus_profile)
 from conftest import (brute_gamma, brute_sample_modulus, random_capacity,
@@ -275,7 +275,7 @@ def _table_off(table):
     off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in table.powers}
     for dx, dy in table._offsets:
         values = randomfn._offset_maxima(table._atoms, table._mu_table, table.powers,
-                                         table._factor, (dx, dy)[:dim])
+                                         table._factor, table._weights, (dx, dy)[:dim])
         for p, value in zip(table.powers, values):
             off[p][(dx, dy + w2)[:dim]] = value
     return off
@@ -406,27 +406,28 @@ def test_pruned_modulus_table_c08_shape(monkeypatch):
         calls.clear()
         reached.clear()
         f, cap, table = _c08_table(z)
-        assert not calls  # construction takes only the two axis moduli
+        # construction sorts the per-atom triangle bounds of every offset once
+        assert calls == [len(table._offsets)]
+        calls.clear()
         want = _unpruned_off(f, cap, table.grid, (0.5, 0.5), table.powers)
         for deltas in _C08_BOXES:
             for p in table.powers:
                 assert table.gamma(*deltas, p=p) == _eager_gamma(want[p], table.grid,
                                                                  deltas, p)
-        # an eager table reaches all 2112 offsets; these queries reach 360,
-        # 222 and 278, each once
-        assert len(set(reached)) == len(reached) < len(table._offsets) // 4
-        # per offset reached, one LB row and the cells that the bound test
-        # against that LB keeps: the threshold's slack keeps no more
-        assert len(calls) == 2 * len(reached)
-        atoms, mu_table = table._atoms, table._mu_table
-        exact = len(reached)
+        # an eager table reaches all 2112 offsets; these queries reach 186, each
+        # once (222 to 384 with the bound max(U)^p max(mu_table) of one U per offset)
+        assert len(set(reached)) == len(reached) == 186
+        # per offset reached, one kernel call on the cells that the bound test
+        # against the offset's closed-form LBs keeps: the threshold's slack
+        # keeps no more
+        assert len(calls) == len(reached)
+        atoms, exact = table._atoms, 0
         for offset in reached:
             a, b = _translate_pair(atoms, (0, *offset))
             d = np.abs(a - b).reshape(len(atoms), -1)
-            ub = d.max(axis=0)
-            v, mu = sorted_levels(d[:, [ub.argmax()]].T, mu_table)
-            lbs = [telescoped_sum(v if p == 1.0 else v ** p, mu)[0] for p in table.powers]
-            exact += int(_bound_test(ub, lbs, table.powers, table._factor).sum())
+            lbs = randomfn._lower_bounds(d, table._weights, table.powers)
+            exact += int(_bound_test(d.max(axis=0), lbs, table.powers,
+                                     table._factor).sum())
         assert sum(calls) <= 1.001 * exact
 
 
@@ -454,18 +455,41 @@ def _sub_box_instances(rng):
                 yield f, random_capacity(rng, m, kind=kind)
 
 
+def _tolerance_instances():
+    """Tables that ``make_table`` accepts within ``capacity.TOL`` of monotone
+    and nonnegative, on which the Choquet integral is not monotone, each with
+    a function that a per-atom bound or a closed-form LB would misjudge.
+
+    - mu({0}) = 1 + TOL, above mu(X) = 1, and mu({1}) = 0: atom 0 is linear
+      and atom 1 jumps by 2, so a cell d = (D, 0) off the jump has the
+      integral D (1 + TOL), above the integral D of the per-atom bound.
+    - mu({0}) = -TOL / 2: the one-step offset's cell (1, 1) has the offset's
+      maximum 1, and its cell (101 + 2^-40, 1 + 2^-40) the integral
+      1 + 2^-40 - 50 TOL, below its min(h) mu(X) and thr.
+    """
+    for dim in (1, 2):
+        jump = RandomFunction(2, dim, lambda pts, w: np.where(
+            w == 0, pts.sum(axis=-1), 2.0 * (pts[..., 0] >= 0.9)), name="jump")
+        yield jump, make_table(2, [0.0, 1.0 + TOL, 0.0, 1.0])
+    top = [102.0 + 2.0 ** -40, 2.0 + 2.0 ** -40]
+    steps = np.array([[0.0, 1.0] + [v] * 31 for v in top])  # on the 33-point grid
+    lookup = RandomFunction(
+        2, 1, lambda pts, w: steps[w, np.rint(pts[..., 0] * 32).astype(int)], name="lookup")
+    yield lookup, make_table(2, [0.0, -TOL / 2, 0.5, 1.0])
+
+
 @pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
 def test_every_offset_value_is_within_its_skip_bound(rng):
-    # the skip rests on value <= fl(fl(U^p) F) for every offset; on one atom
-    # the linear function meets its bound to rounding at dy >= 0
+    # the skip rests on value <= bound for every offset; on one atom the
+    # linear function meets its bound to rounding at dy >= 0
     powers = (1.0, 2.0, 2.5)
     one_atom = [(_linear_fn(1, dim, rng), make_table(1, [0, 1])) for dim in (1, 2)]
-    for f, cap in [*_sub_box_instances(rng), *one_atom]:
+    for f, cap in [*_sub_box_instances(rng), *one_atom, *_tolerance_instances()]:
         grid = Grid(f.dim, 33 if f.dim == 1 else 17)
         table = ChoquetModulusTable(f, cap, grid, (0.5,) * f.dim, powers)
         for i, (dx, dy) in enumerate(table._offsets):
             values = randomfn._offset_maxima(table._atoms, table._mu_table, powers,
-                                             table._factor, (dx, dy)[:f.dim])
+                                             table._factor, table._weights, (dx, dy)[:f.dim])
             for p, value in zip(powers, values):
                 bound = table._bounds[p][i]
                 assert value <= bound, (f.name, dx, dy, p)
@@ -476,15 +500,15 @@ def test_every_offset_value_is_within_its_skip_bound(rng):
 @pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
 def test_lazy_box_queries_equal_the_eager_table(rng):
     # random sub-boxes in random order on one table, so each query finds the
-    # per-offset cache that the ones before it left
+    # per-offset cache that the ones before it left, then the one-step box
     powers = (1.0, 2.0, 2.5)
-    for f, cap in _sub_box_instances(rng):
+    for f, cap in [*_sub_box_instances(rng), *_tolerance_instances()]:
         grid = Grid(f.dim, 33 if f.dim == 1 else 17)
         max_deltas = tuple(rng.uniform(0.3, 0.6, f.dim))
         table = ChoquetModulusTable(f, cap, grid, max_deltas, powers)
         want = _unpruned_off(f, cap, grid, max_deltas, powers)
-        for _ in range(12):
-            deltas = tuple(rng.uniform(0.0, 1.0) * d for d in max_deltas)
+        boxes = [tuple(rng.uniform(0.0, 1.0) * d for d in max_deltas) for _ in range(12)]
+        for deltas in [*boxes, (grid.spacing,) * f.dim]:
             for p in powers:
                 got = table.gamma(*deltas, p=p)
                 assert got == _eager_gamma(want[p], grid, deltas, p), (f.name, deltas, p)
@@ -497,24 +521,29 @@ def _bound_test(ub, lbs, powers, factor):
                    for p, lb in zip(powers, lbs)], axis=0)
 
 
+_ALL_POWERS = (1.0, 1.5, 2.0, 3.0, 16.0)
+# tiny, unit and large |D|; at 1e-194, |D|^1.5 is just above ``_BOUND_FLOOR``
+# (2^-970, about 1e-292), and at 1e+19, UB^16 overflows near 2e19
+_SCALES = (1e-200, 1e-194, 1e-100, 1.0, 1e+10, 1e+19)
+
+
 @pytest.mark.parametrize("m", [1, 4, 9])
 def test_keep_threshold_keeps_every_cell_the_bound_test_keeps(rng, m):
     # cells just below the threshold probe its slack: with none, some of them
-    # pass the bound test; fl(1/p) moves the root by up to 710 u / p, ~115 eps
-    # at p = 1.5 and LB_p near 1e-300, so a slack of 16 or 100 eps fails too
-    all_powers = (1.0, 1.5, 2.0, 3.0, 16.0)
+    # pass the bound test; fl(1/p) moves the root by up to 710 u / p, ~112 eps
+    # at p = 1.5 and LB_p near 1e-291, so a slack of 16 or 100 eps fails too
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
             mu_table = subset_table(make_table(m, random_monotone_table(rng, m)))
             factor = float(mu_table.max()) * (1.0 + (m + 4) * np.finfo(float).eps)
-            # tiny, unit and large |D|; at 1e+19, UB^16 overflows near 2e19
-            for scale in (1e-200, 1e-100, 1.0, 1e+10, 1e+19):
+            for scale in _SCALES:
                 rows = rng.random((64, m)) * scale  # one LB cell per offset
                 rows[0] = 0.0  # a cell of a constant: LB_p = 0, so thr = 0
-                for powers in [(p,) for p in all_powers] + [all_powers]:
-                    thr = _keep_thresholds(rows, mu_table, powers, factor)
+                for powers in [(p,) for p in _ALL_POWERS] + [_ALL_POWERS]:
                     v, mu = sorted_levels(rows, mu_table)
                     lbs = [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers]
+                    thr = np.array([_keep_threshold(col, powers, factor)
+                                    for col in np.transpose(lbs).tolist()])
                     below = [thr]
                     for _ in range(8):
                         below.append(np.nextafter(below[-1], 0.0))
@@ -524,6 +553,34 @@ def test_keep_threshold_keeps_every_cell_the_bound_test_keeps(rng, m):
                     assert kept[0].all()  # each LB cell passes its own test
                     assert np.all(ubs[kept] >= np.broadcast_to(thr, ubs.shape)[kept])
                     assert thr[0] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_closed_form_lower_bounds_are_below_each_cells_integral(rng, m):
+    # each LB that the threshold reads (at least the floor, finite) of a
+    # one-cell offset is at most the cell's computed integral; a cell that is
+    # constant over the atoms meets min(h) mu(X), and one with a single
+    # nonzero atom meets h_i mu({i}), to the last bit, so only the slack of
+    # the weights keeps the LB below them
+    grid = Grid(1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            cap = make_table(m, random_monotone_table(rng, m))
+            weights = ChoquetModulusTable(constant_fn(0.0, m), cap, grid, 0.5, (1.0,))._weights
+            for scale in _SCALES:
+                rows = rng.random((64, m)) * scale
+                rows[0] = rows[0, 0]
+                rows[1] = 0.0
+                rows[1, int(rng.integers(m))] = scale
+                v, mu = sorted_levels(rows, subset_table(cap))
+                for powers in [(p,) for p in _ALL_POWERS] + [_ALL_POWERS]:
+                    integrals = np.transpose(
+                        [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers])
+                    for row, integral in zip(rows, integrals):
+                        lbs = np.array(_lower_bounds(row[:, None], weights, powers))
+                        used = (lbs >= randomfn._BOUND_FLOOR) & (lbs < np.inf)
+                        assert np.all(lbs[used] <= integral[used])
 
 
 def test_modulus_table_multi_power_and_query_errors(cap1):
