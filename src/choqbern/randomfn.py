@@ -264,20 +264,25 @@ def _translate_pair(tensor: np.ndarray, offset: tuple[int, ...]
     return tensor[a], tensor[b]
 
 
-def _lower_bounds(d: np.ndarray, weights: np.ndarray, powers) -> list[float]:
+def _lower_bounds(d: np.ndarray, ub: np.ndarray, forms, powers) -> list[float]:
     """Closed-form LBs of an offset's largest integral of |D|^p, one per p.
 
-    ``d`` is the offset's (M, cells) |D|.  With x the largest per-cell
-    minimum over the atoms followed by every atom's largest |D|, LB_p is
-    the max over j of fl(x_j^p) * weights[j]; ``weights`` holds mu(X) and
-    the singleton capacities, scaled down by the slack of "Rounding slack"
-    in ``ChoquetModulusTable``, or zeros where the table is not monotone
-    and nonnegative.
+    ``d`` is the offset's (M, cells) |D| and ``ub`` its max over the atoms.
+    ``forms`` is (chain, chain_weights, weights) from ``ChoquetModulusTable``:
+    LB_p is the largest of fl(x_j^p) * weights[j], with x the largest
+    per-cell minimum over the atoms followed by every atom's largest |D|,
+    and of the chain bound at the first top-UB cell: the dot product of
+    chain_weights with the p-th powers of its running minima over the atoms
+    in chain order.  The weights carry the slack of "Rounding slack"; they
+    are zeros where the table is not monotone and nonnegative.
     """
+    chain, chain_weights, weights = forms
     x = np.empty(len(d) + 1)
     x[0] = d.min(axis=0).max()
     d.max(axis=1, out=x[1:])
-    return (x ** np.array(powers)[:, None] * weights).max(axis=1).tolist()
+    minima = np.minimum.accumulate(d[chain, ub.argmax()])
+    p = np.array(powers)[:, None]
+    return np.maximum((x ** p * weights).max(axis=1), minima ** p @ chain_weights).tolist()
 
 
 def _keep_threshold(lbs, powers, factor: float) -> float:
@@ -293,7 +298,7 @@ def _keep_threshold(lbs, powers, factor: float) -> float:
 
 
 def _offset_maxima(atoms: np.ndarray, mu_table: np.ndarray, powers, factor: float,
-                   weights: np.ndarray, offset: tuple[int, ...]) -> tuple[float, ...]:
+                   forms, offset: tuple[int, ...]) -> tuple[float, ...]:
     """One offset's exact value per p: the maximum over grid positions of the
     integral of |D|^p, for every p in ``powers`` from one sorting pass.
 
@@ -306,7 +311,7 @@ def _offset_maxima(atoms: np.ndarray, mu_table: np.ndarray, powers, factor: floa
     a, b = _translate_pair(atoms, (0, *offset))
     d = np.abs(a - b).reshape(m, -1)
     ub = d.max(axis=0)
-    thr = _keep_threshold(_lower_bounds(d, weights, powers), powers, factor)
+    thr = _keep_threshold(_lower_bounds(d, ub, forms, powers), powers, factor)
     v, mu = sorted_levels(d.compress(ub >= thr, axis=1).T, mu_table)
     return tuple(float(vals.max()) for vals in powered_integrals(v, mu, powers))
 
@@ -364,9 +369,14 @@ class ChoquetModulusTable:
     UB >= thr go through the kernel, one call per offset.  On a monotone,
     nonnegative table the integral C(h) of a cell is at least min(h) mu(X),
     as {h > t} = X for t < min(h), and at least h_i mu({i}) for every atom
-    i, as i is in {h > t} for t < h_i; so LB_p is the largest over the
-    offset's cells of these closed forms (``_lower_bounds``), and no cell
-    is sorted for it.  Elsewhere LB_p = 0, which keeps every cell.
+    i, as i is in {h > t} for t < h_i.  Both are terms of a chain bound:
+    with the atoms in one fixed order (the chain, by their largest axis
+    moduli) and T_r the first r of them, {h > t} holds T_r for t below
+    m_r = min(h over T_r), so C(h) >= sum_r m_r (mu(T_r) - mu(T_(r-1))),
+    which is C(h) itself where h falls along the chain.  LB_p is the
+    largest over the offset's cells of the first two, and the chain bound
+    of its first top-UB cell (``_lower_bounds``); no cell is sorted for it.
+    Elsewhere LB_p = 0, which keeps every cell.
 
     Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
     one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
@@ -405,11 +415,14 @@ class ChoquetModulusTable:
       fl(fl(U^p) * F) loses at most 4u to its power (one ulp) and two
       products.
     - the closed-form LBs: ``_lower_bounds`` forms fl(fl(x^p) * w), with
-      w = fl(mu * (1 - (M + 4) eps)) and x the computed |D| that a cell's
-      bound min(h) mu(X) or h_i mu({i}) reads.  Its power and two products
-      put it within (1 + 4u)(1 - (2M + 8)u) of that bound, and the cell's
-      computed integral is at least (1 - (M + 3)u) times the bound, which
-      leaves (M + 1)u for the second-order terms: LB_p is below the
+      w = fl(mu * s) and s = 1 - 2(M + 4) eps = 1 - (4M + 16)u, and x the
+      computed |D| that a cell's bound min(h) mu(X) or h_i mu({i}) reads.
+      Its power and two products put it below (1 + 4u) s times that bound.
+      The chain bound's weights are fl(fl(mu(T_r) - mu(T_(r-1))) * s) >= 0,
+      so its powers, weights and sum of M products put it below
+      (1 + (M + 4)u) s times the exact chain bound of the cell.  The cell's
+      computed integral is at least (1 - (M + 3)u) times each bound, which
+      leaves (2M + 9)u for the second-order terms: LB_p is below the
       computed integral of the cell it comes from.
     Underflow adds at most 2^-1074 to each power and product beyond the
     relative bounds, at most 4M 2^-1074 to a comparison; a bound or LB of at
@@ -467,9 +480,14 @@ class ChoquetModulusTable:
         slack = (m + 4) * np.finfo(float).eps
         self._factor = float(mu.max()) * (1.0 + slack)
         monotone = bool(mu.min() >= 0) and _monotone(mu.reshape((2,) * m), 0.0)
-        # mu(X) and the singletons, in the order ``_lower_bounds`` reads them
-        self._weights = (np.append(mu[-1], mu[np.int64(1) << np.arange(m)]) * (1.0 - slack)
-                         if monotone else np.zeros(m + 1))
+        # ``_lower_bounds``' chain: the atoms by their largest axis moduli, the
+        # largest first, and the capacity each adds to the ones before it;
+        # then mu(X) and the singletons
+        chain = np.argsort(-(omega1.max(axis=0) + omega2.max(axis=0)), kind="stable")
+        weights = np.append(np.diff(mu[np.cumsum(np.int64(1) << chain)], prepend=0.0),
+                            (mu[-1], *mu[np.int64(1) << np.arange(m)]))
+        weights *= (1.0 - 2 * slack) if monotone else 0.0
+        self._forms = chain, weights[:m], weights[m:]
         # per p, one bound per offset; infinite where it may not skip
         with np.errstate(over="ignore", invalid="ignore"):
             if monotone:
@@ -502,7 +520,7 @@ class ChoquetModulusTable:
             if i not in self._maxima:
                 self._maxima[i] = _offset_maxima(
                     self._atoms, self._mu_table, self.powers, self._factor,
-                    self._weights, tuple(self._offsets[i, :self.grid.dim]))
+                    self._forms, tuple(self._offsets[i, :self.grid.dim]))
             best = np.maximum(best, self._maxima[i][at])
         return float(best) ** (1.0 / p)
 

@@ -275,7 +275,7 @@ def _table_off(table):
     off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in table.powers}
     for dx, dy in table._offsets:
         values = randomfn._offset_maxima(table._atoms, table._mu_table, table.powers,
-                                         table._factor, table._weights, (dx, dy)[:dim])
+                                         table._factor, table._forms, (dx, dy)[:dim])
         for p, value in zip(table.powers, values):
             off[p][(dx, dy + w2)[:dim]] = value
     return off
@@ -425,9 +425,9 @@ def test_pruned_modulus_table_c08_shape(monkeypatch):
         for offset in reached:
             a, b = _translate_pair(atoms, (0, *offset))
             d = np.abs(a - b).reshape(len(atoms), -1)
-            lbs = randomfn._lower_bounds(d, table._weights, table.powers)
-            exact += int(_bound_test(d.max(axis=0), lbs, table.powers,
-                                     table._factor).sum())
+            ub = d.max(axis=0)
+            lbs = randomfn._lower_bounds(d, ub, table._forms, table.powers)
+            exact += int(_bound_test(ub, lbs, table.powers, table._factor).sum())
         assert sum(calls) <= 1.001 * exact
 
 
@@ -489,7 +489,7 @@ def test_every_offset_value_is_within_its_skip_bound(rng):
         table = ChoquetModulusTable(f, cap, grid, (0.5,) * f.dim, powers)
         for i, (dx, dy) in enumerate(table._offsets):
             values = randomfn._offset_maxima(table._atoms, table._mu_table, powers,
-                                             table._factor, table._weights, (dx, dy)[:f.dim])
+                                             table._factor, table._forms, (dx, dy)[:f.dim])
             for p, value in zip(powers, values):
                 bound = table._bounds[p][i]
                 assert value <= bound, (f.name, dx, dy, p)
@@ -560,25 +560,28 @@ def test_keep_threshold_keeps_every_cell_the_bound_test_keeps(rng, m):
 def test_closed_form_lower_bounds_are_below_each_cells_integral(rng, m):
     # each LB that the threshold reads (at least the floor, finite) of a
     # one-cell offset is at most the cell's computed integral; a cell that is
-    # constant over the atoms meets min(h) mu(X), and one with a single
-    # nonzero atom meets h_i mu({i}), to the last bit, so only the slack of
-    # the weights keeps the LB below them
+    # constant over the atoms meets min(h) mu(X), one with a single nonzero
+    # atom meets h_i mu({i}), and one that falls along the chain meets the
+    # chain bound, to rounding, so only the slack of the weights keeps the
+    # LBs below them
     grid = Grid(1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
             cap = make_table(m, random_monotone_table(rng, m))
-            weights = ChoquetModulusTable(constant_fn(0.0, m), cap, grid, 0.5, (1.0,))._weights
+            forms = ChoquetModulusTable(constant_fn(0.0, m), cap, grid, 0.5, (1.0,))._forms
             for scale in _SCALES:
                 rows = rng.random((64, m)) * scale
                 rows[0] = rows[0, 0]
                 rows[1] = 0.0
                 rows[1, int(rng.integers(m))] = scale
+                rows[2, forms[0]] = np.sort(rows[2])[::-1]
                 v, mu = sorted_levels(rows, subset_table(cap))
                 for powers in [(p,) for p in _ALL_POWERS] + [_ALL_POWERS]:
                     integrals = np.transpose(
                         [telescoped_sum(v if p == 1.0 else v ** p, mu) for p in powers])
                     for row, integral in zip(rows, integrals):
-                        lbs = np.array(_lower_bounds(row[:, None], weights, powers))
+                        cell = row[:, None]
+                        lbs = np.array(_lower_bounds(cell, cell.max(axis=0), forms, powers))
                         used = (lbs >= randomfn._BOUND_FLOOR) & (lbs < np.inf)
                         assert np.all(lbs[used] <= integral[used])
 
