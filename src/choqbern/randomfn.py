@@ -388,7 +388,11 @@ class ChoquetModulusTable:
     So a cell's computed integral stays below its computed bound once the
     factor F exceeds 1 + (M + 7)u + O(M u^2); the factor
     F = max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
-    leaves (M + 1)u for the second-order terms.
+    leaves (M + 1)u for the second-order terms.  LB_p is at most the
+    computed integral of a cell of the offset (below), so at most the
+    offset's computed maximum: a cell that fails the bound test for every p
+    has a computed integral below every such maximum, and each p's maximum
+    cell passes.
 
     On a monotone, nonnegative table the kernel is also close to the exact
     integral C(h) of the exact powers h of a cell's computed |D|.  Summed by

@@ -415,7 +415,7 @@ def test_pruned_modulus_table_c08_shape(monkeypatch):
                 assert table.gamma(*deltas, p=p) == _eager_gamma(want[p], table.grid,
                                                                  deltas, p)
         # an eager table reaches all 2112 offsets; these queries reach 186, each
-        # once (222 to 384 with the bound max(U)^p max(mu_table) of one U per offset)
+        # once, so a looser skip bound fails here
         assert len(set(reached)) == len(reached) == 186
         # per offset reached, one kernel call on the cells that the bound test
         # against the offset's closed-form LBs keeps: the threshold's slack
@@ -465,7 +465,8 @@ def _tolerance_instances():
       integral D (1 + TOL), above the integral D of the per-atom bound.
     - mu({0}) = -TOL / 2: the one-step offset's cell (1, 1) has the offset's
       maximum 1, and its cell (101 + 2^-40, 1 + 2^-40) the integral
-      1 + 2^-40 - 50 TOL, below its min(h) mu(X) and thr.
+      1 + 2^-40 - 50 TOL, below its min(h) mu(X), an LB that would drop
+      the cell (1, 1).
     """
     for dim in (1, 2):
         jump = RandomFunction(2, dim, lambda pts, w: np.where(
