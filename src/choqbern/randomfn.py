@@ -297,23 +297,39 @@ def _keep_threshold(lbs, powers, factor: float) -> float:
                for lb, p in zip(lbs, powers)) * (1.0 - 360 * np.finfo(float).eps)
 
 
-def _offset_maxima(atoms: np.ndarray, mu_table: np.ndarray, powers, factor: float,
-                   forms, offset: tuple[int, ...]) -> tuple[float, ...]:
+def _offset_diffs(atoms: np.ndarray, offset: tuple[int, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """An offset's |D|, (M, cells), and its UB, the max over the atoms per cell.
+
+    ``atoms`` is the atom-major grid tensor and ``offset`` one step per grid
+    axis.
+    """
+    a, b = _translate_pair(atoms, (0, *offset))
+    d = np.abs(a - b).reshape(len(atoms), -1)
+    return d, d.max(axis=0)
+
+
+def _offset_maxima(d: np.ndarray, ub: np.ndarray, mu_table: np.ndarray, powers,
+                   factor: float, forms) -> tuple[float, ...]:
     """One offset's exact value per p: the maximum over grid positions of the
     integral of |D|^p, for every p in ``powers`` from one sorting pass.
 
-    ``atoms`` is the atom-major grid tensor and ``offset`` one step per grid
-    axis.  The ``_lower_bounds`` of the offset give the ``_keep_threshold``
-    root that keeps the cells that can hold a maximum, so only the kept
-    cells go through the kernel.
+    ``d`` and ``ub`` are the offset's ``_offset_diffs``.  Its
+    ``_lower_bounds`` give the ``_keep_threshold`` root that keeps the cells
+    that can hold a maximum, so only the kept cells go through the kernel.
     """
-    m = len(atoms)
-    a, b = _translate_pair(atoms, (0, *offset))
-    d = np.abs(a - b).reshape(m, -1)
-    ub = d.max(axis=0)
     thr = _keep_threshold(_lower_bounds(d, ub, forms, powers), powers, factor)
     v, mu = sorted_levels(d.compress(ub >= thr, axis=1).T, mu_table)
     return tuple(float(vals.max()) for vals in powered_integrals(v, mu, powers))
+
+
+def _top_bound(top: float, p: float, factor: float) -> float:
+    """The Abel bound fl(fl(top^p) * factor) of an offset whose largest |D| is
+    ``top``; infinite where the power overflows."""
+    try:
+        return top ** p * factor
+    except OverflowError:
+        return math.inf
 
 
 # the triangle bound's slack sigma, and the least bound that may skip an offset
@@ -350,12 +366,13 @@ class ChoquetModulusTable:
     Abel bound below.  Each power walks its box's offsets in descending
     order of its own bound and stops at the first one below the best exact
     value found so far: that offset and every later one have exact values
-    at most their bounds, which are no larger.  Every offset reached goes through
-    ``_offset_maxima`` once, for every power, into a per-offset cache that
-    every query shares; that cache is the table's working set.  So each box
-    maximum is a maximum of the same exact per-offset values, whichever
-    queries came before, and has the bits of an eager table over every
-    offset.
+    at most their bounds, which are no larger.  Every offset reached has its
+    |D| pass (``_offset_diffs``) and, unless its top cell rules it out
+    (below), goes through ``_offset_maxima`` once, for every power, into a
+    per-offset cache that every query shares; that cache is the table's
+    working set.  So each box maximum is a maximum of the same exact
+    per-offset values, whichever queries came before, and has the bits of
+    an eager table over every offset.
 
     Exact pruning.  For h >= 0 and any table, the Choquet integral of h is
     at most max(h) * max(mu_table): the telescoped terms (h_k - h_(k-1)) mu_k
@@ -376,7 +393,13 @@ class ChoquetModulusTable:
     which is C(h) itself where h falls along the chain.  LB_p is the
     largest over the offset's cells of the first two, and the chain bound
     of its first top-UB cell (``_lower_bounds``); no cell is sorted for it.
-    Elsewhere LB_p = 0, which keeps every cell.
+    Elsewhere LB_p = 0, which keeps every cell.  The same bound at the
+    offset's top cell, fl(fl(top^p) * F) with top its largest |D|, is at
+    least the computed integral of every cell, so where it is below the
+    best exact value the walk has for p, the offset cannot raise it: it
+    is skipped before its LBs and kernel call, and only top is cached, for
+    a later query to test against its own best.  Where top = 0, every
+    computed integral is 0, exactly, with no kernel call.
 
     Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
     one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
@@ -392,7 +415,9 @@ class ChoquetModulusTable:
     computed integral of a cell of the offset (below), so at most the
     offset's computed maximum: a cell that fails the bound test for every p
     has a computed integral below every such maximum, and each p's maximum
-    cell passes.
+    cell passes.  The top-cell test takes the same computed bound at the
+    largest UB; rounding is monotone, so that bound is at least every
+    cell's, and so at least every cell's computed integral.
 
     On a monotone, nonnegative table the kernel is also close to the exact
     integral C(h) of the exact powers h of a cell's computed |D|.  Summed by
@@ -507,6 +532,7 @@ class ChoquetModulusTable:
             self._bounds[p] = bound
             self._walks[p] = order, bound[order], offsets[order]
         self._maxima: dict[int, tuple[float, ...]] = {}  # offset index -> value per p
+        self._tops: dict[int, float] = {}  # offset index -> largest |D|, where skipped
 
     def gamma(self, *deltas: float, p: float) -> float:
         """Choquet L^p modulus for a delta box: one delta, or one per axis."""
@@ -521,12 +547,35 @@ class ChoquetModulusTable:
         for i, bound in zip(order[inside], bounds[inside]):
             if bound < best:
                 break
-            if i not in self._maxima:
-                self._maxima[i] = _offset_maxima(
-                    self._atoms, self._mu_table, self.powers, self._factor,
-                    self._forms, tuple(self._offsets[i, :self.grid.dim]))
-            best = np.maximum(best, self._maxima[i][at])
+            values = self._maxima.get(i)
+            if values is None:
+                values = self._reach(i, p, best)
+            if values is not None:
+                best = np.maximum(best, values[at])
         return float(best) ** (1.0 / p)
+
+    def _reach(self, i: int, p: float, best) -> tuple[float, ...] | None:
+        """Offset i's exact values, one per power, now cached; or None where
+        the Abel bound at its top cell is below ``best`` for p, and then only
+        its largest |D| is cached, so a later query re-tests it without a
+        |D| pass."""
+        offset, d = tuple(self._offsets[i, :self.grid.dim]), None
+        top = self._tops.get(i)
+        if top is None:
+            d, ub = _offset_diffs(self._atoms, offset)
+            top = float(ub.max())
+        if _BOUND_FLOOR <= _top_bound(top, p, self._factor) < best:
+            self._tops[i] = top
+            return None
+        if top == 0.0:  # every |D| is 0, and so is every integral the kernel computes
+            values = (0.0,) * len(self.powers)
+        else:
+            if d is None:
+                d, ub = _offset_diffs(self._atoms, offset)
+            values = _offset_maxima(d, ub, self._mu_table, self.powers, self._factor,
+                                    self._forms)
+        self._maxima[i] = values
+        return values
 
 
 def choquet_modulus(f: RandomFunction, cap: Capacity, deltas, p: float,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choqbern import (CapacityTooLargeError, ConstructionError, InputError,
+from choqbern import (CapacityTooLargeError, ConstructionError, InputError, capacity,
                       capacity_from_spec, check_properties, choquet_integral,
                       eval_capacity, eval_sets, make_distorted, make_distortion,
                       make_possibility, make_table, subset_table)
@@ -44,6 +44,11 @@ def test_rational_distortion_singleton():
 def test_convex_distortion_rejected():
     with pytest.raises(ConstructionError):
         make_distortion("power", alpha=2.0)
+    # a power above one is still probed: just above, it is concave within TOL
+    # on the probe grid, a little further it is not
+    make_distortion("power", alpha=1.0 + 1e-13)
+    with pytest.raises(ConstructionError, match="not concave"):
+        make_distortion("power", alpha=1.0 + 1e-10)
     with pytest.raises(ConstructionError):
         make_distortion("custom_table", xs=[0.0, 0.5, 1.0], ys=[0.0, 0.1, 1.0])
 
@@ -60,6 +65,20 @@ def test_distortion_catalog_slopes():
         4.0 / math.pi, abs=1e-15)
     assert make_distortion("power", alpha=0.5).derivative_at_zero == math.inf
     assert make_distortion("power", alpha=1.0).derivative_at_zero == 1.0
+
+
+@pytest.mark.parametrize("kind, params", [
+    *[(kind, {}) for kind in ("rational_2t", "exp_decay", "log2", "sine", "arctan")],
+    *[("power", {"alpha": alpha}) for alpha in
+      (5e-324, 1e-300, 1e-12, *np.linspace(0.05, 1.0, 20).tolist(), 1.0 - 1e-16)]])
+def test_distortions_built_without_the_probe_pass_it(monkeypatch, kind, params):
+    # make_distortion skips the probe where its properties are theorems; the
+    # probe stays the reference, and it accepts each of them as computed
+    probed = []
+    monkeypatch.setattr(capacity, "_validate_distortion", lambda *args: probed.append(args))
+    u = make_distortion(kind, **params)
+    assert probed == []
+    _validate_distortion(kind, u.fn)
 
 
 def test_custom_table_distortion_slope_estimated():

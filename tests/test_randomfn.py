@@ -268,14 +268,20 @@ def _row_wise_off(f, cap, grid, max_deltas, powers):
     return off
 
 
+def _offset_values(table, offset):
+    """One offset's exact value per p, from the table's |D| pass and kernel."""
+    d, ub = randomfn._offset_diffs(table._atoms, offset)
+    return randomfn._offset_maxima(d, ub, table._mu_table, table.powers, table._factor,
+                                   table._forms)
+
+
 def _table_off(table):
     """Every offset's value from the table's per-offset pass, laid out as
     the references lay out theirs: (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D."""
     (w1, w2), dim = table._windows, table.grid.dim
     off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in table.powers}
     for dx, dy in table._offsets:
-        values = randomfn._offset_maxima(table._atoms, table._mu_table, table.powers,
-                                         table._factor, table._forms, (dx, dy)[:dim])
+        values = _offset_values(table, (dx, dy)[:dim])
         for p, value in zip(table.powers, values):
             off[p][(dx, dy + w2)[:dim]] = value
     return off
@@ -361,7 +367,8 @@ def test_pruned_modulus_table_equals_unpruned_kernel(rng, kind):
 def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
     # every |D| is 0, so UB^p * factor equals every LB: the keep test must pass
     # every cell, or an offset with no kept cell would have no maximum; every
-    # bound is 0 and below the skip floor, so the query reaches every offset
+    # bound is 0 and below the skip floor, so the query reaches every offset,
+    # and each one's largest |D|, 0, gives its exact values with no kernel call
     calls = []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
@@ -372,9 +379,14 @@ def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
     g = grid.points_per_axis
     cells = sum(math.prod(g - abs(d) for d in o[:dim])
                 for o in _offsets(*_box_windows((0.5,) * dim, grid)))
+    assert calls == [len(table._offsets)]  # construction's bound call
+    calls.clear()
     for p in (1.0, 2.0):
         assert table.gamma(0.5, p=p) == 0.0
-    assert sum(calls) >= cells
+    assert calls == [] and len(table._maxima) == len(table._offsets)
+    for offset in table._offsets:
+        assert _offset_values(table, tuple(offset[:dim])) == (0.0, 0.0)
+    assert sum(calls) == cells
 
 
 def _c08_table(z):
@@ -390,21 +402,24 @@ _C08_BOXES = [(1 / math.sqrt(n1), 1 / math.sqrt(n2))
 
 
 def test_pruned_modulus_table_c08_shape(monkeypatch):
-    calls, reached = [], []
+    calls, passes, kernel = [], [], []
     monkeypatch.setattr(randomfn, "sorted_levels",
                         lambda v, mu: calls.append(len(v)) or sorted_levels(v, mu))
-    real_pass = randomfn._offset_maxima
-    monkeypatch.setattr(randomfn, "_offset_maxima",
-                        lambda *args: reached.append(args[-1]) or real_pass(*args))
+    real_diffs, real_maxima = randomfn._offset_diffs, randomfn._offset_maxima
+    monkeypatch.setattr(randomfn, "_offset_diffs", lambda atoms, offset: (
+        passes.append(offset) or real_diffs(atoms, offset)))
+    monkeypatch.setattr(randomfn, "_offset_maxima", lambda d, ub, *rest: (
+        kernel.append((d, ub)) or real_maxima(d, ub, *rest)))
     # z as numpy draws it at seed 3, and as the ``mean2d`` benchmark workload
-    # draws it at seeds 3 and 0
+    # draws it at seeds 3 and 0, with the offsets each one sends to the kernel
     zs = [np.random.default_rng(3).uniform(-1, 1, 5)]
     for seed in (3, 0):
         bench = random.Random(seed)
         zs.append([bench.uniform(-1.0, 1.0) for _ in range(5)])
-    for z in zs:
+    for z, through_kernel in zip(zs, (43, 11, 25)):
         calls.clear()
-        reached.clear()
+        passes.clear()
+        kernel.clear()
         f, cap, table = _c08_table(z)
         # construction sorts the per-atom triangle bounds of every offset once
         assert calls == [len(table._offsets)]
@@ -414,21 +429,66 @@ def test_pruned_modulus_table_c08_shape(monkeypatch):
             for p in table.powers:
                 assert table.gamma(*deltas, p=p) == _eager_gamma(want[p], table.grid,
                                                                  deltas, p)
-        # an eager table reaches all 2112 offsets; these queries reach 186, each
-        # once, so a looser skip bound fails here
-        assert len(set(reached)) == len(reached) == 186
-        # per offset reached, one kernel call on the cells that the bound test
-        # against the offset's closed-form LBs keeps: the threshold's slack
-        # keeps no more
-        assert len(calls) == len(reached)
-        atoms, exact = table._atoms, 0
-        for offset in reached:
-            a, b = _translate_pair(atoms, (0, *offset))
-            d = np.abs(a - b).reshape(len(atoms), -1)
-            ub = d.max(axis=0)
+        # an eager table makes a |D| pass over all 2112 offsets; these queries
+        # make 186, one per offset, so a looser triangle bound fails here; and
+        # the top-cell test rules out all but a few of them, so a looser top
+        # bound fails too
+        assert len(set(passes)) == len(passes) == 186
+        assert len(kernel) == through_kernel
+        # per offset through the kernel, one call on the cells that the bound
+        # test against the offset's closed-form LBs keeps: the threshold's
+        # slack keeps no more
+        assert len(calls) == len(kernel)
+        exact = 0
+        for d, ub in kernel:
             lbs = randomfn._lower_bounds(d, ub, table._forms, table.powers)
             exact += int(_bound_test(ub, lbs, table.powers, table._factor).sum())
         assert sum(calls) <= 1.001 * exact
+
+
+def test_an_offset_skipped_by_one_box_is_exact_in_a_later_box():
+    # the first box rules out offsets by their top cells against its own
+    # maximum; a later box that holds one of them as its maximum needs the
+    # offset's exact value, which the table still finds because it cached
+    # the offset's bound, not a value
+    f, cap, table = _c08_table(np.random.default_rng(3).uniform(-1, 1, 5))
+    want = _unpruned_off(f, cap, table.grid, (0.5, 0.5), table.powers)
+    table.gamma(0.5, 0.5, p=1.0)
+    w2, steps = table._windows[1], table.grid.points_per_axis - 1
+    later = []
+    for i in list(table._tops):
+        dx, dy = table._offsets[i]
+        deltas = (dx / steps, abs(dy) / steps)
+        if want[1.0][dx, dy + w2] == _eager_gamma(want[1.0], table.grid, deltas, 1.0):
+            later.append((i, deltas))
+    assert later and not any(i in table._maxima for i, _ in later)
+    for i, deltas in later:
+        for p in table.powers:
+            assert table.gamma(*deltas, p=p) == _eager_gamma(want[p], table.grid, deltas, p)
+        assert i in table._maxima
+
+
+def test_top_cell_test_keeps_an_offset_that_rounds_above_its_top():
+    # every nonempty set has mu = 1 + 2^-40, so max(mu_table) is that value;
+    # offset 1 is walked first (its per-atom bounds are the larger) and its
+    # cell (a, 0) has the computed integral fl(T mu) + 1 ulp, and offset 2's
+    # one cell (T, x) has top T and the computed integral fl(T mu) + 2 ulps:
+    # only the slack of F keeps fl(T^p F) above offset 1's value, so that
+    # offset 2 reaches the kernel
+    mu_all = 1.0 + 2.0 ** -40
+    cap = make_table(2, [0.0, mu_all, mu_all, mu_all])
+    top, x = 0.4322181208697466, 0.06426379320306327
+    a = np.nextafter(top, 1.0)
+    values = np.array([[0.0, a, top], [0.0, 0.0, x]])
+    f = RandomFunction(2, 1, lambda pts, w: values[w, np.rint(pts[..., 0] * 2).astype(int)],
+                       name="lookup")
+    grid = Grid(1, 3)
+    want = _unpruned_off(f, cap, grid, (1.0,), (1.0,))[1.0]
+    ulp = np.spacing(top * mu_all)
+    assert want.tolist() == [0.0, top * mu_all + ulp, top * mu_all + 2 * ulp]
+    table = ChoquetModulusTable(f, cap, grid, 1.0, (1.0,))
+    assert table._walks[1.0][0].tolist() == [0, 1]
+    assert table.gamma(1.0, p=1.0) == want[2]
 
 
 def _linear_fn(m, dim, rng):
@@ -467,6 +527,8 @@ def _tolerance_instances():
       maximum 1, and its cell (101 + 2^-40, 1 + 2^-40) the integral
       1 + 2^-40 - 50 TOL, below its min(h) mu(X), an LB that would drop
       the cell (1, 1).
+    - the same table with ``affine_noise`` in 2-D, where the test of an
+      offset's top cell rules out offsets.
     """
     for dim in (1, 2):
         jump = RandomFunction(2, dim, lambda pts, w: np.where(
@@ -477,23 +539,27 @@ def _tolerance_instances():
     lookup = RandomFunction(
         2, 1, lambda pts, w: steps[w, np.rint(pts[..., 0] * 32).astype(int)], name="lookup")
     yield lookup, make_table(2, [0.0, -TOL / 2, 0.5, 1.0])
+    yield (build_family("affine_noise", 2, 2, {"z": [0.7, -0.4]}),
+           make_table(2, [0.0, -TOL / 2, 0.5, 1.0]))
 
 
 @pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
 def test_every_offset_value_is_within_its_skip_bound(rng):
-    # the skip rests on value <= bound for every offset; on one atom the
-    # linear function meets its bound to rounding at dy >= 0
+    # the skip rests on value <= bound for every offset, and so does the
+    # top-cell test on value <= its bound; on one atom the linear function
+    # meets its bound to rounding at dy >= 0
     powers = (1.0, 2.0, 2.5)
     one_atom = [(_linear_fn(1, dim, rng), make_table(1, [0, 1])) for dim in (1, 2)]
     for f, cap in [*_sub_box_instances(rng), *one_atom, *_tolerance_instances()]:
         grid = Grid(f.dim, 33 if f.dim == 1 else 17)
         table = ChoquetModulusTable(f, cap, grid, (0.5,) * f.dim, powers)
         for i, (dx, dy) in enumerate(table._offsets):
-            values = randomfn._offset_maxima(table._atoms, table._mu_table, powers,
-                                             table._factor, table._forms, (dx, dy)[:f.dim])
+            values = _offset_values(table, (dx, dy)[:f.dim])
+            top = float(randomfn._offset_diffs(table._atoms, (dx, dy)[:f.dim])[1].max())
             for p, value in zip(powers, values):
                 bound = table._bounds[p][i]
                 assert value <= bound, (f.name, dx, dy, p)
+                assert value <= randomfn._top_bound(top, p, table._factor), (f.name, dx, dy, p)
                 if f.name == "linear" and f.atom_count == 1 and dy >= 0 and value:
                     assert bound <= value * (1 + 1e-14)
 
@@ -501,9 +567,14 @@ def test_every_offset_value_is_within_its_skip_bound(rng):
 @pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
 def test_lazy_box_queries_equal_the_eager_table(rng):
     # random sub-boxes in random order on one table, so each query finds the
-    # per-offset cache that the ones before it left, then the one-step box
+    # per-offset cache that the ones before it left, then the one-step box;
+    # the top-cell test must rule out some offsets, or the equality says
+    # nothing about it
     powers = (1.0, 2.0, 2.5)
-    for f, cap in [*_sub_box_instances(rng), *_tolerance_instances()]:
+    skipped = {"sub-box": 0, "tolerance": 0}
+    instances = [*[("sub-box", i) for i in _sub_box_instances(rng)],
+                 *[("tolerance", i) for i in _tolerance_instances()]]
+    for kind, (f, cap) in instances:
         grid = Grid(f.dim, 33 if f.dim == 1 else 17)
         max_deltas = tuple(rng.uniform(0.3, 0.6, f.dim))
         table = ChoquetModulusTable(f, cap, grid, max_deltas, powers)
@@ -513,6 +584,8 @@ def test_lazy_box_queries_equal_the_eager_table(rng):
             for p in powers:
                 got = table.gamma(*deltas, p=p)
                 assert got == _eager_gamma(want[p], grid, deltas, p), (f.name, deltas, p)
+        skipped[kind] += len(table._tops)
+    assert skipped["sub-box"] and skipped["tolerance"], skipped
 
 
 def _bound_test(ub, lbs, powers, factor):
