@@ -68,7 +68,9 @@ def bernstein_nodes(n: int) -> np.ndarray:
 
 def degree_vector(n_vec, dim: int) -> tuple[int, ...]:
     """One checked degree per axis; a bare number is the degree of every axis."""
-    n_vec = [n_vec] * dim if np.isscalar(n_vec) else list(n_vec)
+    if isinstance(n_vec, np.ndarray):
+        n_vec = n_vec.tolist()  # a 0-d array gives its one number
+    n_vec = list(n_vec) if np.iterable(n_vec) and not np.isscalar(n_vec) else [n_vec] * dim
     if len(n_vec) != dim:
         raise InputError(f"expected {dim} degrees, got {len(n_vec)}")
     return tuple(_check_degree(n) for n in n_vec)
@@ -133,7 +135,14 @@ def bernstein_multivariate(f: RandomFunction, n_vec, x, atom: int) -> float:
 
 
 def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
-    """Operator values over a grid for every atom, shape (g,)*dim + (M,)."""
+    """Operator values over a grid for every atom, shape (g,)*dim + (M,).
+
+    In 2-D the second axis is the 1-D contraction on the first axis's result
+    copied to contiguous (n2+1, g*M) rows: each entry still sums l in order,
+    one multiply and one add per term, so it keeps the bits of "jl,ilm->ijm"
+    with a g*M-long inner loop.  At M = 1 that einsum reduces l with its
+    multi-accumulator dot, whose bits the rows would not keep, so it stays.
+    """
     n_vec = degree_vector(n_vec, f.dim)
     f.check_grid(grid)
     mats = [basis_matrix(n, grid.coords) for n in n_vec]
@@ -142,7 +151,13 @@ def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
         return np.einsum("ik,km->im", mats[0], nodes)
     # contract one axis at a time; the joint einsum would cost O(g^2 n^2 M)
     partial = np.tensordot(mats[0], nodes, axes=(1, 0))  # (g, n2+1, M)
-    return np.einsum("jl,ilm->ijm", mats[1], partial)
+    del nodes
+    if f.atom_count == 1:
+        return np.einsum("jl,ilm->ijm", mats[1], partial)
+    g, width, m = partial.shape
+    flat = np.ascontiguousarray(partial.transpose(1, 0, 2)).reshape(width, g * m)
+    del partial
+    return np.einsum("jl,lx->jx", mats[1], flat).reshape(g, g, m).transpose(1, 0, 2)
 
 
 def moment_sums(n: int, xs: Sequence[float], j_max: int) -> np.ndarray:
