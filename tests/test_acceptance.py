@@ -202,8 +202,16 @@ def test_c07_sikkema_estimate():
             sup_err = float(np.abs(approx - samples_on_grid).max())
             omega = stochastic_modulus(one_atom, 1.0 / math.sqrt(n), 0, Grid(1, 257))
             assert sup_err <= c * omega
+    # the constant itself: the staircase ceil(sqrt(n) |t - x|) has modulus 1 at
+    # 1/sqrt(n), and its error at x, sum_k p_{6,k}(x) ceil(sqrt(6) |k/6 - x|),
+    # peaks at c (Sikkema's extremal case); too small a c fails the upper end,
+    # too large a one the lower end
+    xs = np.arange(200001) / 200000
+    steps = np.ceil(math.sqrt(6) * np.abs(np.arange(7) / 6 - xs[:, None]))
+    peak = float((basis_matrix(6, xs) * steps).sum(axis=1).max())
+    assert c * (1 - 1e-7) <= peak <= c
     _report(7, f"uniform error below {c:.6f} * modulus for both test functions, "
-               "n in {4,16,64,256}")
+               f"n in {{4,16,64,256}}; the n = 6 staircase peaks at c(1 - {1 - peak / c:.1e})")
 
 
 def _mean_cfg(family, capacity):

@@ -10,7 +10,9 @@ from choqbern import (InputError, bernstein_basis, bernstein_multivariate,
                       bernstein_univariate, integral_batch, make_distorted,
                       make_distortion, moment_sum, sikkema_constant, subset_table,
                       tail_sum)
-from choqbern.bernstein import basis_matrix, multivariate_grid
+from choqbern import bernstein
+from choqbern.bernstein import (basis_matrix, bernstein_nodes, degree_vector,
+                                multivariate_grid)
 from choqbern.randomfn import Grid, RandomFunction, build_family, stochastic_modulus
 from conftest import exact_basis
 
@@ -111,6 +113,76 @@ def test_multivariate_grid_matches_pointwise():
                     bernstein_multivariate(f, (5, 7), (c[i], c[j]), w), abs=1e-13)
 
 
+def _multivariate_grid_direct(f, n_vec, grid):
+    # the reference: the first axis by tensordot, then the second by an einsum
+    # over (grid, node, atom); kept as the expression multivariate_grid replaced
+    n_vec = degree_vector(n_vec, f.dim)
+    mats = [basis_matrix(n, grid.coords) for n in n_vec]
+    nodes = f.on_axes([bernstein_nodes(n) for n in n_vec])
+    if f.dim == 1:
+        return np.einsum("ik,km->im", mats[0], nodes)
+    partial = np.tensordot(mats[0], nodes, axes=(1, 0))
+    return np.einsum("jl,ilm->ijm", mats[1], partial)
+
+
+_DEGREE_PAIRS = ((1, 1), (2, 2), (4, 4), (7, 3), (16, 64), (64, 16), (100, 37),
+                 (256, 256))
+
+
+@pytest.mark.parametrize("family", ["affine_noise", "step_noise", "deterministic:absdev"])
+@pytest.mark.parametrize("g", [9, 33, 65, 257])
+def test_multivariate_grid_keeps_the_bits_of_the_direct_contraction(family, g):
+    grid = Grid(2, g)
+    for m in (1, 2, 3, 16, 20):
+        f = build_family(family, m, 2)
+        for n_vec in _DEGREE_PAIRS if g < 257 else _DEGREE_PAIRS[2::2]:
+            got = multivariate_grid(f, n_vec, grid)
+            want = _multivariate_grid_direct(f, n_vec, grid)
+            assert got.shape == want.shape == (g, g, m)
+            assert got.tobytes() == want.tobytes(), (m, n_vec)
+    # the 1-D path is the one contraction
+    for m in (1, 5):
+        f = build_family(family, m, 1)
+        for n in (1, 6, 256):
+            got = multivariate_grid(f, n, Grid(1, g))
+            assert got.tobytes() == _multivariate_grid_direct(f, n, Grid(1, g)).tobytes()
+
+
+def _pointwise_sides(f, n_vec, grid):
+    # |B_n f - f|(x) through the library's grid operator, and its proof step's
+    # bound sum_k p_k1(x1) p_k2(x2) |f(k/n) - f(x)|, per grid point and atom
+    fx = f.grid_tensor(grid)
+    lhs = np.abs(bernstein.multivariate_grid(f, n_vec, grid) - fx)
+    p1, p2 = (basis_matrix(n, grid.coords) for n in n_vec)
+    nodes = f.on_axes([bernstein_nodes(n) for n in n_vec])
+    dev = np.abs(nodes[None, None] - fx[:, :, None, None])  # (g, g, n1+1, n2+1, M)
+    rhs = np.einsum("ik,jl,ijklm->ijm", p1, p2, dev)
+    return lhs, rhs
+
+
+def test_operator_error_is_dominated_by_the_weighted_deviations(monkeypatch):
+    # the proof step of the uniform and mean estimates: an equality where every
+    # f(k/n) - f(x) has one sign, so a slightly wrong operator fails it
+    grid = Grid(2, 17)
+    for family, m in (("affine_noise", 3), ("step_noise", 4), ("deterministic:absdev", 2)):
+        f = build_family(family, m, 2)
+        for n_vec in ((4, 4), (8, 3), (16, 16)):
+            lhs, rhs = _pointwise_sides(f, n_vec, grid)
+            assert np.all(lhs <= rhs + 1e-12 * max(1.0, float(np.abs(rhs).max())))
+    absdev = build_family("deterministic:absdev", 2, 2)
+    centre = grid.coords.size // 2
+    assert grid.coords[centre] == 0.5 and np.all(absdev.grid_tensor(grid)[centre, centre] == 0)
+
+    def centre_gap():
+        lhs, rhs = _pointwise_sides(absdev, (16, 16), grid)
+        return np.abs(lhs - rhs)[centre, centre] / rhs[centre, centre]
+
+    assert np.all(centre_gap() <= 1e-12)
+    exact = bernstein.multivariate_grid
+    monkeypatch.setattr(bernstein, "multivariate_grid", lambda *a: 1.02 * exact(*a))
+    assert np.all(centre_gap() > 1e-3)
+
+
 @pytest.mark.parametrize("m", [1, 3, 16])
 def test_grid_paths_call_the_evaluator_once(m):
     base = build_family("affine_noise", m, 2)
@@ -136,7 +208,8 @@ def test_multivariate_refusals():
                  lambda: multivariate_grid(f, (4, 4), Grid(1, 9))):
         with pytest.raises(InputError, match="grid dimension mismatch"):
             call()
-    for bad in ((4.7, 4), (4, 2.5), (4, "4")):
+    # a non-sequence is a bare degree, so None is refused as one (was a TypeError)
+    for bad in ((4.7, 4), (4, 2.5), (4, "4"), None, np.array(4.5), np.array(None)):
         with pytest.raises(InputError, match="degree must be an integer"):
             multivariate_grid(f, bad, grid)
         with pytest.raises(InputError, match="degree must be an integer"):
@@ -149,6 +222,12 @@ def test_multivariate_refusals():
     assert np.array_equal(basis_matrix(4.0, grid.coords), basis_matrix(4, grid.coords))
     # a bare degree is the degree of every axis; a sequence needs one per axis
     assert np.array_equal(multivariate_grid(f, 4, grid), multivariate_grid(f, (4, 4), grid))
+    # so is a 0-d array (iterating one was a TypeError)
+    assert degree_vector(np.array(4), 2) == degree_vector(np.array([4, 4]), 2) == (4, 4)
+    assert np.array_equal(multivariate_grid(f, np.array(4), grid),
+                          multivariate_grid(f, (4, 4), grid))
+    assert bernstein_multivariate(f, np.array(4), (0.3, 0.6), 1) == \
+        bernstein_multivariate(f, (4, 4), (0.3, 0.6), 1)
     assert bernstein_multivariate(f, 4, (0.3, 0.6), 1) == \
         bernstein_multivariate(f, (4, 4), (0.3, 0.6), 1)
     for bad in ((4,), (4, 4, 4)):
