@@ -138,10 +138,10 @@ def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
     """Operator values over a grid for every atom, shape (g,)*dim + (M,).
 
     In 2-D the second axis is the 1-D contraction on the first axis's result
-    copied to contiguous (n2+1, g*M) rows: each entry still sums l in order,
-    one multiply and one add per term, so it keeps the bits of "jl,ilm->ijm"
-    with a g*M-long inner loop.  At M = 1 that einsum reduces l with its
-    multi-accumulator dot, whose bits the rows would not keep, so it stays.
+    read as (n2+1, g*M) rows: each entry still sums l in order, one multiply
+    and one add per term, so it keeps the bits of "jl,ilm->ijm" with a
+    g*M-long inner loop.  At M = 1 the reshape is a view, so einsum keeps its
+    l-innermost dot and the old bits.
     """
     n_vec = degree_vector(n_vec, f.dim)
     f.check_grid(grid)
@@ -152,10 +152,8 @@ def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
     # contract one axis at a time; the joint einsum would cost O(g^2 n^2 M)
     partial = np.tensordot(mats[0], nodes, axes=(1, 0))  # (g, n2+1, M)
     del nodes
-    if f.atom_count == 1:
-        return np.einsum("jl,ilm->ijm", mats[1], partial)
     g, width, m = partial.shape
-    flat = np.ascontiguousarray(partial.transpose(1, 0, 2)).reshape(width, g * m)
+    flat = partial.transpose(1, 0, 2).reshape(width, g * m)
     del partial
     return np.einsum("jl,lx->jx", mats[1], flat).reshape(g, g, m).transpose(1, 0, 2)
 

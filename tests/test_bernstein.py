@@ -132,6 +132,7 @@ _DEGREE_PAIRS = ((1, 1), (2, 2), (4, 4), (7, 3), (16, 64), (64, 16), (100, 37),
 @pytest.mark.parametrize("family", ["affine_noise", "step_noise", "deterministic:absdev"])
 @pytest.mark.parametrize("g", [9, 33, 65, 257])
 def test_multivariate_grid_keeps_the_bits_of_the_direct_contraction(family, g):
+    # at M = 1 the bits hold only while multivariate_grid's reshape is a view
     grid = Grid(2, g)
     for m in (1, 2, 3, 16, 20):
         f = build_family(family, m, 2)
