@@ -11,6 +11,7 @@ float's shortest round-trip form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -238,6 +239,7 @@ def _cmd_list_families(args) -> tuple[str, int]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="choqbern",

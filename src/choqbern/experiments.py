@@ -27,7 +27,7 @@ from .capacity import (TABLE_ATOM_LIMIT, Capacity, DistortedRepr,
                        InputError, PossibilityRepr, capacity_from_spec,
                        certified_submodular, eval_sets, refuse_unknown_keys, subset_table)
 from .choquet import P_MAX, integral_batch, powered_integrals, sorted_levels
-from .randomfn import (ChoquetModulusTable, Grid, RandomFunction,
+from .randomfn import (_CHUNK_CELLS, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
 from .stochastic import (KTable, _check_slope, lemma51_bound, max_deviation_rows,
                          sample_rows, theorem6_bound)
@@ -262,7 +262,9 @@ def _schedule(v, f) -> list:
     """Tuples of ``dim`` degrees (``degree_vector``), (n,) in 1-D.
 
     A run that reads a grid modulus at 1/sqrt(n) needs every degree at most
-    the grid's ``finest_degree``, or the modulus, and so the bound, is 0.
+    the grid's ``finest_degree``, or the modulus, and so the bound, is 0.  A
+    capacity run's trend row compares each entry with the one before, so no
+    degree of its schedule may go down.
     """
     if not _as(list, v):
         raise ValueError("must be a nonempty list")
@@ -274,6 +276,12 @@ def _schedule(v, f) -> list:
             raise ValueError(f"degree {max(nv)} is finer than the grid: "
                              f"{f['experiment']} runs need n <= (grid_points - 1)**2 "
                              f"= {finest}, or the modulus at 1/sqrt(n) is 0")
+        if (f["experiment"] == "capacity_convergence" and out
+                and any(a < b for a, b in zip(nv, out[-1]))):
+            raise ValueError(f"entry {list(nv)} lowers a degree of {list(out[-1])}: "
+                             "capacity_convergence runs need degrees that never go "
+                             "down, since each trend row bounds the distance by the "
+                             "previous entry's")
         out.append(nv)
     return out
 
@@ -576,10 +584,6 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 # product each takes at most 4 MB, so the stochastic sweep's working set
 # does not grow with 'samples'
 _BLOCK_CELLS = 500_000
-# cells per chunk of a block's elementwise passes (node deviations, node
-# values, error reduction): 512 KB of float64, so a chunk's temporaries stay
-# in L2 where a whole block's would not
-_CHUNK_CELLS = 1 << 16
 
 
 def _node_pass(f: RandomFunction, rows: np.ndarray, start: int) -> np.ndarray:

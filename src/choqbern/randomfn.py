@@ -21,6 +21,11 @@ from .choquet import check_p, powered_integrals, sorted_levels
 
 PAIR_TOL = 1e-12  # slack when matching grid pair distances against deltas
 
+# cells per chunk of an elementwise pass (a point tensor's evaluator calls, the
+# stochastic sweep's node deviations, node values and error reduction): 512 KB
+# of float64, so a chunk's temporaries stay in L2 where a whole tensor's would not
+_CHUNK_CELLS = 1 << 16
+
 DEFAULT_GRID_1D = 257
 DEFAULT_GRID_2D = 65
 
@@ -65,7 +70,9 @@ class RandomFunction:
     shape (..., dim) and an atom index: either an int, or an integer array
     that broadcasts against ``points.shape[:-1]``.  It returns the values
     at the joint broadcast shape; a result that ignores ``atoms`` has the
-    shape of ``points.shape[:-1]`` and is broadcast by the caller.  Grid
+    shape of ``points.shape[:-1]`` and is broadcast by the caller.  It must
+    be pointwise, each entry depending only on its own point and atom,
+    because callers evaluate a point tensor in slabs of any size.  Grid
     tensors are memoized per grid (the only internal mutation).
     """
 
@@ -101,19 +108,24 @@ class RandomFunction:
         """Values at every point of the product of ``axes`` (one coordinate
         array per dimension) for every atom, shape (len(a) for a in axes) + (M,).
 
-        One evaluator call on the point tensor against the atom vector.  For
-        an elementwise evaluator, as every built-in family is, each entry has
-        the bits of its one-point, one-atom call.
+        The point mesh is built once; the output is filled along its first
+        axis in slabs of about ``_CHUNK_CELLS`` cells, one evaluator call per
+        slab on (..., 1, dim) points against the atom vector, so the call's
+        temporaries stay cache-sized.  For a pointwise evaluator, as every
+        built-in family is, each entry has the bits of its one-point,
+        one-atom call.
         """
         if len(axes) != self.dim:
             raise InputError(f"expected {self.dim} coordinate axes, got {len(axes)}")
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        out = np.asarray(self.evaluator(pts[..., None, :], np.arange(self.atom_count)),
-                         dtype=float)
-        shape = pts.shape[:-1] + (self.atom_count,)
-        if out.shape != shape:  # a result that ignores the atoms
-            return np.broadcast_to(out, shape).copy()
-        return np.ascontiguousarray(out)
+        out = np.empty(pts.shape[:-1] + (self.atom_count,))
+        atoms = np.arange(self.atom_count)
+        step = max(1, _CHUNK_CELLS // max(1, math.prod(out.shape[1:])))
+        for c in range(0, len(out), step):
+            # the assignment broadcasts a result that ignores the atoms and
+            # converts an integer result to float
+            out[c:c + step] = self.evaluator(pts[c:c + step, ..., None, :], atoms)
+        return out
 
     def grid_tensor(self, grid: Grid) -> np.ndarray:
         """Values on the grid, shape (g,)*dim + (M,); memoized.

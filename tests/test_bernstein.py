@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,22 @@ def test_grid_paths_call_the_evaluator_once(m):
     assert calls == [(m,)]
     multivariate_grid(f, (4, 3), grid)
     assert calls == [(m,), (m,)]
+
+
+def test_multivariate_grid_peak_holds_the_node_tensor_once():
+    # capconv_wide's largest entry: the (257, 257, 16) node tensor is 8.1 MiB.
+    # Evaluated in one call, its broadcast temporaries doubled it (19.0 MiB);
+    # in slabs the peak is the tensor, the mesh and cache-sized temporaries
+    f = build_family("affine_noise", 16, 2)
+    grid = Grid(2, 65)
+    multivariate_grid(f, (256, 256), grid)  # the memoized grid tensor is not counted
+    tracemalloc.start()
+    try:
+        multivariate_grid(f, (256, 256), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_multivariate_refusals():

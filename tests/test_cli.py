@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choqbern import Capacity, ConfigError, cli
+from choqbern import Capacity, ConfigError, ExperimentConfig, cli
 from choqbern.cli import _load_capacity, parse_config, run_cli
 from choqbern.randomfn import FAMILIES, RandomFunction
 
@@ -311,6 +311,52 @@ def test_experiment_seed_changes_hash(tmp_path, capsys):
              str(tmp_path / "b.csv")])
     h2 = json.loads(capsys.readouterr().out)["config_hash"]
     assert h1 != h2
+
+
+def test_run_cli_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    parser = cli._build_parser()
+    seen = []
+
+    def parse_args(argv):
+        seen.append(argv[0])
+        return type(parser).parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+    cfg = _write_config(tmp_path, {"experiment": "capacity_convergence", "dim": 1,
+                                   "grid_points": 9, "schedule": [4, 16]})
+    assert run_cli(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    # a refused flag after a sweep still exits 2: each call parses a fresh
+    # namespace, and the unread-flag rule reads the parser's own defaults
+    assert run_cli(["experiment", "--config", cfg, "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert run_cli(["stochastic", "--n", "25", "--r", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: --r: only --epsilon reads it")
+    assert run_cli(["stochastic", "--n", "25"]) == 0
+    assert seen == ["experiment", "experiment", "stochastic", "stochastic"]
+
+
+def test_capacity_schedule_that_goes_down_exits_two(tmp_path, capsys):
+    # the trend row bounds each distance by the previous entry's, which means
+    # nothing along a decreasing schedule: (64, 16) after (256, 256) failed it
+    config = {"experiment": "capacity_convergence", "family": "affine_noise",
+              "capacity": {"atoms": 5, "repr": {
+                  "type": "possibility", "lambda": [0.5, 0.625, 0.75, 0.875, 1.0]}},
+              "dim": 2, "grid_points": 65, "schedule": [4, 16, 64, 256, [64, 16]],
+              "seed": 7}
+    assert run_cli(["experiment", "--config", _write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: key 'schedule': entry [64, 16] lowers a degree of [256, 256]")
+    for schedule in ([[16, 4], [4, 16]], [[4, 4], [16, 8], [16, 4]]):
+        with pytest.raises(ConfigError, match="^key 'schedule': entry"):
+            ExperimentConfig.from_mapping({**config, "schedule": schedule})
+    # a degree may stay put, and the mean run keeps C08's schedule
+    for schedule in ([4, 4, [4, 16], [64, 16], 64], [[4, 4]]):
+        ExperimentConfig.from_mapping({**config, "schedule": schedule})
+    c08 = [[4, 4], [16, 16], [64, 64], [16, 4], [64, 16]]
+    cfg = ExperimentConfig.from_mapping({"experiment": "mean_convergence",
+                                         "schedule": c08})
+    assert [list(nv) for nv in cfg.schedule] == c08
 
 
 def test_experiment_exit_one_on_failing_row(tmp_path, capsys):

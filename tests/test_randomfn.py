@@ -150,6 +150,65 @@ def test_on_axes_matches_per_atom_per_point_calls(dim):
         fns[0].on_axes(axes * 2)
 
 
+def _on_axes_one_call(f, axes):
+    """The values of ``on_axes`` in one evaluator call on the whole point
+    tensor, as it was computed before the slabs: the test reference."""
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    out = np.asarray(f.evaluator(pts[..., None, :], np.arange(f.atom_count)), dtype=float)
+    return np.broadcast_to(out, pts.shape[:-1] + (f.atom_count,))
+
+
+def _counting(f):
+    """``f`` with an evaluator that appends the first-axis length of each call."""
+    calls = []
+
+    def ev(pts, w):
+        calls.append(len(pts))
+        return f.evaluator(pts, w)
+    return RandomFunction(f.atom_count, f.dim, ev, name=f.name), calls
+
+
+def _slab_functions(m, dim):
+    yield from (build_family(name, m, dim)
+                for name in ("affine_noise", "step_noise", "deterministic:absdev"))
+    yield RandomFunction(m, dim, lambda pts, w: np.mean(pts, axis=-1) ** 2,
+                         name="atom-free")
+    yield RandomFunction(m, dim, lambda pts, w: np.floor(7 * pts[..., 0]).astype(int) + w,
+                         name="integer-valued")
+
+
+@pytest.mark.parametrize("m, lengths, chunk, slabs", [
+    (16, (257, 257), None, 18),  # 15 rows of 257 * 16 cells per slab, the last 2 rows
+    (1, (257, 257), None, 2),  # 255 rows, then 2
+    (5, (50, 51), 7 * 51 * 5 + 3, 8),  # 7 rows per slab, which do not divide 50
+    (3, (21, 21), 10, 21),  # a slab narrower than one row still takes one row
+    (16, (257,), None, 1),
+    (16, (257,), 16 * 40, 7),  # 40 points per slab, the last 17
+    (300, (257,), None, 2),  # 218 points, then 39
+])
+def test_on_axes_slabs_keep_the_bits_of_one_call(monkeypatch, m, lengths, chunk, slabs):
+    if chunk is not None:
+        monkeypatch.setattr(randomfn, "_CHUNK_CELLS", chunk)
+    axes = [np.arange(k) / (k - 1) for k in lengths]
+    for f in _slab_functions(m, len(lengths)):
+        counted, calls = _counting(f)
+        got = counted.on_axes(axes)
+        assert len(calls) == slabs and sum(calls) == lengths[0], f.name
+        assert got.dtype == float and got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == np.ascontiguousarray(_on_axes_one_call(f, axes)).tobytes()
+
+
+def test_grid_tensor_refuses_a_value_in_a_late_slab():
+    # only x1 = 1, the last of 18 slabs on (257, 257) at M = 16, is infinite
+    f = RandomFunction(16, 2, lambda pts, w: np.where(pts[..., 0] == 1.0, np.inf, w),
+                       name="inf-at-edge")
+    with pytest.raises(InputError, match="'inf-at-edge' is not finite on the 257-point"):
+        f.grid_tensor(Grid(2, 257))
+    overflow = build_family("affine_noise", 16, 2, {"scale": 1e308, "amp": 1e308})
+    with pytest.raises(InputError, match="not finite"):
+        overflow.grid_tensor(Grid(2, 257))
+
+
 def test_grid_validation():
     with pytest.raises(InputError):
         Grid(0, 5)

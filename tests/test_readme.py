@@ -53,7 +53,8 @@ def test_readme_lists_the_keys_each_run_reads():
 
 
 def test_readme_streaming_sizes_match_the_code():
-    from choqbern.experiments import _BLOCK_CELLS, _CHUNK_CELLS
+    from choqbern.experiments import _BLOCK_CELLS
+    from choqbern.randomfn import _CHUNK_CELLS
     text = README.read_text()
     start = text.index("The sweep streams each degree's samples")
     paragraph = " ".join(text[start:text.index("\n\n", start)].split())

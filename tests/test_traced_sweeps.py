@@ -26,7 +26,8 @@ CONFIGS = {
     "mean_convergence": ({"schedule": [[4, 4], [8, 4]], "p": [1, 2], "grid_points": 9},
                          {"randomfn.ChoquetModulusTable", "bernstein.multivariate_grid",
                           "capacity.subset_table"}),
-    "capacity_convergence": ({"schedule": [4, 16], "grid_points": 9},
+    # (256, 256) evaluates 257 * 257 nodes at 5 atoms in 6 slabs
+    "capacity_convergence": ({"schedule": [4, 256], "grid_points": 9},
                              {"choquet.integral_batch", "bernstein.multivariate_grid",
                               "bernstein.basis_matrix", "capacity.subset_table"}),
     "possibility_convergence": ({"schedule": [4, 16], "grid_points": 9},
@@ -69,3 +70,20 @@ def test_traced_sweep_matches_untraced(tmp_path, experiment):
     names = {span[1] for span in tracer.spans}
     assert {"cli.run_cli", "experiments.from_mapping", "experiments.runner",
             "randomfn.grid_tensor", "randomfn.evaluator"} | spans <= names
+
+
+def test_evaluator_points_count_every_slab_once(tmp_path):
+    # one evaluator call per slab of a node tensor: the counter still adds up
+    # to the grid points plus the node points of every schedule entry
+    keys, _ = CONFIGS["capacity_convergence"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "capacity_convergence",
+                                  "family": "affine_noise", "seed": 1, **keys}))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _sweep(tracer.wrap("cli.run_cli", cli.run_cli), config, tmp_path / "rows.csv")
+    finally:
+        tracer.restore()
+    assert tracer.counters["randomfn.evaluator.points"] == 9 * 9 + 5 * 5 + 257 * 257
+    assert sum(span[1] == "randomfn.evaluator" for span in tracer.spans) == 1 + 1 + 6
