@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .capacity import InputError
+from .capacity import InputError, check_integer
 from .randomfn import Grid, RandomFunction
 
 N_MAX = 10 ** 5
@@ -163,8 +163,7 @@ def moment_sums(n: int, xs: Sequence[float], j_max: int) -> np.ndarray:
 
     Row j holds the order-j sum at every x; all orders share one basis matrix.
     """
-    if not (0 <= j_max <= J_MAX):
-        raise InputError(f"moment order must lie in [0, {J_MAX}], got {j_max}")
+    j_max = check_integer(j_max, "moment order", 0, J_MAX + 1)
     xs = np.asarray(xs, dtype=float)
     basis = basis_matrix(n, xs)
     dev = math.sqrt(n) * np.abs(xs[:, None] - bernstein_nodes(n))

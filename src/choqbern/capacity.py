@@ -340,19 +340,24 @@ def _monotone(cube: np.ndarray, tol: float) -> bool:
                    for v in (np.moveaxis(cube, i, 0) for i in range(cube.ndim)))
 
 
-def _subset_max_monotone(tbl: np.ndarray) -> bool:
-    """Whether mu(A) <= mu(B) + TOL for every A within B, in O(2**M M).
-
-    One running max per axis of the (2,)*M view gives smax[B], the largest
-    mu(A) over the subsets A of B; it is one of those entries, so
-    smax[B] <= mu(B) + TOL are the float comparisons of exhaustive mode.
+def subset_max(tbl: np.ndarray) -> np.ndarray:
+    """out[B] = the largest tbl[A] over the subsets A of B, one running max per
+    axis of the (2,)*M view, O(2**M M).  The superset-min is
+    ``-subset_max(-tbl[::-1])[::-1]``: reversing a table complements every mask.
     """
-    m = tbl.size.bit_length() - 1
-    smax = tbl.reshape((2,) * m).copy()
-    for i in range(m):
-        v = np.moveaxis(smax, i, 0)
-        np.maximum(v[1], v[0], out=v[1])
-    return bool(np.all(smax.ravel() <= tbl + TOL))
+    out = np.array(tbl, dtype=float)
+    cube = out.reshape((2,) * (out.size.bit_length() - 1))
+    for i in range(cube.ndim):
+        v = np.moveaxis(cube, i, 0)
+        np.maximum(v[1, ...], v[0, ...], out=v[1, ...])  # [1, ...]: 0-d views at M = 1
+    return out
+
+
+def _subset_max_monotone(tbl: np.ndarray) -> bool:
+    """Whether mu(A) <= mu(B) + TOL for every A within B, in O(2**M M): each
+    ``subset_max`` entry is one of the table's, so its comparisons are those
+    of exhaustive mode."""
+    return bool(np.all(subset_max(tbl) <= tbl + TOL))
 
 
 def _local_walk(tbl: np.ndarray) -> bool:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .capacity import (Capacity, InputError, _monotone, certified_submodular, check_integer,
+from .capacity import (Capacity, InputError, certified_submodular, check_integer, subset_max,
                        subset_table)
 from .choquet import check_p, powered_integrals, sorted_levels
 
@@ -280,33 +280,24 @@ def _lower_bounds(d: np.ndarray, ub: np.ndarray, forms, powers) -> list[float]:
     """Closed-form LBs of an offset's largest integral of |D|^p, one per p.
 
     ``d`` is the offset's (M, cells) |D| and ``ub`` its max over the atoms.
-    ``forms`` is (chain, chain_weights, weights) from ``ChoquetModulusTable``:
-    LB_p is the largest of fl(x_j^p) * weights[j], with x the largest
-    per-cell minimum over the atoms followed by every atom's largest |D|,
-    and of the chain bound at the first top-UB cell: the dot product of
-    chain_weights with the p-th powers of its running minima over the atoms
-    in chain order.  The weights carry the slack of "Rounding slack"; they
-    are zeros where the table is not monotone and nonnegative.
+    ``forms`` is (chain, chain_weights, weights, gap) from
+    ``ChoquetModulusTable``: LB_p is the largest of fl(x_j^p) * weights[j],
+    with x the largest per-cell minimum over the atoms followed by every
+    atom's largest |D|, and of the chain bound at the first top-UB cell: the
+    dot product of chain_weights with the p-th powers of its running minima
+    over the atoms in chain order; less fl(fl(top^p) * gap), top the largest
+    UB.  The weights carry the slack of "Rounding slack"; they are zeros
+    where the table has a negative nonempty entry.
     """
-    chain, chain_weights, weights = forms
+    chain, chain_weights, weights, gap = forms
     x = np.empty(len(d) + 1)
     x[0] = d.min(axis=0).max()
     d.max(axis=1, out=x[1:])
     minima = np.minimum.accumulate(d[chain, ub.argmax()])
     p = np.array(powers)[:, None]
-    return np.maximum((x ** p * weights).max(axis=1), minima ** p @ chain_weights).tolist()
-
-
-def _keep_threshold(lbs, powers, factor: float) -> float:
-    """A UB threshold from one LB per p: a lower bound of min over p of
-    (LB_p / factor)^(1/p).
-
-    Each p's root is taken of r = LB_p / factor, or of 0 where LB_p is below
-    ``_BOUND_FLOOR`` or not finite; see "Threshold slack" in
-    ``ChoquetModulusTable``.
-    """
-    return min((lb / factor if _BOUND_FLOOR <= lb < math.inf else 0.0) ** (1.0 / p)
-               for lb, p in zip(lbs, powers)) * (1.0 - 360 * np.finfo(float).eps)
+    xp = x ** p  # the atoms' largest |D| hold top, so their largest power is fl(top^p)
+    lbs = np.maximum((xp * weights).max(axis=1), minima ** p @ chain_weights)
+    return (lbs - xp[:, 1:].max(axis=1) * gap).tolist()
 
 
 def _offset_diffs(atoms: np.ndarray, offset: tuple[int, ...]
@@ -326,12 +317,20 @@ def _offset_maxima(d: np.ndarray, ub: np.ndarray, mu_table: np.ndarray, powers,
     """One offset's exact value per p: the maximum over grid positions of the
     integral of |D|^p, for every p in ``powers`` from one sorting pass.
 
-    ``d`` and ``ub`` are the offset's ``_offset_diffs``.  Its
-    ``_lower_bounds`` give the ``_keep_threshold`` root that keeps the cells
-    that can hold a maximum, so only the kept cells go through the kernel.
+    ``d`` and ``ub`` are the offset's ``_offset_diffs``.  Only the cells
+    that pass the bound test fl(fl(UB^p) * factor) >= LB_p for some p, with
+    LB_p its ``_lower_bounds``, go through the kernel; an LB_p below
+    ``_BOUND_FLOOR``, or one that is not finite, keeps every cell.
     """
-    thr = _keep_threshold(_lower_bounds(d, ub, forms, powers), powers, factor)
-    v, mu = sorted_levels(d.compress(ub >= thr, axis=1).T, mu_table)
+    # an LB that overflows keeps every cell, and a UB^p that does passes the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        lbs = _lower_bounds(d, ub, forms, powers)
+        if all(_BOUND_FLOOR <= lb < math.inf for lb in lbs):
+            keep = np.zeros(len(ub), dtype=bool)
+            for p, lb in zip(powers, lbs):
+                keep |= (ub if p == 1.0 else ub ** p) * factor >= lb
+            d = d.compress(keep, axis=1)
+    v, mu = sorted_levels(d.T, mu_table)
     return tuple(float(vals.max()) for vals in powered_integrals(v, mu, powers))
 
 
@@ -361,135 +360,132 @@ class ChoquetModulusTable:
     omega1_w(dx) and omega2_w(dy): the largest |D| of atom w over the cells
     of the axis offsets (dx, 0) and (0, dy), with omega(0) = 0.
 
+    Envelope and minorant.  ``make_table`` lets entries of mu = ``mu_table``
+    lie within ``capacity.TOL`` below 0 or below a subset's entry.  The
+    bounds read two monotone tables (``capacity.subset_max``): the envelope
+    mu*(B) = max(0, mu(A) over A within B) >= mu, with mu*(X) = max(mu), and
+    the minorant nu(B) = min(mu(C) over C containing B) <= mu, with nu(X) =
+    mu(X), >= 0 where mu is >= 0 on every nonempty set.  Sorted increments
+    of h >= 0 are >= 0, so C_nu(h) <= C_mu(h) <= C_mu*(h), and C_mu*, C_nu
+    are monotone in h (Denneberg, Non-Additive Measure and Integral, 1994).
+
     Offset skip.  x + (dx, 0) is on the grid whenever x and x + (dx, dy)
     are, so by the triangle inequality every cell of (dx, dy) has
-    |D_w| <= omega1_w(dx) + omega2_w(|dy|) for every atom w.  On a table
-    that is monotone and nonnegative, entry by entry and with no tolerance,
-    the Choquet integral is monotone in its integrand (Denneberg,
-    Non-Additive Measure and Integral, 1994), so every cell's integral of
-    |D|^p is at most that of b^p, b_w = fl(fl(omega1_w + omega2_w) * sigma).
-    The bound of an offset is fl(C^(b^p) * S), with C^ the kernel
-    (``sorted_levels``/``powered_integrals``, one call over every offset)
-    and S = 1 + (M + 4) eps.  ``make_table`` lets entries lie within
-    ``capacity.TOL`` below 0 or below a subset's entry, and then C is not
-    monotone (on two atoms, (0, 1 + TOL, 0, 1) gives d = (1, 0) the
-    integral 1 + TOL and b = (1, 1) the integral 1), so there the bound is
-    fl(fl(max_w b_w^p) * F), F = max(mu_table) * (1 + (M + 4) eps), from the
-    Abel bound below.  Each power walks its box's offsets in descending
-    order of its own bound and stops at the first one below the best exact
-    value found so far: that offset and every later one have exact values
-    at most their bounds, which are no larger.  Every offset reached has its
-    |D| pass (``_offset_diffs``) and, unless its top cell rules it out
-    (below), goes through ``_offset_maxima`` once, for every power, into a
-    per-offset cache that every query shares; that cache is the table's
-    working set.  So each box maximum is a maximum of the same exact
-    per-offset values, whichever queries came before, and has the bits of
-    an eager table over every offset.
+    |D_w| <= omega1_w(dx) + omega2_w(|dy|) for every atom w, and every
+    cell's integral of |D|^p is at most C_mu*(b^p), b_w =
+    fl(fl(omega1_w + omega2_w) * sigma).  The bound of an offset is
+    fl(fl(C^(b^p) * S) + fl(fl(max_w b_w^p) * G)), with C^ the kernel on mu*
+    (``sorted_levels``/``powered_integrals``, one call over every offset),
+    S = 1 + (M + 5) eps and G the twins' term (below).  Each power walks its
+    box's offsets in descending order of its own bound and stops at the
+    first one below the best exact value found so far: that offset and
+    every later one have exact values at most their bounds, which are no
+    larger.  Every offset reached has its |D| pass (``_offset_diffs``) and,
+    unless its top cell rules it out (below), goes through
+    ``_offset_maxima`` once, for every power, into a per-offset cache that
+    every query shares; that cache is the table's working set.  So each box
+    maximum is a maximum of the same exact per-offset values, whichever
+    queries came before, and has the bits of an eager table over every
+    offset.
 
-    Exact pruning.  For h >= 0 and any table, the Choquet integral of h is
-    at most max(h) * max(mu_table): the telescoped terms (h_k - h_(k-1)) mu_k
-    have nonnegative differences, so they sum to at most max(h) *
-    max(mu_table) (Abel summation).  No monotonicity is needed, and mu of the
-    full set may exceed 1.  Per offset, with LB_p at most the computed
-    integral of some cell of the offset, a cell with UB^p * max(mu_table)
-    < LB_p for every p, UB its max over atoms of |D|, cannot hold a maximum
-    of the offset.  One threshold per offset, a lower bound thr of min over
-    p of (LB_p / max(mu_table))^(1/p), decides: only the cells with
-    UB >= thr go through the kernel, one call per offset.  On a monotone,
-    nonnegative table the integral C(h) of a cell is at least min(h) mu(X),
-    as {h > t} = X for t < min(h), and at least h_i mu({i}) for every atom
-    i, as i is in {h > t} for t < h_i.  Both are terms of a chain bound:
-    with the atoms in one fixed order (the chain, by their largest axis
-    moduli) and T_r the first r of them, {h > t} holds T_r for t below
-    m_r = min(h over T_r), so C(h) >= sum_r m_r (mu(T_r) - mu(T_(r-1))),
-    which is C(h) itself where h falls along the chain.  LB_p is the
+    Exact pruning.  For h >= 0, C_mu*(h) <= max(h) * max(mu) by Abel
+    summation, and mu of the full set may exceed 1.  Per offset, with LB_p
+    at most the computed integral of some cell of the offset, a cell that
+    fails the bound test fl(fl(UB^p) * F) >= LB_p for every p, UB its max
+    over atoms of |D| and F = max(mu) (1 + (M + 4) eps) + G, cannot hold a
+    maximum of the offset; only the cells that pass go through the kernel,
+    one call per offset.  The integral C_nu(h) of a cell is at least
+    min(h) nu(X), as {h > t} = X for t < min(h), and at least h_i nu({i})
+    for every atom i, as i is in {h > t} for t < h_i.  Both are terms of a
+    chain bound: with the atoms in one fixed order (the chain, by their
+    largest axis moduli) and T_r the first r of them, {h > t} holds T_r for
+    t below m_r = min(h over T_r), so C_nu(h) >= sum_r m_r (nu(T_r) -
+    nu(T_(r-1))), which is C_nu(h) itself where h falls along the chain.
+    These need nu >= 0; where mu has a negative nonempty entry no
+    nonnegative minorant exists, and the forms' weights are 0.  LB_p is the
     largest over the offset's cells of the first two, and the chain bound
-    of its first top-UB cell (``_lower_bounds``); no cell is sorted for it.
-    Elsewhere LB_p = 0, which keeps every cell.  The same bound at the
-    offset's top cell, fl(fl(top^p) * F) with top its largest |D|, is at
-    least the computed integral of every cell, so where it is below the
-    best exact value the walk has for p, the offset cannot raise it: it
-    is skipped before its LBs and kernel call, and only top is cached, for
-    a later query to test against its own best.  Where top = 0, every
-    computed integral is 0, exactly, with no kernel call.
+    of its first top-UB cell, less fl(fl(top^p) * G) (``_lower_bounds``); no
+    cell is sorted for it.  An LB_p of 0, as for a constant function, keeps
+    every cell, so no offset reaches its maximum with no kept cell.  The
+    same bound at the offset's top cell, fl(fl(top^p) * F) with top its
+    largest |D|, is at least the computed integral of every cell, so where
+    it is below the best exact value the walk has for p, the offset cannot
+    raise it: it is skipped before its LBs and kernel call, and only top is
+    cached, for a later query to test against its own best.  Where top = 0,
+    every computed integral is 0, exactly, with no kernel call.
 
-    Rounding slack, with u = eps / 2.  The kernel's |D|^p values lie within
-    one ulp (2u) of the exact powers, so none exceeds (1 + 2u) UB^p, and the
-    bound above (Abel summation needs no order among them) caps their exact
-    telescoped sum at (1 + 2u) UB^p max(mu_table).  The kernel adds M terms,
-    each formed by one difference and one product, so its result exceeds that
-    sum by at most (M + 1)u relative, up to O(M u^2) terms.  The bound test
-    fl(fl(UB^p) * F) >= LB_p loses at most 4u to its power and two products.
-    So a cell's computed integral stays below its computed bound once the
-    factor F exceeds 1 + (M + 7)u + O(M u^2); the factor
-    F = max(mu_table) * (1 + (M + 4) eps) = max(mu_table) * (1 + (2M + 8)u)
-    leaves (M + 1)u for the second-order terms.  LB_p is at most the
-    computed integral of a cell of the offset (below), so at most the
-    offset's computed maximum: a cell that fails the bound test for every p
-    has a computed integral below every such maximum, and each p's maximum
-    cell passes.  The top-cell test takes the same computed bound at the
-    largest UB; rounding is monotone, so that bound is at least every
-    cell's, and so at least every cell's computed integral.
+    Rounding slack, with u = eps / 2.  The kernel sorts a cell's computed
+    |D| and takes powers P_k within one ulp (2u) of the exact powers h_k of
+    the computed |D| of rank k.  An increment fl(P_k - P_(k-1)) is >= 0
+    unless the power rounds out of order, and then it is at most 4u h_k in
+    size, as P_(k-1) <= (1 + 2u) h_k and P_k >= (1 - 2u) h_k.
 
-    On a monotone, nonnegative table the kernel is also close to the exact
-    integral C(h) of the exact powers h of a cell's computed |D|.  Summed by
-    parts, the telescoped sum over the computed powers P_k is
-    sum_k P_k (mu_k - mu_(k+1)) (mu_M = 0) with weights mu_k - mu_(k+1) >= 0,
-    and C(h) is the same sum over h_k, so the one ulp of each power moves it
-    by at most 2u C(h).  A difference P_k - P_(k-1) that the power's rounding
-    makes negative is at most 4u h_k in size, and h_k mu_k <= C(h), so the terms'
-    absolute values sum to C(h) (1 + O(M u)), and the kernel's result lies
-    within (M + 3)u + O(M^2 u^2) of C(h), relative.  With M <= 20 atoms the
+    The twins.  The kernel on mu has twins, the same kernel on mu* and on
+    nu, with the same sort.  Rounding is monotone, so where every increment
+    is >= 0 (always at p = 1) each term fl(fl(P_k - P_(k-1)) mu_k) lies
+    between its twins', and so does the kernel.  In general the exact sum
+    E_mu = sum_k (P_k - P_(k-1)) mu_k is E_mu* less sum_k (P_k - P_(k-1))
+    (mu*_k - mu_k), whose terms of increments >= 0 are >= 0; at most M - 1
+    negative increments add at most 4u h_k g <= 4u g UB^p each, g the
+    largest of mu* - nu over the nonempty sets, and E_mu >= E_nu -
+    4(M - 1)u g UB^p likewise.  The kernel lies within (M + 1)u of E_mu
+    relative to its terms' absolute values (below), and |mu_k| <= mu*_k + g
+    (<= nu_k + g where mu >= 0), which adds (M + 1)u g UB^p (1 + O(M u)).
+    So the kernel on mu is at most (1 + (M + 3)u) C_mu*(h) plus, and where
+    mu >= 0 on the nonempty sets at least (1 - (M + 3)u) C_nu(h) less,
+    (5M - 3)u g UB^p, up to O(M^2 u^2) of each.  G = 3M eps g = 6M u g,
+    times a computed power of UB or of a larger value, covers the g terms
+    with (M + 3)u g UB^p to spare.  A monotone, nonnegative table is its own
+    mu* and nu, so g = G = 0 and every bound has the bits it has without G.
+
+    On a monotone, nonnegative lambda (mu* or nu) the kernel is within
+    (M + 3)u + O(M^2 u^2) of C_lambda(h), relative.  Its terms' absolute
+    values sum to C_lambda(h) (1 + O(M u)), as h_k lambda_k <= C_lambda(h);
+    it adds M terms, each from one difference and one product, so it is
+    within (M + 1)u of the exact telescoped sum over P_k, relative to that,
+    up to O(M u^2); summed by parts, that sum is sum_k P_k (lambda_k -
+    lambda_(k+1)) (lambda_M = 0), weights >= 0, which the one ulp of each
+    power moves by at most 2u C_lambda(h).  With M <= 20 atoms the
     second-order terms are below u / 10^12.  Then:
+    - the bound test: C_mu*(h) <= UB^p max(mu), so a cell's computed
+      integral is at most (1 + (M + 3)u) UB^p max(mu) plus the g term;
+      fl(fl(UB^p) * F) loses 4u to its power and two products and u to the
+      sum in F, so F needs 1 + (M + 8)u, and max(mu) (1 + (2M + 8)u) leaves
+      M u for the second-order terms.  LB_p is at most the computed integral
+      of a cell of the offset (below), so at most the offset's computed
+      maximum: a cell that fails the bound test for every p has a computed
+      integral below every such maximum, and each p's maximum cell passes.
+      The top-cell test takes the same computed bound at the largest UB;
+      rounding is monotone, so that bound is at least every cell's.
     - the skip bound: a cell's computed |D| is fl(|a - b|) <= (1 + u)|a - b|
       <= (1 + u)(|a - c| + |c - b|), c the grid point x + (dx, 0), and each
       axis modulus is at least (1 - u) times its exact difference, so
       |D_w| <= (1 + u)(omega1_w + omega2_w) / (1 - u); a difference, or sum
       of moduli, below the normal range is exact, and fl(s * sigma) >= s.
       sigma = 1 + 4 eps = 1 + 8u exceeds (1 + u) / (1 - u)^3 = 1 + 4u +
-      O(u^2), so b_w >= |D_w|, and C(|D|^p) <= C(b^p) by monotonicity.  So
-      a cell's computed integral is at most (1 + (M + 3)u) C(b^p), and C^(b^p)
-      is at least (1 - (M + 3)u) C(b^p): their ratio is 1 + (2M + 6)u +
-      O(M^2 u^2), and fl(C^(b^p) * S) >= (1 - u)(1 + (2M + 8)u) C^(b^p)
-      leaves u for the second-order terms.  Where the table is not monotone,
-      the Abel bound holds as above with U = max_w b_w >= UB in place of UB:
-      fl(fl(U^p) * F) loses at most 4u to its power (one ulp) and two
-      products.
+      O(u^2), so b_w >= |D_w|, and C_mu*(h) <= C_mu*(b^p).  So a cell's
+      computed integral is at most (1 + (M + 3)u) C_mu*(b^p) plus the g
+      term, and C^(b^p) is at least (1 - (M + 3)u) C_mu*(b^p): their ratio
+      is 1 + (2M + 6)u + O(M^2 u^2).  The product with S and the sum with
+      the G term (max_w b_w >= UB) lose u each; S = 1 + (2M + 10)u, one eps
+      more than F's factor, leaves 2u for the second-order terms.
     - the closed-form LBs: ``_lower_bounds`` forms fl(fl(x^p) * w), with
-      w = fl(mu * s) and s = 1 - 2(M + 4) eps = 1 - (4M + 16)u, and x the
-      computed |D| that a cell's bound min(h) mu(X) or h_i mu({i}) reads.
+      w = fl(nu * s) and s = 1 - 2(M + 4) eps = 1 - (4M + 16)u, and x the
+      computed |D| that a cell's bound min(h) nu(X) or h_i nu({i}) reads.
       Its power and two products put it below (1 + 4u) s times that bound.
-      The chain bound's weights are fl(fl(mu(T_r) - mu(T_(r-1))) * s) >= 0,
+      The chain bound's weights are fl(fl(nu(T_r) - nu(T_(r-1))) * s) >= 0,
       so its powers, weights and sum of M products put it below
       (1 + (M + 4)u) s times the exact chain bound of the cell.  The cell's
-      computed integral is at least (1 - (M + 3)u) times each bound, which
-      leaves (2M + 9)u for the second-order terms: LB_p is below the
-      computed integral of the cell it comes from.
+      computed integral is at least (1 - (M + 3)u) times each bound, less
+      the g term, which the G term (top >= the cell's UB) and one more u for
+      its difference cover; that leaves (2M + 8)u for the second-order
+      terms: LB_p is below the computed integral of the cell it comes from.
     Underflow adds at most 2^-1074 to each power and product beyond the
     relative bounds, at most 4M 2^-1074 to a comparison; a bound or LB of at
     least tiny / eps (``_BOUND_FLOOR``) leaves u times it, above 2^-1024,
     which covers that, so a bound below that floor, or one not finite
-    (an overflowed power), never skips, and such an LB is taken as 0.
-    max(mu_table) is within ``capacity.TOL`` of 1 for every capacity.
-
-    Threshold slack.  ``_keep_threshold`` takes thr = min over p of
-    thr_p = fl(fl(r^q) * s), with r = fl(LB_p / F), q = fl(1/p) and
-    s = 1 - 360 eps = 1 - 720u (exact), and every cell that passes the bound
-    test for some p has UB >= thr_p.  Such a cell has LB_p <= fl(fl(UB^p) F)
-    <= UB^p F (1 + 2u)(1 + u) (power and product of the test), so
-    UB >= (LB_p / F)^(1/p) (1 - 3u - O(u^2)); an overflowed fl(UB^p) means
-    UB^p > MAX >= r, which also puts UB above thr_p.  Against that, thr_p
-    exceeds (LB_p / F)^(1/p) s by at most u from the division (inside a
-    root with p >= 1), 2u from the root itself, a factor
-    exp(u |ln r| / p) <= 1 + 710u + O(u^2) from q, as |q - 1/p| <= u / p
-    and a finite normal r has |ln r| < 709.8, and u from the product with s
-    (also where it dips below the normal range: fl(r^q) >= min(r, 1) is
-    normal, so the subnormal spacing there is 2u * tiny <= 2u fl(r^q)).
-    That is 717u + O(u^2) in all; s leaves 3u for the second-order terms.
-    An LB_p below ``_BOUND_FLOOR`` (so r is normal wherever it is not) or
-    not finite is taken as 0: thr_p = 0 keeps every cell of the offset, a
-    superset of any kept set.  LB_p = 0, as for a constant function, so
-    keeps every cell, and no offset reaches its maximum with no kept cell.
+    (an overflowed power), never skips, and such an LB keeps every cell.
+    max(mu) is within ``capacity.TOL`` of 1 for every capacity.
 
     Each cell's integral does not depend on the other kept cells
     (``telescoped_sum`` is elementwise per column), so keeping more cells
@@ -517,26 +513,28 @@ class ChoquetModulusTable:
         omega2 = np.array([np.zeros(m)] + [atom_moduli((0, dy)) for dy in range(1, w2 + 1)])
         self._offsets = offsets = np.array(_offsets(w1, w2), dtype=np.int64).reshape(-1, 2)
         b = (omega1[offsets[:, 0]] + omega2[np.abs(offsets[:, 1])]) * _TRIANGLE_SLACK
-        levels = sorted_levels(b, mu)  # also refuses a table of another atom count
-        slack = (m + 4) * np.finfo(float).eps
-        self._factor = float(mu.max()) * (1.0 + slack)
-        monotone = bool(mu.min() >= 0) and _monotone(mu.reshape((2,) * m), 0.0)
+        # the envelope mu*, the minorant nu and the twins' term G, 0 on a
+        # monotone, nonnegative table; see "The twins"
+        upper = np.maximum(subset_max(mu), 0.0)
+        lower = -subset_max(-mu[::-1])[::-1]
+        eps = np.finfo(float).eps
+        gap = 3 * m * eps * float((upper - lower)[1:].max())
+        levels = sorted_levels(b, upper)  # also refuses a table of another atom count
+        slack = (m + 4) * eps
+        self._factor = float(mu.max()) * (1.0 + slack) + gap
         # ``_lower_bounds``' chain: the atoms by their largest axis moduli, the
-        # largest first, and the capacity each adds to the ones before it;
-        # then mu(X) and the singletons
+        # largest first, and the capacity nu adds to the ones before it; then
+        # nu(X) and the singletons; no weights where nu has a negative entry
         chain = np.argsort(-(omega1.max(axis=0) + omega2.max(axis=0)), kind="stable")
-        weights = np.append(np.diff(mu[np.cumsum(np.int64(1) << chain)], prepend=0.0),
-                            (mu[-1], *mu[np.int64(1) << np.arange(m)]))
-        weights *= (1.0 - 2 * slack) if monotone else 0.0
-        self._forms = chain, weights[:m], weights[m:]
+        weights = np.append(np.diff(lower[np.cumsum(np.int64(1) << chain)], prepend=0.0),
+                            (lower[-1], *lower[np.int64(1) << np.arange(m)]))
+        weights *= (1.0 - 2 * slack) if lower[1:].min() >= 0 else 0.0
+        self._forms = chain, weights[:m], weights[m:], gap
         # per p, one bound per offset; infinite where it may not skip
         with np.errstate(over="ignore", invalid="ignore"):
-            if monotone:
-                bounds = [c * (1.0 + slack) for c in powered_integrals(*levels, self.powers)]
-            else:
-                top = b.max(axis=1)
-                bounds = [(top if p == 1.0 else top ** p) * self._factor
-                          for p in self.powers]
+            top = levels[0][-1]  # each offset's largest b_w
+            bounds = [c * (1.0 + slack + eps) + (top if p == 1.0 else top ** p) * gap
+                      for p, c in zip(self.powers, powered_integrals(*levels, self.powers))]
         self._bounds, self._walks = {}, {}
         for p, bound in zip(self.powers, bounds):
             bound[~(bound >= _BOUND_FLOOR)] = np.inf

@@ -260,8 +260,9 @@ def test_multivariate_refusals():
 def test_moment_sum_values():
     assert moment_sum(17, 0.42, 0) == pytest.approx(1.0, abs=1e-12)
     assert moment_sum(4, 0.5, 2) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(InputError):
-        moment_sum(4, 0.5, 17)
+    for order in (17, -1, 2.5, True):
+        with pytest.raises(InputError, match="moment order"):
+            moment_sum(4, 0.3, order)
 
 
 def test_moment_bound_spot_checks():

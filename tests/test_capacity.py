@@ -10,7 +10,7 @@ from choqbern import (CapacityTooLargeError, ConstructionError, InputError, capa
                       eval_capacity, eval_sets, make_distorted, make_distortion,
                       make_possibility, make_table, subset_table)
 from choqbern.capacity import (_PROBE, TOL, _validate_distortion, as_mask,
-                               certified_submodular)
+                               certified_submodular, subset_max)
 from conftest import random_capacity, random_monotone_table, random_probability
 
 
@@ -176,8 +176,10 @@ def test_exhaustive_gate_above_twenty_atoms():
 
 
 def test_monotone_eval_exhaustive(rng):
-    # every nested pair A subset of B, for moderate atom counts
-    sizes = [int(rng.integers(2, 9)) for _ in range(8)] + [12]
+    # every nested pair A subset of B, for moderate atom counts; up to 6 atoms
+    # the same pairs give the subset-max and the superset-min, of the table
+    # and of a table that is not monotone
+    sizes = [1, 2, 3, 4, 5, 6] + [int(rng.integers(2, 9)) for _ in range(8)] + [12]
     for m in sizes:
         cap = random_capacity(rng, m)
         tbl = subset_table(cap)
@@ -187,6 +189,14 @@ def test_monotone_eval_exhaustive(rng):
             a = masks[start:start + chunk, None]
             nested = (a & masks[None, :]) == a
             assert np.all(~nested | (tbl[a] <= tbl[masks][None, :] + 1e-12))
+        if m <= 6:
+            nested = (masks[:, None] & masks[None, :]) == masks[:, None]  # [A, B]
+            for t in (tbl, rng.uniform(-1.0, 1.0, 1 << m)):
+                pairs = np.broadcast_to(t[:, None], nested.shape)
+                assert np.array_equal(subset_max(t),
+                                      np.where(nested, pairs, -np.inf).max(axis=0))
+                assert np.array_equal(-subset_max(-t[::-1])[::-1],
+                                      np.where(nested, pairs.T, np.inf).min(axis=1))
 
 
 def test_possibility_max_union_exact(rng):
@@ -467,15 +477,19 @@ def test_auto_and_exhaustive_monotone_verdicts_agree(m, kind, seed, moves):
     ({3: 1.0 - 0.5 * TOL}, True),
     # {0} 0.9 TOL above 1 and the full set 0.9 TOL below: each covering pair
     # is within TOL, but {0} within {0, 1, 2} is 1.8 TOL apart
-    ({1: 1.0 + 0.9 * TOL, 7: 1.0 - 0.9 * TOL}, False)])
+    ({1: 1.0 + 0.9 * TOL, 7: 1.0 - 0.9 * TOL}, False),
+    # one atom: the running max of a (2,) view is over 0-d values
+    ({}, True)])
 def test_auto_monotone_is_the_exhaustive_verdict(moves, monotone):
-    tbl = np.ones(8)
+    m = 3 if moves else 1
+    tbl = np.ones(1 << m)
     tbl[0] = 0.0
     for entry, value in moves.items():
         tbl[entry] = value
-    cap = make_table(3, tbl)
+    cap = make_table(m, tbl)
     for mode in ("auto", "exhaustive"):
         assert check_properties(cap, mode=mode).monotone == monotone, mode
+
 
 
 def test_local_check_of_a_table_with_a_negative_entry():

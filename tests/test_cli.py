@@ -66,14 +66,17 @@ def test_integrate_subset(cap_file, capsys):
 
 
 def test_capacity_check_output(tmp_path, capsys):
-    path = tmp_path / "pos.json"
-    path.write_text(json.dumps(POSSIBILITY_CAP))
-    assert run_cli(["capacity-check", "--capacity", str(path)]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == '{"monotone": true, "subadditive": true, "submodular": true}'
-    assert run_cli(["capacity-check", "--capacity", str(path),
-                    "--mode", "exhaustive"]) == 0
-    assert json.loads(capsys.readouterr().out)["submodular"] is True
+    # the possibility capacity, and a one-atom table
+    for spec in (POSSIBILITY_CAP,
+                 {"atoms": 1, "repr": {"type": "table", "values": {"": 0, "0": 1}}}):
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli(["capacity-check", "--capacity", str(path)]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == '{"monotone": true, "subadditive": true, "submodular": true}'
+        assert run_cli(["capacity-check", "--capacity", str(path),
+                        "--mode", "exhaustive"]) == 0
+        assert json.loads(capsys.readouterr().out)["submodular"] is True
 
 
 def test_capacity_check_counterexample(tmp_path, capsys):
