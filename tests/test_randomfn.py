@@ -10,7 +10,7 @@ from choqbern import (InputError, check_properties, choquet_modulus,
                       make_possibility, make_table, randomfn, semi_metric,
                       stochastic_modulus, subset_table)
 from choqbern.capacity import TOL
-from choqbern.choquet import sorted_levels, telescoped_sum
+from choqbern.choquet import powered_integrals, sorted_levels, telescoped_sum
 from choqbern.randomfn import (ChoquetModulusTable, FAMILIES, Grid, RandomFunction,
                                _box_windows, _lower_bounds, _offsets,
                                _translate_pair, _window, build_family, list_families,
@@ -681,6 +681,56 @@ _ALL_POWERS = (1.0, 1.5, 2.0, 3.0, 16.0)
 # tiny, unit and large |D|; at 1e-194, |D|^1.5 is just above ``_BOUND_FLOOR``
 # (2^-970, about 1e-292), and at 1e+19, UB^16 overflows near 2e19
 _SCALES = (1e-200, 1e-194, 1e-100, 1.0, 1e+10, 1e+19)
+
+
+@pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_offset_maxima_keep_exactly_the_cells_the_bound_test_keeps(monkeypatch, rng, m):
+    # the kernel sees the cells that pass the bound test against the offset's
+    # closed-form LBs, or every cell where an LB is below the floor or not
+    # finite; constant cells a few ulps either side of fl(UB^p) F = LB_p probe
+    # the edge, and the maxima equal those over every cell bit for bit
+    seen = []
+
+    def counting(rows, mu_table):
+        seen.append(len(rows))
+        return sorted_levels(rows, mu_table)
+    monkeypatch.setattr(randomfn, "sorted_levels", counting)
+    straddled = kept_all = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            table = ChoquetModulusTable(constant_fn(0.0, m),
+                                        make_table(m, random_monotone_table(rng, m)),
+                                        Grid(1, 3), 0.5, (1.0,))
+            mu_table, factor, forms = table._mu_table, table._factor, table._forms
+            for scale in _SCALES:
+                d = rng.random((m, 96)) * scale * 10.0 ** rng.uniform(-3.0, 0.0, 96)
+                for powers in [(p,) for p in _ALL_POWERS] + [_ALL_POWERS]:
+                    lb = _lower_bounds(d, d.max(axis=0), forms, powers)[0]
+                    edge = (lb / factor) ** (1.0 / powers[0])
+                    near = [edge]
+                    for step in (0.0, math.inf):
+                        x = edge
+                        for _ in range(4):
+                            x = np.nextafter(x, step)
+                            near.append(x)
+                    cells = np.hstack([d, np.broadcast_to(np.array(near), (m, len(near)))])
+                    cells = cells[:, np.isfinite(cells).all(axis=0)]
+                    ub = cells.max(axis=0)
+                    lbs = _lower_bounds(cells, ub, forms, powers)
+                    if all(randomfn._BOUND_FLOOR <= x < math.inf for x in lbs):
+                        keep = _bound_test(ub, lbs, powers, factor)
+                        straddled += keep[96:].any() and not keep[96:].all()
+                    else:
+                        keep = np.ones(len(ub), dtype=bool)
+                    seen.clear()
+                    got = randomfn._offset_maxima(cells, ub, mu_table, powers, factor, forms)
+                    assert seen == [int(keep.sum())], (scale, powers)
+                    kept_all += keep.all()
+                    v, mu = sorted_levels(cells.T, mu_table)
+                    full = [float(x.max()) for x in powered_integrals(v, mu, powers)]
+                    assert list(got) == full, (scale, powers)
+    assert straddled and kept_all, (straddled, kept_all)
 
 
 @pytest.mark.filterwarnings("ignore:capacity is not certified submodular")
