@@ -13,9 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -510,7 +509,8 @@ def run_mean_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         integrals = powered_integrals(*sorted_levels(err, mu), cfg.p)
         for rows_of_p, p, cp, integral in zip(per_p, cfg.p, cps, integrals):
             gamma = table.gamma(1.0 / math.sqrt(n1), 1.0 / math.sqrt(n2), p=p)
-            lhs = integral ** (1.0 / p)
+            # clamped at 0: a table within TOL below 0 can round an integral below it
+            lhs = np.maximum(integral, 0.0) ** (1.0 / p)
             bound = cp ** (1.0 / p) * gamma
             rows_of_p.append(BoundRow("mean_convergence", n1, n2, p, None, None, None,
                                       float(lhs.max()), bound))
@@ -627,49 +627,6 @@ def _sup_errors(values: np.ndarray, start: int, basis_t: np.ndarray,
     return sup_err
 
 
-def _one_ahead(produce, items):
-    """Yield ``produce(item)`` for each item in order, made one item ahead.
-
-    One helper thread calls ``produce``; it starts item k + 1 when item k
-    is handed over, so two results are alive at once if the caller drops
-    each before it asks for the next.  An exception in ``produce`` is
-    raised here, at its item.  The helper is joined on every exit, also
-    when the generator is closed early.
-    """
-    go = threading.Semaphore(1)  # the helper may start its next item
-    ready = threading.Semaphore(0)  # the helper has finished an item
-    done = []  # (result, exception) of the finished item not yet handed over
-    stop = False
-
-    def work():
-        for item in items:
-            go.acquire()
-            if stop:
-                return
-            try:
-                done.append((produce(item), None))
-            except BaseException as exc:  # raised again on the caller's thread
-                done.append((None, exc))
-                ready.release()
-                return
-            ready.release()
-
-    helper = threading.Thread(target=work, daemon=True)
-    helper.start()
-    try:
-        for _ in items:
-            ready.acquire()
-            result, exc = done.pop()
-            if exc is not None:
-                raise exc
-            go.release()
-            yield result
-    finally:
-        stop = True
-        go.release()
-        helper.join()
-
-
 def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
                    start_index: int, grid: Grid, grid_values: np.ndarray):
     """Per-sample node deviation M_n and sup error of one degree, block by block.
@@ -687,7 +644,6 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
     """
     basis_t = basis_matrix(n, grid.coords).T
     block = max(1, _BLOCK_CELLS // max(n + 1, grid.points_per_axis))
-    starts = range(0, cfg.samples, block)
     approx = np.empty((min(block, cfg.samples), grid.points_per_axis))
 
     def nodes(s):  # on the helper thread
@@ -696,11 +652,19 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
                 else sample_rows(n, cfg.seed, count, start_index=start_index + s))
         return rows, _node_pass(f, rows, s)
 
-    with closing(_one_ahead(nodes, starts)) as blocks:
-        for s, (values, dev) in zip(starts, blocks):
+    from concurrent.futures import ThreadPoolExecutor  # here: it loads logging
+    with ThreadPoolExecutor(max_workers=1) as helper:  # joined on every exit
+        ahead = helper.submit(nodes, 0)
+        for s in range(0, cfg.samples, block):
+            # the helper's exception is raised here; the rebinding frees the
+            # last block's rows while the helper is idle, so the next block's
+            # rows reuse their memory (freed during a node pass, they can be
+            # split by its small allocations, and the peak RSS grows a block)
+            values, dev = ahead.result()
+            if s + block < cfg.samples:
+                ahead = helper.submit(nodes, s + block)
             sup_err = _sup_errors(values, s, basis_t, grid_values,
                                   approx[:len(values)])
-            del values  # freed before the helper draws the block after next
             yield dev, sup_err
 
 

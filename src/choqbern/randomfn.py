@@ -235,30 +235,30 @@ def list_families() -> list[str]:
 def _window(delta: float, grid: Grid) -> int:
     if not delta >= 0:  # NaN is not
         raise InputError("delta must be nonnegative")
-    steps = math.floor((delta + PAIR_TOL) / grid.spacing + 1e-9)
-    return min(max(steps, 0), grid.points_per_axis - 1)
+    # clamped before the floor, so an infinite delta is the whole grid
+    return math.floor(min((delta + PAIR_TOL) / grid.spacing + 1e-9,
+                          grid.points_per_axis - 1))
 
 
-def _box_windows(deltas, grid: Grid) -> tuple[int, int]:
-    """Per-axis windows (w1, w2) of a box of one delta for every axis, or one
-    per axis, on a grid of dim <= 2; a 1-D box has w2 = 0."""
+def _box_windows(deltas, grid: Grid) -> tuple[int, ...]:
+    """One window per grid axis, for a box of one delta for every axis or
+    one per axis; grids of dim <= 2 only, as the skip bound's slack
+    (``_TRIANGLE_SLACK``) is derived for a sum of two axis moduli."""
     if grid.dim > 2:
         raise InputError("modulus computation supports dim <= 2 only")
     deltas = np.ravel(deltas)
     if deltas.size not in (1, grid.dim):
         raise InputError(f"expected one delta or {grid.dim}, got {deltas.size}")
-    windows = [_window(float(d), grid) for d in np.broadcast_to(deltas, grid.dim)]
-    return (*windows, 0)[:2]
+    return tuple(_window(float(d), grid) for d in np.broadcast_to(deltas, grid.dim))
 
 
-def _offsets(w1: int, w2: int) -> list[tuple[int, int]]:
-    """Grid offsets (dx, dy) != (0, 0) with dx <= w1 and |dy| <= w2, one of
-    each pair +-(dx, dy): dx >= 0, and dy > 0 where dx = 0.
-
-    With w2 = 0 these are the 1-D offsets (1, 0) ... (w1, 0).
-    """
-    return [(dx, dy) for dx in range(w1 + 1)
-            for dy in range(0 if dx == 0 else -w2, w2 + 1) if (dx, dy) != (0, 0)]
+def _offsets(windows) -> np.ndarray:
+    """Grid offsets o != 0 with |o_a| <= windows[a] on every axis a, one of
+    each pair +-o, the one whose first nonzero step is positive: a (K, dim)
+    array, the first axis ascending, then the next."""
+    o = np.indices([2 * w + 1 for w in windows]).reshape(len(windows), -1).T - windows
+    lead = o[np.arange(len(o)), (o != 0).argmax(axis=1)]  # the first nonzero step, or 0
+    return o[lead > 0]
 
 
 def _translate_pair(tensor: np.ndarray, offset: tuple[int, ...]
@@ -300,16 +300,15 @@ def _lower_bounds(d: np.ndarray, ub: np.ndarray, forms, powers) -> list[float]:
     return (lbs - xp[:, 1:].max(axis=1) * gap).tolist()
 
 
-def _offset_diffs(atoms: np.ndarray, offset: tuple[int, ...]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """An offset's |D|, (M, cells), and its UB, the max over the atoms per cell.
+def _offset_diffs(atoms: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
+    """An offset's |D|, (M, cells); its max over the atoms is the UB of
+    each cell.
 
     ``atoms`` is the atom-major grid tensor and ``offset`` one step per grid
     axis.
     """
     a, b = _translate_pair(atoms, (0, *offset))
-    d = np.abs(a - b).reshape(len(atoms), -1)
-    return d, d.max(axis=0)
+    return np.abs(a - b).reshape(len(atoms), -1)
 
 
 def _offset_maxima(d: np.ndarray, ub: np.ndarray, mu_table: np.ndarray, powers,
@@ -317,7 +316,8 @@ def _offset_maxima(d: np.ndarray, ub: np.ndarray, mu_table: np.ndarray, powers,
     """One offset's exact value per p: the maximum over grid positions of the
     integral of |D|^p, for every p in ``powers`` from one sorting pass.
 
-    ``d`` and ``ub`` are the offset's ``_offset_diffs``.  Only the cells
+    ``d`` is the offset's ``_offset_diffs`` and ``ub`` its max over the
+    atoms, ``d.max(axis=0)``.  Only the cells
     that pass the bound test fl(fl(UB^p) * factor) >= LB_p for some p, with
     LB_p its ``_lower_bounds``, go through the kernel; an LB_p below
     ``_BOUND_FLOOR``, or one that is not finite, keeps every cell.
@@ -355,38 +355,42 @@ class ChoquetModulusTable:
     ``gamma(*deltas, p)`` is the p-th root of the maximum, over the grid
     offsets of its delta box (``_box_windows``, ``_offsets``), of the
     offset's exact value: the maximum over grid positions of the integral
-    of |F(t) - F(s)|^p (``_offset_maxima``).  A 1-D table is a 2-D one with
-    no second axis.  Construction takes only the per-atom axis moduli
-    omega1_w(dx) and omega2_w(dy): the largest |D| of atom w over the cells
-    of the axis offsets (dx, 0) and (0, dy), with omega(0) = 0.
+    of |F(t) - F(s)|^p (``_offset_maxima``).  Construction takes only the
+    per-atom axis moduli, one array per grid axis a: omega_a,w(s) is the
+    largest |D| of atom w over the cells of the axis offset s e_a, with
+    omega_a(0) = 0.
 
     Envelope and minorant.  ``make_table`` lets entries of mu = ``mu_table``
-    lie within ``capacity.TOL`` below 0 or below a subset's entry.  The
-    bounds read two monotone tables (``capacity.subset_max``): the envelope
-    mu*(B) = max(0, mu(A) over A within B) >= mu, with mu*(X) = max(mu), and
-    the minorant nu(B) = min(mu(C) over C containing B) <= mu, with nu(X) =
-    mu(X), >= 0 where mu is >= 0 on every nonempty set.  Sorted increments
-    of h >= 0 are >= 0, so C_nu(h) <= C_mu(h) <= C_mu*(h), and C_mu*, C_nu
-    are monotone in h (Denneberg, Non-Additive Measure and Integral, 1994).
+    lie within ``capacity.TOL`` below 0, and each entry within ``TOL`` below
+    the entry of a subset one atom smaller; it checks only those covering
+    pairs, so along a chain of them an entry can lie further below a
+    subset's.  The bounds need no such limit: G (below) reads the table's
+    own largest mu* - nu.  They read two monotone tables
+    (``capacity.subset_max``): the envelope mu*(B) = max(0, mu(A) over A
+    within B) >= mu, with mu*(X) = max(mu), and the minorant nu(B) =
+    min(mu(C) over C containing B) <= mu, with nu(X) = mu(X), >= 0 where mu
+    is >= 0 on every nonempty set.  Sorted increments of h >= 0 are >= 0, so
+    C_nu(h) <= C_mu(h) <= C_mu*(h), and C_mu*, C_nu are monotone in h
+    (Denneberg, Non-Additive Measure and Integral, 1994).
 
-    Offset skip.  x + (dx, 0) is on the grid whenever x and x + (dx, dy)
-    are, so by the triangle inequality every cell of (dx, dy) has
-    |D_w| <= omega1_w(dx) + omega2_w(|dy|) for every atom w, and every
-    cell's integral of |D|^p is at most C_mu*(b^p), b_w =
-    fl(fl(omega1_w + omega2_w) * sigma).  The bound of an offset is
-    fl(fl(C^(b^p) * S) + fl(fl(max_w b_w^p) * G)), with C^ the kernel on mu*
-    (``sorted_levels``/``powered_integrals``, one call over every offset),
-    S = 1 + (M + 5) eps and G the twins' term (below).  Each power walks its
-    box's offsets in descending order of its own bound and stops at the
-    first one below the best exact value found so far: that offset and
-    every later one have exact values at most their bounds, which are no
-    larger.  Every offset reached has its |D| pass (``_offset_diffs``) and,
-    unless its top cell rules it out (below), goes through
-    ``_offset_maxima`` once, for every power, into a per-offset cache that
-    every query shares; that cache is the table's working set.  So each box
-    maximum is a maximum of the same exact per-offset values, whichever
-    queries came before, and has the bits of an eager table over every
-    offset.
+    Offset skip.  x + o_1 e_1 is on the grid whenever x and x + o are, so
+    by the triangle inequality along x -> x + o_1 e_1 -> x + o every cell
+    of the offset o has |D_w| <= sum_a omega_a,w(|o_a|) for every atom w,
+    and every cell's integral of |D|^p is at most C_mu*(b^p), b_w =
+    fl(fl(sum_a omega_a,w(|o_a|)) * sigma), summed in axis order.
+    The bound of an offset is fl(fl(C^(b^p) * S) + fl(fl(max_w b_w^p) * G)),
+    with C^ the kernel on mu* (``sorted_levels``/``powered_integrals``, one
+    call over every offset), S = 1 + (M + 5) eps and G the twins' term
+    (below).  Each power walks its box's offsets in descending order of its
+    own bound and stops at the first one below the best exact value found so
+    far: that offset and every later one have exact values at most their
+    bounds, which are no larger.  Every offset reached has its |D| pass
+    (``_offset_diffs``) and, unless its top cell rules it out (below), goes
+    through ``_offset_maxima`` once, for every power, into a per-offset
+    cache that every query shares; that cache is the table's working set.
+    So each box maximum is a maximum of the same exact per-offset values,
+    whichever queries came before, and has the bits of an eager table over
+    every offset.
 
     Exact pruning.  For h >= 0, C_mu*(h) <= max(h) * max(mu) by Abel
     summation, and mu of the full set may exceed 1.  Per offset, with LB_p
@@ -397,12 +401,12 @@ class ChoquetModulusTable:
     one call per offset.  The integral C_nu(h) of a cell is at least
     min(h) nu(X), as {h > t} = X for t < min(h), and at least h_i nu({i})
     for every atom i, as i is in {h > t} for t < h_i.  Both are terms of a
-    chain bound: with the atoms in one fixed order (the chain, by their
-    largest axis moduli) and T_r the first r of them, {h > t} holds T_r for
-    t below m_r = min(h over T_r), so C_nu(h) >= sum_r m_r (nu(T_r) -
-    nu(T_(r-1))), which is C_nu(h) itself where h falls along the chain.
-    These need nu >= 0; where mu has a negative nonempty entry no
-    nonnegative minorant exists, and the forms' weights are 0.  LB_p is the
+    chain bound: with the atoms in one fixed order (the chain, by the sum
+    of their largest axis moduli) and T_r the first r of them, {h > t}
+    holds T_r for t below m_r = min(h over T_r), so C_nu(h) >= sum_r m_r
+    (nu(T_r) - nu(T_(r-1))), which is C_nu(h) itself where h falls along
+    the chain.  These need nu >= 0; where mu has a negative nonempty entry
+    no nonnegative minorant exists, and the forms' weights are 0.  LB_p is the
     largest over the offset's cells of the first two, and the chain bound
     of its first top-UB cell, less fl(fl(top^p) * G) (``_lower_bounds``); no
     cell is sorted for it.  An LB_p of 0, as for a constant function, keeps
@@ -458,10 +462,11 @@ class ChoquetModulusTable:
       The top-cell test takes the same computed bound at the largest UB;
       rounding is monotone, so that bound is at least every cell's.
     - the skip bound: a cell's computed |D| is fl(|a - b|) <= (1 + u)|a - b|
-      <= (1 + u)(|a - c| + |c - b|), c the grid point x + (dx, 0), and each
+      <= (1 + u)(|a - c| + |c - b|), c the grid point x + o_1 e_1, and each
       axis modulus is at least (1 - u) times its exact difference, so
-      |D_w| <= (1 + u)(omega1_w + omega2_w) / (1 - u); a difference, or sum
-      of moduli, below the normal range is exact, and fl(s * sigma) >= s.
+      |D_w| <= (1 + u)(omega_1,w + omega_2,w) / (1 - u) on at most two
+      axes, whose sum of moduli rounds once; a difference, or sum of
+      moduli, below the normal range is exact, and fl(s * sigma) >= s.
       sigma = 1 + 4 eps = 1 + 8u exceeds (1 + u) / (1 - u)^3 = 1 + 4u +
       O(u^2), so b_w >= |D_w|, and C_mu*(h) <= C_mu*(b^p).  So a cell's
       computed integral is at most (1 + (M + 3)u) C_mu*(b^p) plus the g
@@ -495,7 +500,7 @@ class ChoquetModulusTable:
 
     def __init__(self, f: RandomFunction, cap: Capacity, grid: Grid,
                  max_deltas, powers):
-        self._windows = w1, w2 = _box_windows(max_deltas, grid)
+        self._windows = windows = _box_windows(max_deltas, grid)
         self.powers = tuple(check_p(float(p)) for p in powers)
         if not certified_submodular(cap):
             warnings.warn("capacity is not certified submodular; the modulus "
@@ -505,14 +510,17 @@ class ChoquetModulusTable:
         # atom-major, so an offset's |D| is (M, cells) and UB a leading-axis max
         self._atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
         self._mu_table = mu = subset_table(cap)
-
-        def atom_moduli(offset):
-            a, b = _translate_pair(self._atoms, (0, *offset[:f.dim]))
-            return np.abs(a - b).reshape(m, -1).max(axis=1)
-        omega1 = np.array([np.zeros(m)] + [atom_moduli((dx, 0)) for dx in range(1, w1 + 1)])
-        omega2 = np.array([np.zeros(m)] + [atom_moduli((0, dy)) for dy in range(1, w2 + 1)])
-        self._offsets = offsets = np.array(_offsets(w1, w2), dtype=np.int64).reshape(-1, 2)
-        b = (omega1[offsets[:, 0]] + omega2[np.abs(offsets[:, 1])]) * _TRIANGLE_SLACK
+        # per axis, the (window + 1, M) axis moduli omega_a: row s holds each
+        # atom's largest |D| over the cells of the offset s e_a
+        axis_moduli, zero = [], (0,) * grid.dim
+        for a, w in enumerate(windows):
+            moduli = [_offset_diffs(self._atoms, zero[:a] + (s,) + zero[a + 1:]).max(axis=1)
+                      for s in range(1, w + 1)]
+            axis_moduli.append(np.array([np.zeros(m), *moduli]))
+        self._offsets = offsets = _offsets(windows)
+        # summed in axis order from 0, which adds no rounding
+        b = sum(moduli[np.abs(o)] for moduli, o in zip(axis_moduli, offsets.T))
+        b *= _TRIANGLE_SLACK
         # the envelope mu*, the minorant nu and the twins' term G, 0 on a
         # monotone, nonnegative table; see "The twins"
         upper = np.maximum(subset_max(mu), 0.0)
@@ -525,7 +533,7 @@ class ChoquetModulusTable:
         # ``_lower_bounds``' chain: the atoms by their largest axis moduli, the
         # largest first, and the capacity nu adds to the ones before it; then
         # nu(X) and the singletons; no weights where nu has a negative entry
-        chain = np.argsort(-(omega1.max(axis=0) + omega2.max(axis=0)), kind="stable")
+        chain = np.argsort(-sum(moduli.max(axis=0) for moduli in axis_moduli), kind="stable")
         weights = np.append(np.diff(lower[np.cumsum(np.int64(1) << chain)], prepend=0.0),
                             (lower[-1], *lower[np.int64(1) << np.arange(m)]))
         weights *= (1.0 - 2 * slack) if lower[1:].min() >= 0 else 0.0
@@ -548,11 +556,11 @@ class ChoquetModulusTable:
         """Choquet L^p modulus for a delta box: one delta, or one per axis."""
         if p not in self._walks:
             raise InputError(f"p={p} is not one of the table's powers {self.powers}")
-        d1, d2 = _box_windows(deltas, self.grid)
-        if d1 > self._windows[0] or d2 > self._windows[1]:
+        windows = _box_windows(deltas, self.grid)
+        if any(w > top for w, top in zip(windows, self._windows)):
             raise InputError("delta exceeds the table's window")
         at, (order, bounds, offsets) = self.powers.index(p), self._walks[p]
-        inside = (offsets[:, 0] <= d1) & (np.abs(offsets[:, 1]) <= d2)
+        inside = (np.abs(offsets) <= windows).all(axis=1)
         best = np.float64(0.0)
         for i, bound in zip(order[inside], bounds[inside]):
             if bound < best:
@@ -569,11 +577,11 @@ class ChoquetModulusTable:
         the Abel bound at its top cell is below ``best`` for p, and then only
         its largest |D| is cached, so a later query re-tests it without a
         |D| pass."""
-        offset, d = tuple(self._offsets[i, :self.grid.dim]), None
+        offset, d = tuple(self._offsets[i]), None
         top = self._tops.get(i)
         if top is None:
-            d, ub = _offset_diffs(self._atoms, offset)
-            top = float(ub.max())
+            d = _offset_diffs(self._atoms, offset)
+            top = float(d.max())
         if _BOUND_FLOOR <= _top_bound(top, p, self._factor) < best:
             self._tops[i] = top
             return None
@@ -581,9 +589,9 @@ class ChoquetModulusTable:
             values = (0.0,) * len(self.powers)
         else:
             if d is None:
-                d, ub = _offset_diffs(self._atoms, offset)
-            values = _offset_maxima(d, ub, self._mu_table, self.powers, self._factor,
-                                    self._forms)
+                d = _offset_diffs(self._atoms, offset)
+            values = _offset_maxima(d, d.max(axis=0), self._mu_table, self.powers,
+                                    self._factor, self._forms)
         self._maxima[i] = values
         return values
 
@@ -607,16 +615,15 @@ def sample_modulus_profile(f: RandomFunction, grid: Grid,
     if max_dist is None:
         max_dist = math.sqrt(f.dim) + 1.0  # beyond every grid pair
     limit = max_dist + PAIR_TOL
-    w1, w2 = _box_windows(max_dist, grid)
-    tensor = f.grid_tensor(grid)
+    windows = _box_windows(max_dist, grid)
+    atoms = np.ascontiguousarray(np.moveaxis(f.grid_tensor(grid), -1, 0))
     entries = []
-    for dx, dy in _offsets(w1, w2):
-        dist = math.hypot(dx, dy) * grid.spacing
-        # the window bounds a 1-D walk (w2 = 0); in 2-D the disc trims its corners
-        if w2 and dist > limit:
+    for offset in _offsets(windows).tolist():
+        dist = math.hypot(*offset) * grid.spacing
+        # the window bounds a 1-D walk; on more axes the disc trims its corners
+        if grid.dim > 1 and dist > limit:
             continue
-        a, b = _translate_pair(tensor, (dx, dy)[:f.dim])
-        entries.append((dist, np.abs(a - b).reshape(-1, f.atom_count).max(axis=0)))
+        entries.append((dist, _offset_diffs(atoms, offset).max(axis=1)))
     entries.sort(key=lambda e: e[0])
     dists = np.array([0.0] + [e[0] for e in entries])
     prof = np.vstack([np.zeros(f.atom_count)] + [e[1] for e in entries])

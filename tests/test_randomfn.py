@@ -282,23 +282,32 @@ def _powers_of_sorted(v_sorted, mu, p):
     return out
 
 
+def _off_shape(windows):
+    """The layout of a per-offset table of per-axis ``windows``: the first
+    step in [0, w_1], each later step o_a in [-w_a, w_a] at o_a + w_a."""
+    return (windows[0] + 1, *[2 * w + 1 for w in windows[1:]])
+
+
+def _off_index(offset, windows):
+    """The entry of ``offset`` in an ``_off_shape(windows)`` table."""
+    return (offset[0], *[o + w for o, w in zip(offset[1:], windows[1:])])
+
+
 def _row_wise_off(f, cap, grid, max_deltas, powers):
     """The per-offset table of the row-wise (K, M) kernel, as a reference."""
     g = grid.points_per_axis
     tensor = f.grid_tensor(grid)
     mu_table = subset_table(cap)
     m = f.atom_count
+    windows = tuple(_window(d, grid) for d in max_deltas)
+    off = {p: np.zeros(_off_shape(windows)) for p in powers}
     if f.dim == 1:
-        w = _window(max(max_deltas), grid)
-        keys = [(d,) for d in range(1, w + 1)]
-        off = {p: np.zeros(w + 1) for p in powers}
+        keys = [(d,) for d in range(1, windows[0] + 1)]
     else:
-        w1 = _window(max_deltas[0], grid)
-        w2 = _window(max_deltas[1], grid)
+        w1, w2 = windows
         keys = [(dx, dy) for dx in range(w1 + 1)
                 for dy in range((0 if dx == 0 else -w2), w2 + 1)
                 if (dx, dy) != (0, 0)]
-        off = {p: np.zeros((w1 + 1, 2 * w2 + 1)) for p in powers}
 
     atom_bits = np.int64(1) << np.arange(m, dtype=np.int64)
     for key in keys:
@@ -319,30 +328,26 @@ def _row_wise_off(f, cap, grid, max_deltas, powers):
         upper = np.cumsum(atom_bits[order][:, ::-1], axis=1)[:, ::-1]
         mu = mu_table[upper]
         for p in powers:
-            val = float(_powers_of_sorted(v_sorted, mu, p).max())
-            if f.dim == 1:
-                off[p][key[0]] = val
-            else:
-                off[p][key[0], key[1] + w2] = val
+            off[p][_off_index(key, windows)] = float(_powers_of_sorted(v_sorted, mu, p).max())
     return off
 
 
 def _offset_values(table, offset):
     """One offset's exact value per p, from the table's |D| pass and kernel."""
-    d, ub = randomfn._offset_diffs(table._atoms, offset)
-    return randomfn._offset_maxima(d, ub, table._mu_table, table.powers, table._factor,
-                                   table._forms)
+    d = randomfn._offset_diffs(table._atoms, offset)
+    return randomfn._offset_maxima(d, d.max(axis=0), table._mu_table, table.powers,
+                                   table._factor, table._forms)
 
 
 def _table_off(table):
     """Every offset's value from the table's per-offset pass, laid out as
-    the references lay out theirs: (w1 + 1,) in 1-D, (w1 + 1, 2 w2 + 1) in 2-D."""
-    (w1, w2), dim = table._windows, table.grid.dim
-    off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:dim]) for p in table.powers}
-    for dx, dy in table._offsets:
-        values = _offset_values(table, (dx, dy)[:dim])
+    the references lay out theirs (``_off_shape``)."""
+    windows = table._windows
+    off = {p: np.zeros(_off_shape(windows)) for p in table.powers}
+    for offset in table._offsets:
+        values = _offset_values(table, tuple(offset))
         for p, value in zip(table.powers, values):
-            off[p][(dx, dy + w2)[:dim]] = value
+            off[p][_off_index(offset, windows)] = value
     return off
 
 
@@ -367,32 +372,31 @@ def _unpruned_off(f, cap, grid, max_deltas, powers):
     ``sorted_levels``/``telescoped_sum``, as a reference for the pruning."""
     tensor = f.grid_tensor(grid)
     mu_table = subset_table(cap)
-    w1, w2 = _box_windows(max_deltas, grid)
-    off = {p: np.zeros((w1 + 1, 2 * w2 + 1)[:f.dim]) for p in powers}
-    for dx, dy in _offsets(w1, w2):
-        a, b = _translate_pair(tensor, (dx, dy)[:f.dim])
+    windows = _box_windows(max_deltas, grid)
+    off = {p: np.zeros(_off_shape(windows)) for p in powers}
+    for offset in _offsets(windows):
+        a, b = _translate_pair(tensor, offset)
         v, mu = sorted_levels(np.abs(a - b).reshape(-1, f.atom_count), mu_table)
         for p in powers:
             vals = telescoped_sum(v if p == 1.0 else v ** p, mu)
-            off[p][(dx, dy + w2)[:f.dim]] = vals.max()
+            off[p][_off_index(offset, windows)] = vals.max()
     return off
 
 
 def _eager_gamma(off, grid, deltas, p):
     """A box's modulus from an ``_unpruned_off`` table: the largest entry in
-    the box, (0, 0) included, to the power 1 / p."""
-    d1, d2 = _box_windows(deltas, grid)
-    off = off.reshape(len(off), -1)
-    w2 = off.shape[1] // 2
-    return float(off[:d1 + 1, w2 - d2:w2 + d2 + 1].max()) ** (1.0 / p)
+    the box, the zero offset included, to the power 1 / p."""
+    first, *rest = _box_windows(deltas, grid)
+    box = (slice(first + 1), *[slice(n // 2 - w, n // 2 + w + 1)
+                               for n, w in zip(off.shape[1:], rest)])
+    return float(off[box].max()) ** (1.0 / p)
 
 
 def _random_deltas(rng, grid):
-    """Random per-axis deltas; in 2-D their two windows differ."""
+    """Random per-axis deltas whose windows differ from axis to axis."""
     while True:
         deltas = tuple(rng.uniform(0.05, 1.0, grid.dim))
-        w1, w2 = _box_windows(deltas, grid)
-        if grid.dim == 1 or w1 != w2:
+        if len(set(_box_windows(deltas, grid))) == grid.dim:
             return deltas
 
 
@@ -436,15 +440,15 @@ def test_pruned_modulus_table_keeps_every_cell_of_a_constant(monkeypatch, dim):
     table = ChoquetModulusTable(constant_fn(2.0, 3, dim), cap, grid, 0.5,
                                 powers=(1.0, 2.0))
     g = grid.points_per_axis
-    cells = sum(math.prod(g - abs(d) for d in o[:dim])
-                for o in _offsets(*_box_windows((0.5,) * dim, grid)))
+    cells = sum(math.prod(g - abs(d) for d in o)
+                for o in _offsets(_box_windows((0.5,) * dim, grid)))
     assert calls == [len(table._offsets)]  # construction's bound call
     calls.clear()
     for p in (1.0, 2.0):
         assert table.gamma(0.5, p=p) == 0.0
     assert calls == [] and len(table._maxima) == len(table._offsets)
     for offset in table._offsets:
-        assert _offset_values(table, tuple(offset[:dim])) == (0.0, 0.0)
+        assert _offset_values(table, tuple(offset)) == (0.0, 0.0)
     assert sum(calls) == cells
 
 
@@ -480,9 +484,12 @@ def test_pruned_modulus_table_c08_shape(monkeypatch):
         passes.clear()
         kernel.clear()
         f, cap, table = _c08_table(z)
-        # construction sorts the per-atom triangle bounds of every offset once
+        # construction sorts the per-atom triangle bounds of every offset once,
+        # from one |D| pass per axis offset
         assert calls == [len(table._offsets)]
+        assert len(passes) == sum(table._windows)
         calls.clear()
+        passes.clear()
         want = _unpruned_off(f, cap, table.grid, (0.5, 0.5), table.powers)
         for deltas in _C08_BOXES:
             for p in table.powers:
@@ -513,12 +520,13 @@ def test_an_offset_skipped_by_one_box_is_exact_in_a_later_box():
     f, cap, table = _c08_table(np.random.default_rng(3).uniform(-1, 1, 5))
     want = _unpruned_off(f, cap, table.grid, (0.5, 0.5), table.powers)
     table.gamma(0.5, 0.5, p=1.0)
-    w2, steps = table._windows[1], table.grid.points_per_axis - 1
+    steps = table.grid.points_per_axis - 1
     later = []
     for i in list(table._tops):
-        dx, dy = table._offsets[i]
-        deltas = (dx / steps, abs(dy) / steps)
-        if want[1.0][dx, dy + w2] == _eager_gamma(want[1.0], table.grid, deltas, 1.0):
+        offset = table._offsets[i]
+        deltas = tuple(np.abs(offset) / steps)
+        if (want[1.0][_off_index(offset, table._windows)]
+                == _eager_gamma(want[1.0], table.grid, deltas, 1.0)):
             later.append((i, deltas))
     assert later and not any(i in table._maxima for i, _ in later)
     for i, deltas in later:
@@ -551,8 +559,9 @@ def test_top_cell_test_keeps_an_offset_that_rounds_above_its_top():
 
 
 def _linear_fn(m, dim, rng):
-    """F(x, atom) = c_atom (x1 + x2), or c_atom x in 1-D: for dy >= 0 the
-    triangle bound omega1(dx) + omega2(dy) is every offset's largest UB."""
+    """F(x, atom) = c_atom (x1 + x2), or c_atom x in 1-D: for an offset with
+    no negative step the triangle bound, its axis moduli summed, is its
+    largest UB."""
     c = rng.uniform(0.5, 2.0, m)
     return RandomFunction(m, dim, lambda pts, w, c=c: c[w] * pts.sum(axis=-1),
                           name="linear")
@@ -606,15 +615,16 @@ def _abel_bounds(table, powers):
     """Per p, each offset's fl(fl(max_w b_w^p) * max(mu_table) (1 + (M + 4)
     eps)), b the per-atom triangle bounds: the skip bound of a table that is
     not monotone, before the envelope."""
-    m, dim = len(table._atoms), table.grid.dim
+    m = len(table._atoms)
 
-    def moduli(offset):
-        return randomfn._offset_diffs(table._atoms, offset[:dim])[0].max(axis=1)
-    w1, w2 = table._windows
-    omega1 = np.array([np.zeros(m)] + [moduli((dx, 0)) for dx in range(1, w1 + 1)])
-    omega2 = np.array([np.zeros(m)] + [moduli((0, dy)) for dy in range(1, w2 + 1)])
-    dx, dy = table._offsets.T
-    top = ((omega1[dx] + omega2[np.abs(dy)]) * randomfn._TRIANGLE_SLACK).max(axis=1)
+    def axis_moduli(unit, w):
+        return np.array([np.zeros(m)] + [
+            randomfn._offset_diffs(table._atoms, tuple(s * unit)).max(axis=1)
+            for s in range(1, w + 1)])
+    units = np.eye(table.grid.dim, dtype=np.int64)
+    b = sum(axis_moduli(unit, w)[np.abs(o)]
+            for unit, w, o in zip(units, table._windows, table._offsets.T))
+    top = (b * randomfn._TRIANGLE_SLACK).max(axis=1)
     factor = table._mu_table.max() * (1.0 + (m + 4) * np.finfo(float).eps)
     return {p: top ** p * factor for p in powers}
 
@@ -635,14 +645,15 @@ def test_every_offset_value_is_within_its_skip_bound(rng):
             abel = _abel_bounds(table, powers)
             assert any(np.any(table._bounds[p] < abel[p]) for p in powers)
             assert np.any(table._forms[1]) and np.any(table._forms[2])
-        for i, (dx, dy) in enumerate(table._offsets):
-            values = _offset_values(table, (dx, dy)[:f.dim])
-            top = float(randomfn._offset_diffs(table._atoms, (dx, dy)[:f.dim])[1].max())
+        for i, offset in enumerate(table._offsets):
+            offset = tuple(offset)
+            values = _offset_values(table, offset)
+            top = float(randomfn._offset_diffs(table._atoms, offset).max())
             for p, value in zip(powers, values):
                 bound = table._bounds[p][i]
-                assert value <= bound, (f.name, dx, dy, p)
-                assert value <= randomfn._top_bound(top, p, table._factor), (f.name, dx, dy, p)
-                if f.name == "linear" and f.atom_count == 1 and dy >= 0 and value:
+                assert value <= bound, (f.name, offset, p)
+                assert value <= randomfn._top_bound(top, p, table._factor), (f.name, offset, p)
+                if f.name == "linear" and f.atom_count == 1 and min(offset) >= 0 and value:
                     assert bound <= value * (1 + 1e-14)
 
 

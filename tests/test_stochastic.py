@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from choqbern import (ConfigError, ExperimentConfig, InputError,
-                      SeededStream, bernstein_univariate, choquet_integral,
+                      SeededStream, bernstein_univariate, choquet_integral, choquet_modulus,
                       k_inverse, k_modulus, make_distorted, make_distortion,
                       lemma51_bound, max_deviation_rows, sample_rows, sikkema_constant,
                       stochastic_bernstein, stochastic_modulus, theorem6_bound)
@@ -189,6 +189,17 @@ def test_moduli_refuse_nan():
                  lambda: k_inverse(f, math.nan, grid)):
         with pytest.raises(InputError, match="nonnegative"):
             call()
+
+
+def test_moduli_take_an_infinite_delta_as_the_whole_grid():
+    # on the unit interval a delta of 2 already spans the grid
+    f = build_family("affine_noise", 3, 1)
+    grid = Grid(1, 65)
+    cap = make_distorted(make_distortion("power", alpha=0.5), [1 / 3] * 3)
+    assert stochastic_modulus(f, math.inf, 0, grid) == stochastic_modulus(f, 2.0, 0, grid)
+    assert (choquet_modulus(f, cap, math.inf, 1.0, grid)
+            == choquet_modulus(f, cap, 2.0, 1.0, grid))
+    assert k_modulus(f, math.inf, grid) == k_modulus(f, 2.0, grid)
 
 
 def test_stochastic_bernstein_reduction_bit_exact():
