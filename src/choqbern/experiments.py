@@ -10,9 +10,12 @@ per-sample substreams, and every sweep runs its schedule in order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -578,12 +581,15 @@ def run_possibility_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     return _result(cfg, rows, t0)
 
 
-# cells per streamed block of samples: a block is _BLOCK_CELLS // max(n + 1, g)
-# rows.  Two blocks' node rows are alive at once (the helper thread makes the
-# next while the GEMM runs on this one), and with this block's (rows, g) GEMM
-# product each takes at most 4 MB, so the stochastic sweep's working set
-# does not grow with 'samples'
-_BLOCK_CELLS = 500_000
+# the stochastic sweep multiplies node values by the basis in index-aligned
+# chunks of _GEMM_ROWS rows, every GEMM of one shape, so a sample's sup error
+# does not depend on the block that holds it; a block is a whole number of
+# chunks, about _BLOCK_CELLS cells of node rows or of grid values.  Two
+# blocks' node rows are alive at once (the helper thread makes the next while
+# the GEMM runs on this one), each at most 2 MB unless one chunk of rows is
+# larger, so the sweep's working set does not grow with 'samples'
+_GEMM_ROWS = 128
+_BLOCK_CELLS = 2 ** 18
 
 
 def _node_pass(f: RandomFunction, rows: np.ndarray, start: int) -> np.ndarray:
@@ -610,20 +616,23 @@ def _sup_errors(values: np.ndarray, start: int, basis_t: np.ndarray,
     """Sup error of each sample in one block, from its node values.
 
     Row i is sample ``start + i``, on atom w = (start + i) mod M; its sup
-    error is the sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.  One GEMM
-    writes the (len(values), g) product into ``approx``, from which the grid
-    values are subtracted in place, chunk by chunk, before each chunk's
-    abs-max.
+    error is the sup over grid x of |B_n(f, Y)(x, w) - f(x, w)|.  ``start``
+    is a multiple of ``_GEMM_ROWS``.  Each chunk of ``_GEMM_ROWS`` rows, the
+    last one zero-padded, is one GEMM into the (_GEMM_ROWS, g) buffer
+    ``approx``, from which the grid values are subtracted in place before
+    the chunk's abs-max.
     """
     m = grid_values.shape[1]
-    np.matmul(values, basis_t, out=approx)
-    sup_err = np.empty(len(approx))
-    step = max(1, _CHUNK_CELLS // approx.shape[1])
-    for c in range(0, len(approx), step):
-        part = approx[c:c + step]
-        for i in range(min(m, len(part))):
+    sup_err = np.empty(len(values))
+    for c in range(0, len(values), _GEMM_ROWS):
+        chunk = values[c:c + _GEMM_ROWS]
+        rows = len(chunk)
+        if rows < _GEMM_ROWS:
+            chunk = np.pad(chunk, ((0, _GEMM_ROWS - rows), (0, 0)))
+        part = np.matmul(chunk, basis_t, out=approx)[:rows]
+        for i in range(min(m, rows)):
             part[i::m] -= grid_values[:, (start + c + i) % m]
-        np.abs(part, out=part).max(axis=1, out=sup_err[c:c + step])
+        np.abs(part, out=part).max(axis=1, out=sup_err[c:c + rows])
     return sup_err
 
 
@@ -632,19 +641,21 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
     """Per-sample node deviation M_n and sup error of one degree, block by block.
 
     Yields (dev, sup_err) for consecutive blocks of
-    ``_BLOCK_CELLS // max(n + 1, g)`` samples, g the grid size, so memory does
-    not grow with ``cfg.samples``.  Sample i uses substream
-    ``start_index + i`` and atom i mod M.  The blocks run as a two-stage
-    pipeline: while this thread runs one block's GEMM and error reduction,
-    a helper thread draws the next block's rows and runs its node pass.
-    Every block's GEMM writes into one product buffer that lives as long
+    ``_GEMM_ROWS * max(1, _BLOCK_CELLS // (_GEMM_ROWS * max(n + 1, g)))``
+    samples, g the grid size, so memory does not grow with ``cfg.samples``.
+    Sample i uses substream ``start_index + i`` and atom i mod M.  The
+    blocks run as a two-stage pipeline: while this thread runs one block's
+    GEMMs and error reduction, a helper thread draws the next block's rows
+    and runs its node pass.
+    Every chunk's GEMM writes into one product buffer that lives as long
     as the degree, so the helper's temporaries meet the same arrays here
     however the two threads interleave, and the peak is reached in the
     first blocks, not by chance in one of many.
     """
     basis_t = basis_matrix(n, grid.coords).T
-    block = max(1, _BLOCK_CELLS // max(n + 1, grid.points_per_axis))
-    approx = np.empty((min(block, cfg.samples), grid.points_per_axis))
+    g = grid.points_per_axis
+    block = _GEMM_ROWS * max(1, _BLOCK_CELLS // (_GEMM_ROWS * max(n + 1, g)))
+    approx = np.empty((_GEMM_ROWS, g))
 
     def nodes(s):  # on the helper thread
         count = min(block, cfg.samples - s)
@@ -663,8 +674,7 @@ def _sample_errors(f: RandomFunction, n: int, cfg: ExperimentConfig,
             values, dev = ahead.result()
             if s + block < cfg.samples:
                 ahead = helper.submit(nodes, s + block)
-            sup_err = _sup_errors(values, s, basis_t, grid_values,
-                                  approx[:len(values)])
+            sup_err = _sup_errors(values, s, basis_t, grid_values, approx)
             yield dev, sup_err
 
 
@@ -747,5 +757,70 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [line.split()[-1] for line in fh if "openblas" in line]
+    except OSError:  # no /proc/self/maps outside Linux
+        return None
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+    except OSError:  # the mapped file is gone or cannot be opened again
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get = getattr(lib, name.format("get"), None)
+        put = getattr(lib, name.format("set"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """OpenBLAS at one thread while a run is inside, its count restored on
+    every exit, an exception included.
+
+    A GEMM's bits can depend on the thread count, which is global to the
+    process, so a run pins it.  Runs on several threads share the pin: the
+    count the first one found is restored when the last one leaves.  BLAS
+    runs only on the thread that called ``run_experiment``, so the
+    stochastic sweep's helper thread is not affected.  Where no OpenBLAS
+    symbol is found, this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._runs = 0
+        self._before = 0
+
+    def __enter__(self):
+        blas = _openblas_threads()
+        if blas is not None:
+            get, put = blas
+            with self._lock:
+                if self._runs == 0:
+                    self._before = get()
+                    put(1)
+                self._runs += 1
+
+    def __exit__(self, *exc_info):
+        blas = _openblas_threads()
+        if blas is not None:
+            with self._lock:
+                self._runs -= 1
+                if self._runs == 0:
+                    blas[1](self._before)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    return _RUNNERS[cfg.experiment](cfg)
+    with _ONE_BLAS_THREAD:
+        return _RUNNERS[cfg.experiment](cfg)

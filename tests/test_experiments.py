@@ -682,37 +682,180 @@ def _streamed(n, cfg):
     return [np.concatenate(column) for column in zip(*blocks)], len(blocks)
 
 
-def _blocks_match_one_block(monkeypatch, n, samples, degenerate):
+def _blocks_match_one_block(monkeypatch, n, samples, blocks, degenerate):
     cfg = ExperimentConfig.from_mapping({
         "experiment": "stochastic", "family": "affine_noise", "schedule": [n],
         "samples": samples, "degenerate_nodes": degenerate, "seed": 8})
-    streamed, blocks = _streamed(n, cfg)
-    assert blocks == 3
-    width = max(n + 1, cfg.grid_points)
-    # one block; blocks of 7 rows; then, at the default block, chunks of one
-    # row and of 7 rows (on the wider array), 7 not a multiple of M = 5; M_n is
-    # taken chunk by chunk inside the node pass, so the chunks cover it too
-    for name, cells in (("_BLOCK_CELLS", samples * width), ("_BLOCK_CELLS", 7 * width),
-                        ("_CHUNK_CELLS", width), ("_CHUNK_CELLS", 7 * width)):
+    streamed, count = _streamed(n, cfg)
+    assert count == blocks
+    rows, width = experiments._GEMM_ROWS, max(n + 1, cfg.grid_points)
+    # one block; budgets of 7 and 300 rows, which round to blocks of 128 and
+    # 256 rows; then, at the default block, chunks of one row and of 7 rows
+    # (on the wider array), 7 not a multiple of M = 5; M_n is taken chunk by
+    # chunk inside the node pass, so the chunks cover it too
+    for name, cells, other_blocks in (
+            ("_BLOCK_CELLS", rows * samples * width, 1),
+            ("_BLOCK_CELLS", 7 * width, -(-samples // rows)),
+            ("_BLOCK_CELLS", 300 * width, -(-samples // (2 * rows))),
+            ("_CHUNK_CELLS", width, blocks), ("_CHUNK_CELLS", 7 * width, blocks)):
         with monkeypatch.context() as patch:
             patch.setattr(experiments, name, cells)
-            other, _ = _streamed(n, cfg)
+            other, other_count = _streamed(n, cfg)
+        assert other_count == other_blocks
         for a, b in zip(streamed, other):
             assert a.shape == (samples,) and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_stochastic_blocks_match_one_block(monkeypatch, degenerate):
-    # three blocks of 312 rows, the last one partial: the 1601 nodes set the block
-    _blocks_match_one_block(monkeypatch, 1600, 900, degenerate)
+    # eight blocks of 128 rows, the last one partial: the 1601 nodes set the
+    # block
+    _blocks_match_one_block(monkeypatch, 1600, 900, 8, degenerate)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_stochastic_blocks_match_one_block_where_the_grid_sets_it(monkeypatch,
                                                                   degenerate):
-    # three blocks of 1945 rows, the last one partial: at n = 25 the 257 grid
+    # six blocks of 896 rows, the last one partial: at n = 25 the 257 grid
     # values of each sample's product, not its 26 nodes, set the block
-    _blocks_match_one_block(monkeypatch, 25, 5010, degenerate)
+    _blocks_match_one_block(monkeypatch, 25, 5010, 6, degenerate)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_stochastic_blocks_match_one_block_where_a_block_is_two_rows(monkeypatch,
+                                                                     degenerate):
+    # 800 = 114 * 7 + 2: a GEMM of the last 2 rows alone rounds them unlike
+    # the same rows inside a taller GEMM, so every GEMM has _GEMM_ROWS rows
+    _blocks_match_one_block(monkeypatch, 1600, 800, 7, degenerate)
+
+
+def _child_env(threads, **extra):
+    """Environment of a child process that imports this checkout's choqbern
+    with ``threads`` BLAS threads."""
+    threads = str(threads)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]), **extra)
+
+
+# compares every sample's deviation and sup error across block budgets (the
+# default, one block, 7 rows and 300 rows) under the BLAS kernel that
+# OPENBLAS_CORETYPE selects; prints the cases whose budgets disagree
+_BLOCKS_MATCH = """
+import json
+import numpy as np
+from choqbern import ExperimentConfig, experiments
+from choqbern.randomfn import Grid
+unequal = []
+for n, samples in ((1600, 900), (25, 5010), (1600, 800)):
+    for degenerate in (False, True):
+        cfg = ExperimentConfig.from_mapping({
+            "experiment": "stochastic", "family": "affine_noise", "schedule": [n],
+            "samples": samples, "degenerate_nodes": degenerate, "seed": 8})
+        f, grid = cfg.family, Grid(1, cfg.grid_points)
+        width = max(n + 1, cfg.grid_points)
+        runs = []
+        for cells in (experiments._BLOCK_CELLS, experiments._GEMM_ROWS * samples * width,
+                      7 * width, 300 * width):
+            experiments._BLOCK_CELLS = cells
+            blocks = experiments._sample_errors(f, n, cfg, samples, grid,
+                                                f.grid_tensor(grid))
+            runs.append([np.concatenate(column) for column in zip(*blocks)])
+        if not all(np.array_equal(a, b)
+                   for run in runs[1:] for a, b in zip(runs[0], run)):
+            unequal.append([n, samples, degenerate])
+print(json.dumps(unequal))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Zen", "Sandybridge", "Prescott"])
+def test_stochastic_blocks_match_under_every_blas_kernel(kernel):
+    # the default kernel is covered in process above; a kernel is chosen only
+    # when OpenBLAS loads, so each one runs in a child process
+    env = _child_env(threads=1, OPENBLAS_CORETYPE=kernel)
+    proc = subprocess.run([sys.executable, "-c", _BLOCKS_MATCH], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# runs one degenerate-node sweep, whose GEMM bits depend on the BLAS thread
+# count unless the run pins it, and prints its CSV digest and the thread
+# count before and after the run
+_THREADS_RUN = """
+import hashlib, json
+from choqbern import ExperimentConfig, experiments, run_experiment
+cfg = ExperimentConfig.from_mapping({
+    "experiment": "stochastic", "schedule": [400], "samples": 3000,
+    "degenerate_nodes": True, "seed": 3})
+get, _ = experiments._openblas_threads()
+before = get()
+csv = run_experiment(cfg).to_csv()
+print(json.dumps([hashlib.sha256(csv.encode()).hexdigest(), before, get()]))
+"""
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in (1, 2):
+        proc = subprocess.run([sys.executable, "-c", _THREADS_RUN],
+                              env=_child_env(threads=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    (digest_1, *counts_1), (digest_2, *counts_2) = outputs
+    assert digest_1 == digest_2
+    # each run restored the count it found; OpenBLAS caps it at the cores
+    assert counts_1 == [1, 1]
+    assert counts_2 == [min(2, len(os.sched_getaffinity(0)))] * 2
+
+
+def test_run_pins_one_blas_thread_and_restores_it_on_an_error(monkeypatch):
+    get, _ = experiments._openblas_threads()
+    before, inside = get(), []
+
+    def fail(cfg):
+        inside.append(get())
+        raise InputError("runner failed")
+    monkeypatch.setitem(experiments._RUNNERS, "stochastic", fail)
+    with pytest.raises(InputError, match="runner failed"):
+        run_experiment(ExperimentConfig.from_mapping({"experiment": "stochastic"}))
+    assert inside == [1] and get() == before
+
+
+def test_runs_on_two_threads_share_the_blas_pin(monkeypatch):
+    # a run that leaves while another is still inside keeps the pin, and the
+    # last one out restores the count the first one in found
+    get, put = experiments._openblas_threads()
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen = []
+
+    def first(cfg):
+        first_in.set()
+        second_in.wait(60)
+
+    def second(cfg):
+        second_in.set()
+        first_out.wait(60)
+        seen.append(get())
+    monkeypatch.setitem(experiments._RUNNERS, "stochastic", first)
+    monkeypatch.setitem(experiments._RUNNERS, "mean_convergence", second)
+    runs = [threading.Thread(target=run_experiment, args=(ExperimentConfig.from_mapping(
+        {"experiment": name}),)) for name in ("stochastic", "mean_convergence")]
+    before = get()
+    put(2)
+    found = get()  # 2, unless OpenBLAS caps it at one core
+    try:
+        runs[0].start()
+        assert first_in.wait(60)
+        runs[1].start()
+        runs[0].join(60)
+        assert not runs[0].is_alive()
+        first_out.set()
+        runs[1].join(60)
+        assert not runs[1].is_alive()
+        assert seen == [1] and get() == found
+    finally:
+        put(before)
 
 
 def test_stochastic_helper_error_is_raised_and_the_helper_joined(monkeypatch):
@@ -736,7 +879,7 @@ def test_stochastic_helper_error_is_raised_and_the_helper_joined(monkeypatch):
 
 
 def test_stochastic_blocks_closed_early_join_the_helper():
-    # three blocks at n = 1600; the helper waits to start the third
+    # seven blocks at n = 1600; the helper waits to start the third
     cfg = ExperimentConfig.from_mapping({
         "experiment": "stochastic", "schedule": [1600], "samples": 800, "seed": 2})
     f, grid = cfg.family, Grid(1, cfg.grid_points)
@@ -749,8 +892,11 @@ def test_stochastic_blocks_closed_early_join_the_helper():
 
 
 def _traced_peak(config: dict) -> int:
-    """Largest traced allocation, in bytes, while one parsed config runs."""
+    """Largest traced allocation, in bytes, while one parsed config runs a
+    second time: a process's first sweep also traces one-off imports and
+    caches (about 1.3 MB), which are not its working set."""
     cfg = ExperimentConfig.from_mapping(config)
+    run_experiment(cfg)
     tracemalloc.start()
     try:
         run_experiment(cfg)
@@ -759,13 +905,23 @@ def _traced_peak(config: dict) -> int:
         tracemalloc.stop()
 
 
+def _stochastic_bound(n, g):
+    """Bytes of two blocks' node rows, one (_GEMM_ROWS, g) product, the
+    basis and two chunks of node-pass temporaries, and the block's rows."""
+    rows = experiments._GEMM_ROWS
+    block = rows * max(1, experiments._BLOCK_CELLS // (rows * max(n + 1, g)))
+    return 8 * (2 * block * (n + 1) + rows * g + (n + 1) * g
+                + 2 * experiments._CHUNK_CELLS), block
+
+
 def test_stochastic_working_set_is_a_few_blocks():
-    # at n = 25 and g = 257 the grid, not the 26 nodes, sets the block: the
-    # peak is one (rows, g) product of _BLOCK_CELLS values plus two blocks'
-    # node rows (26 cells a sample) and small arrays
-    base = {"experiment": "stochastic", "schedule": [25], "seed": 4}
-    block_array = 8 * experiments._BLOCK_CELLS
-    assert _traced_peak({**base, "samples": 20_000}) < 2 * block_array
+    # at n = 25 and g = 257 the grid, not the 26 nodes, sets the block (896
+    # rows); a product as tall as the block, not one chunk, would not fit
+    n, g = 25, 257
+    bound, block = _stochastic_bound(n, g)
+    assert bound < 8 * (2 * block * (n + 1) + block * g + (n + 1) * g)
+    base = {"experiment": "stochastic", "schedule": [n], "seed": 4}
+    assert _traced_peak({**base, "samples": 20_000}) < bound
     # ten times the samples add none of the 16 bytes per sample that a
     # per-sample array of deviations or errors would hold (cheap nodes)
     small = _traced_peak({**base, "samples": 20_000, "degenerate_nodes": True})
@@ -774,15 +930,12 @@ def test_stochastic_working_set_is_a_few_blocks():
 
 
 def test_stochastic_peak_holds_two_blocks_of_rows():
-    # n = 1600, g = 257: three blocks of 312 rows, the last one partial.  The
-    # peak is two blocks' rows (the one in the GEMM and the one the helper
-    # thread makes), one (rows, g) product, the basis and a few chunks; a
-    # third block's rows alive at once would add 4 MB
+    # n = 1600, g = 257: seven blocks of 128 rows, the last one partial.  Two
+    # blocks' rows are alive at once (the one in the GEMM and the one the
+    # helper thread makes); a third block's rows would not fit
     n, g = 1600, 257
-    block = experiments._BLOCK_CELLS // (n + 1)
-    bound = 8 * (2 * block * (n + 1) + block * g + (n + 1) * g
-                 + 4 * experiments._CHUNK_CELLS)
-    assert bound < 22.8 * 2 ** 20  # the bound when one block was in flight
+    bound, block = _stochastic_bound(n, g)
+    assert bound < 8 * (3 * block * (n + 1) + (n + 1) * g)
     peak = _traced_peak({"experiment": "stochastic", "schedule": [n], "grid_points": g,
                          "samples": 800, "seed": 4})
     assert peak < bound
@@ -812,11 +965,9 @@ print(json.dumps(peaks))
 def test_stochastic_peak_memory_does_not_grow_with_samples():
     # 1300 samples already fill a whole block at n = 1600; 13000 rows of 1601
     # nodes would take 166 MB if they were held at once
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _PEAKS, _RUN_STOCHASTIC,
-                           "1300", "13000"], env=env, capture_output=True,
-                          text=True, check=True)
+                           "1300", "13000"], env=_child_env(threads=1),
+                          capture_output=True, text=True, check=True)
     small_kb, large_kb = json.loads(proc.stdout)
     assert large_kb - small_kb < 32 * 1024
 

@@ -53,16 +53,20 @@ def test_readme_lists_the_keys_each_run_reads():
 
 
 def test_readme_streaming_sizes_match_the_code():
-    from choqbern.experiments import _BLOCK_CELLS
+    from choqbern.experiments import _BLOCK_CELLS, _GEMM_ROWS
     from choqbern.randomfn import _CHUNK_CELLS
     text = README.read_text()
     start = text.index("The sweep streams each degree's samples")
     paragraph = " ".join(text[start:text.index("\n\n", start)].split())
-    block = re.search(r"blocks of `(\S+) // max\(n \+ 1, g\)` samples", paragraph)
+    block = re.search(r"`(\d+) \* max\(1, 2\^(\d+) // \((\d+) \* max\(n \+ 1, g\)\)\)` "
+                      r"samples", paragraph)
     chunk = re.search(r"chunks of 2\^(\d+) cells \((\d+) KB\)", paragraph)
     assert block and chunk, "the streaming paragraph names no block or chunk size"
-    assert float(block.group(1)) == _BLOCK_CELLS
-    assert f"most {8 * _BLOCK_CELLS // 10 ** 6} MB" in paragraph
+    assert int(block.group(1)) == int(block.group(3)) == _GEMM_ROWS
+    assert 2 ** int(block.group(2)) == _BLOCK_CELLS
+    assert f"whole {_GEMM_ROWS}-row chunks" in paragraph
+    assert f"chunk of {_GEMM_ROWS} rows" in paragraph
+    assert f"most {8 * _BLOCK_CELLS // 2 ** 20} MB" in paragraph
     assert 2 ** int(chunk.group(1)) == _CHUNK_CELLS
     assert int(chunk.group(2)) * 1024 == 8 * _CHUNK_CELLS
 
