@@ -234,6 +234,27 @@ _PINNED_SWEEPS = [
     ({"experiment": "capacity_convergence", "dim": 1, "schedule": [4, [16], 64],
       "epsilons": [0.02, 0.1], "etas": [0.05, 0.5]},
      "d0e236fd01c2f3b9f39cc3197196ae71125a2424e93eba3e5398d7e7c3265a8c"),
+    # the perfbench reference allows 1e-9 relative drift on 2-D capacity rows;
+    # these two do not.  Possibility levels against noise amplitudes that fall
+    # with the level give capacities strictly between 0 and 1 ...
+    ({"experiment": "capacity_convergence", "dim": 2, "grid_points": 17,
+      "family": {"name": "affine_noise", "params": {
+          "z": [(-1) ** i * (16 - i) / 16 for i in range(16)], "scale": 0.0}},
+      "capacity": {"atoms": 16, "repr": {"type": "possibility",
+                                         "lambda": [0.5 + i / 30 for i in range(16)]}},
+      "schedule": [4, [16, 4], 64], "epsilons": [0.001, 0.003, 0.01],
+      "etas": [0.05, 0.5]},
+     "6670dde1290f8026362dcb4ca2c11de6fd73fa2c478a2ae15650ffa4afc63627"),
+    # ... and atoms 0 and 1 tie at every point, all three are 0 at the corners,
+    # and epsilon 1.5 lies above every value, so most exceedance sets are empty
+    ({"experiment": "capacity_convergence", "dim": 2, "grid_points": 17,
+      "family": {"name": "step_noise", "params": {"z": [1.0, -1.0, 0.5],
+                                                  "thresholds": [0.5, 0.5, 0.5]}},
+      "capacity": {"atoms": 3, "repr": {"type": "table", "values": {
+          "": 0.0, "0": 0.3, "1": 0.6, "2": 0.5, "0,1": 0.8, "0,2": 0.7, "1,2": 0.9,
+          "0,1,2": 1.0}}},
+      "schedule": [4, [16, 4], 64], "epsilons": [0.05, 0.5, 1.5], "etas": [0.05, 0.5]},
+     "ed491d5aff9d3a90725e6b0f986a3aa131381feadd7e618dabb87559a1b8f766"),
     ({"experiment": "stochastic", "schedule": [25, 100], "samples": 300,
       "deltas": [0.1, 0.2], "epsilons": [0.1, 0.3]},
      "3ed8e6ee471d40bf9e26994e2825eb408d216132acea0bc44ecf4b2693f497a2"),
