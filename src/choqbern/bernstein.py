@@ -40,8 +40,12 @@ def sikkema_constant() -> float:
 def uniform_constant(dim: int) -> float:
     """c in sup |B_n f - f| <= c * w(f, 1/sqrt(min n)) on [0, 1]^dim.
 
-    Sikkema's constant in 1-D, 3 for the tensor-product operator in 2-D.
+    Sikkema's constant in 1-D, 3 for the tensor-product operator in 2-D;
+    any other dimension is an ``InputError``, as no constant for it is derived
+    here.
     """
+    if dim not in (1, 2):
+        raise InputError(f"the uniform constant is known for dim 1 and 2, not dim {dim}")
     return sikkema_constant() if dim == 1 else 3.0
 
 
@@ -141,11 +145,15 @@ def multivariate_grid(f: RandomFunction, n_vec, grid: Grid) -> np.ndarray:
     read as (n2+1, g*M) rows: each entry still sums l in order, one multiply
     and one add per term, so it keeps the bits of "jl,ilm->ijm" with a
     g*M-long inner loop.  At M = 1 the reshape is a view, so einsum keeps its
-    l-innermost dot and the old bits.
+    l-innermost dot and the old bits.  Axes of one degree share one basis
+    matrix.  A function of more than two dimensions is an ``InputError``.
     """
+    if f.dim > 2:
+        raise InputError(f"multivariate_grid supports dim <= 2, got dim {f.dim}")
     n_vec = degree_vector(n_vec, f.dim)
     f.check_grid(grid)
-    mats = [basis_matrix(n, grid.coords) for n in n_vec]
+    by_degree = {n: basis_matrix(n, grid.coords) for n in dict.fromkeys(n_vec)}
+    mats = [by_degree[n] for n in n_vec]
     nodes = f.on_axes([bernstein_nodes(n) for n in n_vec])
     if f.dim == 1:
         return np.einsum("ik,km->im", mats[0], nodes)

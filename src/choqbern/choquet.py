@@ -170,6 +170,36 @@ def telescoped_sum(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
+def semi_metric_levels(values: np.ndarray, mu_table: np.ndarray, thresholds
+                       ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """From one sort of nonnegative (K, M) rows h: per row, the integral of
+    h / (1 + h), and one array per t in ``thresholds`` of the capacities of
+    {atoms: h >= t}.
+
+    The integrals are the ``telescoped_sum`` of v / (1 + v) over the
+    ``sorted_levels`` output ``(v, mu)`` of the rows.  x / (1 + x) grows
+    with x, but its rounded value can fall by an ulp between adjacent
+    doubles; where that reorders a row, the rows of h / (1 + h) go through
+    ``integral_batch`` instead.  Either way each row's integral is
+    ``integral_batch`` of h / (1 + h), bit for bit: where the orders agree,
+    the terms of tied values are exact zeros and the upper sets at their
+    first rank are the same.  The set {h >= t} is the set of atoms at ranks
+    >= the first rank whose value reaches t, and mu(empty set), entry 0 of
+    ``mu_table``, where no rank does; so each capacity is ``eval_sets`` of
+    ``h >= t``, bit for bit.
+    """
+    v, mu = sorted_levels(values, mu_table)
+    phi = v / (1.0 + v)
+    if (phi[1:] < phi[:-1]).any():
+        integrals = integral_batch(values / (1.0 + values), mu_table)
+    else:
+        integrals = telescoped_sum(phi, mu)
+    rows = np.arange(v.shape[1])
+    # argmax finds the first rank that reaches t, and reads 0 where none does
+    return integrals, [np.where(v[-1] >= t, mu[(v >= t).argmax(axis=0), rows], mu_table[0])
+                       for t in thresholds]
+
+
 def powered_integrals(v: np.ndarray, mu: np.ndarray, powers) -> list[np.ndarray]:
     """Integrals of the p-th powers of nonnegative rows, one array per p in
     ``powers``, from one ``sorted_levels`` output ``(v, mu)`` of the rows.

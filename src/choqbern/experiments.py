@@ -28,7 +28,8 @@ from .bernstein import (basis_matrix, bernstein_nodes, degree_vector, moment_sum
 from .capacity import (TABLE_ATOM_LIMIT, Capacity, DistortedRepr,
                        InputError, PossibilityRepr, capacity_from_spec,
                        certified_submodular, eval_sets, refuse_unknown_keys, subset_table)
-from .choquet import P_MAX, integral_batch, powered_integrals, sorted_levels
+from .choquet import (P_MAX, integral_batch, powered_integrals, semi_metric_levels,
+                      sorted_levels)
 from .randomfn import (_CHUNK_CELLS, ChoquetModulusTable, Grid, RandomFunction,
                        build_family, profile_at, sample_modulus_profile)
 from .stochastic import (KTable, _check_slope, lemma51_bound, max_deviation_rows,
@@ -266,7 +267,8 @@ def _schedule(v, f) -> list:
     A run that reads a grid modulus at 1/sqrt(n) needs every degree at most
     the grid's ``finest_degree``, or the modulus, and so the bound, is 0.  A
     capacity run's trend row compares each entry with the one before, so no
-    degree of its schedule may go down.
+    degree of its schedule may go down; a possibility run's trend rows read
+    the modulus at each entry's smallest degree, so that one may not.
     """
     if not _as(list, v):
         raise ValueError("must be a nonempty list")
@@ -283,6 +285,13 @@ def _schedule(v, f) -> list:
             raise ValueError(f"entry {list(nv)} lowers a degree of {list(out[-1])}: "
                              "capacity_convergence runs need degrees that never go "
                              "down, since each trend row bounds the distance by the "
+                             "previous entry's")
+        if (f["experiment"] == "possibility_convergence" and out
+                and min(nv) < min(out[-1])):
+            raise ValueError(f"entry {list(nv)} lowers the smallest degree of "
+                             f"{list(out[-1])}: possibility_convergence runs need a "
+                             "smallest degree that never goes down, since each "
+                             "trend row bounds the exceedance level by the "
                              "previous entry's")
         out.append(nv)
     return out
@@ -452,13 +461,14 @@ def _cp_sup(n1: int, n2: int, powers, grid: Grid) -> list[float]:
     turns C_p into the same sum over products A_i(x1) B_j(x2) of the 1-D
     moment sums A_i = sum_k p_k,n1 a^i and B_j = sum_k p_k,n2 b^j
     (``moment_sums``).  Every term is >= 0, so nothing cancels.  The moments
-    are computed once, up to the largest integer p, and shared by every p.
+    are computed once, up to the largest integer p, and shared by every p,
+    and by both axes where n1 = n2.
     A non-integer p has no finite expansion and takes the direct double sum
     of ``_cp_sup_direct``.
     """
     top = max((int(p) for p in powers if float(p).is_integer()), default=0)
     a = moment_sums(n1, grid.coords, top)
-    b = moment_sums(n2, grid.coords, top)
+    b = a if n2 == n1 else moment_sums(n2, grid.coords, top)
     out = []
     for p in powers:
         if not float(p).is_integer():
@@ -532,9 +542,12 @@ def run_capacity_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     prev_d = None
     for entry in cfg.schedule:
         diff = np.abs(tensor - multivariate_grid(f, entry, grid))
-        d_n = _semi_metric_of(diff, mu)
-        flat = diff.reshape(-1, diff.shape[-1])
-        caps = [float(eval_sets(cap, flat >= eps).max()) for eps in cfg.epsilons]
+        # d_n is _semi_metric_of(diff, mu) and each cap the largest
+        # capacity of {diff >= eps}, from one sort of the rows
+        integrals, exceedances = semi_metric_levels(diff.reshape(-1, cap.atom_count),
+                                                    mu, cfg.epsilons)
+        d_n = float(integrals.max())
+        caps = [float(e.max()) for e in exceedances]
         computed.append((d_n, caps))
         n1, n2 = (*entry, None)[:2]  # n2 stays empty in 1-D
         trend_bound = 1.0 if prev_d is None else prev_d + TREND_SLACK

@@ -108,23 +108,28 @@ class RandomFunction:
         """Values at every point of the product of ``axes`` (one coordinate
         array per dimension) for every atom, shape (len(a) for a in axes) + (M,).
 
-        The point mesh is built once; the output is filled along its first
-        axis in slabs of about ``_CHUNK_CELLS`` cells, one evaluator call per
-        slab on (..., 1, dim) points against the atom vector, so the call's
-        temporaries stay cache-sized.  For a pointwise evaluator, as every
-        built-in family is, each entry has the bits of its one-point,
-        one-atom call.
+        The output is filled along its first axis in slabs of about
+        ``_CHUNK_CELLS`` cells, one evaluator call per slab on that slab's
+        (..., 1, dim) point mesh against the atom vector, so the call's
+        temporaries stay cache-sized and no whole-tensor mesh is built.  For
+        a pointwise evaluator, as every built-in family is, each entry has
+        the bits of its one-point, one-atom call.
         """
         if len(axes) != self.dim:
             raise InputError(f"expected {self.dim} coordinate axes, got {len(axes)}")
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        out = np.empty(pts.shape[:-1] + (self.atom_count,))
+        axes = [np.asarray(a) for a in axes]
+        out = np.empty(tuple(len(a) for a in axes) + (self.atom_count,))
         atoms = np.arange(self.atom_count)
         step = max(1, _CHUNK_CELLS // max(1, math.prod(out.shape[1:])))
         for c in range(0, len(out), step):
+            slab = [axes[0][c:c + step], *axes[1:]]
+            pts = np.empty(tuple(map(len, slab)) + (1, self.dim),
+                           dtype=np.result_type(*axes))
+            for i, a in enumerate(slab):  # coordinate i varies along axis i
+                pts[..., 0, i] = a.reshape((-1,) + (1,) * (self.dim - 1 - i))
             # the assignment broadcasts a result that ignores the atoms and
             # converts an integer result to float
-            out[c:c + step] = self.evaluator(pts[c:c + step, ..., None, :], atoms)
+            out[c:c + step] = self.evaluator(pts, atoms)
         return out
 
     def grid_tensor(self, grid: Grid) -> np.ndarray:
@@ -151,8 +156,14 @@ class RandomFunction:
 # ---------------------------------------------------------------------------
 
 def _coord_mean(pts: np.ndarray) -> np.ndarray:
-    """Mean of the last axis; in 1-D the one coordinate, which has its bits."""
-    return pts[..., 0] if pts.shape[-1] == 1 else np.mean(pts, axis=-1)
+    """Mean of the last axis, with the bits of ``np.mean``: in 1-D the one
+    coordinate, in 2-D the sum of the two halved (numpy's mean of two values),
+    which skips the reduction's setup on a strided axis of length 2."""
+    if pts.shape[-1] == 1:
+        return pts[..., 0]
+    if pts.shape[-1] == 2:
+        return (pts[..., 0] + pts[..., 1]) / 2
+    return np.mean(pts, axis=-1)
 
 
 def _absdev(m: int, dim: int, params: dict) -> RandomFunction:
@@ -171,10 +182,12 @@ def _affine_noise(m: int, dim: int, params: dict) -> RandomFunction:
 
     def ev(pts, atom, z=z, scale=scale, amp=amp):
         sq = _coord_mean(pts) ** 2
-        base = scale * sq
-        # gain is nonlinear in x so the noise survives Bernstein smoothing
-        noise_gain = amp * 0.5 * (1.0 + sq)
-        return base + noise_gain * z[atom]
+        # gain is nonlinear in x so the noise survives Bernstein smoothing;
+        # the noise term is the one full-size result, and scale * sq, which
+        # broadcasts into it, is added in place
+        out = amp * 0.5 * (1.0 + sq) * z[atom]
+        out += scale * sq
+        return out
 
     sup = abs(scale) + abs(amp) * float(np.max(np.abs(z))) if z.size else abs(scale)
     return RandomFunction(m, dim, ev, name="affine_noise", m_sup=sup)

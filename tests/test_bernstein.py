@@ -13,7 +13,7 @@ from choqbern import (InputError, bernstein_basis, bernstein_multivariate,
                       tail_sum)
 from choqbern import bernstein
 from choqbern.bernstein import (basis_matrix, bernstein_nodes, degree_vector,
-                                multivariate_grid)
+                                multivariate_grid, uniform_constant)
 from choqbern.randomfn import Grid, RandomFunction, build_family, stochastic_modulus
 from conftest import exact_basis
 
@@ -205,7 +205,8 @@ def test_grid_paths_call_the_evaluator_once(m):
 def test_multivariate_grid_peak_holds_the_node_tensor_once():
     # capconv_wide's largest entry: the (257, 257, 16) node tensor is 8.1 MiB.
     # Evaluated in one call, its broadcast temporaries doubled it (19.0 MiB);
-    # in slabs the peak is the tensor, the mesh and cache-sized temporaries
+    # in slabs, each with its own point mesh, the peak is the tensor and
+    # cache-sized temporaries
     f = build_family("affine_noise", 16, 2)
     grid = Grid(2, 65)
     multivariate_grid(f, (256, 256), grid)  # the memoized grid tensor is not counted
@@ -255,6 +256,22 @@ def test_multivariate_refusals():
         with pytest.raises(InputError,
                            match=rf"atom index must be an integer in \[0, 3\), got {atom}"):
             bernstein_multivariate(f, (4, 4), (0.5, 0.5), atom)
+
+
+def test_multivariate_grid_refuses_more_than_two_dimensions():
+    # was a bare ValueError from unpacking the partial contraction's shape
+    f = build_family("affine_noise", 2, 3)
+    with pytest.raises(InputError, match="dim 3"):
+        multivariate_grid(f, 4, Grid(3, 5))
+
+
+def test_uniform_constant_is_refused_past_two_dimensions():
+    # 3 is the tensor-product constant of dim 2; no source gives one for dim 3
+    assert uniform_constant(1) == sikkema_constant()
+    assert uniform_constant(2) == 3.0
+    for dim in (0, 3, 4):
+        with pytest.raises(InputError, match=f"dim {dim}"):
+            uniform_constant(dim)
 
 
 def test_moment_sum_values():

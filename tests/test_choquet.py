@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqbern import (InputError, capacity_distribution_function, choquet_integral,
                       choquet_integral_oracle, choquet_lp_norm, comonotone,
-                      eval_capacity, integral_batch, make_distorted,
-                      make_distortion, make_possibility, subset_table)
-from conftest import random_capacity
+                      eval_capacity, eval_sets, integral_batch, make_distorted,
+                      make_distortion, make_possibility, make_table, subset_table)
+from choqbern.capacity import TOL
+from choqbern.choquet import semi_metric_levels, sorted_levels, telescoped_sum
+from conftest import random_capacity, random_monotone_table
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +321,51 @@ def test_integral_batch_matches_row_wise_kernel(rng, m):
                 # relative to the size of the values rather than of the result
                 scale = 0.0 if values.min() >= 0 else np.abs(values).max()
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
+
+
+
+# x and the next double up, whose x / (1 + x) rounds an ulp below x's
+_INVERTED = (float.fromhex("0x1.b3b6dd6ccb5c4p-3"), float.fromhex("0x1.b3b6dd6ccb5c5p-3"))
+_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, *_INVERTED]) | st.floats(0.0, 4.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@example(16, "possibility", 1, [[0.5] * 16], [0.5])
+@example(2, "table", 2, [[_INVERTED[1], _INVERTED[0]] * 8], [_INVERTED[0]])
+@given(st.sampled_from([*range(1, 9), 16]),
+       st.sampled_from(["distorted", "possibility", "table", "near_monotone"]),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.lists(_VALUES, min_size=16, max_size=16), max_size=4),
+       st.lists(st.floats(1e-3, 5.0), max_size=3))
+def test_semi_metric_levels_match_integral_batch_and_eval_sets(m, kind, seed, rows,
+                                                               thresholds):
+    # one sort gives every row's integral of h / (1 + h) and capacities of
+    # {h >= t}: the bits of integral_batch and of eval_sets, ties, all-zero
+    # rows, a t equal to a value and a t above every value included
+    rng = np.random.default_rng(seed)
+    if kind == "near_monotone":  # make_table accepts mu({0}) within TOL below 0
+        tbl = random_monotone_table(rng, m)
+        tbl[1] = -TOL / 8 if m > 1 else 1.0
+        cap = make_table(m, tbl)
+    else:
+        cap = random_capacity(rng, m, kind=kind)
+    h = np.array([*rows, [0.0] * 16, [1.0, 0.5] * 8], dtype=float)[:, :m]
+    thresholds = [*thresholds, float(h.max()) + 1.0, float(h.flat[seed % h.size])]
+    mu_table = subset_table(cap)
+    integrals, caps = semi_metric_levels(h, mu_table, thresholds)
+    assert integrals.tobytes() == integral_batch(h / (1.0 + h), mu_table).tobytes()
+    assert len(caps) == len(thresholds)
+    for t, got in zip(thresholds, caps):
+        assert got.tobytes() == eval_sets(cap, h >= t).tobytes()
+
+
+def test_semi_metric_levels_on_a_pair_that_x_over_1_plus_x_reorders():
+    # sorted by x, the pair's integral of x / (1 + x) reads the upper set of
+    # the wrong atom at the second rank; with both singletons at 0 that moves
+    # the result by an ulp, and the rows go through integral_batch instead
+    mu_table = np.array([0.0, 0.0, 0.0, 1.0])
+    h = np.array([[_INVERTED[1], _INVERTED[0]]])
+    v, mu = sorted_levels(h, mu_table)
+    want = integral_batch(h / (1.0 + h), mu_table)
+    assert telescoped_sum(v / (1.0 + v), mu) != want
+    assert semi_metric_levels(h, mu_table, [])[0] == want

@@ -362,6 +362,21 @@ def test_capacity_schedule_that_goes_down_exits_two(tmp_path, capsys):
     assert [list(nv) for nv in cfg.schedule] == c08
 
 
+def test_possibility_schedule_whose_smallest_degree_goes_down_exits_two(tmp_path, capsys):
+    # each trend row bounds the exceedance level by the previous entry's, both
+    # read at the smallest degree; [256, 4] wrote a failing row and exited 1
+    config = {"experiment": "possibility_convergence", "schedule": [256, 4]}
+    assert run_cli(["experiment", "--config", _write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: key 'schedule': entry [4, 4] lowers the smallest degree of [256, 256]")
+    for dim, schedule in ((2, [[16, 4], [64, 2]]), (2, [4, 16, [64, 8]]), (1, [4, [2]])):
+        with pytest.raises(ConfigError, match="^key 'schedule': entry"):
+            ExperimentConfig.from_mapping({**config, "schedule": schedule, "dim": dim})
+    # the smallest degree may stay put while another falls, as in the pinned sweep
+    for schedule in ([4, [16, 4], 64], [[4, 16], [16, 4]], [16, 16]):
+        ExperimentConfig.from_mapping({**config, "schedule": schedule})
+
+
 def test_experiment_exit_one_on_failing_row(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "experiment": "capacity_convergence", "family": "step_noise", "dim": 1,

@@ -274,6 +274,28 @@ def test_sweep_csv_pinned(config, digest):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("config", [
+    *(c for c, _ in _PINNED_SWEEPS if c["experiment"] == "capacity_convergence"),
+    _perfbench_workloads().config_for("capconv_wide", 0)])
+def test_capacity_run_reads_the_semi_metric_and_sets_of_its_rows(config):
+    # the runner sorts each entry's |B_n f - f| rows once for both kinds of
+    # row; d_n is still _semi_metric_of them, and each Markov row's capacity
+    # the largest eval_sets of {diff >= eps}, bit for bit
+    cfg = ExperimentConfig.from_mapping(config)
+    f, grid = cfg.family, Grid(cfg.dim, cfg.grid_points)
+    rows = run_capacity_convergence(cfg).rows
+    width = 1 + len(cfg.epsilons)
+    for i, entry in enumerate(cfg.schedule):
+        diff = np.abs(f.grid_tensor(grid) - multivariate_grid(f, entry, grid))
+        d_row, *markov = rows[i * width:(i + 1) * width]
+        assert d_row.measured.hex() == experiments._semi_metric_of(
+            diff, subset_table(cfg.capacity)).hex()
+        flat = diff.reshape(-1, cfg.atoms)
+        for eps, row in zip(cfg.epsilons, markov):
+            want = float(experiments.eval_sets(cfg.capacity, flat >= eps).max())
+            assert (row.epsilon, row.measured.hex()) == (eps, want.hex())
+
+
 _WORDS = ("kind", "scale", "name", "params", "repr", "type", "atoms", "distortion",
           "alpha", "lambda", "weights", "values", "z", "", "0", "0,1")
 # integers and floats stay small: an integral float counts as an integer, and

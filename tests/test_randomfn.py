@@ -109,6 +109,40 @@ def test_families_in_1d_equal_the_mean_form(rng):
                     assert np.array_equal(got, want(np.mean(pts, axis=-1), w))
 
 
+def test_coord_mean_has_the_bits_of_np_mean(rng):
+    # in 2-D the two coordinates are added and halved, numpy's mean of two
+    for dim in (1, 2, 3):
+        for shape in ((dim,), (37, dim), (9, 5, 1, dim)):
+            pts = rng.random(shape)
+            pts.flat[0] = 0.0
+            for view in (pts, pts[..., ::-1], np.asfortranarray(pts)):
+                got = np.asarray(randomfn._coord_mean(view))
+                assert got.tobytes() == np.asarray(np.mean(view, axis=-1)).tobytes()
+
+
+def test_affine_noise_in_place_has_the_bits_of_the_two_temporary_form(rng):
+    m = 5
+    z = rng.uniform(-1, 1, m)
+    scale, amp = 1.3, 0.4
+
+    def two_temporaries(pts, atom):  # the form before the noise term took the sum
+        sq = np.mean(pts, axis=-1) ** 2
+        return scale * sq + amp * 0.5 * (1.0 + sq) * z[atom]
+
+    for dim in (1, 2):
+        f = build_family("affine_noise", m, dim, {"z": list(z), "scale": scale, "amp": amp})
+        nodes = rng.random((12, 7, dim))
+        calls = [(nodes[3, 2], 4),  # one point: a 0-d result
+                 (nodes[:, 0], 2),  # a scalar atom
+                 (nodes[:, :, None, :], np.arange(m)),  # the atom vector of on_axes
+                 (nodes[1::m, :, :], 1)]  # strided node rows, as the stochastic pass
+        for pts, atom in calls:
+            got = f.evaluator(pts, atom)
+            assert np.shape(got) == np.broadcast_shapes(pts.shape[:-1], np.shape(atom))
+            assert np.asarray(got).tobytes() == np.asarray(two_temporaries(pts, atom)).tobytes()
+        assert f.eval(nodes[3, 2], 4) == float(two_temporaries(nodes[3, 2], 4))
+
+
 def test_family_registry():
     assert list_families() == sorted(FAMILIES)
     with pytest.raises(InputError):

@@ -15,21 +15,22 @@ from pathlib import Path
 
 import pytest
 
-from choqbern import cli
+from choqbern import Grid, build_family, cli, experiments, make_possibility
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer  # noqa: E402
 
 CONFIGS = {
-    # a mean run sorts its error rows once for every p, so it calls no
-    # integral_batch; the capacity run still checks that signature
+    # a mean run sorts its error rows once for every p, and a capacity run
+    # once for its semi-metric and exceedance rows, so neither calls
+    # integral_batch; test_traced_semi_metric checks that signature
     "mean_convergence": ({"schedule": [[4, 4], [8, 4]], "p": [1, 2], "grid_points": 9},
                          {"randomfn.ChoquetModulusTable", "bernstein.multivariate_grid",
                           "capacity.subset_table"}),
     # (256, 256) evaluates 257 * 257 nodes at 5 atoms in 6 slabs
     "capacity_convergence": ({"schedule": [4, 256], "grid_points": 9},
-                             {"choquet.integral_batch", "bernstein.multivariate_grid",
-                              "bernstein.basis_matrix", "capacity.subset_table"}),
+                             {"bernstein.multivariate_grid", "bernstein.basis_matrix",
+                              "capacity.subset_table"}),
     "possibility_convergence": ({"schedule": [4, 16], "grid_points": 9},
                                 {"randomfn.sample_modulus_profile",
                                  "bernstein.multivariate_grid"}),
@@ -87,3 +88,22 @@ def test_evaluator_points_count_every_slab_once(tmp_path):
         tracer.restore()
     assert tracer.counters["randomfn.evaluator.points"] == 9 * 9 + 5 * 5 + 257 * 257
     assert sum(span[1] == "randomfn.evaluator" for span in tracer.spans) == 1 + 1 + 6
+
+
+def test_traced_semi_metric():
+    # semi_metric is the caller of the tracer's integral_batch hook: one call
+    # on the grid's rows, counted cell by cell
+    f = build_family("affine_noise", 3, 2, {"z": [0.5, -0.25, 1.0]})
+    g = build_family("deterministic:absdev", 3, 2)
+    cap = make_possibility([0.5, 1.0, 0.75])
+    grid = Grid(2, 9)
+    plain = experiments.semi_metric(f, g, cap, grid)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = experiments.semi_metric(f, g, cap, grid)
+    finally:
+        tracer.restore()
+    assert traced == plain
+    assert [span[1] for span in tracer.spans].count("choquet.integral_batch") == 1
+    assert tracer.counters["choquet.integral_batch.cells"] == 9 * 9 * 3
