@@ -343,9 +343,10 @@ def test_semi_metric_levels_match_integral_batch_and_eval_sets(m, kind, seed, ro
     # {h >= t}: the bits of integral_batch and of eval_sets, ties, all-zero
     # rows, a t equal to a value and a t above every value included
     rng = np.random.default_rng(seed)
-    if kind == "near_monotone":  # make_table accepts mu({0}) within TOL below 0
+    if kind == "near_monotone":  # make_table accepts mu's within TOL of 0
         tbl = random_monotone_table(rng, m)
-        tbl[1] = -TOL / 8 if m > 1 else 1.0
+        tbl[0] = TOL / 4  # the empty set
+        tbl[1] = -TOL / 8 if m > 1 else 1.0  # {0}
         cap = make_table(m, tbl)
     else:
         cap = random_capacity(rng, m, kind=kind)
